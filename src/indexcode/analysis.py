@@ -15,7 +15,7 @@ import networkx as nx
 
 from .enumeration import enumerate_cycles, enumerate_partial_cliques
 from .instance import Instance, is_uniprior, to_undirected, total_weight
-from .lp import solve_ilp, solve_lp
+from .lp import OPTIMAL, solve_ilp, solve_lp
 from .programs import (
     build_P1, build_P1_relaxed, build_P2, build_P2_relaxed,
     build_P5, build_P5_relaxed,
@@ -24,6 +24,16 @@ from .programs import (
 
 class PreconditionError(ValueError):
     """The instance does not satisfy a checker's hypothesis."""
+
+
+class SolveError(RuntimeError):
+    """A program of the bound chain has no optimum (e.g. a truncated family)."""
+
+
+def _value(res, name) -> Fraction:
+    if res.status != OPTIMAL:
+        raise SolveError(f"{name} is {res.status}")
+    return res.objective
 
 
 def is_planar(inst: Instance) -> bool:
@@ -79,12 +89,12 @@ def bounds_report(inst: Instance, max_cycles=None, max_k=None) -> BoundsReport:
     cliques = enumerate_partial_cliques(inst, **kw_k)
     return BoundsReport(
         W=total_weight(inst),
-        valP1=solve_ilp(build_P1(inst, cycles)).objective,
-        valP1_relaxed=solve_lp(build_P1_relaxed(inst, cycles)).objective,
-        valP2=solve_ilp(build_P2(inst, cycles)).objective,
-        valP2_relaxed=solve_lp(build_P2_relaxed(inst, cycles)).objective,
-        valP5=solve_ilp(build_P5(inst, cliques)).objective,
-        valP5_relaxed=solve_lp(build_P5_relaxed(inst, cliques)).objective,
+        valP1=_value(solve_ilp(build_P1(inst, cycles)), "P1"),
+        valP1_relaxed=_value(solve_lp(build_P1_relaxed(inst, cycles)), "P1'"),
+        valP2=_value(solve_ilp(build_P2(inst, cycles)), "P2"),
+        valP2_relaxed=_value(solve_lp(build_P2_relaxed(inst, cycles)), "P2'"),
+        valP5=_value(solve_ilp(build_P5(inst, cliques)), "P5"),
+        valP5_relaxed=_value(solve_lp(build_P5_relaxed(inst, cliques)), "P5'"),
         planar=is_planar(inst),
     )
 

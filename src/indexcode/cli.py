@@ -246,7 +246,8 @@ def run(argv, out=None) -> int:
     try:
         return args.fn(args, out)
     except (InstanceError, enumeration.CapExceeded, lp.NodeLimitExceeded,
-            analysis.PreconditionError, coding.ScheduleError, FileNotFoundError) as exc:
+            analysis.PreconditionError, analysis.SolveError, coding.ScheduleError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,9 @@ def _finish(users, raw_packets) -> Instance | None:
         return None
     packets = tuple(
         PacketType(f"p{i + 1}", w, demand, side)
-        for i, ((demand, side), w) in enumerate(sorted(merged.items(), key=str))
+        for i, ((demand, side), w) in enumerate(
+            sorted(merged.items(), key=lambda kv: (kv[0][0], tuple(sorted(kv[0][1]))))
+        )
     )
     return validate_instance(Instance(tuple(users), packets))
 

@@ -1,9 +1,20 @@
-"""Exact-arithmetic linear programming over `fractions.Fraction`.
+"""Exact-arithmetic linear programming with `fractions.Fraction` results.
 
 A two-phase primal simplex with Bland's rule (guaranteed termination) plus
 a deterministic branch-and-bound layer for integer variables.  Everything
 is exact: optimal values, primal solutions, and dual certificates are
 rational numbers with no tolerance anywhere.
+
+The tableau is fraction-free (in the spirit of Bareiss elimination): each
+row, and the reduced-cost row, is a list of integer numerators over one
+positive integer denominator.  A row enters scaled by the lcm of its
+coefficient denominators.  A pivot touches only the rows with a nonzero in
+the pivot column, subtracts only at the pivot row's nonzero columns (the
+whole row is rescaled only when the pivot does not divide its entry), and
+divides each updated row by one gcd.  The ratio test cross-multiplies
+integers.  Fractions are built only when the primal, the duals and the
+reduced costs are read out, so the pivot sequence and every reported value
+are those of a plain rational tableau.
 
 Sign conventions for the reported certificate (see `verify_certificate`):
 duals are shadow prices in the problem's own sense, i.e. the derivative of
@@ -14,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from math import ceil, floor, gcd, lcm
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -30,7 +43,17 @@ class NodeLimitExceeded(RuntimeError):
     """Branch-and-bound exhausted its node budget."""
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 def _frac(x) -> Fraction:
+    """x as a Fraction; the int coefficients 0 and 1 map to shared objects."""
+    t = type(x)
+    if t is Fraction:
+        return x
+    if t is int and 0 <= x <= 1:
+        return _ONE if x else _ZERO
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -56,16 +79,16 @@ class LinearProgram:
 
     def __post_init__(self):
         n = len(self.objective)
-        self.objective = tuple(_frac(c) for c in self.objective)
+        self.objective = tuple(map(_frac, self.objective))
         if not self.lower:
-            self.lower = (Fraction(0),) * n
+            self.lower = (_ZERO,) * n
         if not self.upper:
             self.upper = (None,) * n
         if not self.integer:
             self.integer = (False,) * n
         if not self.var_names:
             self.var_names = tuple(f"x{j}" for j in range(n))
-        self.lower = tuple(_frac(b) for b in self.lower)
+        self.lower = tuple(map(_frac, self.lower))
         self.upper = tuple(None if b is None else _frac(b) for b in self.upper)
         if not (n == len(self.lower) == len(self.upper) == len(self.integer) == len(self.var_names)):
             raise DimensionError("bounds/flags/names must match the variable count")
@@ -84,7 +107,7 @@ class LinearProgram:
 
     def add_row(self, coeffs, rel, rhs, name=""):
         self.constraints.append(
-            Constraint(tuple(_frac(c) for c in coeffs), rel, _frac(rhs), name)
+            Constraint(tuple(map(_frac, coeffs)), rel, _frac(rhs), name)
         )
 
 
@@ -106,50 +129,89 @@ class SolveResult:
         return {c.name: y for c, y in zip(self.lp.constraints, self.row_duals)}
 
 
-def _pivot(tab, basis, r, c):
-    """In-place pivot of the dense Fraction tableau on (row r, column c)."""
-    row = tab[r]
-    piv = row[c]
-    if piv != 1:
-        inv = 1 / piv
-        tab[r] = row = [v * inv for v in row]
+def _reduce(nums, den):
+    """Divide an integer row and its denominator by their common gcd."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return [v // g for v in nums], den // g
+    return nums, den
+
+
+def _eliminate(nums, den, c, piv, nz):
+    """Integer form of row - (row[c] / piv) * pivot_row, where the pivot row
+    has the nonzeros `nz` and the entry `piv` in column c, both over one
+    denominator.  Only the pivot row's nonzero columns are touched unless
+    piv does not divide row[c], when the row is rescaled first."""
+    g = gcd(nums[c], piv)
+    f, p = nums[c] // g, piv // g
+    if p != 1:
+        nums = [v * p for v in nums]
+        den *= p
+    for j, v in nz:
+        nums[j] -= f * v
+    return _reduce(nums, den)
+
+
+def _pivot(tab, dens, basis, r, c, cost=None):
+    """In-place pivot of the integer tableau on (row r, column c).  Row i has
+    the values tab[i] / dens[i]; `cost` is an optional [nums, den] reduced-cost
+    row updated alongside.  Only rows with a nonzero in column c change."""
+    row, piv = tab[r], tab[r][c]
+    if piv < 0:
+        row, piv = [-v for v in row], -piv
+    # The pivot row becomes row / piv: its own denominator cancels.
+    tab[r], dens[r] = row, den = _reduce(row, piv)
+    nz = [(j, row[j]) for j in compress(range(len(row)), row)]
     for i, other in enumerate(tab):
-        if i != r and other[c] != 0:
-            f = other[c]
-            tab[i] = [a - f * b for a, b in zip(other, row)]
+        if i != r and other[c]:
+            tab[i], dens[i] = _eliminate(other, dens[i], c, den, nz)
+    if cost is not None and cost[0][c]:
+        cost[0], cost[1] = _eliminate(cost[0], cost[1], c, den, nz)
     basis[r] = c
 
 
-def _simplex(tab, basis, cost, banned):
-    """Minimize, Bland's rule.  `tab` rows are [a_0..a_{n-1} | b]; `cost` is
-    the reduced-cost row [cbar_0..cbar_{n-1} | -obj].  Returns status."""
-    ncols = len(cost) - 1
+def _cost_row(obj, tab, dens, basis, width):
+    """[nums, den] of the reduced costs of `obj` ({column: value}) against
+    the current basis: the objective row with every basic column eliminated."""
+    terms = [(obj[b], tab[i], dens[i]) for i, b in enumerate(basis) if b in obj]
+    den = lcm(*(v.denominator for v in obj.values()),
+              *(cb.denominator * d for cb, _, d in terms))
+    nums = [0] * width
+    for j, v in obj.items():
+        nums[j] = v.numerator * (den // v.denominator)
+    for cb, row, d in terms:
+        k = cb.numerator * (den // (cb.denominator * d))
+        for j in compress(range(width), row):
+            nums[j] -= k * row[j]
+    return list(_reduce(nums, den))
+
+
+def _simplex(tab, dens, basis, cost, banned):
+    """Minimize, Bland's rule.  `tab` rows are integer numerators
+    [a_0..a_{n-1} | b] over `dens`; `cost` is [nums, den] of the reduced-cost
+    row [cbar_0..cbar_{n-1} | -obj].  Returns status."""
     while True:
-        enter = -1
-        for j in range(ncols):
-            if j not in banned and cost[j] < 0:
-                enter = j
-                break
+        nums = cost[0]
+        enter = next((j for j in compress(range(len(nums) - 1), nums)
+                      if nums[j] < 0 and j not in banned), -1)
         if enter < 0:
             return OPTIMAL
-        # Ratio test, Bland tie-break on smallest basis variable index.
+        # Ratio test b_i / a_i: both share row i's denominator, so compare by
+        # cross-multiplying.  Bland tie-break on smallest basis variable index.
         leave = -1
-        best = None
         for i, row in enumerate(tab):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave < 0:
+                    leave, best_b, best_a = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, row[-1], a
         if leave < 0:
             return UNBOUNDED
-        _pivot(tab, basis, leave, enter)
-        f = cost[enter]
-        if f != 0:
-            row = tab[leave]
-            for j in range(len(cost)):
-                cost[j] -= f * row[j]
+        _pivot(tab, dens, basis, leave, enter, cost)
 
 
 def solve_lp(lp: LinearProgram, _bound_overrides=None) -> SolveResult:
@@ -173,18 +235,19 @@ def solve_lp(lp: LinearProgram, _bound_overrides=None) -> SolveResult:
 
     minimize = lp.sense == "min"
     c = [cj if minimize else -cj for cj in lp.objective]
-    const = sum(cj * lo for cj, lo in zip(c, lower))
+    shifts = [(j, lo) for j, lo in enumerate(lower) if lo]
+    const = sum(c[j] * lo for j, lo in shifts)
 
     # Rows: original constraints (shifted by lower bounds), then one
     # upper-bound row x_j <= hi_j - lo_j per finite upper bound.
     rows = []  # (coeffs dict, rel, rhs, kind, key)
     for i, con in enumerate(lp.constraints):
-        rhs = con.rhs - sum(a * lo for a, lo in zip(con.coeffs, lower))
-        rows.append((dict((j, a) for j, a in enumerate(con.coeffs) if a != 0), con.rel, rhs,
-                     "row", i))
+        coeffs = {j: a for j, a in enumerate(con.coeffs) if a}
+        rhs = con.rhs - sum(coeffs[j] * lo for j, lo in shifts if j in coeffs)
+        rows.append((coeffs, con.rel, rhs, "row", i))
     for j in range(n):
         if upper[j] is not None:
-            rows.append(({j: Fraction(1)}, "<=", upper[j] - lower[j], "ub", j))
+            rows.append(({j: _ONE}, "<=", upper[j] - lower[j], "ub", j))
 
     m = len(rows)
     # Column layout: structural 0..n-1, then one aux (slack/surplus) per
@@ -210,35 +273,34 @@ def solve_lp(lp: LinearProgram, _bound_overrides=None) -> SolveResult:
         art_col[i] = ncols
         ncols += 1
 
+    # Each row enters as integers over the lcm of its denominators.
     tab = []
+    dens = []
     basis = [-1] * m
     for i, (coeffs, rel, rhs, _, _) in enumerate(rows):
-        row = [Fraction(0)] * (ncols + 1)
         sign = -1 if flipped[i] else 1
+        den = lcm(rhs.denominator, *(a.denominator for a in coeffs.values()))
+        row = [0] * (ncols + 1)
         for j, a in coeffs.items():
-            row[j] = sign * a
-        row[-1] = sign * rhs
+            row[j] = sign * a.numerator * (den // a.denominator)
+        row[-1] = sign * rhs.numerator * (den // rhs.denominator)
         if i in aux_col:
-            row[aux_col[i]] = Fraction(sign if rel == "<=" else -sign)
+            row[aux_col[i]] = den * (sign if rel == "<=" else -sign)
         if i in art_col:
-            row[art_col[i]] = Fraction(1)
+            row[art_col[i]] = den
             basis[i] = art_col[i]
         else:
             basis[i] = aux_col[i]
         tab.append(row)
+        dens.append(den)
 
     arts = set(art_col.values())
     if arts:
         # Phase 1: minimize the sum of artificials.
-        cost = [Fraction(0)] * (ncols + 1)
-        for i in need_art:
-            for j in range(ncols + 1):
-                cost[j] -= tab[i][j]
-        for a in arts:
-            cost[a] = Fraction(0)
-        status = _simplex(tab, basis, cost, banned=set())
+        cost = _cost_row(dict.fromkeys(arts, 1), tab, dens, basis, ncols + 1)
+        status = _simplex(tab, dens, basis, cost, banned=set())
         assert status == OPTIMAL  # phase 1 is always bounded below by 0
-        if -cost[-1] != 0:
+        if cost[0][-1] != 0:
             return SolveResult(INFEASIBLE, None, lp=lp)
         # Drive artificials out of the basis where possible.
         for i in range(m):
@@ -248,50 +310,42 @@ def solve_lp(lp: LinearProgram, _bound_overrides=None) -> SolveResult:
                     enter = next((j for j in range(ncols) if j not in arts and tab[i][j] != 0),
                                  None)
                 if enter is not None:
-                    _pivot(tab, basis, i, enter)
+                    _pivot(tab, dens, basis, i, enter)
 
     # Phase 2: reduced costs of the true objective against the current basis.
-    cost = [Fraction(0)] * (ncols + 1)
-    for j in range(n):
-        cost[j] = c[j]
-    for i in range(m):
-        cb = c[basis[i]] if basis[i] < n else Fraction(0)
-        if cb != 0:
-            for j in range(ncols + 1):
-                cost[j] -= cb * tab[i][j]
-    status = _simplex(tab, basis, cost, banned=arts)
+    cost = _cost_row({j: cj for j, cj in enumerate(c) if cj}, tab, dens, basis, ncols + 1)
+    status = _simplex(tab, dens, basis, cost, banned=arts)
     if status == UNBOUNDED:
         return SolveResult(UNBOUNDED, None, lp=lp)
 
-    shifted = [Fraction(0)] * n
+    # Readout: the only place Fractions are built from the integer tableau.
+    nums, den = cost
+    shifted = [_ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            shifted[basis[i]] = tab[i][-1]
+            shifted[basis[i]] = Fraction(tab[i][-1], dens[i])
     primal = tuple(x + lo for x, lo in zip(shifted, lower))
-    obj_min = cost[-1] * -1 + const  # internal minimized objective
+    obj_min = const - Fraction(nums[-1], den)  # internal minimized objective
     objective = obj_min if minimize else -obj_min
 
     # Internal duals y_i (for the minimized problem) read off aux/artificial
     # reduced-cost entries, then converted to shadow prices in lp.sense.
-    sense_flip = Fraction(1) if minimize else Fraction(-1)
-    row_duals = [Fraction(0)] * len(lp.constraints)
+    sense_flip = 1 if minimize else -1
+    row_duals = [_ZERO] * len(lp.constraints)
     ub_duals: list[Fraction | None] = [None] * n
     for i, (_, rel, _, kind, key) in enumerate(rows):
         if i in aux_col:
             # Row negation and slack orientation flip together, so the
             # original-row dual depends only on the relation.
-            cb = cost[aux_col[i]]
-            y = -cb if rel == "<=" else cb
+            y = -nums[aux_col[i]] if rel == "<=" else nums[aux_col[i]]
         else:
-            y = -cost[art_col[i]]
-            if flipped[i]:
-                y = -y
-        y = y * sense_flip
+            y = nums[art_col[i]] if flipped[i] else -nums[art_col[i]]
+        y = Fraction(y * sense_flip, den)
         if kind == "row":
             row_duals[key] = y
         else:
             ub_duals[key] = y
-    reduced = tuple(cost[j] * sense_flip for j in range(n))
+    reduced = tuple(Fraction(nums[j] * sense_flip, den) for j in range(n))
     return SolveResult(
         OPTIMAL,
         objective,
@@ -356,11 +410,18 @@ def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveR
     """Exact branch-and-bound on the rational LP relaxation.
 
     Deterministic: branch on the lowest-index fractional integral variable,
-    explore the floor branch first (depth-first).
+    explore the floor branch first (depth-first).  When every variable with
+    a nonzero objective coefficient is integer and its coefficient integral,
+    every integer point has an integral value, so node bounds are rounded
+    (floor for max, ceil for min) before they are compared with the incumbent.
     """
     best: SolveResult | None = None
     nodes = 0
     maximize = lp.sense == "max"
+    integral = all(
+        flag and cj.denominator == 1
+        for cj, flag in zip(lp.objective, lp.integer) if cj
+    )
     stack = [{}]
     while stack:
         overrides = stack.pop()
@@ -373,9 +434,12 @@ def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveR
         if res.status != OPTIMAL:
             continue
         if best is not None:
-            if maximize and res.objective <= best.objective:
+            bound = res.objective
+            if integral:
+                bound = floor(bound) if maximize else ceil(bound)
+            if maximize and bound <= best.objective:
                 continue
-            if not maximize and res.objective >= best.objective:
+            if not maximize and bound >= best.objective:
                 continue
         frac_j = next(
             (j for j in range(lp.num_vars)

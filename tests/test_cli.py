@@ -148,3 +148,12 @@ def test_env_caps(fig4_file, monkeypatch):
     monkeypatch.setenv("INDEXCODE_MAX_CYCLES", "1")
     code, _ = _run(["cycles", fig4_file])
     assert code == 2
+
+
+def test_bounds_with_empty_clique_family_is_error(fig4_file, capsys):
+    # --max-k 0 leaves no partial cliques, so P5 is infeasible.
+    code, text = _run(["bounds", fig4_file, "--max-k", "0"])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err == "error: P5 is infeasible\n"

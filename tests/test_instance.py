@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import indexcode
 from indexcode import (
     InstanceFormatError,
     InstanceValidationError,
@@ -144,3 +150,30 @@ def test_fact1_cycle_count_preserved():
         n_orig = count_cycles(to_digraph(inst))
         n_split = count_cycles(build_split_digraph(inst).to_networkx())
         assert n_orig == n_split
+
+
+_SUITE_SCRIPT = """
+from random import Random
+from indexcode import serialize_instance
+from indexcode.generators import (
+    all_uniprior_instances, random_planar_instance, random_unicast_instance,
+    random_uniprior_instance,
+)
+rng = Random(7)
+for gen in (random_unicast_instance, random_planar_instance, random_uniprior_instance):
+    for _ in range(30):
+        print(serialize_instance(gen(rng)))
+for inst in all_uniprior_instances(3, 3):
+    print(serialize_instance(inst))
+"""
+
+
+def test_generated_suites_independent_of_hash_seed():
+    src = str(Path(indexcode.__file__).resolve().parents[1])
+    texts = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _SUITE_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        texts.add(done.stdout)
+    assert len(texts) == 1 and "packets:" in texts.pop()

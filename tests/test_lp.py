@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 from random import Random
 
 import pytest
@@ -121,6 +122,79 @@ def test_matches_vertex_oracle_on_random_lps():
         assert verify_certificate(lp, res)
 
 
+def _random_mixed_lp(rng):
+    """A small LP with fractional data, mixed relations, nonzero lower
+    bounds and optional bound overrides.  Rows are built around a point x0
+    inside the bounds, so most draws are feasible; rows with negative
+    coefficients give negative right-hand sides, which the solver flips."""
+    def frac():
+        return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4)))
+
+    n = rng.randint(1, 3)
+    lower = [rng.choice((F(0), frac())) for _ in range(n)]
+    upper = [None if rng.random() < 0.2 else lo + F(rng.randint(1, 8), rng.choice((1, 2)))
+             for lo in lower]
+    x0 = [lo + (F(rng.randint(0, 4), 2) if hi is None else (hi - lo) * F(rng.randint(0, 4), 4))
+          for lo, hi in zip(lower, upper)]
+    lp = LinearProgram(rng.choice(("max", "min")), tuple(frac() for _ in range(n)),
+                       lower=tuple(lower), upper=tuple(upper))
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [rng.choice((F(0), frac())) for _ in range(n)]
+        rel = rng.choice(("<=", ">=", "="))
+        lhs = sum(a * x for a, x in zip(coeffs, x0))
+        slack = F(rng.randint(0, 3), rng.choice((1, 2)))
+        lp.add_row(coeffs, rel, {"<=": lhs + slack, ">=": lhs - slack, "=": lhs}[rel])
+    overrides = None
+    if rng.random() < 0.3:
+        j = rng.randrange(n)
+        overrides = {j: (rng.choice((None, F(rng.randint(-2, 3)))),
+                         rng.choice((None, F(rng.randint(0, 5)))))}
+    return lp, overrides
+
+
+def _oracle_value(lp, lower, upper, cap):
+    """Vertex-oracle optimum with >= and = rows rewritten as <= rows and
+    every missing upper bound replaced by `cap`."""
+    rows, rhss = [], []
+    for con in lp.constraints:
+        if con.rel in ("<=", "="):
+            rows.append(list(con.coeffs))
+            rhss.append(con.rhs)
+        if con.rel in (">=", "="):
+            rows.append([-a for a in con.coeffs])
+            rhss.append(-con.rhs)
+    uppers = [cap if hi is None else hi for hi in upper]
+    return lp_vertex_oracle(lp.objective, rows, rhss, lower, uppers, lp.sense)
+
+
+def test_integer_tableau_exact_on_mixed_random_lps():
+    rng = Random(23)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(300):
+        lp, overrides = _random_mixed_lp(rng)
+        res = solve_lp(lp, _bound_overrides=overrides)
+        seen[res.status] += 1
+        lower, upper = list(lp.lower), list(lp.upper)
+        for j, (lo, hi) in (overrides or {}).items():
+            if lo is not None:
+                lower[j] = max(lower[j], lo)
+            if hi is not None:
+                upper[j] = hi if upper[j] is None else min(upper[j], hi)
+        capped = _oracle_value(lp, lower, upper, F(10**4))
+        if res.status == "infeasible":
+            assert capped is None
+        elif res.status == "unbounded":
+            further = _oracle_value(lp, lower, upper, F(10**5))
+            assert (further > capped) if lp.sense == "max" else (further < capped)
+        else:
+            assert res.objective == capped
+            assert all(type(v) is F for v in res.primal + res.row_duals + res.reduced_costs)
+            bounded = LinearProgram(lp.sense, lp.objective, lp.constraints,
+                                    tuple(lower), tuple(upper))
+            assert verify_certificate(bounded, res)
+    assert min(seen.values()) >= 10, seen
+
+
 def test_certificate_rejects_tampering():
     lp = _lp("max", [1, 1], [([2, 1], "<=", 2), ([1, 2], "<=", 2)])
     res = solve_lp(lp)
@@ -162,6 +236,42 @@ def test_ilp_matches_bruteforce():
             if all(sum(a * x for a, x in zip(r, xs)) <= b for r, b in zip(rows, rhss))
         )
         assert res.objective == best
+
+
+def _pruning_ilp(seed, halve):
+    """Five integer variables in [0, 3], three dense rows.  With `halve` the
+    objective is divided by 2, which keeps the search tree of the unrounded
+    bound but makes the objective non-integral, so no rounding applies."""
+    rng = Random(seed)
+    sense = rng.choice(("max", "min"))
+    c = [rng.randint(1, 9) for _ in range(5)]
+    rows = [[rng.randint(1, 9) for _ in range(5)] for _ in range(3)]
+    rhss = [rng.randint(10, 30) for _ in range(3)]
+    rel = "<=" if sense == "max" else ">="
+    obj = [F(x, 2) for x in c] if halve else c
+    lp = _lp(sense, obj, [(r, rel, b) for r, b in zip(rows, rhss)],
+             upper=(F(3),) * 5, integer=(True,) * 5)
+
+    def feasible(xs):
+        lhss = [sum(a * x for a, x in zip(r, xs)) for r in rows]
+        if rel == "<=":
+            return all(lhs <= b for lhs, b in zip(lhss, rhss))
+        return all(lhs >= b for lhs, b in zip(lhss, rhss))
+
+    values = [sum(ci * xi for ci, xi in zip(c, xs))
+              for xs in product(range(4), repeat=5) if feasible(xs)]
+    return lp, (max if sense == "max" else min)(values)
+
+
+def test_ilp_prunes_on_rounded_bound():
+    for seed in (1564, 1931):  # one max and one min draw with large trees
+        lp, best = _pruning_ilp(seed, halve=False)
+        res = solve_ilp(lp)
+        assert res.objective == best
+        assert all(x.denominator == 1 for x in res.primal)
+        unrounded = solve_ilp(_pruning_ilp(seed, halve=True)[0])
+        assert unrounded.objective == F(best, 2)
+        assert res.branch_count < unrounded.branch_count
 
 
 def test_ilp_infeasible():
