@@ -1,25 +1,26 @@
 """Bounds, planarity, and the theorem-level consistency checkers.
 
-`bounds_report` solves the deletion/covering program family exactly and
-assembles the bound chain  val(P1) <= val(P1') = val(P2') <= val(P2);
-the theorem checkers assert the equalities that hold for planar and
-unicast-uniprior instances.
+An `Analysis` solves the deletion/covering program family of one instance
+exactly, each program once; `bounds_report` assembles the bound chain
+val(P1) <= val(P1') = val(P2') <= val(P2) from it, and the theorem checkers
+assert the equalities that hold for planar and unicast-uniprior instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import networkx as nx
 
-from .enumeration import enumerate_cycles, enumerate_partial_cliques
-from .instance import Instance, is_uniprior, to_undirected, total_weight
-from .lp import OPTIMAL, solve_ilp, solve_lp
-from .programs import (
-    build_P1, build_P1_relaxed, build_P2, build_P2_relaxed,
-    build_P5, build_P5_relaxed,
+from . import programs
+from .enumeration import (
+    DEFAULT_MAX_CYCLES, DEFAULT_MAX_K, Cycle, PartialClique,
+    enumerate_cycles, enumerate_partial_cliques,
 )
+from .instance import Instance, is_uniprior, to_undirected, total_weight
+from .lp import DEFAULT_NODE_LIMIT, OPTIMAL, SolveResult, solve_ilp, solve_lp
 
 
 class PreconditionError(ValueError):
@@ -27,13 +28,7 @@ class PreconditionError(ValueError):
 
 
 class SolveError(RuntimeError):
-    """A program of the bound chain has no optimum (e.g. a truncated family)."""
-
-
-def _value(res, name) -> Fraction:
-    if res.status != OPTIMAL:
-        raise SolveError(f"{name} is {res.status}")
-    return res.objective
+    """A program of the family has no optimum (e.g. a truncated family)."""
 
 
 def is_planar(inst: Instance) -> bool:
@@ -81,24 +76,6 @@ class BoundsReport:
         return self.planar or self.valP1 == min(self.valP2, self.valP5)
 
 
-def bounds_report(inst: Instance, max_cycles=None, max_k=None) -> BoundsReport:
-    """Solve the six programs exactly and assemble the gap report."""
-    kw_c = {} if max_cycles is None else {"max_cycles": max_cycles}
-    kw_k = {} if max_k is None else {"max_k": max_k}
-    cycles = enumerate_cycles(inst, **kw_c)
-    cliques = enumerate_partial_cliques(inst, **kw_k)
-    return BoundsReport(
-        W=total_weight(inst),
-        valP1=_value(solve_ilp(build_P1(inst, cycles)), "P1"),
-        valP1_relaxed=_value(solve_lp(build_P1_relaxed(inst, cycles)), "P1'"),
-        valP2=_value(solve_ilp(build_P2(inst, cycles)), "P2"),
-        valP2_relaxed=_value(solve_lp(build_P2_relaxed(inst, cycles)), "P2'"),
-        valP5=_value(solve_ilp(build_P5(inst, cliques)), "P5"),
-        valP5_relaxed=_value(solve_lp(build_P5_relaxed(inst, cliques)), "P5'"),
-        planar=is_planar(inst),
-    )
-
-
 @dataclass
 class Theorem2Report:
     planar: bool
@@ -113,44 +90,101 @@ class Theorem2Report:
         return self.valP1 if self.planar and self.holds else None
 
 
+class Analysis:
+    """One instance under fixed caps (None selects the default).  Each family
+    is enumerated, and each program built and solved, at most once, on first
+    use; a program without an optimum raises `SolveError`."""
+
+    def __init__(self, inst: Instance, max_cycles=None, max_k=None, node_limit=None):
+        self.inst = inst
+        self.max_cycles = DEFAULT_MAX_CYCLES if max_cycles is None else max_cycles
+        self.max_k = DEFAULT_MAX_K if max_k is None else max_k
+        self.node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
+        self._solved: dict[str, SolveResult] = {}
+
+    @cached_property
+    def cycles(self) -> list[Cycle]:
+        return enumerate_cycles(self.inst, self.max_cycles)
+
+    @cached_property
+    def cliques(self) -> list[PartialClique]:
+        return enumerate_partial_cliques(self.inst, self.max_k)
+
+    def solve(self, name: str) -> SolveResult:
+        """The optimum of P1, P2, P5 or P6, or of a primed LP relaxation."""
+        res = self._solved.get(name)
+        if res is None:
+            base, relaxed = name.rstrip("'"), name.endswith("'")
+            # Looked up in `programs` at call time, so wrappers there apply.
+            build = getattr(programs, f"build_{base}_relaxed" if relaxed else f"build_{base}")
+            prog = build(self.inst, self.cycles if base in ("P1", "P2") else self.cliques)
+            res = solve_lp(prog) if relaxed else solve_ilp(prog, self.node_limit)
+            if res.status != OPTIMAL:
+                raise SolveError(f"{name} is {res.status}")
+            self._solved[name] = res
+        return res
+
+    def value(self, name: str) -> Fraction:
+        return self.solve(name).objective
+
+    def duality(self, bound: str, cover: str) -> bool:
+        """`programs.verify_duality` on a deletion/covering pair."""
+        return programs.verify_duality(self.solve(bound), self.solve(cover))
+
+    def bounds(self) -> BoundsReport:
+        v = self.value
+        return BoundsReport(
+            W=total_weight(self.inst),
+            valP1=v("P1"), valP1_relaxed=v("P1'"),
+            valP2=v("P2"), valP2_relaxed=v("P2'"),
+            valP5=v("P5"), valP5_relaxed=v("P5'"),
+            planar=is_planar(self.inst),
+        )
+
+    def theorem2(self) -> Theorem2Report:
+        """On planar instances the whole chain collapses to a single value."""
+        v1, v1r, v2, v2r = (self.value(n) for n in ("P1", "P1'", "P2", "P2'"))
+        planar = is_planar(self.inst)
+        holds = (v1 == v1r == v2r == v2) if planar else None
+        return Theorem2Report(planar, v1, v1r, v2r, v2, holds)
+
+    def corollary2(self) -> bool:
+        """Scalar cyclic codes are optimal for uniprior instances of <= 4 users.
+
+        Uses the lenient uniprior predicate (each packet held by at most one
+        user): side-free packets lie on no cycle, so they add their weight to
+        both val(P1) and val(P2) and cannot break the equality.
+        """
+        if not is_uniprior(self.inst, strict=False):
+            raise PreconditionError("instance is not unicast-uniprior")
+        if len(self.inst.users) > 4:
+            raise PreconditionError("corollary applies to at most 4 users")
+        return self.value("P1") == self.value("P2")
+
+    def theorem4(self) -> bool:
+        """Cyclic and partial-clique codes tie on unicast-uniprior instances,
+        both at scalar and vector granularity."""
+        if not is_uniprior(self.inst, strict=True):
+            raise PreconditionError("instance is not unicast-uniprior")
+        v = self.value
+        return v("P2") == v("P5") and v("P2'") == v("P5'")
+
+
+def bounds_report(inst: Instance, max_cycles=None, max_k=None, node_limit=None) -> BoundsReport:
+    """Solve the six programs exactly and assemble the gap report."""
+    return Analysis(inst, max_cycles, max_k, node_limit).bounds()
+
+
 def check_theorem2(inst: Instance) -> Theorem2Report:
-    """On planar instances the whole chain collapses to a single value."""
-    cycles = enumerate_cycles(inst)
-    v1 = solve_ilp(build_P1(inst, cycles)).objective
-    v1r = solve_lp(build_P1_relaxed(inst, cycles)).objective
-    v2 = solve_ilp(build_P2(inst, cycles)).objective
-    v2r = solve_lp(build_P2_relaxed(inst, cycles)).objective
-    planar = is_planar(inst)
-    holds = (v1 == v1r == v2r == v2) if planar else None
-    return Theorem2Report(planar, v1, v1r, v2r, v2, holds)
+    """`Analysis.theorem2` at the default caps."""
+    return Analysis(inst).theorem2()
 
 
 def check_corollary2(inst: Instance) -> bool:
-    """Scalar cyclic codes are optimal for uniprior instances of <= 4 users.
-
-    Uses the lenient uniprior predicate (each packet held by at most one
-    user): side-free packets lie on no cycle, so they add their weight to
-    both val(P1) and val(P2) and cannot break the equality.
-    """
-    if not is_uniprior(inst, strict=False):
-        raise PreconditionError("instance is not unicast-uniprior")
-    if len(inst.users) > 4:
-        raise PreconditionError("corollary applies to at most 4 users")
-    cycles = enumerate_cycles(inst)
-    v1 = solve_ilp(build_P1(inst, cycles)).objective
-    v2 = solve_ilp(build_P2(inst, cycles)).objective
-    return v1 == v2
+    """`Analysis.corollary2` at the default caps."""
+    return Analysis(inst).corollary2()
 
 
 def check_theorem4(inst: Instance) -> bool:
-    """Cyclic and partial-clique codes tie on unicast-uniprior instances,
-    both at scalar and vector granularity."""
-    if not is_uniprior(inst, strict=True):
-        raise PreconditionError("instance is not unicast-uniprior")
-    cycles = enumerate_cycles(inst)
-    cliques = enumerate_partial_cliques(inst)
-    v2 = solve_ilp(build_P2(inst, cycles)).objective
-    v5 = solve_ilp(build_P5(inst, cliques)).objective
-    v2r = solve_lp(build_P2_relaxed(inst, cycles)).objective
-    v5r = solve_lp(build_P5_relaxed(inst, cliques)).objective
-    return v2 == v5 and v2r == v5r
+    """`Analysis.theorem4` at the default caps."""
+    return Analysis(inst).theorem4()

@@ -15,21 +15,27 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, coding, enumeration, lp, programs
-from .instance import InstanceError, parse_instance
+from . import analysis, coding, enumeration, lp
+from .instance import InstanceError, is_uniprior, parse_instance
 from .simulate import simulate as _simulate
 
 
-def _env_int(name, default):
-    return int(os.environ.get(name, default))
+def _cap(text: str) -> int:
+    """A cap: a non-negative decimal integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _env_cap(name: str, default: int) -> int:
+    try:
+        return _cap(os.environ.get(name, str(default)))
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{name}: {exc}") from None
 
 
 def _load(path: str):
     return parse_instance(Path(path).read_text(encoding="utf-8"))
-
-
-def _frac(x) -> str:
-    return str(x)
 
 
 def _cmd_planar(args, out):
@@ -77,18 +83,18 @@ def _cmd_cliques(args, out):
 
 def _cmd_bounds(args, out):
     inst = _load(args.instance)
-    rep = analysis.bounds_report(inst, max_cycles=args.max_cycles, max_k=args.max_k)
+    rep = analysis.bounds_report(inst, args.max_cycles, args.max_k, args.node_limit)
     fields = {
         "W": rep.W,
-        "valP1": _frac(rep.valP1),
-        "valP1_relaxed": _frac(rep.valP1_relaxed),
-        "valP2": _frac(rep.valP2),
-        "valP2_relaxed": _frac(rep.valP2_relaxed),
-        "valP5": _frac(rep.valP5),
-        "valP5_relaxed": _frac(rep.valP5_relaxed),
-        "gap_P1": _frac(rep.gap_P1),
-        "gap_P2": _frac(rep.gap_P2),
-        "gap_P5": _frac(rep.gap_P5),
+        "valP1": str(rep.valP1),
+        "valP1_relaxed": str(rep.valP1_relaxed),
+        "valP2": str(rep.valP2),
+        "valP2_relaxed": str(rep.valP2_relaxed),
+        "valP5": str(rep.valP5),
+        "valP5_relaxed": str(rep.valP5_relaxed),
+        "gap_P1": str(rep.gap_P1),
+        "gap_P2": str(rep.gap_P2),
+        "gap_P5": str(rep.gap_P5),
         "planar": rep.planar,
         "chain_ok": rep.chain_ok,
         "exact_optimal": rep.exact_optimal,
@@ -105,20 +111,13 @@ def _cmd_bounds(args, out):
 
 
 def _make_schedule(inst, args):
-    node_limit = args.node_limit
+    a = analysis.Analysis(inst, args.max_cycles, args.max_k, args.node_limit)
+    scalar = args.mode == "scalar"
     if args.strategy == "cyclic":
-        cycles = enumeration.enumerate_cycles(inst, max_cycles=args.max_cycles)
-        if args.mode == "scalar":
-            res = lp.solve_ilp(programs.build_P2(inst, cycles), node_limit)
-            return coding.cyclic_schedule_scalar(inst, res)
-        res = lp.solve_lp(programs.build_P2_relaxed(inst, cycles))
-        return coding.cyclic_schedule_vector(inst, res)
-    cliques = enumeration.enumerate_partial_cliques(inst, max_k=args.max_k)
-    if args.mode == "scalar":
-        res = lp.solve_ilp(programs.build_P5(inst, cliques), node_limit)
-        return coding.clique_schedule(inst, res, scalar=True)
-    res = lp.solve_lp(programs.build_P5_relaxed(inst, cliques))
-    return coding.clique_schedule(inst, res, scalar=False)
+        if scalar:
+            return coding.cyclic_schedule_scalar(inst, a.solve("P2"))
+        return coding.cyclic_schedule_vector(inst, a.solve("P2'"))
+    return coding.clique_schedule(inst, a.solve("P5" if scalar else "P5'"), scalar=scalar)
 
 
 def _cmd_code(args, out):
@@ -131,7 +130,7 @@ def _cmd_code(args, out):
         out.write(
             f"field={sched.field_name} theta={sched.theta} "
             f"transmissions={len(sched.transmissions)} "
-            f"clearance={_frac(sched.total_count)}\n"
+            f"clearance={sched.total_count}\n"
         )
         for t in sched.transmissions:
             terms = " + ".join(
@@ -149,7 +148,7 @@ def _cmd_simulate(args, out):
     doc = {
         "theta": report.theta,
         "transmissions": report.transmissions,
-        "clearance": _frac(sched.total_count),
+        "clearance": str(sched.total_count),
         "users": report.success,
         "all_decoded": report.all_decoded,
     }
@@ -162,30 +161,23 @@ def _cmd_simulate(args, out):
         out.write(
             f"{'success' if report.all_decoded else 'FAILURE'}: "
             f"{report.transmissions} transmissions, theta={report.theta}, "
-            f"clearance={_frac(sched.total_count)}\n"
+            f"clearance={sched.total_count}\n"
         )
     return 0 if report.all_decoded else 1
 
 
 def _cmd_check(args, out):
     inst = _load(args.instance)
-    cycles = enumeration.enumerate_cycles(inst, max_cycles=args.max_cycles)
-    cliques = enumeration.enumerate_partial_cliques(inst, max_k=args.max_k)
-    results = {}
-    deletion = lp.solve_lp(programs.build_P1_relaxed(inst, cycles))
-    covering = lp.solve_lp(programs.build_P2_relaxed(inst, cycles))
-    results["cyclic_duality"] = programs.verify_duality(deletion, covering)
-    d6 = lp.solve_lp(programs.build_P6_relaxed(inst, cliques))
-    c5 = lp.solve_lp(programs.build_P5_relaxed(inst, cliques))
-    results["clique_duality"] = programs.verify_duality(d6, c5)
-    t2 = analysis.check_theorem2(inst)
-    results["theorem2"] = True if t2.holds is None else t2.holds
-    from .instance import is_uniprior
-
+    a = analysis.Analysis(inst, args.max_cycles, args.max_k, args.node_limit)
+    results = {
+        "cyclic_duality": a.duality("P1'", "P2'"),
+        "clique_duality": a.duality("P6'", "P5'"),
+        "theorem2": a.theorem2().holds is not False,
+    }
     if is_uniprior(inst, strict=True):
-        results["theorem4"] = analysis.check_theorem4(inst)
+        results["theorem4"] = a.theorem4()
         if len(inst.users) <= 4:
-            results["corollary2"] = analysis.check_corollary2(inst)
+            results["corollary2"] = a.corollary2()
     ok = all(results.values())
     if args.format == "json":
         json.dump(results, out)
@@ -207,16 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("instance", help="instance file path")
         sp.add_argument("--format", choices=["text", "json"], default="text")
         sp.add_argument(
-            "--max-cycles", type=int,
-            default=_env_int("INDEXCODE_MAX_CYCLES", enumeration.DEFAULT_MAX_CYCLES),
+            "--max-cycles", type=_cap,
+            default=_env_cap("INDEXCODE_MAX_CYCLES", enumeration.DEFAULT_MAX_CYCLES),
         )
         sp.add_argument(
-            "--max-k", type=int,
-            default=_env_int("INDEXCODE_MAX_K", enumeration.DEFAULT_MAX_K),
+            "--max-k", type=_cap,
+            default=_env_cap("INDEXCODE_MAX_K", enumeration.DEFAULT_MAX_K),
         )
         sp.add_argument(
-            "--node-limit", type=int,
-            default=_env_int("INDEXCODE_NODE_LIMIT", lp.DEFAULT_NODE_LIMIT),
+            "--node-limit", type=_cap,
+            default=_env_cap("INDEXCODE_NODE_LIMIT", lp.DEFAULT_NODE_LIMIT),
         )
 
     for name, fn in [
@@ -238,9 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentTypeError as exc:  # a bad INDEXCODE_* cap
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

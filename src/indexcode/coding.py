@@ -106,31 +106,20 @@ class _UnitPool:
 
 
 def _parse_counts(res: SolveResult, theta: int):
-    """Scaled integral counts per variable name, validated."""
+    """(column name, key, scaled integral count) per column, in name order,
+    validated."""
     if res.status != OPTIMAL:
         raise ScheduleError(f"solution status is {res.status}, not optimal")
-    counts = {}
-    for name, v in res.primal_by_name().items():
+    counts = []
+    columns = zip(res.lp.var_names, res.lp.var_keys, res.primal)
+    for name, key, v in sorted(columns, key=lambda col: col[0]):
         scaled = v * theta
         if scaled.denominator != 1:
             raise ScheduleError(f"{name}: count {v} not integral at theta={theta}")
         if scaled < 0:
             raise ScheduleError(f"{name}: negative count")
-        counts[name] = int(scaled)
+        counts.append((name, key, int(scaled)))
     return counts
-
-
-def _cycle_from_name(name: str) -> Cycle:
-    body = name[2:]
-    pkts, users = body.split("@")
-    return Cycle(tuple(pkts.split("|")), tuple(users.split("|")))
-
-
-def _clique_from_name(inst: Instance, name: str) -> PartialClique:
-    packets = frozenset(name[2:].split("|"))
-    demanders = {inst.packet(pid).demand for pid in packets}
-    d = min(len(inst.side_packets(u) & packets) for u in demanders)
-    return PartialClique(packets, len(packets), d)
 
 
 def _theta_for(res: SolveResult) -> int:
@@ -163,24 +152,18 @@ def _expand(inst: Instance, actions, theta, field_name) -> TransmissionSchedule:
     return sched
 
 
-def _cyclic_actions(inst, counts):
-    actions = []
-    for name in sorted(counts):
-        if counts[name] == 0 or not name.startswith("C:"):
-            continue
-        c = _cycle_from_name(name)
-        actions.append(CodingAction("cycle", c.packets, counts[name], users=c.users))
-    for name in sorted(counts):
-        if counts[name] == 0 or not name.startswith("y:"):
-            continue
-        actions.append(CodingAction("direct", (name[2:],), counts[name]))
+def _cyclic_actions(counts):
+    actions = [CodingAction("cycle", key.packets, n, users=key.users)
+               for _, key, n in counts if n and isinstance(key, Cycle)]
+    actions += [CodingAction("direct", (key,), n)
+                for _, key, n in counts if n and isinstance(key, str)]
     return actions
 
 
 def cyclic_schedule_scalar(inst: Instance, p2_solution: SolveResult) -> TransmissionSchedule:
     """Expand an integral optimum of the scalar cyclic-code program."""
     counts = _parse_counts(p2_solution, theta=1)
-    return _expand(inst, _cyclic_actions(inst, counts), 1, GF2)
+    return _expand(inst, _cyclic_actions(counts), 1, GF2)
 
 
 def cyclic_schedule_vector(inst: Instance, p2prime_solution: SolveResult) -> TransmissionSchedule:
@@ -192,7 +175,7 @@ def cyclic_schedule_vector(inst: Instance, p2prime_solution: SolveResult) -> Tra
     """
     theta = _theta_for(p2prime_solution)
     counts = _parse_counts(p2prime_solution, theta=theta)
-    return _expand(inst, _cyclic_actions(inst, counts), theta, GF2)
+    return _expand(inst, _cyclic_actions(counts), theta, GF2)
 
 
 def clique_schedule(inst: Instance, p5_solution: SolveResult, scalar: bool = True) -> TransmissionSchedule:
@@ -200,15 +183,12 @@ def clique_schedule(inst: Instance, p5_solution: SolveResult, scalar: bool = Tru
     theta = 1 if scalar else _theta_for(p5_solution)
     counts = _parse_counts(p5_solution, theta=theta)
     actions = []
-    for name in sorted(counts):
-        if counts[name] == 0:
+    for name, key, n in counts:
+        if n == 0:
             continue
-        if not name.startswith("T:"):
+        if not isinstance(key, PartialClique):
             raise ScheduleError(f"unexpected variable {name!r} in clique solution")
-        t = _clique_from_name(inst, name)
-        actions.append(
-            CodingAction("clique", t.sorted_packets, counts[name], d=t.d)
-        )
+        actions.append(CodingAction("clique", key.sorted_packets, n, d=key.d))
     return _expand(inst, actions, theta, GF256)
 
 

@@ -47,14 +47,16 @@ class Cycle:
         return frozenset(self.packets)
 
     def validate(self, inst: Instance) -> None:
-        assert len(self.packets) == len(self.users) >= 2
-        assert len(set(self.packets)) == len(self.packets)
-        assert len(set(self.users)) == len(self.users)
+        """Raise ValueError naming the first condition of a cycle that fails."""
         k = len(self.packets)
+        if not 2 <= k == len(self.users) == len(set(self.packets)) == len(set(self.users)):
+            raise ValueError(f"cycle needs k >= 2 distinct packets and k distinct users: {self}")
         for j in range(k):
-            p = inst.packet(self.packets[j])
-            assert p.demand == self.users[j]
-            assert self.users[j] in inst.packet(self.packets[(j + 1) % k]).side
+            pid, user, nxt = self.packets[j], self.users[j], self.packets[(j + 1) % k]
+            if inst.packet(pid).demand != user:
+                raise ValueError(f"cycle: {user} does not demand {pid}")
+            if user not in inst.packet(nxt).side:
+                raise ValueError(f"cycle: {user} does not hold {nxt}")
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def validate_instance(inst: Instance) -> Instance:
         if p.id in seen_ids:
             raise InstanceValidationError(f"duplicate packet id {p.id!r}")
         seen_ids.add(p.id)
-        if not isinstance(p.weight, int) or p.weight < 1:
+        if isinstance(p.weight, bool) or not isinstance(p.weight, int) or p.weight < 1:
             raise InstanceValidationError(f"packet {p.id}: weight must be a positive integer")
         if not p.demand:
             raise InstanceValidationError(f"packet {p.id}: demand set is empty")

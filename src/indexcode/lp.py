@@ -76,6 +76,7 @@ class LinearProgram:
     upper: tuple[Fraction | None, ...] = ()  # None = unbounded above
     integer: tuple[bool, ...] = ()
     var_names: tuple[str, ...] = ()
+    var_keys: tuple = ()  # per column: Cycle, PartialClique or packet id; () if unset
 
     def __post_init__(self):
         n = len(self.objective)
@@ -90,8 +91,9 @@ class LinearProgram:
             self.var_names = tuple(f"x{j}" for j in range(n))
         self.lower = tuple(map(_frac, self.lower))
         self.upper = tuple(None if b is None else _frac(b) for b in self.upper)
-        if not (n == len(self.lower) == len(self.upper) == len(self.integer) == len(self.var_names)):
-            raise DimensionError("bounds/flags/names must match the variable count")
+        if not (n == len(self.lower) == len(self.upper) == len(self.integer) == len(self.var_names)
+                and len(self.var_keys) in (0, n)):
+            raise DimensionError("bounds/flags/names/keys must match the variable count")
         for lo, hi in zip(self.lower, self.upper):
             if hi is not None and lo > hi:
                 raise DimensionError(f"inconsistent bounds: {lo} > {hi}")
@@ -124,9 +126,6 @@ class SolveResult:
 
     def primal_by_name(self) -> dict[str, Fraction]:
         return dict(zip(self.lp.var_names, self.primal))
-
-    def dual_by_name(self) -> dict[str, Fraction]:
-        return {c.name: y for c, y in zip(self.lp.constraints, self.row_duals)}
 
 
 def _reduce(nums, den):

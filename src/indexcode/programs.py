@@ -1,5 +1,7 @@
 """Builders for the bound/coding linear programs and their relaxations.
 
+Builders over cycles and partial cliques key each column (`var_keys`) by its
+`Cycle`, `PartialClique` or packet id; the names below are never parsed.
 Naming conventions tie primal rows to dual variables across the pair of
 programs built from the same instance:
 
@@ -61,6 +63,7 @@ def _deletion_program(inst, cycles, integral) -> LinearProgram:
         upper=(Fraction(1),) * len(pids),
         integer=(integral,) * len(pids),
         var_names=tuple("x:" + pid for pid in pids),
+        var_keys=tuple(pids),
     )
     for pset, k in _dedup_cycle_rows(cycles):
         row = [0] * len(pids)
@@ -85,7 +88,8 @@ def _cyclic_cover_program(inst, cycles, integral) -> LinearProgram:
     obj = [Fraction(c.length - 1) for c in cycles] + [Fraction(1)] * len(pids)
     names = [cycle_var_name(c) for c in cycles] + ["y:" + pid for pid in pids]
     lp = LinearProgram(
-        "min", tuple(obj), integer=(integral,) * nvars, var_names=tuple(names)
+        "min", tuple(obj), integer=(integral,) * nvars, var_names=tuple(names),
+        var_keys=tuple(cycles) + tuple(pids),
     )
     for j, pid in enumerate(pids):
         row = [1 if pid in c.packet_set else 0 for c in cycles]
@@ -113,6 +117,7 @@ def build_P3(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
         upper=(Fraction(1),) * len(pids),
         integer=(True,) * len(pids),
         var_names=tuple("x:" + pid for pid in pids),
+        var_keys=tuple(pids),
     )
     for pset, _k in _dedup_cycle_rows(cycles):
         row = [0] * len(pids)
@@ -129,6 +134,7 @@ def build_P4(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
         (Fraction(1),) * len(cycles),
         integer=(True,) * len(cycles),
         var_names=tuple(cycle_var_name(c) for c in cycles),
+        var_keys=tuple(cycles),
     )
     for pid in inst.packet_ids:
         row = [1 if pid in c.packet_set else 0 for c in cycles]
@@ -183,6 +189,7 @@ def _clique_cover_program(inst, cliques, integral) -> LinearProgram:
         tuple(obj),
         integer=(integral,) * len(cliques),
         var_names=tuple(clique_name(t.packets) for t in cliques),
+        var_keys=tuple(cliques),
     )
     for pid in inst.packet_ids:
         row = [1 if pid in t.packets else 0 for t in cliques]
@@ -207,6 +214,7 @@ def _clique_deletion_program(inst, cliques, integral) -> LinearProgram:
         tuple(Fraction(inst.packet(pid).weight) for pid in pids),
         integer=(integral,) * len(pids),
         var_names=tuple("x:" + pid for pid in pids),
+        var_keys=tuple(pids),
     )
     for t in cliques:
         row = [0] * len(pids)
@@ -230,14 +238,6 @@ def build_P6_relaxed(inst: Instance, cliques: list[PartialClique]) -> LinearProg
     return _clique_deletion_program(inst, cliques, False)
 
 
-def _var_packet_set(name: str) -> frozenset[str] | None:
-    if name.startswith("C:"):
-        return frozenset(name[2:].split("@")[0].split("|"))
-    if name.startswith("T:"):
-        return frozenset(name[2:].split("|"))
-    return None
-
-
 def verify_duality(bound_res: SolveResult, cover_res: SolveResult) -> bool:
     """Certify a deletion/covering pair as a primal-dual optimum.
 
@@ -251,37 +251,25 @@ def verify_duality(bound_res: SolveResult, cover_res: SolveResult) -> bool:
         return False
     if bound_res.objective != cover_res.objective:
         return False
-    b_lp, c_lp = bound_res.lp, cover_res.lp
-    x = bound_res.primal_by_name()
+    x = dict(zip(bound_res.lp.var_keys, bound_res.primal))  # pid -> x_m
+    bound_rows = {con.name: con for con in bound_res.lp.constraints}
+    cover_rows = {con.name: con for con in cover_res.lp.constraints}
 
-    rows_by_key = {con.name: con for con in b_lp.constraints}
-    xvals = {n[2:]: v for n, v in x.items()}  # pid -> x_m
+    def tight(con, values) -> bool:
+        return sum(a * v for a, v in zip(con.coeffs, values)) == con.rhs
 
-    def row_tight(con) -> bool:
-        lhs = sum(a * x[vn] for a, vn in zip(con.coeffs, b_lp.var_names))
-        return lhs == con.rhs
-
-    for vn, yv in cover_res.primal_by_name().items():
+    for key, yv in zip(cover_res.lp.var_keys, cover_res.primal):
         if yv == 0:
             continue
-        pset = _var_packet_set(vn)
-        if pset is not None:
-            key = ("C:" if vn.startswith("C:") else "T:") + _set_key(pset)
-            con = rows_by_key.get(key)
-            if con is None or not row_tight(con):
-                return False
-        elif vn.startswith("y:"):
+        if isinstance(key, str):
             # Direct broadcast variable pairs with the x_m <= 1 bound.
-            if xvals[vn[2:]] != 1:
+            if x[key] != 1:
                 return False
-    cover_primal = cover_res.primal_by_name()
-    for pid, xv in xvals.items():
-        if xv == 0:
-            continue
-        con = next(c for c in c_lp.constraints if c.name == "m:" + pid)
-        lhs = sum(
-            a * cover_primal[vn] for a, vn in zip(con.coeffs, c_lp.var_names)
-        )
-        if lhs != con.rhs:
-            return False
-    return True
+        else:
+            row = cycle_row_name(key.packet_set) if isinstance(key, Cycle) else clique_name(key.packets)
+            con = bound_rows.get(row)
+            if con is None or not tight(con, bound_res.primal):
+                return False
+    return all(
+        tight(cover_rows["m:" + pid], cover_res.primal) for pid, xv in x.items() if xv != 0
+    )

@@ -1,9 +1,12 @@
+import inspect
 import io
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from indexcode import serialize_instance
+from indexcode import enumeration, lp, make_instance, programs, serialize_instance
 from indexcode.cli import run
 
 
@@ -157,3 +160,80 @@ def test_bounds_with_empty_clique_family_is_error(fig4_file, capsys):
     assert text == ""
     err = capsys.readouterr().err
     assert err == "error: P5 is infeasible\n"
+
+
+def test_check_with_empty_clique_family_is_error(fig4_file, capsys):
+    # --max-k 0 leaves no partial cliques: P6' is unbounded, which is an
+    # error, not a failed duality check.
+    code, text = _run(["check", fig4_file, "--max-k", "0"])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == "error: P6' is unbounded\n"
+
+
+@pytest.mark.parametrize("var", ["INDEXCODE_MAX_CYCLES", "INDEXCODE_MAX_K",
+                                 "INDEXCODE_NODE_LIMIT"])
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_env_cap_is_error(fig4_file, monkeypatch, capsys, var, value):
+    monkeypatch.setenv(var, value)
+    code, text = _run(["bounds", fig4_file])
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {var}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--max-cycles", "--max-k", "--node-limit"])
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_cap_flag_is_error(fig4_file, capsys, flag, value):
+    code, text = _run(["cycles", fig4_file, flag, value])
+    assert (code, text) == (2, "")
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bounds", "check", "code"])
+def test_node_limit_applies_to_every_solver(fig4_file, capsys, command):
+    code, text = _run([command, fig4_file, "--node-limit", "0"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: branch-and-bound exceeded 0 nodes\n"
+
+
+def test_check_solves_each_program_once(tmp_path, monkeypatch):
+    # Strictly uniprior with 4 users, so every checker runs.
+    inst = make_instance(
+        ["u1", "u2", "u3", "u4"],
+        [("p1", 2, "u1", {"u2"}), ("p2", 1, "u2", {"u3"}), ("p3", 1, "u3", {"u4"}),
+         ("p4", 3, "u4", {"u1"}), ("p5", 1, "u1", {"u3"}), ("p6", 2, "u3", {"u1"})],
+    )
+    path = tmp_path / "uniprior.icp"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    calls = Counter()
+    targets = {fn: name for module in (programs, enumeration, lp)
+               for name, fn in vars(module).items()
+               if name.startswith(("build_P", "enumerate_", "solve_"))}
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            # Node solves inside branch-and-bound pass bound overrides.
+            if "_bound_overrides" not in kwargs:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # Patch every binding, from-imported names included.
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("indexcode"):
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and obj in targets:
+                    monkeypatch.setattr(module, attr, counted(obj, targets[obj]))
+
+    code, text = _run(["check", str(path), "--format", "json"])
+    assert code == 0
+    assert list(json.loads(text)) == [
+        "cyclic_duality", "clique_duality", "theorem2", "theorem4", "corollary2"
+    ]
+    programs_built = ["build_P1", "build_P1_relaxed", "build_P2", "build_P2_relaxed",
+                      "build_P5", "build_P5_relaxed", "build_P6_relaxed"]
+    assert calls == Counter(
+        {**dict.fromkeys(programs_built, 1), "enumerate_cycles": 1,
+         "enumerate_partial_cliques": 1, "solve_ilp": 3, "solve_lp": 4}
+    )

@@ -8,7 +8,7 @@ from indexcode import (
     extract_cycles_from_clique,
     make_instance,
 )
-from indexcode.enumeration import CapExceeded, PartialClique
+from indexcode.enumeration import CapExceeded, Cycle, PartialClique
 from indexcode.generators import random_unicast_instance, random_uniprior_instance
 
 from conftest import dfs_cycles
@@ -54,6 +54,16 @@ def test_cycles_validate_and_are_sorted(fig4):
     assert cycles == sorted(
         cycles, key=lambda c: (c.length, sorted(c.packets), c.packets, c.users)
     )
+
+
+def test_cycle_validate_rejects_non_cycles(fig1):
+    # Raised, not asserted, so the check survives `python -O`.
+    with pytest.raises(ValueError, match="u2 does not demand p1"):
+        Cycle(("p1", "p3"), ("u2", "u3")).validate(fig1)
+    with pytest.raises(ValueError, match="u1 does not hold p2"):
+        Cycle(("p1", "p2"), ("u1", "u2")).validate(fig1)
+    with pytest.raises(ValueError, match="k >= 2"):
+        Cycle(("p1",), ("u1",)).validate(fig1)
 
 
 def test_cycle_cap():

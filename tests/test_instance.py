@@ -177,3 +177,10 @@ def test_generated_suites_independent_of_hash_seed():
                               capture_output=True, text=True, check=True, timeout=60)
         texts.add(done.stdout)
     assert len(texts) == 1 and "packets:" in texts.pop()
+
+
+def test_parse_rejects_boolean_weight():
+    # bool is an int subclass; `weight: true` must not pass for weight 1.
+    text = "users: [u1]\npackets:\n  - {id: p1, weight: true, demand: u1}\n"
+    with pytest.raises(InstanceValidationError, match="weight"):
+        parse_instance(text)
