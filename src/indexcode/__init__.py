@@ -30,7 +30,7 @@ from .enumeration import (
     extract_cycles_from_clique,
     split_digraph_cycles,
 )
-from .gf256 import F256, mds_rows
+from .gf256 import mds_rows
 from .instance import (
     Instance,
     InstanceError,

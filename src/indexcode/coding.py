@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enumeration import Cycle, PartialClique
-from .gf256 import F256, mds_rows
+from .gf256 import mds_rows
 from .instance import Instance
 from .lp import OPTIMAL, SolveResult
 
@@ -43,21 +43,10 @@ class CodingAction:
     users: tuple[str, ...] = ()
     d: int = 0
 
-    @property
-    def transmissions_per_round(self) -> int:
-        if self.kind == "cycle":
-            return len(self.packets) - 1
-        if self.kind == "clique":
-            return len(self.packets) - self.d
-        return 1
-
 
 @dataclass(frozen=True)
 class Transmission:
     coeffs: tuple[tuple[tuple[str, int], int], ...]  # ((pid, unit), coef)
-
-    def coeff_map(self) -> dict[tuple[str, int], int]:
-        return dict(self.coeffs)
 
 
 @dataclass
@@ -142,7 +131,7 @@ def _expand(inst: Instance, actions, theta, field_name) -> TransmissionSchedule:
                 k = len(units)
                 for row in mds_rows(k, k - action.d):
                     sched.transmissions.append(
-                        Transmission(tuple((u, el.value) for u, el in zip(units, row)))
+                        Transmission(tuple(zip(units, row)))
                     )
             else:
                 sched.transmissions.append(Transmission(((units[0], 1),)))

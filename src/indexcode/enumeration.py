@@ -88,11 +88,6 @@ def _cycles_of_digraph(g: nx.DiGraph, cap: int):
     return out
 
 
-def count_cycles(g: nx.DiGraph, cap: int = DEFAULT_MAX_CYCLES) -> int:
-    """Number of elementary cycles of any digraph (used for Fact-1 checks)."""
-    return len(_cycles_of_digraph(g, cap))
-
-
 def enumerate_cycles(inst: Instance, max_cycles: int = DEFAULT_MAX_CYCLES) -> list[Cycle]:
     """All elementary cycles of the instance digraph, deterministically ordered.
 

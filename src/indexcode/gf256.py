@@ -1,126 +1,84 @@
 """GF(2^8) arithmetic with the fixed reduction polynomial 0x11D.
 
-Log/antilog tables are built once at import; byte-array scaling for
-payload math is vectorized with numpy.
+Field elements are plain ints 0..255, and addition is XOR; GF(2) is the
+subfield {0, 1}.  Log/antilog tables are built once at import; a byte
+string is scaled with one 256-byte translation table per multiplier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 POLY = 0x11D
 ORDER = 256
 
-_EXP = np.zeros(512, dtype=np.uint16)
-_LOG = np.zeros(256, dtype=np.uint16)
+_EXP = [0] * 510
+_LOG = [0] * 256
 _x = 1
 for _i in range(255):
-    _EXP[_i] = _x
+    _EXP[_i] = _EXP[_i + 255] = _x
     _LOG[_x] = _i
     _x <<= 1
     if _x & 0x100:
         _x ^= POLY
-_EXP[255:510] = _EXP[0:255]
-
-
-def gf_add(a: int, b: int) -> int:
-    return a ^ b
 
 
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
-    return int(_EXP[int(_LOG[a]) + int(_LOG[b])])
+    return _EXP[_LOG[a] + _LOG[b]]
 
 
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(2^8)")
-    return int(_EXP[255 - int(_LOG[a])])
+    return _EXP[255 - _LOG[a]]
 
 
-def gf_div(a: int, b: int) -> int:
-    return gf_mul(a, gf_inv(b))
+@lru_cache(maxsize=None)
+def _scale_table(c: int) -> bytes:
+    return bytes(gf_mul(c, x) for x in range(256))
 
 
-def gf_scale_bytes(c: int, data: np.ndarray) -> np.ndarray:
-    """c * data elementwise over GF(2^8); data is a uint8 array."""
-    if c == 0:
-        return np.zeros_like(data)
-    if c == 1:
-        return data.copy()
-    out = _EXP[int(_LOG[c]) + _LOG[data]].astype(np.uint8)
-    out[data == 0] = 0
-    return out
+def gf_scale_bytes(c: int, data: bytes) -> bytes:
+    """c * data bytewise over GF(2^8)."""
+    return data.translate(_scale_table(c))
 
 
-@dataclass(frozen=True, order=True)
-class F256:
-    """A field element; arithmetic operators delegate to the tables."""
-
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < 256:
-            raise ValueError(f"not a GF(2^8) element: {self.value}")
-
-    def __add__(self, other: "F256") -> "F256":
-        return F256(self.value ^ other.value)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "F256") -> "F256":
-        return F256(gf_mul(self.value, other.value))
-
-    def inverse(self) -> "F256":
-        return F256(gf_inv(self.value))
-
-    def __truediv__(self, other: "F256") -> "F256":
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-
-def mds_rows(k: int, r: int) -> tuple[tuple[F256, ...], ...]:
+def mds_rows(k: int, r: int) -> tuple[tuple[int, ...], ...]:
     """An r x k generator whose every square submatrix is invertible.
 
     For r = 1 this is the all-ones row.  For r >= 2 it is the Cauchy matrix
-    1/(x_i + y_j) with x_i = i-1 and y_j = k+j-1, which needs 2k <= 256.
-    Any r received combinations plus any k-r known packets then determine
-    all k packets.
+    1/(x_i + y_j) with x_i = i and y_j = k + j (0 <= i < r, 0 <= j < k),
+    which needs 2k <= 256.  Any r received combinations plus any k-r known
+    packets then determine all k packets.
     """
     if not 1 <= r <= k:
         raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
     if k > 255:
         raise ValueError(f"k={k} exceeds the field order")
     if r == 1:
-        return (tuple(F256(1) for _ in range(k)),)
+        return ((1,) * k,)
     if 2 * k > 256:
         raise ValueError(f"Cauchy construction needs 2k <= 256, got k={k}")
-    rows = []
-    for i in range(r):
-        rows.append(tuple(F256(gf_inv(i ^ (k + j))) for j in range(k)))
-    return tuple(rows)
+    return tuple(tuple(gf_inv(i ^ (k + j)) for j in range(k)) for i in range(r))
 
 
-def gf_det(matrix) -> F256:
-    """Determinant of a square matrix of F256 elements (for minor checks)."""
+def gf_det(matrix) -> int:
+    """Determinant of a square matrix over GF(2^8) (for minor checks)."""
     m = [list(row) for row in matrix]
     n = len(m)
-    det = F256(1)
+    det = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if m[i][col]), None)
         if piv is None:
-            return F256(0)
+            return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
+        det = gf_mul(det, m[col][col])
+        inv = gf_inv(m[col][col])
         for i in range(col + 1, n):
             if m[i][col]:
-                f = m[i][col] * inv
-                m[i] = [a + f * b for a, b in zip(m[i], m[col])]
+                f = gf_mul(m[i][col], inv)
+                m[i] = [a ^ gf_mul(f, b) for a, b in zip(m[i], m[col])]
     return det

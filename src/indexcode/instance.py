@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 
 import networkx as nx
 import yaml
 
+# libyaml's parser when PyYAML was built with it; both build the same documents.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
@@ -59,11 +61,12 @@ class Instance:
     users: tuple[str, ...]
     packets: tuple[PacketType, ...]
 
+    @cached_property
+    def _packet_by_id(self) -> dict[str, PacketType]:
+        return {p.id: p for p in self.packets}
+
     def packet(self, pid: str) -> PacketType:
-        for p in self.packets:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
+        return self._packet_by_id[pid]
 
     @property
     def packet_ids(self) -> tuple[str, ...]:
@@ -101,10 +104,6 @@ class SplitDigraph:
         for src, dst, w in self.arcs:
             g.add_edge(src, dst, weight=w)
         return g
-
-    @property
-    def packet_arcs(self) -> list[tuple[object, object, int]]:
-        return [a for a in self.arcs if a[0][0] == "in"]
 
 
 def validate_instance(inst: Instance) -> Instance:
@@ -157,7 +156,7 @@ def make_instance(users, packets) -> Instance:
 def parse_instance(text: str) -> Instance:
     """Parse instance-file text (YAML mapping with `users` and `packets`)."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         raise InstanceFormatError(

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .enumeration import Cycle, PartialClique
 from .instance import Instance, SplitDigraph
-from .lp import LinearProgram, SolveResult
+from .lp import OPTIMAL, LinearProgram, SolveResult
 
 __all__ = [
     "build_P1", "build_P1_relaxed", "build_P2", "build_P2_relaxed",
@@ -247,7 +247,7 @@ def verify_duality(bound_res: SolveResult, cover_res: SolveResult) -> bool:
     variable forces its deletion-side constraint tight, and a deleted-side
     x_m > 0 forces the covering row for packet m tight.
     """
-    if bound_res.status != "optimal" or cover_res.status != "optimal":
+    if bound_res.status != OPTIMAL or cover_res.status != OPTIMAL:
         return False
     if bound_res.objective != cover_res.objective:
         return False
@@ -256,7 +256,7 @@ def verify_duality(bound_res: SolveResult, cover_res: SolveResult) -> bool:
     cover_rows = {con.name: con for con in cover_res.lp.constraints}
 
     def tight(con, values) -> bool:
-        return sum(a * v for a, v in zip(con.coeffs, values)) == con.rhs
+        return sum(a * v for a, v in zip(con.coeffs, values) if a and v) == con.rhs
 
     for key, yv in zip(cover_res.lp.var_keys, cover_res.primal):
         if yv == 0:

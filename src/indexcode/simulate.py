@@ -1,19 +1,18 @@
 """Replay a transmission schedule over random payloads and verify decoding.
 
 Ground-truth payloads are generated per symbol from a 64-bit seed with a
-splitmix64 expansion, so runs are exactly reproducible.  Every receiver
-performs Gaussian elimination over the schedule's field, restricted to the
-symbols it does not already hold, and must recover all demanded symbols
-bit-exactly.
+splitmix64 expansion, so runs are exactly reproducible.  A payload is the
+int of its little-endian bytes, so adding two payloads is XOR.  Every
+receiver performs sparse Gaussian elimination over GF(2^8), which holds the
+GF(2) of cyclic codes as its subfield {0, 1}, restricted to the symbols it
+does not already hold, and must recover all demanded symbols bit-exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .coding import GF2, GF256, TransmissionSchedule
+from .coding import TransmissionSchedule
 from .gf256 import gf_inv, gf_mul, gf_scale_bytes
 from .instance import Instance
 
@@ -39,13 +38,13 @@ def _splitmix64(state: int):
     return state, z ^ (z >> 31)
 
 
-def _payload(seed: int, counter: int, size: int) -> np.ndarray:
+def _payload(seed: int, counter: int, size: int) -> int:
     out = bytearray()
     state = (seed ^ (counter * 0x9E3779B97F4A7C15)) & _MASK
     while len(out) < size:
         state, word = _splitmix64(state)
         out += word.to_bytes(8, "little")
-    return np.frombuffer(bytes(out[:size]), dtype=np.uint8).copy()
+    return int.from_bytes(out[:size], "little")
 
 
 @dataclass
@@ -59,47 +58,66 @@ class DecodeReport:
         return all(self.success.values())
 
 
-def _scale(field_name, coef, payload):
-    if field_name == GF2:
-        return payload.copy() if coef else np.zeros_like(payload)
-    return gf_scale_bytes(coef, payload)
+def _scale(coef: int, payload: int, size: int) -> int:
+    if coef == 1:
+        return payload
+    data = gf_scale_bytes(coef, payload.to_bytes(size, "little"))
+    return int.from_bytes(data, "little")
 
 
-def _eliminate(field_name, rows):
-    """Full in-place reduction of (coeff list, payload) rows; returns the
-    mapping column -> payload for every determined unknown."""
-    nunk = len(rows[0][0]) if rows else 0
-    pivots = {}
-    r = 0
-    for col in range(nunk):
-        piv = next((i for i in range(r, len(rows)) if rows[i][0][col] != 0), None)
-        if piv is None:
+def _add_scaled(row: dict, coef: int, other: dict) -> None:
+    """row += coef * other, in place; entries that cancel are dropped."""
+    for sym, a in other.items():
+        v = row.get(sym, 0) ^ gf_mul(coef, a)
+        if v:
+            row[sym] = v
+        else:
+            del row[sym]
+
+
+def _eliminate(rows, size):
+    """Reduce sparse rows ({symbol: coef}, payload) in place to reduced row
+    echelon form; return {symbol: payload} for every symbol they determine.
+
+    Forward, each row is reduced by the earlier pivot rows, lowest pivot
+    index first: a pivot row is zero at every earlier pivot, so no cleared
+    pivot comes back.  The row is then normalised to 1 at its first remaining
+    symbol.  Back-substitution, in reverse pivot order, clears the later
+    pivots from each pivot row; those rows are final by then and hold no
+    other pivot.  A symbol is determined exactly when its pivot row has no
+    other entry.
+    """
+    order = {}  # pivot symbol -> its index in pivots
+    pivots = []  # [symbol, row, payload]
+    for row, rhs in rows:
+        while True:
+            i = min((order[s] for s in row if s in order), default=None)
+            if i is None:
+                break
+            sym, prow, prhs = pivots[i]
+            coef = row[sym]
+            _add_scaled(row, coef, prow)
+            rhs ^= _scale(coef, prhs, size)
+        if not row:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        coeffs, payload = rows[r]
-        if field_name == GF256 and coeffs[col] != 1:
-            inv = gf_inv(coeffs[col])
-            rows[r] = coeffs = [gf_mul(inv, c) for c in coeffs]
-            rows[r] = (coeffs, gf_scale_bytes(inv, payload))
-            coeffs, payload = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][0][col] != 0:
-                f = rows[i][0][col]
-                ci, pi = rows[i]
-                if field_name == GF2:
-                    rows[i] = ([a ^ b for a, b in zip(ci, coeffs)], pi ^ payload)
-                else:
-                    rows[i] = (
-                        [a ^ gf_mul(f, b) for a, b in zip(ci, coeffs)],
-                        pi ^ gf_scale_bytes(f, payload),
-                    )
-        pivots[col] = r
-        r += 1
+        sym = next(iter(row))
+        inv = gf_inv(row[sym])
+        if inv != 1:
+            row = {s: gf_mul(inv, a) for s, a in row.items()}
+            rhs = _scale(inv, rhs, size)
+        order[sym] = len(pivots)
+        pivots.append([sym, row, rhs])
     solved = {}
-    for col, i in pivots.items():
-        coeffs, payload = rows[i]
-        if sum(1 for c in coeffs if c != 0) == 1:
-            solved[col] = payload
+    for entry in reversed(pivots):
+        sym, row, rhs = entry
+        for s in [s for s in row if s != sym and s in order]:
+            _, prow, prhs = pivots[order[s]]
+            coef = row[s]
+            _add_scaled(row, coef, prow)
+            rhs ^= _scale(coef, prhs, size)
+        entry[2] = rhs
+        if len(row) == 1:
+            solved[sym] = rhs
     return solved
 
 
@@ -112,45 +130,38 @@ def simulate(
 ) -> DecodeReport:
     """Run the schedule and check that every user decodes its demands."""
     theta = schedule.theta
-    symbols = []
-    for p in inst.packets:
-        for idx in range(p.weight * theta):
-            symbols.append((p.id, idx))
-    sym_index = {s: i for i, s in enumerate(symbols)}
+    symbols = [(p.id, idx) for p in inst.packets for idx in range(p.weight * theta)]
     truth = {
         s: _payload(seed, i + 1, payload_size) for i, s in enumerate(symbols)
     }
 
     payloads = []
     for t in schedule.transmissions:
-        acc = np.zeros(payload_size, dtype=np.uint8)
+        acc = 0
         for sym, coef in t.coeffs:
-            acc ^= _scale(schedule.field_name, coef, truth[sym])
+            acc ^= _scale(coef, truth[sym], payload_size)
         payloads.append(acc)
 
     success = {}
     first_failure = None
     for user in inst.users:
         known_pkts = inst.side_packets(user)
-        unknown = [s for s in symbols if s[0] not in known_pkts]
-        col = {s: j for j, s in enumerate(unknown)}
         rows = []
         for t, payload in zip(schedule.transmissions, payloads):
-            coeffs = [0] * len(unknown)
-            rhs = payload.copy()
+            row = {}
+            rhs = payload
             for sym, coef in t.coeffs:
-                if sym in col:
-                    coeffs[col[sym]] ^= 0 if coef == 0 else coef if schedule.field_name == GF256 else 1
-                else:
-                    rhs ^= _scale(schedule.field_name, coef, truth[sym])
-            if any(coeffs):
-                rows.append((coeffs, rhs))
-        solved = _eliminate(schedule.field_name, rows) if rows else {}
+                if sym[0] in known_pkts:
+                    rhs ^= _scale(coef, truth[sym], payload_size)
+                elif coef:
+                    _add_scaled(row, 1, {sym: coef})
+            if row:
+                rows.append((row, rhs))
+        solved = _eliminate(rows, payload_size)
         ok = True
         for pid in inst.demanded_packets(user):
             for idx in range(inst.packet(pid).weight * theta):
-                j = col[(pid, idx)]
-                if j not in solved or not np.array_equal(solved[j], truth[(pid, idx)]):
+                if solved.get((pid, idx)) != truth[(pid, idx)]:
                     ok = False
                     if first_failure is None:
                         first_failure = (user, pid)

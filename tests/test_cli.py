@@ -1,11 +1,16 @@
 import inspect
 import io
 import json
+import os
+import re
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import indexcode
 from indexcode import enumeration, lp, make_instance, programs, serialize_instance
 from indexcode.cli import run
 
@@ -140,6 +145,30 @@ def test_malformed_instance_is_error(tmp_path):
     bad.write_text("users: [u1]\npackets: [{id: p1, weight: 0, demand: u1}]\n")
     code, _ = _run(["bounds", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["- [", "users: [u1\npackets: [a: b]\n", "users: a: b\n"])
+def test_yaml_syntax_error_names_line_and_column(text, tmp_path, capsys):
+    bad = tmp_path / "bad.icp"
+    bad.write_text(text)
+    code, _ = _run(["bounds", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert re.search(r"\(line \d+, column \d+\)$", err), err
+
+
+def test_cli_does_not_import_numpy(fig1_file):
+    script = (
+        "import sys\n"
+        "from indexcode.cli import run\n"
+        f"code = run(['bounds', {fig1_file!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(indexcode.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cap_exceeded_is_error(fig4_file):

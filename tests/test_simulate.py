@@ -1,3 +1,4 @@
+import importlib
 from random import Random
 
 import pytest
@@ -9,14 +10,20 @@ from indexcode import (
     solve_lp,
 )
 from indexcode.coding import (
+    GF256,
     Transmission,
+    TransmissionSchedule,
     clique_schedule,
     cyclic_schedule_scalar,
     cyclic_schedule_vector,
 )
 from indexcode.generators import random_unicast_instance, random_uniprior_instance
+from indexcode.gf256 import gf_inv, gf_mul, gf_scale_bytes
 from indexcode.programs import build_P2, build_P2_relaxed, build_P5
-from indexcode.simulate import DecodeFailure, simulate
+from indexcode.simulate import DecodeFailure, _eliminate, simulate
+
+# The package exports the function `simulate` under the submodule's name.
+simulate_module = importlib.import_module("indexcode.simulate")
 
 
 def _scalar_cyclic(inst):
@@ -114,3 +121,104 @@ def test_payload_size_variants(fig1):
     sched = _scalar_cyclic(fig1)
     for size in (1, 8, 256):
         assert simulate(fig1, sched, payload_size=size).all_decoded
+
+
+# ------------------------------------------------- sparse decoder vs dense
+
+def _scale(c, payload, size):
+    data = gf_scale_bytes(c, payload.to_bytes(size, "little"))
+    return int.from_bytes(data, "little")
+
+
+def _dense_eliminate(rows, size):
+    """Reference decoder: dense Gauss-Jordan over GF(2^8) on (coefficient
+    list, payload) rows; returns column -> payload for every determined
+    unknown."""
+    nunk = len(rows[0][0]) if rows else 0
+    pivots = {}
+    r = 0
+    for col in range(nunk):
+        piv = next((i for i in range(r, len(rows)) if rows[i][0][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        coeffs, payload = rows[r]
+        if coeffs[col] != 1:
+            inv = gf_inv(coeffs[col])
+            rows[r] = ([gf_mul(inv, c) for c in coeffs], _scale(inv, payload, size))
+            coeffs, payload = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][0][col] != 0:
+                f = rows[i][0][col]
+                ci, pi = rows[i]
+                rows[i] = (
+                    [a ^ gf_mul(f, b) for a, b in zip(ci, coeffs)],
+                    pi ^ _scale(f, payload, size),
+                )
+        pivots[col] = r
+        r += 1
+    solved = {}
+    for col, i in pivots.items():
+        coeffs, payload = rows[i]
+        if sum(1 for c in coeffs if c != 0) == 1:
+            solved[col] = payload
+    return solved
+
+
+def test_sparse_decoder_matches_dense_oracle():
+    rng = Random(74)
+    size = 4
+    outcomes = {"none": 0, "some": 0, "all": 0}
+    for _ in range(600):
+        syms = [(f"p{j % 3}", j) for j in range(rng.randint(1, 9))]
+        truth = {s: rng.getrandbits(8 * size) for s in syms}
+        rows = []
+        for _ in range(rng.randint(0, len(syms) + 3)):
+            if rows and rng.random() < 0.25:
+                # A repeated row, possibly scaled: it adds no rank.
+                c = rng.choice((1, rng.randint(2, 255)))
+                row = {s: gf_mul(c, a) for s, a in rng.choice(rows).items()}
+            else:
+                picked = rng.sample(syms, rng.randint(1, min(4, len(syms))))
+                row = {s: rng.choice((1, rng.randint(2, 255))) for s in picked}
+            rows.append(row)
+        rhs = []
+        for row in rows:
+            b = 0
+            for s, a in row.items():
+                b ^= _scale(a, truth[s], size)
+            rhs.append(b)
+        dense = _dense_eliminate(
+            [([row.get(s, 0) for s in syms], b) for row, b in zip(rows, rhs)], size)
+        sparse = _eliminate([(dict(row), b) for row, b in zip(rows, rhs)], size)
+        assert sparse == {syms[j]: b for j, b in dense.items()}
+        assert all(truth[s] == b for s, b in sparse.items())
+        outcomes["none" if not sparse else "all" if len(sparse) == len(syms) else "some"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_repeated_symbol_in_a_transmission_adds(fig1, monkeypatch):
+    # Coefficients of a symbol listed twice add in GF(2^8): 3 + 5 = 6 and
+    # c + c = 0.  A zero coefficient, given or from cancellation, is never
+    # stored in a sparse row.
+    seen = {}
+
+    def recording(rows, size):
+        seen.setdefault("rows", []).append([dict(row) for row, _ in rows])
+        return _eliminate(rows, size)
+
+    monkeypatch.setattr(simulate_module, "_eliminate", recording)
+    p1, p2, p3 = ("p1", 0), ("p2", 0), ("p3", 0)
+    sched = TransmissionSchedule(GF256, 1, [], [
+        Transmission(((p1, 3), (p1, 5), (p2, 0))),
+        Transmission(((p2, 1), (p3, 2), (p3, 2))),
+        Transmission(((p3, 7), (p1, 7), (p1, 7))),
+    ])
+    report = simulate(fig1, sched)
+    assert report.all_decoded
+    # Users in order u1 (holds p3), u2 (holds p1), u3 (holds p1, p2).
+    assert seen["rows"] == [
+        [{p1: 6}, {p2: 1}],
+        [{p2: 1}, {p3: 7}],
+        [{p3: 7}],
+    ]
