@@ -1,11 +1,13 @@
 """Why the deletion and covering bounds always agree: LP duality.
 
-The fractional cycle-deletion program and the fractional cyclic-cover
-program are dual linear programs, so their optimal values coincide on
-every instance, and the solver's exact rational dual certificates prove
-it.  We solve both on a batch of random instances, check objective
-equality and complementary slackness, and print one certificate in
-full.
+The fractional cycle-deletion program is built as the exact transpose of
+the fractional cyclic-cover program (`lp.transpose`), so the two are dual
+by construction and their optimal values coincide on every instance; the
+solver's exact rational dual certificates prove it.  The deletion program's
+columns are the cover's per-packet rows ``m:<pid>``, and the cross-program
+certificate pairs rows and columns by index.  We solve both on a batch of
+random instances, check objective equality and complementary slackness,
+and print one certificate in full.
 """
 
 from random import Random

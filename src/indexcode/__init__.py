@@ -56,6 +56,7 @@ from .lp import (
     solve_ilp,
     solve_lp,
     to_lp_format,
+    transpose,
     verify_certificate,
 )
 from .programs import (

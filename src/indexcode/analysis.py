@@ -1,9 +1,11 @@
 """Bounds, planarity, and the theorem-level consistency checkers.
 
 An `Analysis` solves the deletion/covering program family of one instance
-exactly, each program once; `bounds_report` assembles the bound chain
-val(P1) <= val(P1') = val(P2') <= val(P2) from it, and the theorem checkers
-assert the equalities that hold for planar and unicast-uniprior instances.
+exactly, each program once: it builds the covering programs P2 and P5, and
+the deletion programs P1 and P6 are their transposes.  `bounds_report`
+assembles the bound chain val(P1) <= val(P1') = val(P2') <= val(P2) from
+it, and the theorem checkers assert the equalities that hold for planar
+and unicast-uniprior instances.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from .enumeration import (
     enumerate_cycles, enumerate_partial_cliques,
 )
 from .instance import Instance, is_uniprior, to_undirected, total_weight
-from .lp import DEFAULT_NODE_LIMIT, OPTIMAL, SolveResult, solve_ilp, solve_lp
+from .lp import (
+    DEFAULT_NODE_LIMIT, OPTIMAL, LinearProgram, SolveResult, solve_ilp, solve_lp, transpose,
+)
 
 
 class PreconditionError(ValueError):
@@ -92,14 +96,16 @@ class Theorem2Report:
 
 class Analysis:
     """One instance under fixed caps (None selects the default).  Each family
-    is enumerated, and each program built and solved, at most once, on first
-    use; a program without an optimum raises `SolveError`."""
+    is enumerated, each program built or transposed, and each program or
+    relaxation solved, at most once, on first use; a program without an
+    optimum raises `SolveError`."""
 
     def __init__(self, inst: Instance, max_cycles=None, max_k=None, node_limit=None):
         self.inst = inst
         self.max_cycles = DEFAULT_MAX_CYCLES if max_cycles is None else max_cycles
         self.max_k = DEFAULT_MAX_K if max_k is None else max_k
         self.node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
+        self._programs: dict[str, LinearProgram] = {}
         self._solved: dict[str, SolveResult] = {}
 
     @cached_property
@@ -110,15 +116,27 @@ class Analysis:
     def cliques(self) -> list[PartialClique]:
         return enumerate_partial_cliques(self.inst, self.max_k)
 
+    def _program(self, name: str) -> LinearProgram:
+        """The integer program P2 or P5, or its transpose P1 or P6, made once
+        on first use (`solve` reads a primed name as its LP relaxation)."""
+        prog = self._programs.get(name)
+        if prog is None:
+            # Builders are looked up in `programs` at call time, so wrappers apply.
+            if name == "P2":
+                prog = programs.build_P2(self.inst, self.cycles)
+            elif name == "P5":
+                prog = programs.build_P5(self.inst, self.cliques)
+            else:
+                prog = transpose(self._program({"P1": "P2", "P6": "P5"}[name]))
+            self._programs[name] = prog
+        return prog
+
     def solve(self, name: str) -> SolveResult:
         """The optimum of P1, P2, P5 or P6, or of a primed LP relaxation."""
         res = self._solved.get(name)
         if res is None:
-            base, relaxed = name.rstrip("'"), name.endswith("'")
-            # Looked up in `programs` at call time, so wrappers there apply.
-            build = getattr(programs, f"build_{base}_relaxed" if relaxed else f"build_{base}")
-            prog = build(self.inst, self.cycles if base in ("P1", "P2") else self.cliques)
-            res = solve_lp(prog) if relaxed else solve_ilp(prog, self.node_limit)
+            prog = self._program(name.rstrip("'"))
+            res = solve_lp(prog) if name.endswith("'") else solve_ilp(prog, self.node_limit)
             if res.status != OPTIMAL:
                 raise SolveError(f"{name} is {res.status}")
             self._solved[name] = res

@@ -35,7 +35,11 @@ def _env_cap(name: str, default: int) -> int:
 
 
 def _load(path: str):
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise InstanceError(str(exc)) from None
+    return parse_instance(text)
 
 
 def _cmd_planar(args, out):
@@ -240,8 +244,7 @@ def run(argv, out=None) -> int:
     try:
         return args.fn(args, out)
     except (InstanceError, enumeration.CapExceeded, lp.NodeLimitExceeded,
-            analysis.PreconditionError, analysis.SolveError, coding.ScheduleError,
-            FileNotFoundError) as exc:
+            analysis.PreconditionError, analysis.SolveError, coding.ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -113,6 +113,32 @@ class LinearProgram:
         )
 
 
+def transpose(lp: LinearProgram) -> LinearProgram:
+    """The exact LP dual of a covering program (min, every row >=) or a
+    packing program (max, every row <=) over x >= 0.
+
+    Row i becomes column i and column j becomes row j, each under its own
+    name; the columns are integer when every column of `lp` is.  Any other
+    program raises ValueError.
+    """
+    rel = {"min": ">=", "max": "<="}.get(lp.sense)
+    if rel is None or any(c.rel != rel for c in lp.constraints):
+        raise ValueError("transpose needs a min program with >= rows or a max program with <= rows")
+    if any(lp.lower) or any(hi is not None for hi in lp.upper):
+        raise ValueError("transpose needs x >= 0 with no other bounds")
+    m, n = len(lp.constraints), lp.num_vars
+    columns = zip(*(c.coeffs for c in lp.constraints)) if m else [()] * n
+    dual_rel = "<=" if rel == ">=" else ">="
+    return LinearProgram(
+        "max" if lp.sense == "min" else "min",
+        tuple(c.rhs for c in lp.constraints),
+        [Constraint(col, dual_rel, cj, name)
+         for col, cj, name in zip(columns, lp.objective, lp.var_names)],
+        integer=(all(lp.integer),) * m,
+        var_names=tuple(c.name for c in lp.constraints),
+    )
+
+
 @dataclass
 class SolveResult:
     status: str

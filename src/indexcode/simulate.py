@@ -1,8 +1,8 @@
 """Replay a transmission schedule over random payloads and verify decoding.
 
-Ground-truth payloads are generated per symbol from a 64-bit seed with a
-splitmix64 expansion, so runs are exactly reproducible.  A payload is the
-int of its little-endian bytes, so adding two payloads is XOR.  Every
+Ground-truth payloads are SHAKE-256 digests of the seed and the symbol's
+counter, so runs are exactly reproducible.  A payload is the int of its
+little-endian bytes, so adding two payloads is XOR.  Every
 receiver performs sparse Gaussian elimination over GF(2^8), which holds the
 GF(2) of cyclic codes as its subfield {0, 1}, restricted to the symbols it
 does not already hold, and must recover all demanded symbols bit-exactly.
@@ -10,6 +10,7 @@ does not already hold, and must recover all demanded symbols bit-exactly.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from .coding import TransmissionSchedule
@@ -17,8 +18,6 @@ from .gf256 import gf_inv, gf_mul, gf_scale_bytes
 from .instance import Instance
 
 DEFAULT_PAYLOAD_SIZE = 64
-
-_MASK = (1 << 64) - 1
 
 
 class DecodeFailure(RuntimeError):
@@ -30,21 +29,8 @@ class DecodeFailure(RuntimeError):
         self.packet = packet
 
 
-def _splitmix64(state: int):
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return state, z ^ (z >> 31)
-
-
 def _payload(seed: int, counter: int, size: int) -> int:
-    out = bytearray()
-    state = (seed ^ (counter * 0x9E3779B97F4A7C15)) & _MASK
-    while len(out) < size:
-        state, word = _splitmix64(state)
-        out += word.to_bytes(8, "little")
-    return int.from_bytes(out[:size], "little")
+    return int.from_bytes(hashlib.shake_256(b"%d:%d" % (seed, counter)).digest(size), "little")
 
 
 @dataclass

@@ -2,6 +2,7 @@ import inspect
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -140,6 +141,48 @@ def test_missing_file_is_error(tmp_path):
     assert code == 2
 
 
+def test_directory_path_is_error(tmp_path, capsys):
+    code, text = _run(["bounds", str(tmp_path)])
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "directory" in err
+
+
+def test_non_utf8_file_is_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.icp"
+    bad.write_bytes(b"users: [u\xff]\npackets: []\n")
+    code, text = _run(["bounds", str(bad)])
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
+
+
+def test_mutated_instance_files_exit_0_or_2(fig1, tmp_path, capsys):
+    # Seeded byte mutations of a valid file: every outcome is a result or a
+    # one-line error, never a traceback.
+    rng = random.Random(0)
+    base = serialize_instance(fig1).encode()
+    alphabet = b"\xff\n\t :-,[]{}#&*!'\"019upwd"
+    path = tmp_path / "mutant.icp"
+    for _ in range(150):
+        data = bytearray(base)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(data) + 1)
+            op = rng.randrange(3)
+            if op == 0 and i < len(data):
+                del data[i]
+            elif op == 1 and i < len(data):
+                data[i] = rng.choice(alphabet)
+            else:
+                data.insert(i, rng.choice(alphabet))
+        path.write_bytes(bytes(data))
+        for argv in (["bounds", str(path)], ["simulate", str(path), "--mode", "vector"]):
+            code, _ = _run(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2), (bytes(data), argv)
+            assert err.count("\n") <= 1, (bytes(data), err)
+
+
 def test_malformed_instance_is_error(tmp_path):
     bad = tmp_path / "bad.icp"
     bad.write_text("users: [u1]\npackets: [{id: p1, weight: 0, demand: u1}]\n")
@@ -238,7 +281,7 @@ def test_check_solves_each_program_once(tmp_path, monkeypatch):
     calls = Counter()
     targets = {fn: name for module in (programs, enumeration, lp)
                for name, fn in vars(module).items()
-               if name.startswith(("build_P", "enumerate_", "solve_"))}
+               if name.startswith(("build_P", "enumerate_", "solve_", "transpose"))}
 
     def counted(fn, name):
         def wrapper(*args, **kwargs):
@@ -260,9 +303,8 @@ def test_check_solves_each_program_once(tmp_path, monkeypatch):
     assert list(json.loads(text)) == [
         "cyclic_duality", "clique_duality", "theorem2", "theorem4", "corollary2"
     ]
-    programs_built = ["build_P1", "build_P1_relaxed", "build_P2", "build_P2_relaxed",
-                      "build_P5", "build_P5_relaxed", "build_P6_relaxed"]
+    # P1 and P6 are transposes of P2 and P5; the relaxations solve the same programs.
     assert calls == Counter(
-        {**dict.fromkeys(programs_built, 1), "enumerate_cycles": 1,
+        {"build_P2": 1, "build_P5": 1, "transpose": 2, "enumerate_cycles": 1,
          "enumerate_partial_cliques": 1, "solve_ilp": 3, "solve_lp": 4}
     )

@@ -12,6 +12,7 @@ from indexcode.lp import (
     solve_ilp,
     solve_lp,
     to_lp_format,
+    transpose,
     verify_certificate,
 )
 
@@ -307,3 +308,65 @@ def test_lp_format_dump():
     assert "Maximize" in text
     assert "a" in text and "b" in text
     assert "End" in text
+
+
+def _random_standard_lp(rng, sense):
+    """A covering (min, >=) or packing (max, <=) program with positive
+    fractional data, so it has an optimum."""
+    n, m = rng.randint(1, 5), rng.randint(1, 5)
+    rel = ">=" if sense == "min" else "<="
+    rows = [([F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)], rel,
+             F(rng.randint(1, 9), rng.randint(1, 3))) for _ in range(m)]
+    for coeffs, _, _ in rows:  # every row and column touches a positive entry
+        coeffs[rng.randrange(n)] += 1
+    for j in range(n):
+        rows[rng.randrange(m)][0][j] += F(1, 2)
+    c = [F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n)]
+    return _lp(sense, c, rows, names=tuple(f"v{j}" for j in range(n)))
+
+
+def test_transpose_is_an_involution():
+    rng = Random(41)
+    for sense in ("min", "max") * 10:
+        lp = _random_standard_lp(rng, sense)
+        for i, con in enumerate(lp.constraints):
+            lp.constraints[i] = Constraint(con.coeffs, con.rel, con.rhs, f"r{i}")
+        dual = transpose(lp)
+        assert dual.sense != lp.sense
+        assert dual.var_names == tuple(f"r{i}" for i in range(len(lp.constraints)))
+        assert [c.name for c in dual.constraints] == list(lp.var_names)
+        assert [c.coeffs for c in dual.constraints] == list(zip(*(c.coeffs for c in lp.constraints)))
+        back = transpose(dual)
+        assert (back.sense, back.objective, back.var_names) == (lp.sense, lp.objective, lp.var_names)
+        assert back.constraints == lp.constraints
+
+
+def test_transpose_keeps_the_optimum():
+    rng = Random(42)
+    for sense in ("min", "max") * 15:
+        lp = _random_standard_lp(rng, sense)
+        res, dual = solve_lp(lp), solve_lp(transpose(lp))
+        assert res.status == dual.status == "optimal"
+        assert res.objective == dual.objective
+        # The dual's optimum is the primal's row shadow prices, up to sign.
+        assert verify_certificate(dual.lp, dual)
+
+
+def test_transpose_carries_integrality():
+    lp = _lp("max", [1, 2], [([1, 1], "<=", 3)], integer=(True, True))
+    assert transpose(lp).integer == (True,)
+    lp = _lp("max", [1, 2], [([1, 1], "<=", 3)], integer=(True, False))
+    assert transpose(lp).integer == (False,)
+
+
+@pytest.mark.parametrize("lp", [
+    _lp("max", [1, 1], [([1, 1], "<=", 3)], upper=(1, None)),
+    _lp("max", [1, 1], [([1, 1], "<=", 3)], lower=(0, 1)),
+    _lp("max", [1, 1], [([1, 1], "<=", 3), ([1, 0], ">=", 1)]),
+    _lp("min", [1, 1], [([1, 1], ">=", 3), ([1, 0], "=", 1)]),
+    _lp("min", [1, 1], [([1, 1], "<=", 3)]),
+    _lp("either", [1, 1], [([1, 1], "<=", 3)]),
+])
+def test_transpose_rejects_other_programs(lp):
+    with pytest.raises(ValueError):
+        transpose(lp)

@@ -1,15 +1,19 @@
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import permutations
 from random import Random
 
 from indexcode import (
     build_split_digraph,
     enumerate_cycles,
     enumerate_partial_cliques,
+    LinearProgram,
     make_instance,
     solve_ilp,
     solve_lp,
     split_digraph_cycles,
     total_weight,
+    transpose,
 )
 from indexcode.generators import random_unicast_instance, random_uniprior_instance
 from indexcode.programs import (
@@ -41,12 +45,12 @@ def test_p1_structure_fig1(fig1):
     cycles = enumerate_cycles(fig1)
     lp = build_P1(fig1, cycles)
     assert lp.sense == "max"
-    assert lp.var_names == ("x:p1", "x:p2", "x:p3")
+    assert lp.var_names == ("m:p1", "m:p2", "m:p3")
     assert lp.objective == (F(1), F(1), F(1))
-    # Two distinct cycle packet sets, rhs |C|-1.
+    # Two distinct cycle packet sets, rhs |C|-1, named after P2's cycle columns.
     rows = {c.name: c for c in lp.constraints}
-    assert rows["C:p1|p3"].rhs == 1
-    assert rows["C:p1|p2|p3"].rhs == 2
+    assert rows["C:p1|p3@u1|u3"].rhs == 1
+    assert rows["C:p1|p3|p2@u1|u3|u2"].rhs == 2
     assert all(c.rel == "<=" for c in lp.constraints)
     assert all(lp.integer)
     assert solve_ilp(lp).objective == 2
@@ -56,7 +60,12 @@ def test_p1_relaxed_is_continuous(fig1):
     cycles = enumerate_cycles(fig1)
     lp = build_P1_relaxed(fig1, cycles)
     assert not any(lp.integer)
-    assert all(hi == 1 for hi in lp.upper)
+    # x_m <= 1 is the row y:<pid> (the dual of P2's direct broadcast column).
+    rows = {c.name: c for c in lp.constraints}
+    for j, pid in enumerate(("p1", "p2", "p3")):
+        assert rows["y:" + pid].rhs == 1
+        assert rows["y:" + pid].coeffs == tuple(F(int(i == j)) for i in range(3))
+    assert all(hi is None for hi in lp.upper)
 
 
 def test_p2_structure_fig1(fig1):
@@ -116,7 +125,7 @@ def test_weighted_objective():
     )
     cycles = enumerate_cycles(inst)
     p1 = build_P1(inst, cycles)
-    assert dict(zip(p1.var_names, p1.objective)) == {"x:p1": 3, "x:p2": 2}
+    assert dict(zip(p1.var_names, p1.objective)) == {"m:p1": 3, "m:p2": 2}
     assert solve_ilp(p1).objective == 3
     p2 = build_P2(inst, cycles)
     rows = {c.name: c for c in p2.constraints}
@@ -246,3 +255,93 @@ def test_p1_matches_bruteforce_deletion_oracle():
         inst = random_unicast_instance(rng, max_packets=5)
         cycles = enumerate_cycles(inst)
         assert solve_ilp(build_P1(inst, cycles)).objective == brute_max_acyclic(inst)
+
+
+def _dense_instances_with_repeated_cycle_sets(seed, count):
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        inst = random_unicast_instance(rng, max_packets=5, max_users=4, side_prob=0.8)
+        cycles = enumerate_cycles(inst)
+        if len({c.packet_set for c in cycles}) < len(cycles):
+            out.append((inst, cycles))
+    return out
+
+
+def test_p2_has_one_column_per_cycle_packet_set():
+    for inst, cycles in _dense_instances_with_repeated_cycle_sets(40, 12):
+        p2 = build_P2(inst, cycles)
+        kept = [k for k in p2.var_keys if not isinstance(k, str)]
+        sets = [c.packet_set for c in kept]
+        assert len(set(sets)) == len(sets) == len({c.packet_set for c in cycles})
+        # The first cycle of each packet set, in enumeration order.
+        assert kept == [c for i, c in enumerate(cycles)
+                        if c.packet_set not in {d.packet_set for d in cycles[:i]}]
+        # One column per cycle, duplicates included: same values.
+        pids = list(inst.packet_ids)
+        full = LinearProgram(
+            "min", tuple(c.length - 1 for c in cycles) + (1,) * len(pids),
+            integer=(True,) * (len(cycles) + len(pids)),
+        )
+        for j, pid in enumerate(pids):
+            full.add_row([int(pid in c.packet_set) for c in cycles]
+                         + [int(i == j) for i in range(len(pids))], ">=", inst.packet(pid).weight)
+        assert solve_ilp(p2).objective == solve_ilp(full).objective
+        assert solve_lp(p2).objective == solve_lp(full).objective
+        assert solve_lp(build_P2_relaxed(inst, cycles)).objective == solve_lp(full).objective
+
+
+def test_deletion_programs_are_transposes(fig4):
+    cycles, cliques = _vals(fig4)
+    for deletion, cover in ((build_P1(fig4, cycles), build_P2(fig4, cycles)),
+                            (build_P3(fig4, cycles), build_P4(fig4, cycles)),
+                            (build_P6(fig4, cliques), build_P5(fig4, cliques))):
+        back = transpose(deletion)
+        assert (back.sense, back.objective, back.var_names) == (
+            cover.sense, cover.objective, cover.var_names)
+        assert back.constraints == cover.constraints
+
+
+def test_verify_duality_rejects_non_dual_pairs(fig4):
+    cycles = enumerate_cycles(fig4)
+    a = solve_lp(build_P1_relaxed(fig4, cycles))
+    b = solve_lp(build_P2_relaxed(fig4, cycles))
+    assert verify_duality(a, b) and verify_duality(b, a)
+    # A program paired with itself.
+    assert not verify_duality(a, a)
+    assert not verify_duality(b, b)
+    # A perturbed primal program: one rhs changed, the optimum kept.
+    lp = build_P1_relaxed(fig4, cycles)
+    con = lp.constraints[0]
+    lp.constraints[0] = replace(con, rhs=con.rhs + 1)
+    bumped = replace(a, lp=lp)
+    assert not verify_duality(bumped, b)
+    # A perturbed primal solution with the same objective value.
+    moved = next(replace(b, primal=p) for p in permutations(b.primal) if p != b.primal)
+    assert moved.objective == b.objective
+    assert not verify_duality(a, moved)
+
+
+def _numbers(lp):
+    return lp.objective, [(c.coeffs, c.rhs) for c in lp.constraints]
+
+
+def test_verify_duality_rejects_programs_of_another_instance():
+    # Two instances whose P1' and P2' have the same shape and the same value
+    # but different coefficients.
+    rng = Random(43)
+    seen = {}
+    found = 0
+    for _ in range(400):
+        inst = random_unicast_instance(rng, max_packets=4, max_users=4, side_prob=0.6)
+        cycles = enumerate_cycles(inst)
+        a = solve_lp(build_P1_relaxed(inst, cycles))
+        b = solve_lp(build_P2_relaxed(inst, cycles))
+        shape = (len(a.lp.constraints), a.lp.num_vars, a.objective)
+        other = seen.get(shape)
+        if other is not None and _numbers(other[0].lp) != _numbers(a.lp):
+            assert not verify_duality(other[0], b)
+            assert not verify_duality(a, other[1])
+            found += 1
+        seen[shape] = (a, b)
+    assert found >= 5
