@@ -19,7 +19,7 @@ import networkx as nx
 from . import programs
 from .enumeration import (
     DEFAULT_MAX_CYCLES, DEFAULT_MAX_K, Cycle, PartialClique,
-    enumerate_cycles, enumerate_partial_cliques,
+    clique_core, enumerate_cycles, enumerate_partial_cliques,
 )
 from .instance import Instance, is_uniprior, to_undirected, total_weight
 from .lp import (
@@ -32,7 +32,7 @@ class PreconditionError(ValueError):
 
 
 class SolveError(RuntimeError):
-    """A program of the family has no optimum (e.g. a truncated family)."""
+    """A program of the family has no optimum, or its family is truncated."""
 
 
 def is_planar(inst: Instance) -> bool:
@@ -98,7 +98,8 @@ class Analysis:
     """One instance under fixed caps (None selects the default).  Each family
     is enumerated, each program built or transposed, and each program or
     relaxation solved, at most once, on first use; a program without an
-    optimum raises `SolveError`."""
+    optimum, or P5/P6 over a clique family truncated by max_k, raises
+    `SolveError`."""
 
     def __init__(self, inst: Instance, max_cycles=None, max_k=None, node_limit=None):
         self.inst = inst
@@ -114,6 +115,12 @@ class Analysis:
 
     @cached_property
     def cliques(self) -> list[PartialClique]:
+        """The clique family of P5 and P6, which must not be truncated: it
+        needs the singletons and `clique_core`, the largest clique with d >= 1."""
+        need = max(len(clique_core(self.inst)), min(1, len(self.inst.packet_ids)))
+        if self.max_k < need:
+            raise SolveError(f"max_k {self.max_k} truncates the partial-clique family: "
+                             f"P5 and P6 need max_k >= {need}")
         return enumerate_partial_cliques(self.inst, self.max_k)
 
     def _program(self, name: str) -> LinearProgram:

@@ -10,6 +10,7 @@ INDEXCODE_NODE_LIMIT.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,14 @@ def _cap(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+# (argument dest, environment variable, default) of each cap flag.
+_CAPS = (
+    ("max_cycles", "INDEXCODE_MAX_CYCLES", enumeration.DEFAULT_MAX_CYCLES),
+    ("max_k", "INDEXCODE_MAX_K", enumeration.DEFAULT_MAX_K),
+    ("node_limit", "INDEXCODE_NODE_LIMIT", lp.DEFAULT_NODE_LIMIT),
+)
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -192,7 +201,10 @@ def _cmd_check(args, out):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  A cap flag that is not
+    given parses as None; `run` fills it in from the environment."""
     p = argparse.ArgumentParser(
         prog="indexcode",
         description="Exact bounds and coding schedules for broadcast with side information",
@@ -202,18 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("instance", help="instance file path")
         sp.add_argument("--format", choices=["text", "json"], default="text")
-        sp.add_argument(
-            "--max-cycles", type=_cap,
-            default=_env_cap("INDEXCODE_MAX_CYCLES", enumeration.DEFAULT_MAX_CYCLES),
-        )
-        sp.add_argument(
-            "--max-k", type=_cap,
-            default=_env_cap("INDEXCODE_MAX_K", enumeration.DEFAULT_MAX_K),
-        )
-        sp.add_argument(
-            "--node-limit", type=_cap,
-            default=_env_cap("INDEXCODE_NODE_LIMIT", lp.DEFAULT_NODE_LIMIT),
-        )
+        for dest, _, _ in _CAPS:
+            sp.add_argument("--" + dest.replace("_", "-"), type=_cap)
 
     for name, fn in [
         ("bounds", _cmd_bounds), ("cycles", _cmd_cycles), ("cliques", _cmd_cliques),
@@ -235,12 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
+        # The environment is read on every call, and before argv, as a bad
+        # INDEXCODE_* cap is an error even where a flag overrides it.
+        env = {dest: _env_cap(var, default) for dest, var, default in _CAPS}
         args = build_parser().parse_args(argv)
     except argparse.ArgumentTypeError as exc:  # a bad INDEXCODE_* cap
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
+    for dest, value in env.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     try:
         return args.fn(args, out)
     except (InstanceError, enumeration.CapExceeded, lp.NodeLimitExceeded,

@@ -3,6 +3,8 @@
 Two families matter: elementary directed cycles of the bipartite digraph
 (they alternate packet and user vertices) and partial cliques, i.e. packet
 subsets where every demanding user already holds at least d of the subset.
+Only the partial cliques that no others dominate are listed: the
+singletons and the subsets with d >= 1.
 """
 
 from __future__ import annotations
@@ -107,21 +109,71 @@ def enumerate_cycles(inst: Instance, max_cycles: int = DEFAULT_MAX_CYCLES) -> li
     return cycles
 
 
+def _held_masks(inst: Instance) -> tuple[list[str], list[int]]:
+    """The sorted packet ids, and for each packet i the bitmask over them of
+    the packets held by i's demander."""
+    pids = sorted(inst.packet_ids)
+    side = {u: sum(1 << i for i, pid in enumerate(pids) if u in inst.packet(pid).side)
+            for u in inst.users}
+    return pids, [side[inst.packet(pid).demand] for pid in pids]
+
+
+def _core_mask(held: list[int]) -> int:
+    """Bitmask of the largest packet subset with d >= 1 (0 if none): drop,
+    while there is one, a packet whose demander holds no packet still in."""
+    core = (1 << len(held)) - 1
+    while True:
+        kept = sum(1 << i for i, h in enumerate(held) if core >> i & 1 and h & core)
+        if kept == core:
+            return core
+        core = kept
+
+
+def clique_core(inst: Instance) -> list[str]:
+    """The packets, sorted, of the largest (k, d)-partial clique with d >= 1,
+    or [] if there is none.  A union of subsets with d >= 1 has d >= 1
+    too, so every such clique lies inside this one."""
+    pids, held = _held_masks(inst)
+    core = _core_mask(held)
+    return [pid for i, pid in enumerate(pids) if core >> i & 1]
+
+
 def enumerate_partial_cliques(inst: Instance, max_k: int = DEFAULT_MAX_K) -> list[PartialClique]:
-    """One (k, d)-partial clique per non-empty packet subset of size <= max_k.
+    """The non-dominated (k, d)-partial cliques of size <= max_k: every
+    singleton as a (1, 0)-clique, and every larger packet subset whose d is
+    at least 1, by size and then in lexicographic order of packet ids.
 
     Only the maximal d per subset is reported: any (k, d') with d' < d
-    induces a dominated constraint.  Singletons come out as (1, 0)-cliques.
+    induces a dominated constraint.  A (k, 0)-clique with k > 1 is dominated
+    too: it is k uncoded sends, so its P5 column is the sum of its k
+    singleton columns, in cost and in every row, and it can be replaced by
+    them at equal cost.  So val(P5) and val(P5') are unchanged without these
+    columns, and so is val(P6'), since the dropped rows
+    sum_{p in S} x_p <= k follow from the singleton rows x_p <= 1.  The
+    root LP is solved identically: the column's reduced cost, in either
+    simplex phase, is the sum of its singletons', so whenever it is negative
+    a singleton's is too; as every singleton precedes every k >= 2 column,
+    Bland's rule never enters it, and the artificial drive-out (first
+    nonzero column of a row) picks a singleton first, so P5' has the same
+    pivots, primal and duals.  Inside branch-and-bound this no longer holds:
+    a node bound x_p <= 0 on a singleton forbids it but not a (k, 0) column
+    holding p.  Node LPs, the branch tree, its node count and the choice
+    among tied optima of P5 may therefore differ; val(P5) does not.
+
+    d is counted on int bitmasks: held[i] is the set of packets held by
+    packet i's demander, and d(S) = min over i in S of |held[i] & S|.  Only
+    the subsets of `clique_core` can have d >= 1.
     """
-    side_of = {u: inst.side_packets(u) for u in inst.users}
-    pids = sorted(inst.packet_ids)
-    out = []
-    for k in range(1, min(len(pids), max_k) + 1):
-        for subset in combinations(pids, k):
-            sset = frozenset(subset)
-            demanders = {inst.packet(pid).demand for pid in subset}
-            d = min(len(side_of[u] & sset) for u in demanders)
-            out.append(PartialClique(sset, k, d))
+    pids, held = _held_masks(inst)
+    core = _core_mask(held)
+    out = [PartialClique(frozenset((pid,)), 1, 0) for pid in pids] if max_k >= 1 else []
+    idx_core = [i for i in range(len(pids)) if core >> i & 1]
+    for k in range(2, min(len(idx_core), max_k) + 1):
+        for idx in combinations(idx_core, k):
+            mask = sum(1 << i for i in idx)
+            if all(held[i] & mask for i in idx):
+                d = min((held[i] & mask).bit_count() for i in idx)
+                out.append(PartialClique(frozenset(pids[i] for i in idx), k, d))
     return out
 
 

@@ -37,15 +37,23 @@ def random_unicast_instance(
     max_users: int = 5,
     max_weight: int = 3,
     side_prob: float = 0.35,
+    exact: bool = False,
 ) -> Instance:
-    """A random unicast instance; duplicate packet types are merged."""
-    n = rng.randint(1, max_users)
+    """A random unicast instance; duplicate packet types are merged.  With
+    `exact`, it has max_users users and max_packets packet types: a
+    repeated (demand, side) pair is drawn again instead."""
+    n = max_users if exact else rng.randint(1, max_users)
     users = [f"u{i + 1}" for i in range(n)]
-    m = rng.randint(1, max_packets)
-    raw = []
-    for _ in range(m):
+    m = max_packets if exact else rng.randint(1, max_packets)
+    if exact and m > n * 2 ** (n - 1):
+        raise ValueError(f"{n} users have fewer than {m} distinct packet types")
+    raw, seen = [], set()
+    while len(raw) < m:
         demand = rng.choice(users)
         side = frozenset(u for u in users if u != demand and rng.random() < side_prob)
+        if exact and (demand, side) in seen:
+            continue
+        seen.add((demand, side))
         raw.append((demand, side, rng.randint(1, max_weight)))
     return _finish(users, raw)
 

@@ -11,7 +11,9 @@ packet id; the names below are never parsed:
 * cycle columns carry the packet and user interleaving, ``C:p1|p3@u1|u3``;
   only the first cycle of each packet set gets one (cycles with the same
   packet set give identical columns);
-* partial-clique columns are ``T:p1|p2|p3``;
+* partial-clique columns are ``T:p1|p2|p3``, one per clique of
+  `enumerate_partial_cliques`: the singletons and the cliques with d >= 1
+  (a (k, 0)-clique's column would be the sum of its singleton columns);
 * per-packet covering rows are ``m:<pid>`` and direct-broadcast columns
   ``y:<pid>``, so P1 and P6 have the columns ``m:<pid>`` and P1 the rows
   ``y:<pid>`` (x_m <= 1);

@@ -13,6 +13,7 @@ import networkx as nx
 import pytest
 
 from indexcode import make_instance
+from indexcode.enumeration import PartialClique
 from indexcode.instance import to_digraph
 
 
@@ -63,6 +64,19 @@ def dfs_cycles(inst):
         if node[0] == "p":
             walk([node])
     return found
+
+
+def full_clique_family(inst):
+    """Every non-empty packet subset with its maximal d, (k, 0)-cliques
+    included, by size and then in lexicographic order of packet ids."""
+    pids = sorted(inst.packet_ids)
+    out = []
+    for k in range(1, len(pids) + 1):
+        for subset in combinations(pids, k):
+            sset = frozenset(subset)
+            d = min(len(inst.side_packets(inst.packet(pid).demand) & sset) for pid in subset)
+            out.append(PartialClique(sset, k, d))
+    return out
 
 
 def brute_max_acyclic(inst):

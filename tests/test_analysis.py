@@ -5,9 +5,11 @@ from random import Random
 import networkx as nx
 import pytest
 
-from indexcode import make_instance, to_undirected
+from indexcode import lp, make_instance, programs, to_undirected
 from indexcode.analysis import (
+    Analysis,
     PreconditionError,
+    SolveError,
     bounds_report,
     check_corollary2,
     check_theorem2,
@@ -20,7 +22,6 @@ from indexcode.generators import (
     random_uniprior_instance,
     random_unicast_instance,
 )
-
 
 # ----------------------------------------------------------------- planarity
 
@@ -139,6 +140,38 @@ def test_bounds_chain_on_randoms():
     for _ in range(15):
         rep = bounds_report(random_unicast_instance(rng))
         assert rep.chain_ok
+
+
+def test_ilp_without_root_optimum_is_named_as_the_ilp(fig4, monkeypatch):
+    def infeasible(inst, cliques):
+        prog = lp.LinearProgram("min", (1,), integer=(True,))
+        prog.add_row([0], ">=", 1)
+        return prog
+
+    monkeypatch.setattr(programs, "build_P5", infeasible)
+    a = Analysis(fig4)
+    with pytest.raises(SolveError, match=r"^P5 is infeasible$"):
+        a.solve("P5")
+    with pytest.raises(SolveError, match=r"^P5' is infeasible$"):
+        a.solve("P5'")
+
+
+def test_truncated_clique_family_is_an_error():
+    # A dense draw whose P5 over cliques of at most 2 packets is 5, not 4.
+    inst = random_unicast_instance(Random(12), 8, 6, 1, 0.6, exact=True)
+    assert bounds_report(inst).valP5 == 4
+    for max_k in (0, 2, 7):
+        a = Analysis(inst, max_k=max_k)
+        for name in ("P5", "P5'", "P6", "P6'"):
+            with pytest.raises(SolveError, match=f"^max_k {max_k} truncates"):
+                a.solve(name)
+        assert a.value("P2") == 5  # the cyclic pair needs no cliques
+    assert Analysis(inst, max_k=8).value("P5") == 4
+    # With no clique of d >= 1, P5 still needs the singletons.
+    lone = make_instance(["u1"], [("p1", 1, "u1", set())])
+    with pytest.raises(SolveError, match=r"^max_k 0 truncates .* need max_k >= 1$"):
+        Analysis(lone, max_k=0).solve("P5")
+    assert Analysis(lone, max_k=1).value("P5") == 1
 
 
 # ----------------------------------------------------------------- theorems

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import indexcode
-from indexcode import enumeration, lp, make_instance, programs, serialize_instance
+from indexcode import cli, enumeration, lp, make_instance, programs, serialize_instance
 from indexcode.cli import run
+from indexcode.generators import random_unicast_instance
 
 
 @pytest.fixture
@@ -225,22 +226,90 @@ def test_env_caps(fig4_file, monkeypatch):
     assert code == 2
 
 
+_TRUNCATED_K0 = ("error: max_k 0 truncates the partial-clique family: "
+                 "P5 and P6 need max_k >= 3\n")
+
+
 def test_bounds_with_empty_clique_family_is_error(fig4_file, capsys):
-    # --max-k 0 leaves no partial cliques, so P5 is infeasible.
+    # --max-k 0 leaves no partial cliques, so P5 has no exact value.
     code, text = _run(["bounds", fig4_file, "--max-k", "0"])
     assert code == 2
     assert text == ""
     err = capsys.readouterr().err
-    assert err == "error: P5 is infeasible\n"
+    assert err == _TRUNCATED_K0
 
 
 def test_check_with_empty_clique_family_is_error(fig4_file, capsys):
-    # --max-k 0 leaves no partial cliques: P6' is unbounded, which is an
-    # error, not a failed duality check.
+    # --max-k 0 leaves no partial cliques: an error, not a failed duality check.
     code, text = _run(["check", fig4_file, "--max-k", "0"])
     assert code == 2
     assert text == ""
-    assert capsys.readouterr().err == "error: P6' is unbounded\n"
+    assert capsys.readouterr().err == _TRUNCATED_K0
+
+
+@pytest.fixture
+def dense12_file(tmp_path):
+    """An 8-packet dense draw whose P5 over cliques of at most 2 packets is
+    5, where the full family gives 4."""
+    inst = random_unicast_instance(random.Random(12), 8, 6, 1, 0.6, exact=True)
+    path = tmp_path / "dense12.icp"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds"], ["check"], ["check", "--format", "json"],
+    ["code", "--strategy", "partial-clique"],
+    ["code", "--strategy", "partial-clique", "--mode", "vector"],
+    ["simulate", "--strategy", "partial-clique"],
+    ["simulate", "--strategy", "partial-clique", "--mode", "vector"],
+])
+def test_truncated_clique_family_is_error(dense12_file, capsys, argv):
+    code, text = _run(argv + [dense12_file, "--max-k", "2"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: max_k 2 truncates the partial-clique family: "
+        "P5 and P6 need max_k >= 8\n")
+
+
+def test_truncation_needs_the_clique_family(dense12_file):
+    code, text = _run(["bounds", dense12_file])
+    assert code == 0 and "valP5: 4\n" in text and "gap_P5: 0\n" in text
+    # The cyclic codes and the clique listing read no truncated P5.
+    assert _run(["code", dense12_file, "--max-k", "2"])[0] == 0
+    code, text = _run(["cliques", dense12_file, "--max-k", "2", "--format", "json"])
+    assert code == 0 and {t["k"] for t in json.loads(text)} == {1, 2}
+
+
+def test_small_core_needs_no_large_max_k(tmp_path):
+    # fig1's three packets and twelve packets whose demanders hold nothing:
+    # M = 15, but every clique with d >= 1 lies in fig1's packets.
+    users = ["u1", "u2", "u3"] + [f"v{i}" for i in range(1, 5)]
+    packets = [("p1", 1, "u1", {"u2", "u3"}), ("p2", 1, "u2", {"u3"}), ("p3", 1, "u3", {"u1"})]
+    sides = ({"u1"}, {"u2"}, {"u1", "u2"})
+    packets += [(f"q{i:02}", 1, f"v{i % 4 + 1}", sides[i // 4]) for i in range(12)]
+    path = tmp_path / "core3.icp"
+    path.write_text(serialize_instance(make_instance(users, packets)), encoding="utf-8")
+    code, text = _run(["bounds", str(path)])
+    assert code == 0 and "valP5: 14\n" in text
+    assert _run(["code", str(path), "--strategy", "partial-clique", "--max-k", "3"])[0] == 0
+    assert _run(["bounds", str(path), "--max-k", "2"]) == (2, "")
+
+
+def test_parser_is_built_once_and_env_caps_are_read_per_call(fig4_file, monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert _run(["bounds", fig4_file])[0] == 0
+    monkeypatch.setenv("INDEXCODE_NODE_LIMIT", "0")
+    assert _run(["bounds", fig4_file]) == (2, "")
+    assert capsys.readouterr().err == "error: branch-and-bound exceeded 0 nodes\n"
+    monkeypatch.delenv("INDEXCODE_NODE_LIMIT")
+    monkeypatch.setenv("INDEXCODE_MAX_K", "abc")
+    # A bad variable is an error even where a flag would override it.
+    assert _run(["bounds", fig4_file, "--max-k", "3"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: INDEXCODE_MAX_K: expected a non-negative integer, got 'abc'\n")
+    monkeypatch.delenv("INDEXCODE_MAX_K")
+    assert _run(["bounds", fig4_file])[0] == 0
 
 
 @pytest.mark.parametrize("var", ["INDEXCODE_MAX_CYCLES", "INDEXCODE_MAX_K",

@@ -8,10 +8,10 @@ from indexcode import (
     extract_cycles_from_clique,
     make_instance,
 )
-from indexcode.enumeration import CapExceeded, Cycle, PartialClique
+from indexcode.enumeration import CapExceeded, Cycle, PartialClique, clique_core
 from indexcode.generators import random_unicast_instance, random_uniprior_instance
 
-from conftest import dfs_cycles
+from conftest import dfs_cycles, full_clique_family
 
 
 def test_fig1_cycles(fig1):
@@ -111,6 +111,29 @@ def test_max_k_cap():
     inst = random_unicast_instance(rng, max_packets=6)
     cliques = enumerate_partial_cliques(inst, max_k=2)
     assert all(t.k <= 2 for t in cliques)
+
+
+def test_cliques_are_the_non_dominated_family():
+    rng = Random(31)
+    insts = [random_unicast_instance(rng, rng.randint(1, 8), rng.choice((3, 5, 8)), 3, 0.6,
+                                     exact=True) for _ in range(40)]
+    insts += [random_unicast_instance(rng) for _ in range(20)]
+    for inst in insts:
+        cliques = enumerate_partial_cliques(inst)
+        # Every singleton, and no (k, 0)-clique with k > 1.
+        assert {t.packets for t in cliques if t.k == 1} == {
+            frozenset((pid,)) for pid in inst.packet_ids}
+        assert all(t.d >= 1 for t in cliques if t.k > 1)
+        # The brute-force family minus its (k, 0)-cliques, in the same
+        # order and with the same d.
+        kept = [t for t in full_clique_family(inst) if t.k == 1 or t.d >= 1]
+        assert cliques == kept
+        # Every clique with d >= 1 lies in the core, which is one of them.
+        core = frozenset(clique_core(inst))
+        assert core == frozenset().union(*(t.packets for t in kept if t.d >= 1))
+        assert not core or core in {t.packets for t in kept if t.d >= 1}
+        for max_k in range(len(inst.packet_ids)):
+            assert enumerate_partial_cliques(inst, max_k) == [t for t in kept if t.k <= max_k]
 
 
 def _ring(n):

@@ -96,6 +96,15 @@ def test_roundtrip_random():
         assert parse_instance(serialize_instance(inst)) == inst
 
 
+def test_exact_random_unicast_sizes():
+    rng = Random(5)
+    for m in (1, 8, 12):  # 3 users have 12 distinct (demand, side) pairs
+        inst = random_unicast_instance(rng, m, 3, exact=True)
+        assert (len(inst.users), len(inst.packet_ids)) == (3, m)
+    with pytest.raises(ValueError, match="fewer than 13"):
+        random_unicast_instance(rng, 13, 3, exact=True)
+
+
 def test_total_weight_cases(fig1):
     assert total_weight(fig1) == 3
     inst = make_instance(["u1", "u2"], [("p1", 2, "u1", {"u2"}), ("p2", 3, "u2", set()),

@@ -14,6 +14,7 @@ from indexcode import (
     split_digraph_cycles,
     total_weight,
     transpose,
+    verify_certificate,
 )
 from indexcode.generators import random_unicast_instance, random_uniprior_instance
 from indexcode.programs import (
@@ -32,7 +33,7 @@ from indexcode.programs import (
     verify_duality,
 )
 
-from conftest import brute_max_acyclic
+from conftest import brute_max_acyclic, full_clique_family
 
 
 def _vals(inst, max_k=12):
@@ -345,3 +346,32 @@ def test_verify_duality_rejects_programs_of_another_instance():
             found += 1
         seen[shape] = (a, b)
     assert found >= 5
+
+
+def test_pruned_clique_family_matches_full_family_oracle():
+    # Dense draws with 7 or 8 packet types (127 or 255 columns in the full
+    # family), until 50 are checked and P5 has branched on at least 3.
+    rng = Random(1)
+    checked = branched = 0
+    while checked < 50 or branched < 3:
+        inst = random_unicast_instance(rng, rng.choice((7, 8)), 8, 1, 0.6, exact=True)
+        checked += 1
+        full, pruned = full_clique_family(inst), enumerate_partial_cliques(inst)
+        assert len(pruned) < len(full)
+        lp_full = solve_lp(build_P5_relaxed(inst, full))
+        lp_pruned = solve_lp(build_P5_relaxed(inst, pruned))
+        # The same P5' primal by key (dropped columns at zero) and row duals.
+        by_key = dict(zip(lp_full.lp.var_keys, lp_full.primal))
+        assert by_key == {**dict.fromkeys(full, F(0)),
+                          **dict(zip(lp_pruned.lp.var_keys, lp_pruned.primal))}
+        assert lp_pruned.row_duals == lp_full.row_duals
+        ilp_full = solve_ilp(build_P5(inst, full))
+        ilp_pruned = solve_ilp(build_P5(inst, pruned))
+        branched += ilp_pruned.branch_count > 1
+        assert ilp_pruned.objective == ilp_full.objective
+        p6_full = solve_lp(build_P6_relaxed(inst, full))
+        p6_pruned = solve_lp(build_P6_relaxed(inst, pruned))
+        assert p6_pruned.objective == p6_full.objective == lp_pruned.objective
+        assert verify_duality(p6_pruned, lp_pruned)
+        assert verify_certificate(lp_pruned.lp, lp_pruned)
+        assert verify_certificate(p6_pruned.lp, p6_pruned)
