@@ -16,11 +16,16 @@ from fractions import Fraction
 
 from .enumeration import Cycle, PartialClique
 from .gf256 import mds_rows
-from .instance import Instance
+from .instance import Instance, total_weight
 from .lp import OPTIMAL, SolveResult
 
 GF2 = "gf2"
 GF256 = "gf256"
+
+# Cap on theta * (total weight), the number of symbols a schedule expands
+# to: theta is the lcm of the solution's denominators, and nothing else
+# bounds it.
+MAX_SYMBOLS = 1 << 18
 
 
 class ScheduleError(ValueError):
@@ -117,9 +122,17 @@ def _theta_for(res: SolveResult) -> int:
 
 
 def _expand(inst: Instance, actions, theta, field_name) -> TransmissionSchedule:
+    symbols = theta * total_weight(inst)
+    if symbols > MAX_SYMBOLS:
+        raise ScheduleError(
+            f"theta={theta} gives {symbols} symbols, more than the cap of {MAX_SYMBOLS}"
+        )
     pool = _UnitPool(inst, theta)
     sched = TransmissionSchedule(field_name, theta, list(actions))
     for action in actions:
+        if action.kind == "clique":
+            k = len(action.packets)
+            rows = mds_rows(k, k - action.d)
         for _ in range(action.count):
             units = [(pid, pool.take(pid)) for pid in action.packets]
             if action.kind == "cycle":
@@ -128,8 +141,7 @@ def _expand(inst: Instance, actions, theta, field_name) -> TransmissionSchedule:
                         Transmission(((units[i], 1), (units[i + 1], 1)))
                     )
             elif action.kind == "clique":
-                k = len(units)
-                for row in mds_rows(k, k - action.d):
+                for row in rows:
                     sched.transmissions.append(
                         Transmission(tuple(zip(units, row)))
                     )

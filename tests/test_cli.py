@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import io
 import json
@@ -7,12 +8,15 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import indexcode
-from indexcode import cli, enumeration, lp, make_instance, programs, serialize_instance
+from indexcode import (
+    analysis, cli, coding, enumeration, lp, make_instance, programs, serialize_instance,
+)
 from indexcode.cli import run
 from indexcode.generators import random_unicast_instance
 
@@ -294,6 +298,20 @@ def test_small_core_needs_no_large_max_k(tmp_path):
     assert code == 0 and "valP5: 14\n" in text
     assert _run(["code", str(path), "--strategy", "partial-clique", "--max-k", "3"])[0] == 0
     assert _run(["bounds", str(path), "--max-k", "2"]) == (2, "")
+
+
+@pytest.mark.parametrize("command", ["code", "simulate"])
+def test_theta_beyond_the_symbol_cap_is_error(fig4, fig4_file, monkeypatch, capsys, command):
+    # fig4's P2' optimum with 1/1000003 added to every count: theta is
+    # lcm(2, 1000003) = 2000006, so its 3 packets would expand to 6000018
+    # symbols.
+    res = lp.solve_lp(programs.build_P2_relaxed(fig4, enumeration.enumerate_cycles(fig4)))
+    huge = dataclasses.replace(res, primal=tuple(v + Fraction(1, 1000003) for v in res.primal))
+    monkeypatch.setattr(analysis.Analysis, "solve", lambda self, name: huge)
+    assert 3 * 2000006 > coding.MAX_SYMBOLS
+    assert _run([command, fig4_file, "--mode", "vector"]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: theta=2000006 gives 6000018 symbols, more than the cap of {coding.MAX_SYMBOLS}\n")
 
 
 def test_parser_is_built_once_and_env_caps_are_read_per_call(fig4_file, monkeypatch, capsys):

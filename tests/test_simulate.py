@@ -1,11 +1,19 @@
 import importlib
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import indexcode
 from indexcode import (
+    coding,
     enumerate_cycles,
     enumerate_partial_cliques,
+    make_instance,
     solve_ilp,
     solve_lp,
 )
@@ -200,7 +208,10 @@ def test_sparse_decoder_matches_dense_oracle():
 def test_repeated_symbol_in_a_transmission_adds(fig1, monkeypatch):
     # Coefficients of a symbol listed twice add in GF(2^8): 3 + 5 = 6 and
     # c + c = 0.  A zero coefficient, given or from cancellation, is never
-    # stored in a sparse row.
+    # stored in a sparse row.  A receiver gets only the rows that can reach
+    # its demands: the packets of a transmission are those of its nonzero
+    # terms, so u1 (demands p1) gets no row from the p2 + 2*p3 + 2*p3
+    # transmission, while u2 (demands p2) gets the p3 row through it.
     seen = {}
 
     def recording(rows, size):
@@ -218,7 +229,142 @@ def test_repeated_symbol_in_a_transmission_adds(fig1, monkeypatch):
     assert report.all_decoded
     # Users in order u1 (holds p3), u2 (holds p1), u3 (holds p1, p2).
     assert seen["rows"] == [
-        [{p1: 6}, {p2: 1}],
+        [{p1: 6}],
         [{p2: 1}, {p3: 7}],
         [{p3: 7}],
     ]
+
+
+def test_decode_failure_names_the_first_demand_in_instance_order():
+    # u1 demands a, b, c, d and e, and an empty schedule decodes none of
+    # them: the failure names a under every hash seed.
+    script = (
+        "from indexcode import make_instance\n"
+        "from indexcode.coding import GF2, TransmissionSchedule\n"
+        "from indexcode.simulate import DecodeFailure, simulate\n"
+        "sides = [(), ('u2',), ('u3',), ('u4',), ('u2', 'u3')]\n"
+        "inst = make_instance(['u1', 'u2', 'u3', 'u4'],\n"
+        "                     [(p, 1, 'u1', s) for p, s in zip('abcde', sides)])\n"
+        "try:\n"
+        "    simulate(inst, TransmissionSchedule(GF2, 1, [], []))\n"
+        "except DecodeFailure as exc:\n"
+        "    print(exc.user, exc.packet)\n"
+    )
+    src = str(Path(indexcode.__file__).resolve().parents[1])
+    for hash_seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "u1 a\n", (hash_seed, out)
+
+
+# ------------------------------------------- pruned decoding vs full system
+
+def _full_system_outcome(inst, sched, size=4):
+    """Reference for `simulate`: every receiver gets a row from every
+    transmission and eliminates all of them.  Returns the success dict and
+    the first failing (user, packet), users and demands in instance order."""
+    rng = Random(0)
+    truth = {(p.id, i): rng.getrandbits(8 * size)
+             for p in inst.packets for i in range(p.weight * sched.theta)}
+    success, failure = {}, None
+    for user in inst.users:
+        known = inst.side_packets(user)
+        rows = []
+        for t in sched.transmissions:
+            row, rhs = {}, 0
+            for sym, coef in t.coeffs:
+                if sym[0] not in known:
+                    rhs ^= _scale(coef, truth[sym], size)
+                    row[sym] = row.get(sym, 0) ^ coef
+            row = {sym: coef for sym, coef in row.items() if coef}
+            if row:
+                rows.append((row, rhs))
+        solved = _eliminate(rows, size)
+        missing = [p.id for p in inst.packets if p.demand == user
+                   and any(solved.get((p.id, i)) != truth[(p.id, i)]
+                           for i in range(p.weight * sched.theta))]
+        success[user] = not missing
+        if missing and failure is None:
+            failure = (user, missing[0])
+    return success, failure
+
+
+def _random_schedule(rng):
+    """A solver schedule (scalar or vector cyclic, or clique), often broken:
+    transmissions dropped, corrupted or repeated, actions re-expanded past
+    their units so the pool hands out duplicates, and terms with zero or
+    cancelling coefficients added."""
+    kind = rng.choice(("scalar", "vector", "clique"))
+    if kind == "clique":
+        inst = random_uniprior_instance(rng)
+        sched = clique_schedule(inst, solve_ilp(build_P5(inst, enumerate_partial_cliques(inst))))
+    else:
+        inst = random_unicast_instance(rng, side_prob=0.5)
+        if kind == "scalar":
+            sched = _scalar_cyclic(inst)
+        else:
+            res = solve_lp(build_P2_relaxed(inst, enumerate_cycles(inst)))
+            sched = cyclic_schedule_vector(inst, res)
+    if sched.actions and rng.random() < 0.3:
+        actions = list(sched.actions)
+        j = rng.randrange(len(actions))
+        actions[j] = replace(actions[j], count=actions[j].count + rng.randint(1, 2))
+        sched = coding._expand(inst, actions, sched.theta, sched.field_name)
+    symbols = [(p.id, i) for p in inst.packets for i in range(p.weight * sched.theta)]
+    txs = [list(t.coeffs) for t in sched.transmissions]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        op = rng.choice(("drop", "corrupt", "repeat", "zero", "cancel"))
+        if op == "drop" and txs:
+            txs.pop(rng.randrange(len(txs)))
+        elif op == "corrupt" and txs:
+            terms = rng.choice(txs)
+            j = rng.randrange(len(terms))
+            terms[j] = (rng.choice(symbols), terms[j][1]) if rng.random() < 0.5 \
+                else (terms[j][0], rng.randrange(256))
+        elif op == "repeat" and txs:
+            txs.insert(rng.randrange(len(txs) + 1), list(rng.choice(txs)))
+        elif op == "zero":  # into a transmission, or one of zero terms only
+            terms = rng.choice(txs) if txs and rng.random() < 0.7 else []
+            if not terms:
+                txs.append(terms)
+            terms.append((rng.choice(symbols), 0))
+        elif op == "cancel" and txs:
+            c = rng.randint(1, 255)
+            sym = rng.choice(symbols)
+            rng.choice(txs).extend([(sym, c), (sym, c)])
+    txs = [Transmission(tuple(terms)) for terms in txs]
+    return inst, TransmissionSchedule(sched.field_name, sched.theta, sched.actions, txs)
+
+
+def _outcome(inst, sched):
+    report = simulate(inst, sched, payload_size=4, raise_on_failure=False)
+    try:
+        simulate(inst, sched, payload_size=4)
+    except DecodeFailure as exc:
+        return report.success, (exc.user, exc.packet)
+    return report.success, None
+
+
+def test_chain_row_that_misses_the_demand_is_kept():
+    # u1 needs a; a + b alone is not enough, and the b row that completes it
+    # never touches a.
+    inst = make_instance(["u1", "u2"], [("a", 1, "u1", ()), ("b", 1, "u2", ())])
+    a, b = ("a", 0), ("b", 0)
+    sched = TransmissionSchedule(GF256, 1, [], [
+        Transmission(((a, 1), (b, 1))),
+        Transmission(((b, 1),)),
+    ])
+    assert _outcome(inst, sched) == _full_system_outcome(inst, sched) \
+        == ({"u1": True, "u2": True}, None)
+
+
+def test_pruned_decoding_matches_the_full_system():
+    rng = Random(75)
+    failures = 0
+    for _ in range(300):
+        inst, sched = _random_schedule(rng)
+        expected = _full_system_outcome(inst, sched)
+        assert _outcome(inst, sched) == expected
+        failures += expected[1] is not None
+    assert 60 <= failures <= 240, failures
