@@ -11,7 +11,7 @@ by simulation that all three users decode.
 from indexcode import (
     bounds_report,
     check_theorem2,
-    cyclic_schedule_scalar,
+    cyclic_schedule,
     enumerate_cycles,
     make_instance,
     simulate,
@@ -41,7 +41,7 @@ print(f"planar={rep.planar}  exact_optimal={rep.exact_optimal}")
 t2 = check_theorem2(inst)
 print(f"certified optimal clearance time: {t2.optimal_clearance}")
 
-sched = cyclic_schedule_scalar(inst, solve_ilp(build_P2(inst, cycles)))
+sched = cyclic_schedule(inst, solve_ilp(build_P2(inst, cycles)))
 print(f"\nSchedule over {sched.field_name} ({len(sched.transmissions)} transmissions):")
 for t in sched.transmissions:
     print("  " + " XOR ".join(pid for (pid, _), _ in t.coeffs))

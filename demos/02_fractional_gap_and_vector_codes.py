@@ -10,13 +10,13 @@ and verify it decodes.
 
 from indexcode import (
     bounds_report,
-    cyclic_schedule_vector,
+    cyclic_schedule,
     enumerate_cycles,
     simulate,
     solve_lp,
 )
 from indexcode.instance import make_instance
-from indexcode.programs import build_P2_relaxed
+from indexcode.programs import build_P2
 
 inst = make_instance(
     users=["u1", "u2", "u3"],
@@ -34,8 +34,10 @@ print(f"valP2           = {rep.valP2}   (best scalar cyclic code)")
 print(f"planar = {rep.planar}  -> no collapse guarantee, and indeed gaps appear")
 print(f"gap_P1 = {rep.gap_P1}, gap_P2 = {rep.gap_P2}")
 
-res = solve_lp(build_P2_relaxed(inst, enumerate_cycles(inst)))
-sched = cyclic_schedule_vector(inst, res)
+# The LP relaxation of P2 is solve_lp of the same program: its optimum has
+# denominator 2, so cyclic_schedule splits each packet into theta = 2 halves.
+res = solve_lp(build_P2(inst, enumerate_cycles(inst)))
+sched = cyclic_schedule(inst, res)
 print(f"\nvector code: theta={sched.theta}, "
       f"{len(sched.transmissions)} subpacket transmissions, "
       f"clearance={sched.total_count} packet slots")

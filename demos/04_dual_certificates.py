@@ -1,8 +1,9 @@
 """Why the deletion and covering bounds always agree: LP duality.
 
-The fractional cycle-deletion program is built as the exact transpose of
-the fractional cyclic-cover program (`lp.transpose`), so the two are dual
-by construction and their optimal values coincide on every instance; the
+The cycle-deletion program P1 is built as the exact transpose of the
+cyclic-cover program P2 (`lp.transpose`), so their LP relaxations, which
+`solve_lp` solves, are dual by construction and their optimal values
+coincide on every instance; the
 solver's exact rational dual certificates prove it.  The deletion program's
 columns are the cover's per-packet rows ``m:<pid>``, and the cross-program
 certificate pairs rows and columns by index.  We solve both on a batch of
@@ -14,14 +15,14 @@ from random import Random
 
 from indexcode import enumerate_cycles, solve_lp, verify_certificate
 from indexcode.generators import random_unicast_instance
-from indexcode.programs import build_P1_relaxed, build_P2_relaxed, verify_duality
+from indexcode.programs import build_P1, build_P2, verify_duality
 
 rng = Random(7)
 
 inst = random_unicast_instance(rng)
 cycles = enumerate_cycles(inst)
-a = solve_lp(build_P1_relaxed(inst, cycles))
-b = solve_lp(build_P2_relaxed(inst, cycles))
+a = solve_lp(build_P1(inst, cycles))
+b = solve_lp(build_P2(inst, cycles))
 print(f"valP1' = {a.objective} = valP2' = {b.objective}")
 print(f"primal/dual certificate valid: {verify_certificate(a.lp, a)}")
 print(f"cross-program complementary slackness: {verify_duality(a, b)}")
@@ -33,8 +34,8 @@ failures = 0
 for _ in range(200):
     inst = random_unicast_instance(rng)
     cycles = enumerate_cycles(inst)
-    a = solve_lp(build_P1_relaxed(inst, cycles))
-    b = solve_lp(build_P2_relaxed(inst, cycles))
+    a = solve_lp(build_P1(inst, cycles))
+    b = solve_lp(build_P2(inst, cycles))
     if a.objective != b.objective or not verify_duality(a, b):
         failures += 1
 print(f"\n200 random instances: {failures} duality failures")

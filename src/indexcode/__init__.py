@@ -18,8 +18,7 @@ from .coding import (
     TransmissionSchedule,
     clique_schedule,
     cycle_to_clique,
-    cyclic_schedule_scalar,
-    cyclic_schedule_vector,
+    cyclic_schedule,
 )
 from .enumeration import (
     CapExceeded,
@@ -61,17 +60,13 @@ from .lp import (
 )
 from .programs import (
     build_P1,
-    build_P1_relaxed,
     build_P2,
-    build_P2_relaxed,
     build_P3,
     build_P3_star,
     build_P4,
     build_P4_star,
     build_P5,
-    build_P5_relaxed,
     build_P6,
-    build_P6_relaxed,
     verify_duality,
 )
 from .simulate import DecodeFailure, DecodeReport, simulate

@@ -125,12 +125,10 @@ def _cmd_bounds(args, out):
 
 def _make_schedule(inst, args):
     a = analysis.Analysis(inst, args.max_cycles, args.max_k, args.node_limit)
-    scalar = args.mode == "scalar"
-    if args.strategy == "cyclic":
-        if scalar:
-            return coding.cyclic_schedule_scalar(inst, a.solve("P2"))
-        return coding.cyclic_schedule_vector(inst, a.solve("P2'"))
-    return coding.clique_schedule(inst, a.solve("P5" if scalar else "P5'"), scalar=scalar)
+    name = "P2" if args.strategy == "cyclic" else "P5"
+    res = a.solve(name + "'" if args.mode == "vector" else name)
+    expand = coding.cyclic_schedule if args.strategy == "cyclic" else coding.clique_schedule
+    return expand(inst, res)
 
 
 def _cmd_code(args, out):

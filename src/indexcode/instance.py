@@ -19,7 +19,7 @@ import yaml
 
 # libyaml's parser when PyYAML was built with it; both build the same documents.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 class InstanceError(ValueError):
@@ -112,7 +112,7 @@ def validate_instance(inst: Instance) -> Instance:
     if len(users) != len(inst.users):
         raise InstanceValidationError("duplicate user ids")
     for name in list(inst.users) + [p.id for p in inst.packets]:
-        if not _ID_RE.match(name):
+        if not _ID_RE.fullmatch(name):
             raise InstanceValidationError(f"id {name!r} is not an alphanumeric token")
     seen_ids = set()
     seen_arcs = set()

@@ -1,12 +1,15 @@
-"""Builders for the bound/coding linear programs and their relaxations.
+"""Builders for the bound and coding programs of the paper.
 
-Only one side of each dual pair is written out: the covering programs P2
-and P5 and the packing programs P4 and P4*.  The deletion programs P1 and
-P6 and the feedback-set programs P3 and P3* are their exact LP duals,
-`lp.transpose(...)`, so row i of one is column i of the other under the
-same name and a pair lines up by index.  Builders over cycles and partial
-cliques key each column (`var_keys`) by its `Cycle`, `PartialClique` or
-packet id; the names below are never parsed:
+Each program has one builder, and every builder makes an integer program:
+its LP relaxation (a primed name, P2' for P2) is `lp.solve_lp` of the same
+object, since `solve_lp` ignores the integer flags.  Only one side of each
+dual pair is written out: the covering programs P2 and P5 and the packing
+programs P4 and P4*, each a 0/1 incidence matrix of columns against rows.
+The deletion programs P1 and P6 and the feedback-set programs P3 and P3*
+are their exact LP duals, `lp.transpose(...)`, so row i of one is column i
+of the other under the same name and a pair lines up by index.  Each column
+is keyed (`var_keys`) by its `Cycle`, `PartialClique`, packet id or
+split-digraph cycle (its arc tuple); the names below are never parsed:
 
 * cycle columns carry the packet and user interleaving, ``C:p1|p3@u1|u3``;
   only the first cycle of each packet set gets one (cycles with the same
@@ -22,17 +25,13 @@ packet id; the names below are never parsed:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .enumeration import Cycle, PartialClique
 from .instance import Instance, SplitDigraph
 from .lp import OPTIMAL, LinearProgram, SolveResult, transpose
 
 __all__ = [
-    "build_P1", "build_P1_relaxed", "build_P2", "build_P2_relaxed",
-    "build_P3", "build_P4", "build_P3_star", "build_P4_star",
-    "build_P5", "build_P5_relaxed", "build_P6", "build_P6_relaxed",
-    "verify_duality", "cycle_var_name",
+    "build_P1", "build_P2", "build_P3", "build_P4", "build_P3_star",
+    "build_P4_star", "build_P5", "build_P6", "verify_duality", "cycle_var_name",
 ]
 
 
@@ -40,38 +39,39 @@ def cycle_var_name(c: Cycle) -> str:
     return "C:" + "|".join(c.packets) + "@" + "|".join(c.users)
 
 
-def _distinct_cycles(cycles):
-    """The first cycle of each packet set, in enumeration order."""
-    first = {}
-    for c in cycles:
-        first.setdefault(c.packet_set, c)
-    return list(first.values())
-
-
-def _cyclic_cover_program(inst, cycles, integral) -> LinearProgram:
-    pids = list(inst.packet_ids)
-    cycles = _distinct_cycles(cycles)
-    nvars = len(cycles) + len(pids)
-    obj = [Fraction(c.length - 1) for c in cycles] + [Fraction(1)] * len(pids)
-    names = [cycle_var_name(c) for c in cycles] + ["y:" + pid for pid in pids]
-    lp = LinearProgram(
-        "min", tuple(obj), integer=(integral,) * nvars, var_names=tuple(names),
-        var_keys=tuple(cycles) + tuple(pids),
-    )
-    for j, pid in enumerate(pids):
-        row = [1 if pid in c.packet_set else 0 for c in cycles]
-        row += [1 if i == j else 0 for i in range(len(pids))]
-        lp.add_row(row, ">=", inst.packet(pid).weight, "m:" + pid)
+def _incidence_program(sense, columns, rows) -> LinearProgram:
+    """The 0/1 program over x >= 0 with one column per `(name, key, cost,
+    members)` and one row per `(element, name, rhs)`: the row has a 1 in
+    each column whose members hold its element, and reads >= in a "min"
+    program and <= in a "max" one."""
+    rel = ">=" if sense == "min" else "<="
+    names, keys, costs, members = tuple(zip(*columns)) or ((),) * 4
+    lp = LinearProgram(sense, costs, integer=(True,) * len(costs),
+                       var_names=names, var_keys=keys)
+    for element, name, rhs in rows:
+        lp.add_row([1 if element in m else 0 for m in members], rel, rhs, name)
     return lp
 
 
+def _cycle_columns(cycles):
+    """(name, cycle, packet set) of the first cycle of each packet set, in
+    enumeration order."""
+    first = {}
+    for c in cycles:
+        first.setdefault(c.packet_set, c)
+    return [(cycle_var_name(c), c, packets) for packets, c in first.items()]
+
+
+def _packet_rows(inst: Instance):
+    return [(p.id, "m:" + p.id, p.weight) for p in inst.packets]
+
+
 def build_P2(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
-    """Optimal scalar cyclic code: cycle actions plus direct broadcasts."""
-    return _cyclic_cover_program(inst, cycles, True)
-
-
-def build_P2_relaxed(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
-    return _cyclic_cover_program(inst, cycles, False)
+    """Optimal cyclic code: cycle actions plus direct broadcasts, a scalar
+    code at the integer optimum and a vector code at the LP optimum."""
+    columns = [(name, c, c.length - 1, packets) for name, c, packets in _cycle_columns(cycles)]
+    columns += [("y:" + pid, pid, 1, (pid,)) for pid in inst.packet_ids]
+    return _incidence_program("min", columns, _packet_rows(inst))
 
 
 def build_P1(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
@@ -80,24 +80,10 @@ def build_P1(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
     return transpose(build_P2(inst, cycles))
 
 
-def build_P1_relaxed(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
-    return transpose(build_P2_relaxed(inst, cycles))
-
-
 def build_P4(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
     """Cycle packing: maximize saved transmissions (complement of P2)."""
-    cycles = _distinct_cycles(cycles)
-    lp = LinearProgram(
-        "max",
-        (Fraction(1),) * len(cycles),
-        integer=(True,) * len(cycles),
-        var_names=tuple(cycle_var_name(c) for c in cycles),
-        var_keys=tuple(cycles),
-    )
-    for pid in inst.packet_ids:
-        row = [1 if pid in c.packet_set else 0 for c in cycles]
-        lp.add_row(row, "<=", inst.packet(pid).weight, "m:" + pid)
-    return lp
+    columns = [(name, c, 1, packets) for name, c, packets in _cycle_columns(cycles)]
+    return _incidence_program("max", columns, _packet_rows(inst))
 
 
 def build_P3(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
@@ -113,17 +99,9 @@ def _arc_name(arc) -> str:
 
 def build_P4_star(sd: SplitDigraph, sd_cycles) -> LinearProgram:
     """Cycle packing in the packet-split digraph under arc capacities."""
-    lp = LinearProgram(
-        "max",
-        (Fraction(1),) * len(sd_cycles),
-        integer=(True,) * len(sd_cycles),
-        var_names=tuple(f"sc{i}" for i in range(len(sd_cycles))),
-    )
-    for a in sd.arcs:
-        key = (a[0], a[1])
-        row = [1 if key in set(cyc) else 0 for cyc in sd_cycles]
-        lp.add_row(row, "<=", a[2], _arc_name(a))
-    return lp
+    columns = [(f"sc{i}", cyc, 1, frozenset(cyc)) for i, cyc in enumerate(sd_cycles)]
+    rows = [((a[0], a[1]), _arc_name(a), a[2]) for a in sd.arcs]
+    return _incidence_program("max", columns, rows)
 
 
 def build_P3_star(sd: SplitDigraph, sd_cycles) -> LinearProgram:
@@ -131,38 +109,17 @@ def build_P3_star(sd: SplitDigraph, sd_cycles) -> LinearProgram:
     return transpose(build_P4_star(sd, sd_cycles))
 
 
-def _clique_cover_program(inst, cliques, integral) -> LinearProgram:
-    obj = [Fraction(t.k - t.d) for t in cliques]
-    lp = LinearProgram(
-        "min",
-        tuple(obj),
-        integer=(integral,) * len(cliques),
-        var_names=tuple("T:" + "|".join(t.sorted_packets) for t in cliques),
-        var_keys=tuple(cliques),
-    )
-    for pid in inst.packet_ids:
-        row = [1 if pid in t.packets else 0 for t in cliques]
-        lp.add_row(row, ">=", inst.packet(pid).weight, "m:" + pid)
-    return lp
-
-
 def build_P5(inst: Instance, cliques: list[PartialClique]) -> LinearProgram:
-    """Optimal scalar partial-clique code."""
-    return _clique_cover_program(inst, cliques, True)
-
-
-def build_P5_relaxed(inst: Instance, cliques: list[PartialClique]) -> LinearProgram:
-    return _clique_cover_program(inst, cliques, False)
+    """Optimal partial-clique code, scalar at the integer optimum and
+    vector at the LP optimum."""
+    columns = [("T:" + "|".join(t.sorted_packets), t, t.k - t.d, t.packets) for t in cliques]
+    return _incidence_program("min", columns, _packet_rows(inst))
 
 
 def build_P6(inst: Instance, cliques: list[PartialClique]) -> LinearProgram:
     """Deletion program over partial cliques, equivalent to P1: the dual of
     P5.  The singleton (1,0)-cliques supply the x_m <= 1 rows."""
     return transpose(build_P5(inst, cliques))
-
-
-def build_P6_relaxed(inst: Instance, cliques: list[PartialClique]) -> LinearProgram:
-    return transpose(build_P5_relaxed(inst, cliques))
 
 
 def verify_duality(a: SolveResult, b: SolveResult) -> bool:

@@ -25,8 +25,7 @@ from indexcode import (
 from indexcode.analysis import bounds_report, check_corollary2
 from indexcode.coding import (
     clique_schedule,
-    cyclic_schedule_scalar,
-    cyclic_schedule_vector,
+    cyclic_schedule,
 )
 from indexcode.generators import (
     all_uniprior_instances,
@@ -37,17 +36,13 @@ from indexcode.generators import (
 from indexcode.gf256 import gf_inv, gf_mul, mds_rows, gf_det
 from indexcode.programs import (
     build_P1,
-    build_P1_relaxed,
     build_P2,
-    build_P2_relaxed,
     build_P3,
     build_P3_star,
     build_P4,
     build_P4_star,
     build_P5,
-    build_P5_relaxed,
     build_P6,
-    build_P6_relaxed,
     verify_duality,
 )
 
@@ -86,7 +81,7 @@ def test_criterion_1_fig1(fig1):
     assert rep.planar and rep.exact_optimal
     assert brute_max_acyclic(fig1) == 2
     res = solve_ilp(build_P2(fig1, enumerate_cycles(fig1)))
-    sched = cyclic_schedule_scalar(fig1, res)
+    sched = cyclic_schedule(fig1, res)
     assert len(sched.transmissions) == 2
     assert simulate(fig1, sched).all_decoded
     elapsed = time.monotonic() - start
@@ -107,9 +102,7 @@ def test_criterion_2_fig4(fig4):
     )
     assert len(cliq.transmissions) == 1
     assert simulate(fig4, cliq).all_decoded
-    vec = cyclic_schedule_vector(
-        fig4, solve_lp(build_P2_relaxed(fig4, enumerate_cycles(fig4)))
-    )
+    vec = cyclic_schedule(fig4, solve_lp(build_P2(fig4, enumerate_cycles(fig4))))
     assert vec.theta == 2 and len(vec.transmissions) == 3
     assert vec.total_count == F(3, 2)
     assert simulate(fig4, vec).all_decoded
@@ -124,12 +117,12 @@ def test_criterion_3_duality_suite(suite3):
     for inst in suite3:
         cycles = enumerate_cycles(inst)
         cliques = enumerate_partial_cliques(inst)
-        a = solve_lp(build_P1_relaxed(inst, cycles))
-        b = solve_lp(build_P2_relaxed(inst, cycles))
+        a = solve_lp(build_P1(inst, cycles))
+        b = solve_lp(build_P2(inst, cycles))
         assert a.objective == b.objective
         assert verify_duality(a, b)
-        c = solve_lp(build_P6_relaxed(inst, cliques))
-        d = solve_lp(build_P5_relaxed(inst, cliques))
+        c = solve_lp(build_P6(inst, cliques))
+        d = solve_lp(build_P5(inst, cliques))
         assert c.objective == d.objective
         assert verify_duality(c, d)
     elapsed = time.monotonic() - start
@@ -179,8 +172,8 @@ def test_criterion_7_theorem4_suite(suite7):
             == solve_ilp(build_P5(inst, cliques)).objective
         )
         assert (
-            solve_lp(build_P2_relaxed(inst, cycles)).objective
-            == solve_lp(build_P5_relaxed(inst, cliques)).objective
+            solve_lp(build_P2(inst, cycles)).objective
+            == solve_lp(build_P5(inst, cliques)).objective
         )
     _ok(7, f"valP2=valP5 and valP2'=valP5' on {len(suite7)} uniprior instances")
 
@@ -227,12 +220,12 @@ def test_criterion_10_code_soundness(suite3, suite4, suite7):
         cycles = enumerate_cycles(inst)
         cliques = enumerate_partial_cliques(inst)
         v1 = solve_ilp(build_P1(inst, cycles)).objective
+        p2, p5 = build_P2(inst, cycles), build_P5(inst, cliques)
         schedules = [
-            cyclic_schedule_scalar(inst, solve_ilp(build_P2(inst, cycles))),
-            cyclic_schedule_vector(inst, solve_lp(build_P2_relaxed(inst, cycles))),
-            clique_schedule(inst, solve_ilp(build_P5(inst, cliques)), scalar=True),
-            clique_schedule(inst, solve_lp(build_P5_relaxed(inst, cliques)),
-                            scalar=False),
+            cyclic_schedule(inst, solve_ilp(p2)),
+            cyclic_schedule(inst, solve_lp(p2)),
+            clique_schedule(inst, solve_ilp(p5)),
+            clique_schedule(inst, solve_lp(p5)),
         ]
         for sched in schedules:
             assert simulate(inst, sched, payload_size=8).all_decoded

@@ -195,6 +195,19 @@ def test_malformed_instance_is_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("ids", [('"u1\\n"', "p1"), ("u1", '"p1\\n"')])
+def test_id_ending_in_newline_is_error(ids, tmp_path, capsys):
+    user, packet = ids
+    bad = tmp_path / "newline.icp"
+    bad.write_text(f"users: [{user}, u2]\npackets:\n"
+                   f"  - {{id: {packet}, demand: {user}, side: [u2]}}\n"
+                   f"  - {{id: p2, demand: u2, side: [{user}]}}\n")
+    assert _run(["cycles", str(bad)]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: id ") and err.endswith(" is not an alphanumeric token\n")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", ["- [", "users: [u1\npackets: [a: b]\n", "users: a: b\n"])
 def test_yaml_syntax_error_names_line_and_column(text, tmp_path, capsys):
     bad = tmp_path / "bad.icp"
@@ -228,6 +241,22 @@ def test_env_caps(fig4_file, monkeypatch):
     monkeypatch.setenv("INDEXCODE_MAX_CYCLES", "1")
     code, _ = _run(["cycles", fig4_file])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cliques", "--max-k", "12"], ["code", "--strategy", "partial-clique", "--max-k", "30"],
+])
+def test_clique_subset_cap_is_error(argv, tmp_path, capsys):
+    # 30 packets, each held by every user but its demander: the clique core
+    # is all 30, with about 2^30 subsets to examine.
+    users = [f"u{i}" for i in range(30)]
+    inst = make_instance(users, [(f"p{i}", 1, u, set(users) - {u}) for i, u in enumerate(users)])
+    path = tmp_path / "dense30.icp"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    assert _run([argv[0], str(path)] + argv[1:]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: partial-clique enumeration: ") and err.count("\n") == 1
+    assert err.endswith(f"more than the cap of {enumeration.MAX_CLIQUE_SUBSETS}\n")
 
 
 _TRUNCATED_K0 = ("error: max_k 0 truncates the partial-clique family: "
@@ -305,7 +334,7 @@ def test_theta_beyond_the_symbol_cap_is_error(fig4, fig4_file, monkeypatch, caps
     # fig4's P2' optimum with 1/1000003 added to every count: theta is
     # lcm(2, 1000003) = 2000006, so its 3 packets would expand to 6000018
     # symbols.
-    res = lp.solve_lp(programs.build_P2_relaxed(fig4, enumeration.enumerate_cycles(fig4)))
+    res = lp.solve_lp(programs.build_P2(fig4, enumeration.enumerate_cycles(fig4)))
     huge = dataclasses.replace(res, primal=tuple(v + Fraction(1, 1000003) for v in res.primal))
     monkeypatch.setattr(analysis.Analysis, "solve", lambda self, name: huge)
     assert 3 * 2000006 > coding.MAX_SYMBOLS

@@ -16,8 +16,7 @@ from indexcode.coding import (
     ScheduleError,
     clique_schedule,
     cycle_to_clique,
-    cyclic_schedule_scalar,
-    cyclic_schedule_vector,
+    cyclic_schedule,
 )
 from indexcode.gf256 import (
     gf_det,
@@ -26,12 +25,7 @@ from indexcode.gf256 import (
     gf_scale_bytes,
     mds_rows,
 )
-from indexcode.programs import (
-    build_P2,
-    build_P2_relaxed,
-    build_P5,
-    build_P5_relaxed,
-)
+from indexcode.programs import build_P2, build_P5
 
 
 # ---------------------------------------------------------------- GF(2^8)
@@ -96,7 +90,7 @@ def test_fig1_scalar_cycle_schedule(fig1):
     lp.add_row(pin, "<=", 0, name="pin")
     res = solve_ilp(lp)
     assert res.objective == 2
-    sched = cyclic_schedule_scalar(fig1, res)
+    sched = cyclic_schedule(fig1, res)
     assert sched.field_name == "gf2"
     assert sched.theta == 1
     assert sched.total_count == 2
@@ -107,9 +101,9 @@ def test_fig1_scalar_cycle_schedule(fig1):
 
 
 def test_fig4_vector_cycle_schedule(fig4):
-    res = solve_lp(build_P2_relaxed(fig4, enumerate_cycles(fig4)))
+    res = solve_lp(build_P2(fig4, enumerate_cycles(fig4)))
     assert res.objective == F(3, 2)
-    sched = cyclic_schedule_vector(fig4, res)
+    sched = cyclic_schedule(fig4, res)
     assert sched.theta == 2
     assert len(sched.transmissions) == 3
     assert sched.total_count == F(3, 2)
@@ -142,14 +136,14 @@ def test_clique_schedule_uses_gf256_when_needed():
 
 
 def test_theta_is_one_for_integral_solutions(fig1):
-    res = solve_lp(build_P2_relaxed(fig1, enumerate_cycles(fig1)))
-    sched = cyclic_schedule_vector(fig1, res)
+    res = solve_lp(build_P2(fig1, enumerate_cycles(fig1)))
+    sched = cyclic_schedule(fig1, res)
     assert sched.theta == 1
 
 
 def test_schedule_json_roundtrip(fig1):
     res = solve_ilp(build_P2(fig1, enumerate_cycles(fig1)))
-    doc = json.loads(cyclic_schedule_scalar(fig1, res).to_json())
+    doc = json.loads(cyclic_schedule(fig1, res).to_json())
     assert doc["field"] == "gf2"
     assert doc["theta"] == 1
     assert doc["total_count"] == "2"
@@ -158,10 +152,10 @@ def test_schedule_json_roundtrip(fig1):
     assert keys <= {"p1/0", "p2/0", "p3/0"}
 
 
-def test_scalar_schedule_rejects_fractional(fig4):
-    res = solve_lp(build_P2_relaxed(fig4, enumerate_cycles(fig4)))
-    with pytest.raises(ScheduleError):
-        cyclic_schedule_scalar(fig4, res)
+def test_cyclic_schedule_reads_theta_off_the_solution(fig4):
+    p2 = build_P2(fig4, enumerate_cycles(fig4))
+    assert cyclic_schedule(fig4, solve_lp(p2)).theta == 2
+    assert cyclic_schedule(fig4, solve_ilp(p2)).theta == 1
 
 
 def test_schedule_rejects_infeasible(fig1):
@@ -169,13 +163,13 @@ def test_schedule_rejects_infeasible(fig1):
     lp.add_row([0] * lp.num_vars, "<=", -1, name="absurd")
     res = solve_ilp(lp)
     with pytest.raises(ScheduleError):
-        cyclic_schedule_scalar(fig1, res)
+        cyclic_schedule(fig1, res)
 
 
 def test_cycle_to_clique_never_longer(fig1, fig4):
     for inst in (fig1, fig4):
         res = solve_ilp(build_P2(inst, enumerate_cycles(inst)))
-        cyc = cyclic_schedule_scalar(inst, res)
+        cyc = cyclic_schedule(inst, res)
         cli = cycle_to_clique(inst, cyc)
         assert cli.total_count <= cyc.total_count
         assert all(a.kind in ("clique", "direct") for a in cli.actions)

@@ -1,6 +1,8 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Smoke test: every script under demos/ and the README's quick start run
+to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,14 @@ import pytest
 
 import indexcode
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run(argv):
+    src = str(Path(indexcode.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_demos_found():
@@ -18,8 +27,14 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    src = str(Path(indexcode.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, str(demo)], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
+    done = _run([str(demo)])
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [code] = re.findall(r"## Quick start\n\n```python\n(.*?)```", readme, re.S)
+    done = _run(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "2 2 True\n"

@@ -9,6 +9,7 @@ from indexcode import (
     enumerate_partial_cliques,
     LinearProgram,
     make_instance,
+    PartialClique,
     solve_ilp,
     solve_lp,
     split_digraph_cycles,
@@ -19,17 +20,13 @@ from indexcode import (
 from indexcode.generators import random_unicast_instance, random_uniprior_instance
 from indexcode.programs import (
     build_P1,
-    build_P1_relaxed,
     build_P2,
-    build_P2_relaxed,
     build_P3,
     build_P3_star,
     build_P4,
     build_P4_star,
     build_P5,
-    build_P5_relaxed,
     build_P6,
-    build_P6_relaxed,
     verify_duality,
 )
 
@@ -57,10 +54,9 @@ def test_p1_structure_fig1(fig1):
     assert solve_ilp(lp).objective == 2
 
 
-def test_p1_relaxed_is_continuous(fig1):
+def test_p1_caps_each_packet_by_its_y_row(fig1):
     cycles = enumerate_cycles(fig1)
-    lp = build_P1_relaxed(fig1, cycles)
-    assert not any(lp.integer)
+    lp = build_P1(fig1, cycles)
     # x_m <= 1 is the row y:<pid> (the dual of P2's direct broadcast column).
     rows = {c.name: c for c in lp.constraints}
     for j, pid in enumerate(("p1", "p2", "p3")):
@@ -84,24 +80,92 @@ def test_p2_structure_fig1(fig1):
     assert solve_ilp(lp).objective == 2
 
 
+def _rows(lp):
+    """(name, relation, rhs, coefficients) of each row, in order."""
+    return [(c.name, c.rel, c.rhs, c.coeffs) for c in lp.constraints]
+
+
+def test_p4_structure_fig4(fig4):
+    cycles = enumerate_cycles(fig4)
+    lp = build_P4(fig4, cycles)
+    assert lp.sense == "max" and all(lp.integer)
+    # The two 3-cycles share a packet set: only the first gets a column.
+    assert lp.var_names == ("C:p1|p2@u1|u2", "C:p1|p3@u1|u3", "C:p2|p3@u2|u3",
+                            "C:p1|p2|p3@u1|u2|u3")
+    assert lp.var_keys == tuple(cycles[:4])
+    assert lp.objective == (1, 1, 1, 1)
+    assert _rows(lp) == [
+        ("m:p1", "<=", 1, (1, 1, 0, 1)),
+        ("m:p2", "<=", 1, (1, 0, 1, 1)),
+        ("m:p3", "<=", 1, (0, 1, 1, 1)),
+    ]
+
+
+def test_p5_structure_fig1(fig1):
+    lp = build_P5(fig1, enumerate_partial_cliques(fig1))
+    assert lp.sense == "min" and all(lp.integer)
+    assert lp.var_names == ("T:p1", "T:p2", "T:p3", "T:p1|p3", "T:p1|p2|p3")
+    assert lp.var_keys == (
+        PartialClique(frozenset({"p1"}), 1, 0), PartialClique(frozenset({"p2"}), 1, 0),
+        PartialClique(frozenset({"p3"}), 1, 0), PartialClique(frozenset({"p1", "p3"}), 2, 1),
+        PartialClique(frozenset({"p1", "p2", "p3"}), 3, 1),
+    )
+    # Cost k - d.
+    assert lp.objective == (1, 1, 1, 1, 2)
+    assert _rows(lp) == [
+        ("m:p1", ">=", 1, (1, 0, 0, 1, 1)),
+        ("m:p2", ">=", 1, (0, 1, 0, 0, 1)),
+        ("m:p3", ">=", 1, (0, 0, 1, 1, 1)),
+    ]
+
+
+def test_p4_star_structure_fig1(fig1):
+    sd = build_split_digraph(fig1)
+    sd_cycles = split_digraph_cycles(sd)
+    lp = build_P4_star(sd, sd_cycles)
+    assert lp.sense == "max" and all(lp.integer)
+    assert lp.var_names == ("sc0", "sc1")
+    # Each column is keyed by its split-digraph cycle, an arc tuple.
+    assert lp.var_keys == tuple(sd_cycles)
+    assert lp.var_keys[0] == (
+        (("in", "p1"), ("out", "p1")), (("out", "p1"), ("u", "u1")),
+        (("u", "u1"), ("in", "p3")), (("in", "p3"), ("out", "p3")),
+        (("out", "p3"), ("u", "u3")), (("u", "u3"), ("in", "p1")),
+    )
+    assert lp.objective == (1, 1)
+    # Packet arcs carry the packet weight, the others the heavy weight 4.
+    assert _rows(lp) == [
+        ("a:in.p1>out.p1", "<=", 1, (1, 1)),
+        ("a:in.p2>out.p2", "<=", 1, (0, 1)),
+        ("a:in.p3>out.p3", "<=", 1, (1, 1)),
+        ("a:u.u2>in.p1", "<=", 4, (0, 1)),
+        ("a:u.u3>in.p1", "<=", 4, (1, 0)),
+        ("a:u.u3>in.p2", "<=", 4, (0, 1)),
+        ("a:u.u1>in.p3", "<=", 4, (1, 1)),
+        ("a:out.p1>u.u1", "<=", 4, (1, 1)),
+        ("a:out.p2>u.u2", "<=", 4, (0, 1)),
+        ("a:out.p3>u.u3", "<=", 4, (1, 1)),
+    ]
+
+
 def test_fig1_all_bounds_equal_two(fig1):
     cycles, cliques = _vals(fig1)
     assert solve_ilp(build_P1(fig1, cycles)).objective == 2
-    assert solve_lp(build_P1_relaxed(fig1, cycles)).objective == 2
-    assert solve_lp(build_P2_relaxed(fig1, cycles)).objective == 2
+    assert solve_lp(build_P1(fig1, cycles)).objective == 2
+    assert solve_lp(build_P2(fig1, cycles)).objective == 2
     assert solve_ilp(build_P2(fig1, cycles)).objective == 2
     assert solve_ilp(build_P5(fig1, cliques)).objective == 2
-    assert solve_lp(build_P5_relaxed(fig1, cliques)).objective == 2
+    assert solve_lp(build_P5(fig1, cliques)).objective == 2
 
 
 def test_fig4_bound_chain_with_gaps(fig4):
     cycles, cliques = _vals(fig4)
     assert solve_ilp(build_P1(fig4, cycles)).objective == 1
-    assert solve_lp(build_P1_relaxed(fig4, cycles)).objective == F(3, 2)
-    assert solve_lp(build_P2_relaxed(fig4, cycles)).objective == F(3, 2)
+    assert solve_lp(build_P1(fig4, cycles)).objective == F(3, 2)
+    assert solve_lp(build_P2(fig4, cycles)).objective == F(3, 2)
     assert solve_ilp(build_P2(fig4, cycles)).objective == 2
     assert solve_ilp(build_P5(fig4, cliques)).objective == 1
-    assert solve_lp(build_P5_relaxed(fig4, cliques)).objective == 1
+    assert solve_lp(build_P5(fig4, cliques)).objective == 1
 
 
 def test_p6_structure_fig4(fig4):
@@ -116,7 +180,7 @@ def test_p6_structure_fig4(fig4):
     # singleton rows act as x_m <= 1
     assert rows["T:p1"].rhs == 1
     assert solve_ilp(lp).objective == 1
-    assert solve_lp(build_P6_relaxed(fig4, cliques)).objective == 1
+    assert solve_lp(build_P6(fig4, cliques)).objective == 1
 
 
 def test_weighted_objective():
@@ -141,8 +205,8 @@ def test_p1p2_relaxations_are_dual():
     insts = [random_unicast_instance(rng) for _ in range(40)]
     for inst in insts:
         cycles = enumerate_cycles(inst)
-        a = solve_lp(build_P1_relaxed(inst, cycles))
-        b = solve_lp(build_P2_relaxed(inst, cycles))
+        a = solve_lp(build_P1(inst, cycles))
+        b = solve_lp(build_P2(inst, cycles))
         assert a.objective == b.objective
         assert verify_duality(a, b)
 
@@ -152,8 +216,8 @@ def test_p6p5_relaxations_are_dual():
     insts = [random_unicast_instance(rng, max_packets=5) for _ in range(25)]
     for inst in insts:
         cliques = enumerate_partial_cliques(inst)
-        a = solve_lp(build_P6_relaxed(inst, cliques))
-        b = solve_lp(build_P5_relaxed(inst, cliques))
+        a = solve_lp(build_P6(inst, cliques))
+        b = solve_lp(build_P5(inst, cliques))
         assert a.objective == b.objective
         assert verify_duality(a, b)
 
@@ -164,8 +228,8 @@ def test_bound_chain_order():
         inst = random_unicast_instance(rng)
         cycles = enumerate_cycles(inst)
         v1 = solve_ilp(build_P1(inst, cycles)).objective
-        v1r = solve_lp(build_P1_relaxed(inst, cycles)).objective
-        v2r = solve_lp(build_P2_relaxed(inst, cycles)).objective
+        v1r = solve_lp(build_P1(inst, cycles)).objective
+        v2r = solve_lp(build_P2(inst, cycles)).objective
         v2 = solve_ilp(build_P2(inst, cycles)).objective
         assert v1 <= v1r == v2r <= v2
 
@@ -193,8 +257,8 @@ def test_p5_below_p2_on_uniprior():
             <= solve_ilp(build_P2(inst, cycles)).objective
         )
         assert (
-            solve_lp(build_P5_relaxed(inst, cliques)).objective
-            <= solve_lp(build_P2_relaxed(inst, cycles)).objective
+            solve_lp(build_P5(inst, cliques)).objective
+            <= solve_lp(build_P2(inst, cycles)).objective
         )
 
 
@@ -289,7 +353,6 @@ def test_p2_has_one_column_per_cycle_packet_set():
                          + [int(i == j) for i in range(len(pids))], ">=", inst.packet(pid).weight)
         assert solve_ilp(p2).objective == solve_ilp(full).objective
         assert solve_lp(p2).objective == solve_lp(full).objective
-        assert solve_lp(build_P2_relaxed(inst, cycles)).objective == solve_lp(full).objective
 
 
 def test_deletion_programs_are_transposes(fig4):
@@ -305,14 +368,14 @@ def test_deletion_programs_are_transposes(fig4):
 
 def test_verify_duality_rejects_non_dual_pairs(fig4):
     cycles = enumerate_cycles(fig4)
-    a = solve_lp(build_P1_relaxed(fig4, cycles))
-    b = solve_lp(build_P2_relaxed(fig4, cycles))
+    a = solve_lp(build_P1(fig4, cycles))
+    b = solve_lp(build_P2(fig4, cycles))
     assert verify_duality(a, b) and verify_duality(b, a)
     # A program paired with itself.
     assert not verify_duality(a, a)
     assert not verify_duality(b, b)
     # A perturbed primal program: one rhs changed, the optimum kept.
-    lp = build_P1_relaxed(fig4, cycles)
+    lp = build_P1(fig4, cycles)
     con = lp.constraints[0]
     lp.constraints[0] = replace(con, rhs=con.rhs + 1)
     bumped = replace(a, lp=lp)
@@ -336,8 +399,8 @@ def test_verify_duality_rejects_programs_of_another_instance():
     for _ in range(400):
         inst = random_unicast_instance(rng, max_packets=4, max_users=4, side_prob=0.6)
         cycles = enumerate_cycles(inst)
-        a = solve_lp(build_P1_relaxed(inst, cycles))
-        b = solve_lp(build_P2_relaxed(inst, cycles))
+        a = solve_lp(build_P1(inst, cycles))
+        b = solve_lp(build_P2(inst, cycles))
         shape = (len(a.lp.constraints), a.lp.num_vars, a.objective)
         other = seen.get(shape)
         if other is not None and _numbers(other[0].lp) != _numbers(a.lp):
@@ -358,8 +421,8 @@ def test_pruned_clique_family_matches_full_family_oracle():
         checked += 1
         full, pruned = full_clique_family(inst), enumerate_partial_cliques(inst)
         assert len(pruned) < len(full)
-        lp_full = solve_lp(build_P5_relaxed(inst, full))
-        lp_pruned = solve_lp(build_P5_relaxed(inst, pruned))
+        lp_full = solve_lp(build_P5(inst, full))
+        lp_pruned = solve_lp(build_P5(inst, pruned))
         # The same P5' primal by key (dropped columns at zero) and row duals.
         by_key = dict(zip(lp_full.lp.var_keys, lp_full.primal))
         assert by_key == {**dict.fromkeys(full, F(0)),
@@ -369,8 +432,8 @@ def test_pruned_clique_family_matches_full_family_oracle():
         ilp_pruned = solve_ilp(build_P5(inst, pruned))
         branched += ilp_pruned.branch_count > 1
         assert ilp_pruned.objective == ilp_full.objective
-        p6_full = solve_lp(build_P6_relaxed(inst, full))
-        p6_pruned = solve_lp(build_P6_relaxed(inst, pruned))
+        p6_full = solve_lp(build_P6(inst, full))
+        p6_pruned = solve_lp(build_P6(inst, pruned))
         assert p6_pruned.objective == p6_full.objective == lp_pruned.objective
         assert verify_duality(p6_pruned, lp_pruned)
         assert verify_certificate(lp_pruned.lp, lp_pruned)

@@ -22,12 +22,11 @@ from indexcode.coding import (
     Transmission,
     TransmissionSchedule,
     clique_schedule,
-    cyclic_schedule_scalar,
-    cyclic_schedule_vector,
+    cyclic_schedule,
 )
 from indexcode.generators import random_unicast_instance, random_uniprior_instance
 from indexcode.gf256 import gf_inv, gf_mul, gf_scale_bytes
-from indexcode.programs import build_P2, build_P2_relaxed, build_P5
+from indexcode.programs import build_P2, build_P5
 from indexcode.simulate import DecodeFailure, _eliminate, simulate
 
 # The package exports the function `simulate` under the submodule's name.
@@ -35,7 +34,7 @@ simulate_module = importlib.import_module("indexcode.simulate")
 
 
 def _scalar_cyclic(inst):
-    return cyclic_schedule_scalar(inst, solve_ilp(build_P2(inst, enumerate_cycles(inst))))
+    return cyclic_schedule(inst, solve_ilp(build_P2(inst, enumerate_cycles(inst))))
 
 
 def test_fig1_scalar_decodes(fig1):
@@ -47,8 +46,8 @@ def test_fig1_scalar_decodes(fig1):
 
 
 def test_fig4_vector_decodes(fig4):
-    res = solve_lp(build_P2_relaxed(fig4, enumerate_cycles(fig4)))
-    sched = cyclic_schedule_vector(fig4, res)
+    res = solve_lp(build_P2(fig4, enumerate_cycles(fig4)))
+    sched = cyclic_schedule(fig4, res)
     report = simulate(fig4, sched)
     assert report.all_decoded
     assert (report.transmissions, report.theta) == (3, 2)
@@ -111,8 +110,8 @@ def test_random_vector_schedules_decode():
     rng = Random(72)
     for _ in range(20):
         inst = random_unicast_instance(rng)
-        res = solve_lp(build_P2_relaxed(inst, enumerate_cycles(inst)))
-        report = simulate(inst, cyclic_schedule_vector(inst, res))
+        res = solve_lp(build_P2(inst, enumerate_cycles(inst)))
+        report = simulate(inst, cyclic_schedule(inst, res))
         assert report.all_decoded
 
 
@@ -304,8 +303,8 @@ def _random_schedule(rng):
         if kind == "scalar":
             sched = _scalar_cyclic(inst)
         else:
-            res = solve_lp(build_P2_relaxed(inst, enumerate_cycles(inst)))
-            sched = cyclic_schedule_vector(inst, res)
+            res = solve_lp(build_P2(inst, enumerate_cycles(inst)))
+            sched = cyclic_schedule(inst, res)
     if sched.actions and rng.random() < 0.3:
         actions = list(sched.actions)
         j = rng.randrange(len(actions))
