@@ -10,13 +10,13 @@ by simulation that all three users decode.
 
 from indexcode import (
     bounds_report,
-    check_theorem2,
     cyclic_schedule,
     enumerate_cycles,
     make_instance,
     simulate,
     solve_ilp,
 )
+from indexcode.analysis import Analysis
 from indexcode.programs import build_P2
 
 inst = make_instance(
@@ -38,7 +38,7 @@ print(f"\nBound chain: valP1={rep.valP1} <= valP1'={rep.valP1_relaxed} "
       f"= valP2'={rep.valP2_relaxed} <= valP2={rep.valP2}")
 print(f"planar={rep.planar}  exact_optimal={rep.exact_optimal}")
 
-t2 = check_theorem2(inst)
+t2 = Analysis(inst).theorem2()
 print(f"certified optimal clearance time: {t2.optimal_clearance}")
 
 sched = cyclic_schedule(inst, solve_ilp(build_P2(inst, cycles)))

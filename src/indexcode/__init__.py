@@ -6,9 +6,6 @@ from .analysis import (
     PreconditionError,
     Theorem2Report,
     bounds_report,
-    check_corollary2,
-    check_theorem2,
-    check_theorem4,
     is_planar,
 )
 from .coding import (

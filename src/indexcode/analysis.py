@@ -18,13 +18,17 @@ import networkx as nx
 
 from . import programs
 from .enumeration import (
-    DEFAULT_MAX_CYCLES, DEFAULT_MAX_K, Cycle, PartialClique,
+    DEFAULT_MAX_CYCLES, DEFAULT_MAX_K, CapExceeded, Cycle, PartialClique,
     clique_core, enumerate_cycles, enumerate_partial_cliques,
 )
 from .instance import Instance, is_uniprior, to_undirected, total_weight
 from .lp import (
     DEFAULT_NODE_LIMIT, OPTIMAL, LinearProgram, SolveResult, solve_ilp, solve_lp, transpose,
 )
+
+# Cap on P6's rows of cliques with d >= 1: the 4,083 of a 12-packet core.
+# `solve_lp`'s dense tableau grows as rows^2 (`check`: 487 MB at 13 packets).
+MAX_P6_CLIQUES = 2**12 - 13
 
 
 class PreconditionError(ValueError):
@@ -66,11 +70,9 @@ class BoundsReport:
 
     @property
     def chain_ok(self) -> bool:
-        """val(P1) <= val(P1') = val(P2') <= val(P2), all gaps >= 0."""
+        """val(P1) <= val(P1') = val(P2') <= val(P2) and val(P5') <= val(P5)."""
         return (
             self.valP1 <= self.valP1_relaxed == self.valP2_relaxed <= self.valP2
-            and self.gap_P1 >= 0
-            and self.gap_P2 >= 0
             and self.gap_P5 >= 0
         )
 
@@ -99,7 +101,7 @@ class Analysis:
     is enumerated, each program built or transposed, and each program or
     relaxation solved, at most once, on first use; a program without an
     optimum, or P5/P6 over a clique family truncated by max_k, raises
-    `SolveError`."""
+    `SolveError`; a P6 beyond `MAX_P6_CLIQUES` raises `CapExceeded`."""
 
     def __init__(self, inst: Instance, max_cycles=None, max_k=None, node_limit=None):
         self.inst = inst
@@ -134,6 +136,10 @@ class Analysis:
             elif name == "P5":
                 prog = programs.build_P5(self.inst, self.cliques)
             else:
+                rows = sum(1 for t in self.cliques if t.d) if name == "P6" else 0
+                if rows > MAX_P6_CLIQUES:
+                    raise CapExceeded(f"P6 has {rows} rows of cliques with d >= 1, "
+                                      f"more than the cap of {MAX_P6_CLIQUES}", rows)
                 prog = transpose(self._program({"P1": "P2", "P6": "P5"}[name]))
             self._programs[name] = prog
         return prog
@@ -199,17 +205,3 @@ def bounds_report(inst: Instance, max_cycles=None, max_k=None, node_limit=None) 
     """Solve the six programs exactly and assemble the gap report."""
     return Analysis(inst, max_cycles, max_k, node_limit).bounds()
 
-
-def check_theorem2(inst: Instance) -> Theorem2Report:
-    """`Analysis.theorem2` at the default caps."""
-    return Analysis(inst).theorem2()
-
-
-def check_corollary2(inst: Instance) -> bool:
-    """`Analysis.corollary2` at the default caps."""
-    return Analysis(inst).corollary2()
-
-
-def check_theorem4(inst: Instance) -> bool:
-    """`Analysis.theorem4` at the default caps."""
-    return Analysis(inst).theorem4()

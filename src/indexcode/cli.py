@@ -2,9 +2,9 @@
 
 Subcommands: bounds, cycles, cliques, code, simulate, planar, check.
 Instance files use the YAML mapping format of `indexcode.instance`.
-Default enumeration/solver caps can be overridden by flags or by the
-environment variables INDEXCODE_MAX_CYCLES, INDEXCODE_MAX_K and
-INDEXCODE_NODE_LIMIT.
+A subcommand takes a flag only for each cap it reads (see `build_parser`);
+INDEXCODE_MAX_CYCLES, INDEXCODE_MAX_K and INDEXCODE_NODE_LIMIT set the
+defaults and are all checked on every call.
 """
 
 from __future__ import annotations
@@ -209,22 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, caps):
         sp.add_argument("instance", help="instance file path")
         sp.add_argument("--format", choices=["text", "json"], default="text")
-        for dest, _, _ in _CAPS:
+        for dest in caps:
             sp.add_argument("--" + dest.replace("_", "-"), type=_cap)
 
-    for name, fn in [
-        ("bounds", _cmd_bounds), ("cycles", _cmd_cycles), ("cliques", _cmd_cliques),
-        ("planar", _cmd_planar), ("check", _cmd_check),
+    every_cap = [dest for dest, _, _ in _CAPS]
+    for name, fn, caps in [
+        ("bounds", _cmd_bounds, every_cap), ("cycles", _cmd_cycles, ["max_cycles"]),
+        ("cliques", _cmd_cliques, ["max_k"]), ("planar", _cmd_planar, []),
+        ("check", _cmd_check, every_cap),
     ]:
         sp = sub.add_parser(name)
-        common(sp)
+        common(sp, caps)
         sp.set_defaults(fn=fn)
     for name, fn in [("code", _cmd_code), ("simulate", _cmd_simulate)]:
         sp = sub.add_parser(name)
-        common(sp)
+        common(sp, every_cap)
         sp.add_argument("--strategy", choices=["cyclic", "partial-clique"], default="cyclic")
         sp.add_argument("--mode", choices=["scalar", "vector"], default="scalar")
         sp.add_argument("--seed", type=int, default=0)
@@ -245,7 +247,7 @@ def run(argv, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     for dest, value in env.items():
-        if getattr(args, dest) is None:
+        if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
     try:
         return args.fn(args, out)

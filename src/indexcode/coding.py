@@ -43,8 +43,8 @@ class ScheduleError(ValueError):
 class CodingAction:
     """One batch of identical coding rounds.
 
-    kind "cycle": packets/users give the cycle orientation; each round is
-    K-1 XOR transmissions.  kind "clique": packets plus the surplus d; each
+    kind "cycle": packets in cycle order; each round is K-1 XOR
+    transmissions.  kind "clique": packets plus the surplus d; each
     round is k-d MDS-coded transmissions.  kind "direct": one uncoded unit
     of a single packet per round.
     """
@@ -52,7 +52,6 @@ class CodingAction:
     kind: str  # "cycle" | "clique" | "direct"
     packets: tuple[str, ...]
     count: int
-    users: tuple[str, ...] = ()
     d: int = 0
 
 
@@ -161,7 +160,7 @@ def cyclic_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
     action count is integral; an integral optimum has theta = 1.
     """
     theta, counts = _counts(res)
-    actions = [CodingAction("cycle", key.packets, n, users=key.users)
+    actions = [CodingAction("cycle", key.packets, n)
                for _, key, n in counts if n and isinstance(key, Cycle)]
     actions += [CodingAction("direct", (key,), n)
                 for _, key, n in counts if n and isinstance(key, str)]

@@ -27,12 +27,11 @@ MAX_CLIQUE_SUBSETS = 2**16
 
 
 class CapExceeded(RuntimeError):
-    """Enumeration hit its cap; carries the count found so far, or the count
-    a search would examine."""
+    """A search or a program would exceed its cap; carries the count found
+    so far, or the count it would examine."""
 
-    def __init__(self, message, cap, found):
+    def __init__(self, message, found):
         super().__init__(message)
-        self.cap = cap
         self.found = found
 
 
@@ -94,7 +93,7 @@ def _cycles_of_digraph(g: nx.DiGraph, cap: int):
         out.append(nodes)
         if len(out) > cap:
             raise CapExceeded(f"cycle enumeration: more than {cap} found ({len(out)} so far)",
-                              cap, len(out))
+                              len(out))
     return out
 
 
@@ -184,7 +183,7 @@ def enumerate_partial_cliques(inst: Instance, max_k: int = DEFAULT_MAX_K) -> lis
         raise CapExceeded(
             f"partial-clique enumeration: {subsets} subsets of the {len(idx_core)}-packet "
             f"clique core up to size {top}, more than the cap of {MAX_CLIQUE_SUBSETS}",
-            MAX_CLIQUE_SUBSETS, subsets)
+            subsets)
     for k in range(2, top + 1):
         for idx in combinations(idx_core, k):
             mask = sum(1 << i for i in idx)

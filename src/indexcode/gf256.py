@@ -10,7 +10,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 POLY = 0x11D
-ORDER = 256
 
 _EXP = [0] * 510
 _LOG = [0] * 256

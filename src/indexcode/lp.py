@@ -3,7 +3,8 @@
 A two-phase primal simplex with Bland's rule (guaranteed termination) plus
 a deterministic branch-and-bound layer for integer variables.  Everything
 is exact: optimal values, primal solutions, and dual certificates are
-rational numbers with no tolerance anywhere.
+rational numbers with no tolerance anywhere.  A branch-and-bound node is
+a program too: its parent with one variable bound tightened.
 
 The tableau is fraction-free (in the spirit of Bareiss elimination): each
 row, and the reduced-cost row, is a list of integer numerators over one
@@ -23,7 +24,7 @@ the optimal value with respect to the row's right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
 from math import ceil, floor, gcd, lcm
@@ -239,7 +240,7 @@ def _simplex(tab, dens, basis, cost, banned):
         _pivot(tab, dens, basis, leave, enter, cost)
 
 
-def solve_lp(lp: LinearProgram, _bound_overrides=None) -> SolveResult:
+def solve_lp(lp: LinearProgram) -> SolveResult:
     """Exact optimum of the LP relaxation (integrality flags ignored).
 
     Returns primal values, the objective, and a full dual certificate: one
@@ -247,17 +248,7 @@ def solve_lp(lp: LinearProgram, _bound_overrides=None) -> SolveResult:
     reduced cost of every variable (the lower-bound multiplier).
     """
     n = lp.num_vars
-    lower = list(lp.lower)
-    upper = list(lp.upper)
-    if _bound_overrides:
-        for j, (lo, hi) in _bound_overrides.items():
-            if lo is not None:
-                lower[j] = max(lower[j], lo)
-            if hi is not None:
-                upper[j] = hi if upper[j] is None else min(upper[j], hi)
-            if upper[j] is not None and lower[j] > upper[j]:
-                return SolveResult(INFEASIBLE, None, lp=lp)
-
+    lower, upper = lp.lower, lp.upper
     minimize = lp.sense == "min"
     c = [cj if minimize else -cj for cj in lp.objective]
     shifts = [(j, lo) for j, lo in enumerate(lower) if lo]
@@ -330,10 +321,8 @@ def solve_lp(lp: LinearProgram, _bound_overrides=None) -> SolveResult:
         # Drive artificials out of the basis where possible.
         for i in range(m):
             if basis[i] in arts:
-                enter = next((j for j in range(n) if j not in arts and tab[i][j] != 0), None)
-                if enter is None:
-                    enter = next((j for j in range(ncols) if j not in arts and tab[i][j] != 0),
-                                 None)
+                enter = next((j for j in range(ncols) if j not in arts and tab[i][j] != 0),
+                             None)
                 if enter is not None:
                     _pivot(tab, dens, basis, i, enter)
 
@@ -435,7 +424,9 @@ def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveR
     """Exact branch-and-bound on the rational LP relaxation.
 
     Deterministic: branch on the lowest-index fractional integral variable,
-    explore the floor branch first (depth-first).  When every variable with
+    explore the floor branch first (depth-first).  Each node is `lp` with
+    tightened bounds; a branch whose bounds would cross is an infeasible
+    leaf, counted as a node but never built.  When every variable with
     a nonzero objective coefficient is integer and its coefficient integral,
     every integer point has an integral value, so node bounds are rounded
     (floor for max, ceil for min) before they are compared with the incumbent.
@@ -447,13 +438,15 @@ def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveR
         flag and cj.denominator == 1
         for cj, flag in zip(lp.objective, lp.integer) if cj
     )
-    stack = [{}]
+    stack: list[LinearProgram | None] = [lp]
     while stack:
-        overrides = stack.pop()
+        node = stack.pop()
         nodes += 1
         if nodes > node_limit:
             raise NodeLimitExceeded(f"branch-and-bound exceeded {node_limit} nodes")
-        res = solve_lp(lp, _bound_overrides=overrides)
+        if node is None:
+            continue
+        res = solve_lp(node)
         if res.status == UNBOUNDED:
             return SolveResult(UNBOUNDED, None, branch_count=nodes, lp=lp)
         if res.status != OPTIMAL:
@@ -475,14 +468,13 @@ def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveR
             best = res
             continue
         v = res.primal[frac_j]
-        lo_ov, hi_ov = overrides.get(frac_j, (None, None))
-        floor_branch = dict(overrides)
-        floor_branch[frac_j] = (lo_ov, Fraction(v.numerator // v.denominator))
-        ceil_branch = dict(overrides)
-        ceil_branch[frac_j] = (Fraction(v.numerator // v.denominator + 1), hi_ov)
+        down = Fraction(v.numerator // v.denominator)
+        lo, hi = node.lower[frac_j], node.upper[frac_j]
         # LIFO stack: push ceil first so the floor branch is explored first.
-        stack.append(ceil_branch)
-        stack.append(floor_branch)
+        stack.append(None if hi is not None and down + 1 > hi else replace(
+            node, lower=node.lower[:frac_j] + (down + 1,) + node.lower[frac_j + 1:]))
+        stack.append(None if down < lo else replace(
+            node, upper=node.upper[:frac_j] + (down,) + node.upper[frac_j + 1:]))
     if best is None:
         return SolveResult(INFEASIBLE, None, branch_count=nodes, lp=lp)
     return SolveResult(

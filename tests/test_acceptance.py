@@ -22,7 +22,7 @@ from indexcode import (
     split_digraph_cycles,
     total_weight,
 )
-from indexcode.analysis import bounds_report, check_corollary2
+from indexcode.analysis import Analysis, bounds_report
 from indexcode.coding import (
     clique_schedule,
     cyclic_schedule,
@@ -155,7 +155,7 @@ def test_criterion_6_corollary2_exhaustive():
     start = time.monotonic()
     count = 0
     for inst in all_uniprior_instances(max_users=4, max_packets=4):
-        assert check_corollary2(inst), inst
+        assert Analysis(inst).corollary2(), inst
         count += 1
     elapsed = time.monotonic() - start
     assert elapsed < 300.0

@@ -11,9 +11,6 @@ from indexcode.analysis import (
     PreconditionError,
     SolveError,
     bounds_report,
-    check_corollary2,
-    check_theorem2,
-    check_theorem4,
     is_planar,
 )
 from indexcode.generators import (
@@ -177,14 +174,14 @@ def test_truncated_clique_family_is_an_error():
 # ----------------------------------------------------------------- theorems
 
 def test_theorem2_fig1(fig1):
-    rep = check_theorem2(fig1)
+    rep = Analysis(fig1).theorem2()
     assert rep.planar and rep.holds
     assert rep.valP1 == rep.valP1_relaxed == rep.valP2_relaxed == rep.valP2 == 2
     assert rep.optimal_clearance == 2
 
 
 def test_theorem2_fig4_reports_without_assert(fig4):
-    rep = check_theorem2(fig4)
+    rep = Analysis(fig4).theorem2()
     assert not rep.planar
     assert rep.holds is None
     assert rep.optimal_clearance is None
@@ -193,7 +190,7 @@ def test_theorem2_fig4_reports_without_assert(fig4):
 
 def test_theorem2_single_packet():
     inst = make_instance(["u1"], [("p1", 1, "u1", set())])
-    rep = check_theorem2(inst)
+    rep = Analysis(inst).theorem2()
     assert rep.planar and rep.holds
     assert rep.optimal_clearance == 1
 
@@ -201,7 +198,7 @@ def test_theorem2_single_packet():
 def test_theorem2_random_planar():
     rng = Random(44)
     for _ in range(25):
-        rep = check_theorem2(random_planar_instance(rng))
+        rep = Analysis(random_planar_instance(rng)).theorem2()
         assert rep.holds
 
 
@@ -211,7 +208,7 @@ def test_corollary2_ring():
         users,
         [(f"p{i+1}", 1, users[i], {users[(i + 1) % 3]}) for i in range(3)],
     )
-    assert check_corollary2(inst)
+    assert Analysis(inst).corollary2()
 
 
 def test_corollary2_two_disjoint_2cycles():
@@ -222,30 +219,30 @@ def test_corollary2_two_disjoint_2cycles():
             ("p3", 1, "u3", {"u4"}), ("p4", 1, "u4", {"u3"}),
         ],
     )
-    assert check_corollary2(inst)
+    assert Analysis(inst).corollary2()
 
 
 def test_corollary2_single_user():
     inst = make_instance(["u1"], [("p1", 3, "u1", set())])
-    assert check_corollary2(inst)
+    assert Analysis(inst).corollary2()
 
 
 def test_corollary2_preconditions(fig4):
     with pytest.raises(PreconditionError):
-        check_corollary2(fig4)  # not uniprior
+        Analysis(fig4).corollary2()  # not uniprior
     users = [f"u{i}" for i in range(5)]
     ring5 = make_instance(
         users,
         [(f"p{i}", 1, users[i], {users[(i + 1) % 5]}) for i in range(5)],
     )
     with pytest.raises(PreconditionError):
-        check_corollary2(ring5)  # too many users
+        Analysis(ring5).corollary2()  # too many users
 
 
 def test_corollary2_exhaustive_small():
     count = 0
     for inst in all_uniprior_instances(max_users=3, max_packets=3):
-        assert check_corollary2(inst)
+        assert Analysis(inst).corollary2()
         count += 1
     assert count >= 9
 
@@ -253,9 +250,9 @@ def test_corollary2_exhaustive_small():
 def test_theorem4_random_uniprior():
     rng = Random(45)
     for _ in range(25):
-        assert check_theorem4(random_uniprior_instance(rng))
+        assert Analysis(random_uniprior_instance(rng)).theorem4()
 
 
 def test_theorem4_requires_uniprior(fig4):
     with pytest.raises(PreconditionError):
-        check_theorem4(fig4)
+        Analysis(fig4).theorem4()

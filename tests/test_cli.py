@@ -188,6 +188,35 @@ def test_mutated_instance_files_exit_0_or_2(fig1, tmp_path, capsys):
             assert err.count("\n") <= 1, (bytes(data), err)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("users: [u1, u1]\npackets: [{id: p1, demand: u1}]\n", "duplicate user ids"),
+    ("users: [u1, u2]\npackets: [{id: p1, demand: u1}, {id: p1, demand: u2}]\n",
+     "duplicate packet id 'p1'"),
+    ("users: [u1]\npackets: [{id: p1, demand: u1, side: [u9]}]\n",
+     "packet p1: side user 'u9' not declared"),
+    ("- u1\n- p1\n", "instance file must be a mapping with 'users' and 'packets'"),
+    ("users: [u1]\npackets: {id: p1, demand: u1}\n",
+     "'packets' must be a list of packet records"),
+    ("users: [u1, u2]\npackets: [{id: p1, demand: u1, side: u2}]\n",
+     "packet record 0: 'side' must be a list"),
+])
+def test_instance_errors_exit_2(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.icp"
+    path.write_text(text, encoding="utf-8")
+    assert _run(["bounds", str(path)]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_one_element_demand_list_is_unicast(tmp_path):
+    packets = "[{id: p1, demand: %s, side: [u2]}, {id: p2, demand: u2, side: [u1]}]"
+    outputs = []
+    for demand in ("[u1]", "u1"):
+        path = tmp_path / "ring.icp"
+        path.write_text(f"users: [u1, u2]\npackets: {packets % demand}\n", encoding="utf-8")
+        outputs.append(_run(["bounds", str(path), "--format", "json"]))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def test_malformed_instance_is_error(tmp_path):
     bad = tmp_path / "bad.icp"
     bad.write_text("users: [u1]\npackets: [{id: p1, weight: 0, demand: u1}]\n")
@@ -343,6 +372,39 @@ def test_theta_beyond_the_symbol_cap_is_error(fig4, fig4_file, monkeypatch, caps
         f"error: theta=2000006 gives 6000018 symbols, more than the cap of {coding.MAX_SYMBOLS}\n")
 
 
+def test_check_refuses_a_P6_too_large_to_solve(tmp_path, capsys):
+    # A 13-packet clique core: P6 would have one row for each of its 7,539
+    # cliques with d >= 1.  Only `check` reads P6; `bounds` reads P5.
+    inst = random_unicast_instance(random.Random(0), 13, 6, 1, 0.6, exact=True)
+    path = tmp_path / "core13.icp"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    assert _run(["check", str(path), "--max-k", "13"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: P6 has 7539 rows of cliques with d >= 1, "
+        f"more than the cap of {analysis.MAX_P6_CLIQUES}\n")
+    assert _run(["bounds", str(path), "--max-k", "13"])[0] == 0
+
+
+@pytest.mark.parametrize("argv, code, last_err", [
+    (["bounds", "{fig1}", "--format", "json"], 0, None),
+    (["bounds", "{missing}"], 2, "error: [Errno 2] No such file or directory: "),
+    (["planar", "{fig1}", "--max-k", "3"], 2, "indexcode: error: unrecognized arguments: --max-k 3"),
+])
+def test_module_entry_point(fig1_file, tmp_path, argv, code, last_err):
+    paths = {"fig1": fig1_file, "missing": str(tmp_path / "missing.icp")}
+    src = str(Path(indexcode.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "indexcode", *(a.format(**paths) for a in argv)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == code
+    if last_err is None:
+        assert json.loads(done.stdout)["valP1"] == "2" and done.stderr == ""
+    else:
+        # A bad file is one line; a bad argument follows argparse's usage.
+        assert done.stdout == "" and done.stderr.splitlines()[-1].startswith(last_err)
+        assert argv[0] == "planar" or done.stderr.count("\n") == 1
+
+
 def test_parser_is_built_once_and_env_caps_are_read_per_call(fig4_file, monkeypatch, capsys):
     assert cli.build_parser() is cli.build_parser()
     assert _run(["bounds", fig4_file])[0] == 0
@@ -373,9 +435,12 @@ def test_bad_env_cap_is_error(fig4_file, monkeypatch, capsys, var, value):
 @pytest.mark.parametrize("flag", ["--max-cycles", "--max-k", "--node-limit"])
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_bad_cap_flag_is_error(fig4_file, capsys, flag, value):
-    code, text = _run(["cycles", fig4_file, flag, value])
+    code, text = _run(["bounds", fig4_file, flag, value])
     assert (code, text) == (2, "")
     assert f"argument {flag}: " in capsys.readouterr().err
+    # A subcommand takes no flag for a cap it does not read.
+    assert _run(["planar", fig4_file, "--max-k", "3"]) == (2, "")
+    assert "unrecognized arguments: --max-k 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["bounds", "check", "code"])
@@ -395,16 +460,21 @@ def test_check_solves_each_program_once(tmp_path, monkeypatch):
     path = tmp_path / "uniprior.icp"
     path.write_text(serialize_instance(inst), encoding="utf-8")
     calls = Counter()
+    ilp_depth = [0]
     targets = {fn: name for module in (programs, enumeration, lp)
                for name, fn in vars(module).items()
                if name.startswith(("build_P", "enumerate_", "solve_", "transpose"))}
 
     def counted(fn, name):
         def wrapper(*args, **kwargs):
-            # Node solves inside branch-and-bound pass bound overrides.
-            if "_bound_overrides" not in kwargs:
+            # Node solves inside branch-and-bound are not counted.
+            if not ilp_depth[0]:
                 calls[name] += 1
-            return fn(*args, **kwargs)
+            ilp_depth[0] += name == "solve_ilp"
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                ilp_depth[0] -= name == "solve_ilp"
         return wrapper
 
     # Patch every binding, from-imported names included.

@@ -9,6 +9,7 @@ from indexcode import (
     enumerate_cycles,
     enumerate_partial_cliques,
     make_instance,
+    simulate,
     solve_ilp,
     solve_lp,
 )
@@ -25,6 +26,7 @@ from indexcode.gf256 import (
     gf_scale_bytes,
     mds_rows,
 )
+from indexcode.lp import OPTIMAL, SolveResult
 from indexcode.programs import build_P2, build_P5
 
 
@@ -173,3 +175,30 @@ def test_cycle_to_clique_never_longer(fig1, fig4):
         cli = cycle_to_clique(inst, cyc)
         assert cli.total_count <= cyc.total_count
         assert all(a.kind in ("clique", "direct") for a in cli.actions)
+
+
+def test_expansion_errors(fig1):
+    p2 = build_P2(fig1, enumerate_cycles(fig1))
+    assert p2.var_names == ("C:p1|p3@u1|u3", "C:p1|p3|p2@u1|u3|u2", "y:p1", "y:p2", "y:p3")
+
+    def solution(*counts):
+        return SolveResult(OPTIMAL, sum(map(F, counts)), tuple(map(F, counts)), lp=p2)
+
+    with pytest.raises(ScheduleError, match=r"^y:p2: negative count$"):
+        cyclic_schedule(fig1, solution(0, 1, 0, -1, 1))
+    with pytest.raises(ScheduleError, match=r"^solution does not cover packets \['p2'\]$"):
+        cyclic_schedule(fig1, solution(1, 0, 0, 0, 0))
+    with pytest.raises(ScheduleError,
+                       match=r"^unexpected variable 'C:p1\|p3\|p2@u1\|u3\|u2' in clique solution$"):
+        clique_schedule(fig1, solution(0, 1, 0, 0, 0))
+
+
+def test_cycle_to_clique_keeps_direct_actions(fig1):
+    # fig1 plus a packet that no user holds, so P2 sends it uncoded.
+    inst = make_instance(fig1.users, list(fig1.packets) + [("p4", 2, "u2", set())])
+    cyc = cyclic_schedule(inst, solve_ilp(build_P2(inst, enumerate_cycles(inst))))
+    assert [a.kind for a in cyc.actions] == ["cycle", "direct"]
+    cli = cycle_to_clique(inst, cyc)
+    assert [(a.kind, a.d) for a in cli.actions] == [("clique", 1), ("clique", 0)]
+    assert len(cli.transmissions) == len(cyc.transmissions) == 4
+    assert simulate(inst, cli).all_decoded

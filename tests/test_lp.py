@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from random import Random
@@ -171,16 +172,21 @@ def _oracle_value(lp, lower, upper, cap):
 def test_integer_tableau_exact_on_mixed_random_lps():
     rng = Random(23)
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for _ in range(300):
+    for _ in range(800):
         lp, overrides = _random_mixed_lp(rng)
-        res = solve_lp(lp, _bound_overrides=overrides)
-        seen[res.status] += 1
         lower, upper = list(lp.lower), list(lp.upper)
         for j, (lo, hi) in (overrides or {}).items():
             if lo is not None:
                 lower[j] = max(lower[j], lo)
             if hi is not None:
                 upper[j] = hi if upper[j] is None else min(upper[j], hi)
+        if any(hi is not None and lo > hi for lo, hi in zip(lower, upper)):
+            with pytest.raises(DimensionError):
+                replace(lp, lower=tuple(lower), upper=tuple(upper))
+            continue
+        lp = replace(lp, lower=tuple(lower), upper=tuple(upper))
+        res = solve_lp(lp)
+        seen[res.status] += 1
         capped = _oracle_value(lp, lower, upper, F(10**4))
         if res.status == "infeasible":
             assert capped is None
@@ -190,9 +196,7 @@ def test_integer_tableau_exact_on_mixed_random_lps():
         else:
             assert res.objective == capped
             assert all(type(v) is F for v in res.primal + res.row_duals + res.reduced_costs)
-            bounded = LinearProgram(lp.sense, lp.objective, lp.constraints,
-                                    tuple(lower), tuple(upper))
-            assert verify_certificate(bounded, res)
+            assert verify_certificate(lp, res)
     assert min(seen.values()) >= 10, seen
 
 
@@ -204,6 +208,51 @@ def test_certificate_rejects_tampering():
         res.upper_bound_duals, res.reduced_costs, res.branch_count, res.lp,
     )
     assert not verify_certificate(lp, bad)
+
+
+def _at(values, j, v):
+    return values[:j] + (F(v),) + values[j + 1:]
+
+
+def test_certificate_rejects_each_broken_condition():
+    # a sits at its lower bound 1, b at its upper bound 2, k1 and k2 are
+    # fixed at 1; c meets a <=, a >= and an = row, all tight; e, f and g
+    # have slack rows of each kind, and h a tight <= row.
+    names = ("a", "b", "c", "e", "f", "g", "h", "k1", "k2")
+    lp = LinearProgram("max", (-1, 1, 1, 0, 0, 0, 1, -2, 2), [],
+                       lower=(1, 0, 0, 0, 0, 0, 0, 1, 1),
+                       upper=(None, 2, None, None, None, None, None, 1, 1), var_names=names)
+    for var, coef, rel, rhs in [("c", 1, "<=", 3), ("c", 1, ">=", 3), ("c", 1, "=", 3),
+                                ("e", 1, "<=", 1), ("f", -1, ">=", -1), ("g", 1, "=", 1),
+                                ("h", 1, "<=", 2)]:
+        lp.add_row([coef if n == var else 0 for n in names], rel, rhs)
+    res = solve_lp(lp)
+    x, y, u, r = res.primal, res.row_duals, res.upper_bound_duals, res.reduced_costs
+    assert (res.objective, x) == (6, (1, 2, 3, 0, 0, 1, 2, 1, 1))
+    assert (y, u, r) == ((0, 0, 1, 0, 0, 0, 1), (None, 1, None, None, None, None, None, 0, 2),
+                         (-1, 0, 0, 0, 0, 0, 0, -2, 0))
+    assert verify_certificate(lp, res)
+    # Each tampered certificate breaks one condition and keeps the others.
+    # The rows on c share their duals' sum, and a fixed variable its u + r.
+    broken = {
+        "status": {"status": "infeasible"},
+        "<= row infeasible": {"primal": _at(x, 3, 2)},
+        ">= row infeasible": {"primal": _at(x, 4, 2)},
+        "= row infeasible": {"primal": _at(x, 5, F(1, 2))},
+        "row complementary slackness": {"primal": _at(x, 6, 1)},
+        "<= row dual sign": {"row_duals": _at(_at(y, 0, -1), 2, 2)},
+        ">= row dual sign": {"row_duals": _at(_at(y, 1, 1), 2, 0)},
+        "below a lower bound": {"primal": _at(x, 3, -1)},
+        "upper-bound complementary slackness": {"primal": _at(x, 1, F(3, 2))},
+        "upper-bound dual sign": {"upper_bound_duals": _at(u, 7, -1),
+                                  "reduced_costs": _at(r, 7, -1)},
+        "stationarity": {"reduced_costs": _at(r, 3, -1)},
+        "reduced-cost complementary slackness": {"primal": _at(x, 0, 2)},
+        "reduced-cost sign": {"upper_bound_duals": _at(u, 8, 1), "reduced_costs": _at(r, 8, 1)},
+        "strong duality": {"objective": res.objective + 1},
+    }
+    for condition, fields in broken.items():
+        assert not verify_certificate(lp, replace(res, **fields)), condition
 
 
 def test_ilp_knapsack():

@@ -386,6 +386,21 @@ def test_verify_duality_rejects_non_dual_pairs(fig4):
     assert not verify_duality(a, moved)
 
 
+def test_verify_duality_rejects_unequal_objectives_and_other_forms(fig4):
+    cycles = enumerate_cycles(fig4)
+    a = solve_lp(build_P1(fig4, cycles))
+    b = solve_lp(build_P2(fig4, cycles))
+    assert verify_duality(a, b)
+    assert not verify_duality(replace(a, objective=a.objective + 1), b)
+    # P1's numbers kept, but not a packing program: an = row, a nonzero
+    # lower bound or a finite upper bound.
+    p, n = a.lp, a.lp.num_vars
+    for lp in (replace(p, constraints=[replace(p.constraints[0], rel="=")] + p.constraints[1:]),
+               replace(p, lower=(F(-1),) * n), replace(p, upper=(F(1),) * n)):
+        assert not verify_duality(replace(a, lp=lp), b)
+        assert not verify_duality(b, replace(a, lp=lp))
+
+
 def _numbers(lp):
     return lp.objective, [(c.coeffs, c.rhs) for c in lp.constraints]
 
