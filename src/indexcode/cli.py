@@ -199,11 +199,19 @@ def _cmd_check(args, out):
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (subcommands included) that reports a bad argument
+    as one line on stderr, without the usage lines, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  A cap flag that is not
     given parses as None; `run` fills it in from the environment."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="indexcode",
         description="Exact bounds and coding schedules for broadcast with side information",
     )

@@ -8,14 +8,21 @@ a program too: its parent with one variable bound tightened.
 
 The tableau is fraction-free (in the spirit of Bareiss elimination): each
 row, and the reduced-cost row, is a list of integer numerators over one
-positive integer denominator.  A row enters scaled by the lcm of its
-coefficient denominators.  A pivot touches only the rows with a nonzero in
-the pivot column, subtracts only at the pivot row's nonzero columns (the
-whole row is rescaled only when the pivot does not divide its entry), and
-divides each updated row by one gcd.  The ratio test cross-multiplies
-integers.  Fractions are built only when the primal, the duals and the
-reduced costs are read out, so the pivot sequence and every reported value
-are those of a plain rational tableau.
+positive integer denominator.  Each `Constraint` is converted to integers
+once, on first use (`Constraint.int_row`: its nonzeros as numerators over
+the lcm of their denominators), and every solve of its program shares that
+conversion: the relaxation, the integer root and every branch-and-bound
+node hold the same `Constraint` objects.  A row enters the tableau scaled
+by the lcm of that denominator and its right-hand side's.  A pivot touches
+only the rows with a nonzero in the pivot column, subtracts only at the
+pivot row's nonzero columns (the whole row is rescaled only when the pivot
+does not divide its entry), and divides each updated row by one gcd.  The
+ratio test cross-multiplies integers.  Fractions are built only when the
+primal, the duals and the reduced costs are read out, and only for nonzero
+values, so the pivot sequence and every reported value are those of a plain
+rational tableau.  `verify_certificate` (and `programs.verify_duality`)
+read the dense `coeffs` on purpose, so a certificate does not rest on the
+conversion it certifies.
 
 Sign conventions for the reported certificate (see `verify_certificate`):
 duals are shadow prices in the problem's own sense, i.e. the derivative of
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import ceil, floor, gcd, lcm
 
@@ -65,6 +73,26 @@ class Constraint:
     rhs: Fraction
     name: str = ""
 
+    @cached_property
+    def int_row(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(den, ((j, a_j * den), ...)): the nonzero coefficients as integer
+        numerators over den, the lcm of their denominators.  Computed on
+        first use and kept, so every solve of a program, and of each program
+        made from it by `replace`, shares one conversion per row.  The
+        shared 0 and 1 are told apart by identity, which spares the 0/1
+        rows of the paper's programs a Fraction method call per entry."""
+        nz = [(j, a) for j, a in enumerate(self.coeffs) if a is not _ZERO and a]
+        den = lcm(*{a.denominator for _, a in nz if a is not _ONE})
+        return den, tuple((j, den if a is _ONE else a.numerator * (den // a.denominator))
+                          for j, a in nz)
+
+
+def _check_row(con: Constraint, n: int) -> None:
+    if len(con.coeffs) != n:
+        raise DimensionError(f"row {con.name!r} has {len(con.coeffs)} coefficients, expected {n}")
+    if con.rel not in ("<=", ">=", "="):
+        raise DimensionError(f"unknown relation {con.rel!r}")
+
 
 @dataclass
 class LinearProgram:
@@ -99,19 +127,16 @@ class LinearProgram:
             if hi is not None and lo > hi:
                 raise DimensionError(f"inconsistent bounds: {lo} > {hi}")
         for c in self.constraints:
-            if len(c.coeffs) != n:
-                raise DimensionError(f"row {c.name!r} has {len(c.coeffs)} coefficients, expected {n}")
-            if c.rel not in ("<=", ">=", "="):
-                raise DimensionError(f"unknown relation {c.rel!r}")
+            _check_row(c, n)
 
     @property
     def num_vars(self) -> int:
         return len(self.objective)
 
     def add_row(self, coeffs, rel, rhs, name=""):
-        self.constraints.append(
-            Constraint(tuple(map(_frac, coeffs)), rel, _frac(rhs), name)
-        )
+        con = Constraint(tuple(map(_frac, coeffs)), rel, _frac(rhs), name)
+        _check_row(con, self.num_vars)
+        self.constraints.append(con)
 
 
 def transpose(lp: LinearProgram) -> LinearProgram:
@@ -256,14 +281,15 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
 
     # Rows: original constraints (shifted by lower bounds), then one
     # upper-bound row x_j <= hi_j - lo_j per finite upper bound.
-    rows = []  # (coeffs dict, rel, rhs, kind, key)
+    rows = []  # (int_row, rel, rhs, kind, key)
     for i, con in enumerate(lp.constraints):
-        coeffs = {j: a for j, a in enumerate(con.coeffs) if a}
-        rhs = con.rhs - sum(coeffs[j] * lo for j, lo in shifts if j in coeffs)
-        rows.append((coeffs, con.rel, rhs, "row", i))
+        rhs = con.rhs
+        if shifts:
+            rhs -= sum(con.coeffs[j] * lo for j, lo in shifts)
+        rows.append((con.int_row, con.rel, rhs, "row", i))
     for j in range(n):
         if upper[j] is not None:
-            rows.append(({j: _ONE}, "<=", upper[j] - lower[j], "ub", j))
+            rows.append(((1, ((j, 1),)), "<=", upper[j] - lower[j], "ub", j))
 
     m = len(rows)
     # Column layout: structural 0..n-1, then one aux (slack/surplus) per
@@ -293,12 +319,13 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     tab = []
     dens = []
     basis = [-1] * m
-    for i, (coeffs, rel, rhs, _, _) in enumerate(rows):
+    for i, ((row_den, nz), rel, rhs, _, _) in enumerate(rows):
         sign = -1 if flipped[i] else 1
-        den = lcm(rhs.denominator, *(a.denominator for a in coeffs.values()))
+        den = lcm(rhs.denominator, row_den)
+        scale = sign * (den // row_den)
         row = [0] * (ncols + 1)
-        for j, a in coeffs.items():
-            row[j] = sign * a.numerator * (den // a.denominator)
+        for j, a in nz:
+            row[j] = scale * a
         row[-1] = sign * rhs.numerator * (den // rhs.denominator)
         if i in aux_col:
             row[aux_col[i]] = den * (sign if rel == "<=" else -sign)
@@ -338,7 +365,7 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     for i in range(m):
         if basis[i] < n:
             shifted[basis[i]] = Fraction(tab[i][-1], dens[i])
-    primal = tuple(x + lo for x, lo in zip(shifted, lower))
+    primal = tuple(x + lo for x, lo in zip(shifted, lower)) if shifts else tuple(shifted)
     obj_min = const - Fraction(nums[-1], den)  # internal minimized objective
     objective = obj_min if minimize else -obj_min
 
@@ -354,12 +381,12 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
             y = -nums[aux_col[i]] if rel == "<=" else nums[aux_col[i]]
         else:
             y = nums[art_col[i]] if flipped[i] else -nums[art_col[i]]
-        y = Fraction(y * sense_flip, den)
+        y = Fraction(y * sense_flip, den) if y else _ZERO
         if kind == "row":
             row_duals[key] = y
         else:
             ub_duals[key] = y
-    reduced = tuple(Fraction(nums[j] * sense_flip, den) for j in range(n))
+    reduced = tuple(Fraction(v * sense_flip, den) if v else _ZERO for v in nums[:n])
     return SolveResult(
         OPTIMAL,
         objective,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .enumeration import Cycle, PartialClique
 from .instance import Instance, SplitDigraph
-from .lp import OPTIMAL, LinearProgram, SolveResult, transpose
+from .lp import _ONE, _ZERO, OPTIMAL, Constraint, LinearProgram, SolveResult, _frac, transpose
 
 __all__ = [
     "build_P1", "build_P2", "build_P3", "build_P4", "build_P3_star",
@@ -46,11 +46,12 @@ def _incidence_program(sense, columns, rows) -> LinearProgram:
     program and <= in a "max" one."""
     rel = ">=" if sense == "min" else "<="
     names, keys, costs, members = tuple(zip(*columns)) or ((),) * 4
-    lp = LinearProgram(sense, costs, integer=(True,) * len(costs),
-                       var_names=names, var_keys=keys)
-    for element, name, rhs in rows:
-        lp.add_row([1 if element in m else 0 for m in members], rel, rhs, name)
-    return lp
+    constraints = [
+        Constraint(tuple(_ONE if element in m else _ZERO for m in members), rel, _frac(rhs), name)
+        for element, name, rhs in rows
+    ]
+    return LinearProgram(sense, costs, constraints, integer=(True,) * len(costs),
+                         var_names=names, var_keys=keys)
 
 
 def _cycle_columns(cycles):

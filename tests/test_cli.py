@@ -389,6 +389,8 @@ def test_check_refuses_a_P6_too_large_to_solve(tmp_path, capsys):
     (["bounds", "{fig1}", "--format", "json"], 0, None),
     (["bounds", "{missing}"], 2, "error: [Errno 2] No such file or directory: "),
     (["planar", "{fig1}", "--max-k", "3"], 2, "indexcode: error: unrecognized arguments: --max-k 3"),
+    (["bounds", "{fig1}", "--max-cycles", "abc"], 2,
+     "indexcode bounds: error: argument --max-cycles: expected a non-negative integer, got 'abc'"),
 ])
 def test_module_entry_point(fig1_file, tmp_path, argv, code, last_err):
     paths = {"fig1": fig1_file, "missing": str(tmp_path / "missing.icp")}
@@ -400,9 +402,9 @@ def test_module_entry_point(fig1_file, tmp_path, argv, code, last_err):
     if last_err is None:
         assert json.loads(done.stdout)["valP1"] == "2" and done.stderr == ""
     else:
-        # A bad file is one line; a bad argument follows argparse's usage.
-        assert done.stdout == "" and done.stderr.splitlines()[-1].startswith(last_err)
-        assert argv[0] == "planar" or done.stderr.count("\n") == 1
+        # A bad file and a bad argument are each one line.
+        assert done.stdout == "" and done.stderr.startswith(last_err)
+        assert done.stderr.count("\n") == 1
 
 
 def test_parser_is_built_once_and_env_caps_are_read_per_call(fig4_file, monkeypatch, capsys):

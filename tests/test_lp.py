@@ -1,6 +1,7 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 from random import Random
 
 import pytest
@@ -349,6 +350,64 @@ def test_dimension_errors():
         LinearProgram("max", (F(1),), lower=(F(2),), upper=(F(1),))
     with pytest.raises(DimensionError):
         LinearProgram("max", (F(1),), [Constraint((F(1),), "<<", F(1))])
+
+
+def test_add_row_rejects_a_wrong_length():
+    # Unchecked, a third coefficient would land on row 0's slack column and
+    # max x0 + x1 s.t. x0 + 5 s0 <= 2 would read "optimal 5".
+    lp = _lp("max", [1, 1], [], upper=(1, 1))
+    for coeffs in ([1, 0, 5], [1]):
+        with pytest.raises(DimensionError, match="has .* coefficients, expected 2"):
+            lp.add_row(coeffs, "<=", 2)
+    assert lp.constraints == [] and solve_lp(lp).objective == 2
+
+
+def test_add_row_rejects_an_unknown_relation():
+    # Unchecked, "<" would be solved as "=": min x0 + x1 would read 2.
+    lp = _lp("min", [1, 1], [])
+    with pytest.raises(DimensionError, match="unknown relation '<'"):
+        lp.add_row([1, 1], "<", 2)
+    assert lp.constraints == [] and solve_lp(lp).objective == 0
+
+
+def test_int_row_is_the_dense_row_over_one_denominator():
+    zero = F(0, 7)  # a zero that is not the shared one
+    con = Constraint((3, 0, F(-3, 4), F(5, 6), zero, F(1), -1), "<=", F(1))
+    assert con.int_row == (12, ((0, 36), (2, -9), (3, 10), (5, 12), (6, -12)))
+    assert Constraint((0, zero), "=", F(0)).int_row == (1, ())
+    rng = Random(5)
+    for _ in range(200):
+        coeffs = tuple(rng.choice((0, 1, -2, F(0), F(1), zero)) if rng.random() < 0.5
+                       else F(rng.randint(-9, 9), rng.randint(1, 12))
+                       for _ in range(rng.randint(0, 8)))
+        den, nz = Constraint(coeffs, ">=", F(0)).int_row
+        assert den == lcm(*(F(a).denominator for a in coeffs if a))
+        assert [j for j, _ in nz] == [j for j, a in enumerate(coeffs) if a]
+        assert all(type(v) is int and F(v, den) == coeffs[j] for j, v in nz)
+
+
+def test_a_solved_constraint_compares_hashes_and_prints_as_before():
+    a, b = (Constraint((F(1), F(1, 2)), "<=", F(3), "r") for _ in range(2))
+    text = repr(b)
+    assert solve_lp(LinearProgram("max", (F(1), F(1)), [a])).objective == 6
+    assert "int_row" in vars(a) and "int_row" not in vars(b)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == text
+    assert "int_row" not in {f.name for f in fields(Constraint)}
+
+
+def _result_fields(res):
+    return (res.status, res.objective, res.primal, res.row_duals,
+            res.upper_bound_duals, res.reduced_costs, res.branch_count)
+
+
+def test_a_replaced_program_solves_the_same_over_shared_rows():
+    rng = Random(24)
+    for _ in range(300):
+        lp, _ = _random_mixed_lp(rng)
+        copy = replace(lp)
+        assert all(c is d for c, d in zip(copy.constraints, lp.constraints))
+        first = _result_fields(solve_lp(lp))
+        assert _result_fields(solve_lp(copy)) == first == _result_fields(solve_lp(lp))
 
 
 def test_lp_format_dump():
