@@ -51,7 +51,6 @@ from .lp import (
     SolveResult,
     solve_ilp,
     solve_lp,
-    to_lp_format,
     transpose,
     verify_certificate,
 )

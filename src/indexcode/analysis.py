@@ -18,8 +18,8 @@ import networkx as nx
 
 from . import programs
 from .enumeration import (
-    DEFAULT_MAX_CYCLES, DEFAULT_MAX_K, CapExceeded, Cycle, PartialClique,
-    clique_core, enumerate_cycles, enumerate_partial_cliques,
+    DEFAULT_MAX_CYCLES, CapExceeded, Cycle, PartialClique, enumerate_cycles,
+    enumerate_partial_cliques,
 )
 from .instance import Instance, is_uniprior, to_undirected, total_weight
 from .lp import (
@@ -36,7 +36,7 @@ class PreconditionError(ValueError):
 
 
 class SolveError(RuntimeError):
-    """A program of the family has no optimum, or its family is truncated."""
+    """A program of the family has no optimum."""
 
 
 def is_planar(inst: Instance) -> bool:
@@ -100,13 +100,13 @@ class Analysis:
     """One instance under fixed caps (None selects the default).  Each family
     is enumerated, each program built or transposed, and each program or
     relaxation solved, at most once, on first use; a program without an
-    optimum, or P5/P6 over a clique family truncated by max_k, raises
-    `SolveError`; a P6 beyond `MAX_P6_CLIQUES` raises `CapExceeded`."""
+    optimum raises `SolveError`; a P6 beyond `MAX_P6_CLIQUES` raises
+    `CapExceeded`.  P5 and P6 range over the whole clique family, which the
+    instance fixes, so no cap selects it."""
 
-    def __init__(self, inst: Instance, max_cycles=None, max_k=None, node_limit=None):
+    def __init__(self, inst: Instance, max_cycles=None, node_limit=None):
         self.inst = inst
         self.max_cycles = DEFAULT_MAX_CYCLES if max_cycles is None else max_cycles
-        self.max_k = DEFAULT_MAX_K if max_k is None else max_k
         self.node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
         self._programs: dict[str, LinearProgram] = {}
         self._solved: dict[str, SolveResult] = {}
@@ -117,13 +117,9 @@ class Analysis:
 
     @cached_property
     def cliques(self) -> list[PartialClique]:
-        """The clique family of P5 and P6, which must not be truncated: it
-        needs the singletons and `clique_core`, the largest clique with d >= 1."""
-        need = max(len(clique_core(self.inst)), min(1, len(self.inst.packet_ids)))
-        if self.max_k < need:
-            raise SolveError(f"max_k {self.max_k} truncates the partial-clique family: "
-                             f"P5 and P6 need max_k >= {need}")
-        return enumerate_partial_cliques(self.inst, self.max_k)
+        """The clique family of P5 and P6: the singletons and every clique
+        with d >= 1, none of which has more packets than the instance."""
+        return enumerate_partial_cliques(self.inst, len(self.inst.packet_ids))
 
     def _program(self, name: str) -> LinearProgram:
         """The integer program P2 or P5, or its transpose P1 or P6, made once
@@ -201,7 +197,7 @@ class Analysis:
         return v("P2") == v("P5") and v("P2'") == v("P5'")
 
 
-def bounds_report(inst: Instance, max_cycles=None, max_k=None, node_limit=None) -> BoundsReport:
+def bounds_report(inst: Instance, max_cycles=None, node_limit=None) -> BoundsReport:
     """Solve the six programs exactly and assemble the gap report."""
-    return Analysis(inst, max_cycles, max_k, node_limit).bounds()
+    return Analysis(inst, max_cycles, node_limit).bounds()
 

@@ -4,7 +4,8 @@ Subcommands: bounds, cycles, cliques, code, simulate, planar, check.
 Instance files use the YAML mapping format of `indexcode.instance`.
 A subcommand takes a flag only for each cap it reads (see `build_parser`);
 INDEXCODE_MAX_CYCLES, INDEXCODE_MAX_K and INDEXCODE_NODE_LIMIT set the
-defaults and are all checked on every call.
+defaults and are all checked on every call.  Only `cliques` reads a clique
+size cap: P5 and P6 range over the whole clique family of the instance.
 """
 
 from __future__ import annotations
@@ -23,9 +24,13 @@ from .simulate import simulate as _simulate
 
 def _cap(text: str) -> int:
     """A cap: a non-negative decimal integer."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than `int` converts
+            pass
+    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {shown}")
 
 
 # (argument dest, environment variable, default) of each cap flag.
@@ -96,7 +101,7 @@ def _cmd_cliques(args, out):
 
 def _cmd_bounds(args, out):
     inst = _load(args.instance)
-    rep = analysis.bounds_report(inst, args.max_cycles, args.max_k, args.node_limit)
+    rep = analysis.bounds_report(inst, args.max_cycles, args.node_limit)
     fields = {
         "W": rep.W,
         "valP1": str(rep.valP1),
@@ -124,7 +129,7 @@ def _cmd_bounds(args, out):
 
 
 def _make_schedule(inst, args):
-    a = analysis.Analysis(inst, args.max_cycles, args.max_k, args.node_limit)
+    a = analysis.Analysis(inst, args.max_cycles, args.node_limit)
     name = "P2" if args.strategy == "cyclic" else "P5"
     res = a.solve(name + "'" if args.mode == "vector" else name)
     expand = coding.cyclic_schedule if args.strategy == "cyclic" else coding.clique_schedule
@@ -179,7 +184,7 @@ def _cmd_simulate(args, out):
 
 def _cmd_check(args, out):
     inst = _load(args.instance)
-    a = analysis.Analysis(inst, args.max_cycles, args.max_k, args.node_limit)
+    a = analysis.Analysis(inst, args.max_cycles, args.node_limit)
     results = {
         "cyclic_duality": a.duality("P1'", "P2'"),
         "clique_duality": a.duality("P6'", "P5'"),
@@ -223,18 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
         for dest in caps:
             sp.add_argument("--" + dest.replace("_", "-"), type=_cap)
 
-    every_cap = [dest for dest, _, _ in _CAPS]
+    solve_caps = ["max_cycles", "node_limit"]
     for name, fn, caps in [
-        ("bounds", _cmd_bounds, every_cap), ("cycles", _cmd_cycles, ["max_cycles"]),
+        ("bounds", _cmd_bounds, solve_caps), ("cycles", _cmd_cycles, ["max_cycles"]),
         ("cliques", _cmd_cliques, ["max_k"]), ("planar", _cmd_planar, []),
-        ("check", _cmd_check, every_cap),
+        ("check", _cmd_check, solve_caps),
     ]:
         sp = sub.add_parser(name)
         common(sp, caps)
         sp.set_defaults(fn=fn)
     for name, fn in [("code", _cmd_code), ("simulate", _cmd_simulate)]:
         sp = sub.add_parser(name)
-        common(sp, every_cap)
+        common(sp, solve_caps)
         sp.add_argument("--strategy", choices=["cyclic", "partial-clique"], default="cyclic")
         sp.add_argument("--mode", choices=["scalar", "vector"], default="scalar")
         sp.add_argument("--seed", type=int, default=0)

@@ -19,10 +19,10 @@ from .instance import Instance, SplitDigraph, is_uniprior, to_digraph
 
 DEFAULT_MAX_CYCLES = 100_000
 DEFAULT_MAX_K = 12
-# Cap on the packet subsets `enumerate_partial_cliques` examines: 16 times
-# the 4,083 of a 12-packet clique core, the largest that P5 admits at the
-# default max_k.  A family at the cap took 0.45-0.55 s (7-9 us a subset) on
-# a 2-core x86-64 VM under Python 3.11.
+# Cap on the packet subsets `enumerate_partial_cliques` examines: the full
+# family of a clique core of up to 16 packets (65,519 subsets of two or
+# more) passes, that of a 17-packet core does not.  A family at the cap
+# took 0.45-0.55 s (7-9 us a subset) on a 2-core x86-64 VM under Python 3.11.
 MAX_CLIQUE_SUBSETS = 2**16
 
 

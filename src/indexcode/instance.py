@@ -193,9 +193,13 @@ def parse_instance(text: str) -> Instance:
         side = rec.get("side", [])
         if not isinstance(side, list):
             raise InstanceFormatError(f"packet record {i}: 'side' must be a list")
+        # YAML reads null, true or 010 as a non-string: refuse it, never rename it.
+        for field, ids in (("id", [rec["id"]]), ("demand", [demand]), ("side", side)):
+            if not all(isinstance(x, str) for x in ids):
+                raise InstanceFormatError(f"packet record {i}: '{field}' must hold id tokens")
         weight = rec.get("weight", 1)
-        packets.append(PacketType(str(rec["id"]), weight, str(demand), frozenset(map(str, side))))
-    return validate_instance(Instance(tuple(map(str, users)), tuple(packets)))
+        packets.append(PacketType(rec["id"], weight, demand, frozenset(side)))
+    return validate_instance(Instance(tuple(users), tuple(packets)))
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -507,31 +507,3 @@ def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveR
     return SolveResult(
         OPTIMAL, best.objective, best.primal, branch_count=nodes, lp=lp
     )
-
-
-def to_lp_format(lp: LinearProgram, name="prog") -> str:
-    """Dump in CPLEX-style LP text format for external cross-checking."""
-    out = [f"\\ {name}", "Maximize" if lp.sense == "max" else "Minimize"]
-    def expr(coeffs):
-        terms = []
-        for cj, vn in zip(coeffs, lp.var_names):
-            if cj == 0:
-                continue
-            sign = "+" if cj >= 0 else "-"
-            terms.append(f"{sign} {abs(cj)} {vn}")
-        return " ".join(terms) if terms else "0 " + lp.var_names[0]
-    out.append(" obj: " + expr(lp.objective))
-    out.append("Subject To")
-    for i, con in enumerate(lp.constraints):
-        rel = {"<=": "<=", ">=": ">=", "=": "="}[con.rel]
-        out.append(f" {con.name or f'c{i}'}: " + expr(con.coeffs) + f" {rel} {con.rhs}")
-    out.append("Bounds")
-    for j, vn in enumerate(lp.var_names):
-        hi = "+inf" if lp.upper[j] is None else str(lp.upper[j])
-        out.append(f" {lp.lower[j]} <= {vn} <= {hi}")
-    ints = [vn for vn, f in zip(lp.var_names, lp.integer) if f]
-    if ints:
-        out.append("General")
-        out.append(" " + " ".join(ints))
-    out.append("End")
-    return "\n".join(out) + "\n"

@@ -13,6 +13,7 @@ from indexcode.analysis import (
     bounds_report,
     is_planar,
 )
+from indexcode.enumeration import enumerate_partial_cliques
 from indexcode.generators import (
     all_uniprior_instances,
     random_planar_instance,
@@ -154,21 +155,20 @@ def test_ilp_without_root_optimum_is_named_as_the_ilp(fig4, monkeypatch):
 
 
 def test_truncated_clique_family_is_an_error():
-    # A dense draw whose P5 over cliques of at most 2 packets is 5, not 4.
+    # A dense draw whose P5 over cliques of at most 2 packets is 5, not 4:
+    # P5 and P6 range over the whole family, which no cap truncates.
     inst = random_unicast_instance(Random(12), 8, 6, 1, 0.6, exact=True)
-    assert bounds_report(inst).valP5 == 4
-    for max_k in (0, 2, 7):
-        a = Analysis(inst, max_k=max_k)
-        for name in ("P5", "P5'", "P6", "P6'"):
-            with pytest.raises(SolveError, match=f"^max_k {max_k} truncates"):
-                a.solve(name)
-        assert a.value("P2") == 5  # the cyclic pair needs no cliques
-    assert Analysis(inst, max_k=8).value("P5") == 4
-    # With no clique of d >= 1, P5 still needs the singletons.
+    truncated = programs.build_P5(inst, enumerate_partial_cliques(inst, 2))
+    assert lp.solve_ilp(truncated).objective == 5
+    a = Analysis(inst)
+    assert a.cliques == enumerate_partial_cliques(inst, 8)
+    assert a.value("P5") == bounds_report(inst).valP5 == 4
+    assert a.value("P6'") == a.value("P5'")
+    with pytest.raises(TypeError):
+        Analysis(inst, max_k=2)
+    # With no clique of d >= 1, P5 still has the singletons.
     lone = make_instance(["u1"], [("p1", 1, "u1", set())])
-    with pytest.raises(SolveError, match=r"^max_k 0 truncates .* need max_k >= 1$"):
-        Analysis(lone, max_k=0).solve("P5")
-    assert Analysis(lone, max_k=1).value("P5") == 1
+    assert Analysis(lone).value("P5") == 1
 
 
 # ----------------------------------------------------------------- theorems

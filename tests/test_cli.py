@@ -199,6 +199,8 @@ def test_mutated_instance_files_exit_0_or_2(fig1, tmp_path, capsys):
      "'packets' must be a list of packet records"),
     ("users: [u1, u2]\npackets: [{id: p1, demand: u1, side: u2}]\n",
      "packet record 0: 'side' must be a list"),
+    ("users: [u1, u2]\npackets: [{id: null, demand: u1, side: [u2]}]\n",
+     "packet record 0: 'id' must hold id tokens"),
 ])
 def test_instance_errors_exit_2(text, message, tmp_path, capsys):
     path = tmp_path / "bad.icp"
@@ -273,7 +275,7 @@ def test_env_caps(fig4_file, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["cliques", "--max-k", "12"], ["code", "--strategy", "partial-clique", "--max-k", "30"],
+    ["cliques", "--max-k", "12"], ["code", "--strategy", "partial-clique"],
 ])
 def test_clique_subset_cap_is_error(argv, tmp_path, capsys):
     # 30 packets, each held by every user but its demander: the clique core
@@ -288,31 +290,26 @@ def test_clique_subset_cap_is_error(argv, tmp_path, capsys):
     assert err.endswith(f"more than the cap of {enumeration.MAX_CLIQUE_SUBSETS}\n")
 
 
-_TRUNCATED_K0 = ("error: max_k 0 truncates the partial-clique family: "
-                 "P5 and P6 need max_k >= 3\n")
-
-
 def test_bounds_with_empty_clique_family_is_error(fig4_file, capsys):
-    # --max-k 0 leaves no partial cliques, so P5 has no exact value.
+    # P5 ranges over the instance's whole clique family: no flag empties it.
     code, text = _run(["bounds", fig4_file, "--max-k", "0"])
-    assert code == 2
-    assert text == ""
-    err = capsys.readouterr().err
-    assert err == _TRUNCATED_K0
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "indexcode: error: unrecognized arguments: --max-k 0\n")
 
 
 def test_check_with_empty_clique_family_is_error(fig4_file, capsys):
-    # --max-k 0 leaves no partial cliques: an error, not a failed duality check.
+    # An error, never a failed duality check.
     code, text = _run(["check", fig4_file, "--max-k", "0"])
-    assert code == 2
-    assert text == ""
-    assert capsys.readouterr().err == _TRUNCATED_K0
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "indexcode: error: unrecognized arguments: --max-k 0\n")
 
 
 @pytest.fixture
 def dense12_file(tmp_path):
-    """An 8-packet dense draw whose P5 over cliques of at most 2 packets is
-    5, where the full family gives 4."""
+    """An 8-packet dense draw with an 8-packet clique core, whose P5 over
+    cliques of at most 2 packets would be 5, where the full family gives 4."""
     inst = random_unicast_instance(random.Random(12), 8, 6, 1, 0.6, exact=True)
     path = tmp_path / "dense12.icp"
     path.write_text(serialize_instance(inst), encoding="utf-8")
@@ -327,18 +324,20 @@ def dense12_file(tmp_path):
     ["simulate", "--strategy", "partial-clique", "--mode", "vector"],
 ])
 def test_truncated_clique_family_is_error(dense12_file, capsys, argv):
+    # Only `cliques` takes a clique size cap.
     code, text = _run(argv + [dense12_file, "--max-k", "2"])
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == (
-        "error: max_k 2 truncates the partial-clique family: "
-        "P5 and P6 need max_k >= 8\n")
+        "indexcode: error: unrecognized arguments: --max-k 2\n")
 
 
 def test_truncation_needs_the_clique_family(dense12_file):
     code, text = _run(["bounds", dense12_file])
     assert code == 0 and "valP5: 4\n" in text and "gap_P5: 0\n" in text
-    # The cyclic codes and the clique listing read no truncated P5.
-    assert _run(["code", dense12_file, "--max-k", "2"])[0] == 0
+    for command in ("code", "simulate"):
+        code, text = _run([command, dense12_file, "--strategy", "partial-clique"])
+        assert code == 0 and "clearance=4\n" in text
+    # The clique listing alone is truncated.
     code, text = _run(["cliques", dense12_file, "--max-k", "2", "--format", "json"])
     assert code == 0 and {t["k"] for t in json.loads(text)} == {1, 2}
 
@@ -354,8 +353,7 @@ def test_small_core_needs_no_large_max_k(tmp_path):
     path.write_text(serialize_instance(make_instance(users, packets)), encoding="utf-8")
     code, text = _run(["bounds", str(path)])
     assert code == 0 and "valP5: 14\n" in text
-    assert _run(["code", str(path), "--strategy", "partial-clique", "--max-k", "3"])[0] == 0
-    assert _run(["bounds", str(path), "--max-k", "2"]) == (2, "")
+    assert _run(["code", str(path), "--strategy", "partial-clique"])[0] == 0
 
 
 @pytest.mark.parametrize("command", ["code", "simulate"])
@@ -378,11 +376,12 @@ def test_check_refuses_a_P6_too_large_to_solve(tmp_path, capsys):
     inst = random_unicast_instance(random.Random(0), 13, 6, 1, 0.6, exact=True)
     path = tmp_path / "core13.icp"
     path.write_text(serialize_instance(inst), encoding="utf-8")
-    assert _run(["check", str(path), "--max-k", "13"]) == (2, "")
+    assert _run(["check", str(path)]) == (2, "")
     assert capsys.readouterr().err == (
         "error: P6 has 7539 rows of cliques with d >= 1, "
         f"more than the cap of {analysis.MAX_P6_CLIQUES}\n")
-    assert _run(["bounds", str(path), "--max-k", "13"])[0] == 0
+    code, text = _run(["bounds", str(path)])
+    assert code == 0 and "chain_ok: True\n" in text
 
 
 @pytest.mark.parametrize("argv, code, last_err", [
@@ -416,30 +415,39 @@ def test_parser_is_built_once_and_env_caps_are_read_per_call(fig4_file, monkeypa
     monkeypatch.delenv("INDEXCODE_NODE_LIMIT")
     monkeypatch.setenv("INDEXCODE_MAX_K", "abc")
     # A bad variable is an error even where a flag would override it.
-    assert _run(["bounds", fig4_file, "--max-k", "3"]) == (2, "")
+    assert _run(["cliques", fig4_file, "--max-k", "3"]) == (2, "")
     assert capsys.readouterr().err == (
         "error: INDEXCODE_MAX_K: expected a non-negative integer, got 'abc'\n")
     monkeypatch.delenv("INDEXCODE_MAX_K")
-    assert _run(["bounds", fig4_file])[0] == 0
+    assert _run(["cliques", fig4_file])[0] == 0
+
+
+# More digits than `int` converts by default (4,300).
+_HUGE = pytest.param("9" * 5000, id="5000-digits")
 
 
 @pytest.mark.parametrize("var", ["INDEXCODE_MAX_CYCLES", "INDEXCODE_MAX_K",
                                  "INDEXCODE_NODE_LIMIT"])
-@pytest.mark.parametrize("value", ["abc", "-1"])
+@pytest.mark.parametrize("value", ["abc", "-1", _HUGE])
 def test_bad_env_cap_is_error(fig4_file, monkeypatch, capsys, var, value):
     monkeypatch.setenv(var, value)
     code, text = _run(["bounds", fig4_file])
     assert (code, text) == (2, "")
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {var}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {var}: expected a non-negative integer, got ")
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize("flag", ["--max-cycles", "--max-k", "--node-limit"])
-@pytest.mark.parametrize("value", ["abc", "-1"])
+@pytest.mark.parametrize("value", ["abc", "-1", _HUGE])
 def test_bad_cap_flag_is_error(fig4_file, capsys, flag, value):
-    code, text = _run(["bounds", fig4_file, flag, value])
+    command = "cliques" if flag == "--max-k" else "bounds"
+    code, text = _run([command, fig4_file, flag, value])
     assert (code, text) == (2, "")
-    assert f"argument {flag}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"indexcode {command}: error: argument {flag}: expected a non-negative "
+                          "integer, got ")
+    assert err.count("\n") == 1 and len(err) < 200
     # A subcommand takes no flag for a cap it does not read.
     assert _run(["planar", fig4_file, "--max-k", "3"]) == (2, "")
     assert "unrecognized arguments: --max-k 3" in capsys.readouterr().err

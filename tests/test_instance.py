@@ -56,6 +56,19 @@ def test_parse_rejects_multicast():
         parse_instance(text)
 
 
+@pytest.mark.parametrize("record, field", [
+    ("{id: null, demand: u1}", "id"), ("{id: true, demand: u1}", "id"),
+    ("{id: 010, demand: u1}", "id"), ("{id: p1, demand: [null]}", "demand"),
+    ("{id: p1, demand: u1, side: [u2, 2]}", "side"),
+])
+def test_parse_rejects_non_string_ids(record, field):
+    # YAML reads these scalars as None, True, 8 and 2; none may become a name.
+    text = f"users: [u1, u2]\npackets:\n  - {{id: p0, demand: u2}}\n  - {record}\n"
+    with pytest.raises(InstanceFormatError,
+                       match=f"^packet record 1: '{field}' must hold id tokens$"):
+        parse_instance(text)
+
+
 def test_parse_syntax_error_reports_position():
     with pytest.raises(InstanceFormatError) as ei:
         parse_instance("users: [u1\npackets: []\n")

@@ -13,7 +13,6 @@ from indexcode.lp import (
     NodeLimitExceeded,
     solve_ilp,
     solve_lp,
-    to_lp_format,
     transpose,
     verify_certificate,
 )
@@ -408,14 +407,6 @@ def test_a_replaced_program_solves_the_same_over_shared_rows():
         assert all(c is d for c, d in zip(copy.constraints, lp.constraints))
         first = _result_fields(solve_lp(lp))
         assert _result_fields(solve_lp(copy)) == first == _result_fields(solve_lp(lp))
-
-
-def test_lp_format_dump():
-    lp = _lp("max", [1, 2], [([1, 1], "<=", 3)], names=("a", "b"))
-    text = to_lp_format(lp)
-    assert "Maximize" in text
-    assert "a" in text and "b" in text
-    assert "End" in text
 
 
 def _random_standard_lp(rng, sense):
