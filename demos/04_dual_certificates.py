@@ -13,28 +13,28 @@ and print one certificate in full.
 
 from random import Random
 
-from indexcode import enumerate_cycles, solve_lp, verify_certificate
+from indexcode import enumerate_cycles, solve_lp, transpose, verify_certificate
 from indexcode.generators import random_unicast_instance
-from indexcode.programs import build_P1, build_P2, verify_duality
+from indexcode.programs import build_P2, verify_duality
 
 rng = Random(7)
 
 inst = random_unicast_instance(rng)
 cycles = enumerate_cycles(inst)
-a = solve_lp(build_P1(inst, cycles))
+a = solve_lp(transpose(build_P2(inst, cycles)))
 b = solve_lp(build_P2(inst, cycles))
 print(f"valP1' = {a.objective} = valP2' = {b.objective}")
 print(f"primal/dual certificate valid: {verify_certificate(a.lp, a)}")
 print(f"cross-program complementary slackness: {verify_duality(a, b)}")
 
-print("\ndeletion primal:", {k: str(v) for k, v in a.primal_by_name().items() if v})
-print("cover primal:   ", {k: str(v) for k, v in b.primal_by_name().items() if v})
+print("\ndeletion primal:", {k: str(v) for k, v in zip(a.lp.var_names, a.primal) if v})
+print("cover primal:   ", {k: str(v) for k, v in zip(b.lp.var_names, b.primal) if v})
 
 failures = 0
 for _ in range(200):
     inst = random_unicast_instance(rng)
     cycles = enumerate_cycles(inst)
-    a = solve_lp(build_P1(inst, cycles))
+    a = solve_lp(transpose(build_P2(inst, cycles)))
     b = solve_lp(build_P2(inst, cycles))
     if a.objective != b.objective or not verify_duality(a, b):
         failures += 1

@@ -14,7 +14,6 @@ from .coding import (
     Transmission,
     TransmissionSchedule,
     clique_schedule,
-    cycle_to_clique,
     cyclic_schedule,
 )
 from .enumeration import (
@@ -23,8 +22,6 @@ from .enumeration import (
     PartialClique,
     enumerate_cycles,
     enumerate_partial_cliques,
-    extract_cycles_from_clique,
-    split_digraph_cycles,
 )
 from .gf256 import mds_rows
 from .instance import (
@@ -33,8 +30,6 @@ from .instance import (
     InstanceFormatError,
     InstanceValidationError,
     PacketType,
-    SplitDigraph,
-    build_split_digraph,
     is_uniprior,
     make_instance,
     parse_instance,
@@ -54,17 +49,7 @@ from .lp import (
     transpose,
     verify_certificate,
 )
-from .programs import (
-    build_P1,
-    build_P2,
-    build_P3,
-    build_P3_star,
-    build_P4,
-    build_P4_star,
-    build_P5,
-    build_P6,
-    verify_duality,
-)
+from .programs import build_P2, build_P5, verify_duality
 from .simulate import DecodeFailure, DecodeReport, simulate
 
 __version__ = "0.1.0"

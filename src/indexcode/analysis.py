@@ -118,8 +118,8 @@ class Analysis:
     @cached_property
     def cliques(self) -> list[PartialClique]:
         """The clique family of P5 and P6: the singletons and every clique
-        with d >= 1, none of which has more packets than the instance."""
-        return enumerate_partial_cliques(self.inst, len(self.inst.packet_ids))
+        with d >= 1."""
+        return enumerate_partial_cliques(self.inst)
 
     def _program(self, name: str) -> LinearProgram:
         """The integer program P2 or P5, or its transpose P1 or P6, made once

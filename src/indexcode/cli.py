@@ -5,7 +5,8 @@ Instance files use the YAML mapping format of `indexcode.instance`.
 A subcommand takes a flag only for each cap it reads (see `build_parser`);
 INDEXCODE_MAX_CYCLES, INDEXCODE_MAX_K and INDEXCODE_NODE_LIMIT set the
 defaults and are all checked on every call.  Only `cliques` reads a clique
-size cap: P5 and P6 range over the whole clique family of the instance.
+size cap, and it lists the whole clique family unless one is set: P5 and
+P6 always range over the whole family.
 """
 
 from __future__ import annotations
@@ -33,17 +34,21 @@ def _cap(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {shown}")
 
 
-# (argument dest, environment variable, default) of each cap flag.
+# (argument dest, environment variable, default) of each cap flag; None is
+# no cap.
 _CAPS = (
     ("max_cycles", "INDEXCODE_MAX_CYCLES", enumeration.DEFAULT_MAX_CYCLES),
-    ("max_k", "INDEXCODE_MAX_K", enumeration.DEFAULT_MAX_K),
+    ("max_k", "INDEXCODE_MAX_K", None),
     ("node_limit", "INDEXCODE_NODE_LIMIT", lp.DEFAULT_NODE_LIMIT),
 )
 
 
-def _env_cap(name: str, default: int) -> int:
+def _env_cap(name: str, default: int | None) -> int | None:
+    text = os.environ.get(name)
+    if text is None:
+        return default
     try:
-        return _cap(os.environ.get(name, str(default)))
+        return _cap(text)
     except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"{name}: {exc}") from None
 

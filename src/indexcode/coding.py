@@ -179,20 +179,3 @@ def clique_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
             raise ScheduleError(f"unexpected variable {name!r} in clique solution")
         actions.append(CodingAction("clique", key.sorted_packets, n, d=key.d))
     return _expand(inst, actions, theta, GF256)
-
-
-def cycle_to_clique(inst: Instance, schedule: TransmissionSchedule) -> TransmissionSchedule:
-    """Replace every K-cycle action by a (K,1)-clique action.
-
-    Transmission counts are preserved exactly: a K-cycle round is K-1 XOR
-    transmissions, a (K,1)-clique round is K-1 MDS transmissions.
-    """
-    actions = []
-    for a in schedule.actions:
-        if a.kind == "cycle":
-            actions.append(CodingAction("clique", tuple(sorted(a.packets)), a.count, d=1))
-        elif a.kind == "direct":
-            actions.append(CodingAction("clique", a.packets, a.count, d=0))
-        else:
-            actions.append(a)
-    return _expand(inst, actions, schedule.theta, GF256)

@@ -4,7 +4,8 @@ Two families matter: elementary directed cycles of the bipartite digraph
 (they alternate packet and user vertices) and partial cliques, i.e. packet
 subsets where every demanding user already holds at least d of the subset.
 Only the partial cliques that no others dominate are listed: the
-singletons and the subsets with d >= 1.
+singletons and the subsets with d >= 1.  These all lie inside the largest
+one, the clique core, and only its subsets are searched.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from math import comb
 
 import networkx as nx
 
-from .instance import Instance, SplitDigraph, is_uniprior, to_digraph
+from .instance import Instance, to_digraph
 
 DEFAULT_MAX_CYCLES = 100_000
-DEFAULT_MAX_K = 12
 # Cap on the packet subsets `enumerate_partial_cliques` examines: the full
 # family of a clique core of up to 16 packets (65,519 subsets of two or
 # more) passes, that of a 17-packet core does not.  A family at the cap
@@ -54,18 +54,6 @@ class Cycle:
     def packet_set(self) -> frozenset[str]:
         return frozenset(self.packets)
 
-    def validate(self, inst: Instance) -> None:
-        """Raise ValueError naming the first condition of a cycle that fails."""
-        k = len(self.packets)
-        if not 2 <= k == len(self.users) == len(set(self.packets)) == len(set(self.users)):
-            raise ValueError(f"cycle needs k >= 2 distinct packets and k distinct users: {self}")
-        for j in range(k):
-            pid, user, nxt = self.packets[j], self.users[j], self.packets[(j + 1) % k]
-            if inst.packet(pid).demand != user:
-                raise ValueError(f"cycle: {user} does not demand {pid}")
-            if user not in inst.packet(nxt).side:
-                raise ValueError(f"cycle: {user} does not hold {nxt}")
-
 
 @dataclass(frozen=True)
 class PartialClique:
@@ -86,32 +74,25 @@ def _normalize_cycle(packets, users):
     return Cycle(tuple(packets[i:] + packets[:i]), tuple(users[i:] + users[:i]))
 
 
-def _cycles_of_digraph(g: nx.DiGraph, cap: int):
-    """Elementary circuits of an arbitrary digraph (Johnson's algorithm)."""
-    out = []
-    for nodes in nx.simple_cycles(g):
-        out.append(nodes)
-        if len(out) > cap:
-            raise CapExceeded(f"cycle enumeration: more than {cap} found ({len(out)} so far)",
-                              len(out))
-    return out
-
-
 def enumerate_cycles(inst: Instance, max_cycles: int = DEFAULT_MAX_CYCLES) -> list[Cycle]:
     """All elementary cycles of the instance digraph, deterministically ordered.
 
     Each cycle is reported once up to rotation, normalized to start at its
     smallest packet id, and sorted by (length, packet ids, user ids).
+    Johnson's algorithm finds them; more than max_cycles raises
+    `CapExceeded`.
     """
-    g = to_digraph(inst)
     cycles = []
-    for nodes in _cycles_of_digraph(g, max_cycles):
+    for nodes in nx.simple_cycles(to_digraph(inst)):
         # Rotate so the sequence starts at a packet vertex.
         i = next(j for j, n in enumerate(nodes) if n[0] == "p")
         nodes = nodes[i:] + nodes[:i]
         packets = [n[1] for n in nodes if n[0] == "p"]
         users = [n[1] for n in nodes if n[0] == "u"]
         cycles.append(_normalize_cycle(packets, users))
+        if len(cycles) > max_cycles:
+            raise CapExceeded(f"cycle enumeration: more than {max_cycles} found "
+                              f"({len(cycles)} so far)", len(cycles))
     cycles.sort(key=lambda c: (c.length, sorted(c.packets), c.packets, c.users))
     return cycles
 
@@ -136,19 +117,11 @@ def _core_mask(held: list[int]) -> int:
         core = kept
 
 
-def clique_core(inst: Instance) -> list[str]:
-    """The packets, sorted, of the largest (k, d)-partial clique with d >= 1,
-    or [] if there is none.  A union of subsets with d >= 1 has d >= 1
-    too, so every such clique lies inside this one."""
-    pids, held = _held_masks(inst)
-    core = _core_mask(held)
-    return [pid for i, pid in enumerate(pids) if core >> i & 1]
-
-
-def enumerate_partial_cliques(inst: Instance, max_k: int = DEFAULT_MAX_K) -> list[PartialClique]:
-    """The non-dominated (k, d)-partial cliques of size <= max_k: every
-    singleton as a (1, 0)-clique, and every larger packet subset whose d is
-    at least 1, by size and then in lexicographic order of packet ids.
+def enumerate_partial_cliques(inst: Instance, max_k: int | None = None) -> list[PartialClique]:
+    """The non-dominated (k, d)-partial cliques, all of them or those of
+    size <= max_k: every singleton as a (1, 0)-clique, and every larger
+    packet subset whose d is at least 1, by size and then in lexicographic
+    order of packet ids.
 
     Only the maximal d per subset is reported: any (k, d') with d' < d
     induces a dominated constraint.  A (k, 0)-clique with k > 1 is dominated
@@ -169,12 +142,13 @@ def enumerate_partial_cliques(inst: Instance, max_k: int = DEFAULT_MAX_K) -> lis
 
     d is counted on int bitmasks: held[i] is the set of packets held by
     packet i's demander, and d(S) = min over i in S of |held[i] & S|.  Only
-    the subsets of `clique_core` can have d >= 1.  More than
-    `MAX_CLIQUE_SUBSETS` of them up to size max_k raises `CapExceeded`
-    before any is examined.
+    the subsets of the clique core can have d >= 1: a union of subsets with
+    d >= 1 has d >= 1 too.  More than `MAX_CLIQUE_SUBSETS` of them up to
+    size max_k raises `CapExceeded` before any is examined.
     """
     pids, held = _held_masks(inst)
     core = _core_mask(held)
+    max_k = len(pids) if max_k is None else max_k
     out = [PartialClique(frozenset((pid,)), 1, 0) for pid in pids] if max_k >= 1 else []
     idx_core = [i for i in range(len(pids)) if core >> i & 1]
     top = min(len(idx_core), max_k)
@@ -190,60 +164,4 @@ def enumerate_partial_cliques(inst: Instance, max_k: int = DEFAULT_MAX_K) -> lis
             if all(held[i] & mask for i in idx):
                 d = min((held[i] & mask).bit_count() for i in idx)
                 out.append(PartialClique(frozenset(pids[i] for i in idx), k, d))
-    return out
-
-
-def extract_cycles_from_clique(clique: PartialClique, inst: Instance) -> list[Cycle]:
-    """Pull d packet-disjoint cycles out of a partial clique (uniprior only).
-
-    Walks vertex to vertex along any outgoing arc of the induced subgraph
-    until a vertex repeats, extracts that cycle, deletes its packet vertices,
-    and repeats d times.
-    """
-    if not is_uniprior(inst, strict=False):
-        raise ValueError("cycle extraction requires a unicast-uniprior instance")
-    if clique.d == 0:
-        return []
-    packets = set(clique.packets)
-    # Induced subgraph on the clique packets and their demanding users.
-    users = {inst.packet(pid).demand for pid in packets}
-    g = nx.DiGraph()
-    for pid in packets:
-        p = inst.packet(pid)
-        g.add_edge(("p", pid), ("u", p.demand))
-        for u in p.side & users:
-            g.add_edge(("u", u), ("p", pid))
-    cycles = []
-    for _ in range(clique.d):
-        start = ("p", min(n[1] for n in g.nodes if n[0] == "p" and g.out_degree(n) > 0))
-        walk = [start]
-        seen = {start}
-        node = start
-        while True:
-            node = min(g.successors(node))
-            if node in seen:
-                break
-            seen.add(node)
-            walk.append(node)
-        cyc = walk[walk.index(node):]
-        i = next(j for j, n in enumerate(cyc) if n[0] == "p")
-        cyc = cyc[i:] + cyc[:i]
-        cycles.append(
-            _normalize_cycle([n[1] for n in cyc if n[0] == "p"], [n[1] for n in cyc if n[0] == "u"])
-        )
-        g.remove_nodes_from([n for n in cyc if n[0] == "p"])
-    return cycles
-
-
-def split_digraph_cycles(sd: SplitDigraph, max_cycles: int = DEFAULT_MAX_CYCLES):
-    """Elementary cycles of the packet-split digraph, as arc lists."""
-    g = sd.to_networkx()
-    out = []
-    for nodes in _cycles_of_digraph(g, max_cycles):
-        arcs = [(nodes[i], nodes[(i + 1) % len(nodes)]) for i in range(len(nodes))]
-        # Normalize rotation: start at the smallest packet-to-packet arc.
-        starts = [i for i, a in enumerate(arcs) if a[0][0] == "in"]
-        i = min(starts, key=lambda j: arcs[j][0][1])
-        out.append(tuple(arcs[i:] + arcs[:i]))
-    out.sort(key=lambda arcs: (len(arcs), str(arcs)))
     return out

@@ -80,32 +80,6 @@ class Instance:
         return frozenset(p.id for p in self.packets if p.demand == user)
 
 
-@dataclass(frozen=True)
-class SplitDigraph:
-    """Arc-weighted digraph with each packet vertex split into in/out.
-
-    Packet-to-packet arcs carry the packet weights; user-to-packet and
-    packet-to-user arcs share a single heavy weight strictly exceeding the
-    total packet weight, so no minimum feedback arc set ever picks one.
-    """
-
-    users: tuple[str, ...]
-    packet_ids: tuple[str, ...]
-    arcs: tuple[tuple[object, object, int], ...]
-    heavy_weight: int
-
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        for u in self.users:
-            g.add_node(("u", u))
-        for pid in self.packet_ids:
-            g.add_node(("in", pid))
-            g.add_node(("out", pid))
-        for src, dst, w in self.arcs:
-            g.add_edge(src, dst, weight=w)
-        return g
-
-
 def validate_instance(inst: Instance) -> Instance:
     """Check all instance invariants; return the instance unchanged."""
     users = set(inst.users)
@@ -185,7 +159,9 @@ def parse_instance(text: str) -> Instance:
             raise InstanceFormatError(f"packet record {i}: unknown fields {sorted(unknown)}")
         demand = rec["demand"]
         if isinstance(demand, list):
-            if len(demand) != 1:
+            if not demand:
+                raise InstanceFormatError(f"packet record {i}: 'demand' must name one user")
+            if len(demand) > 1:
                 raise InstanceFormatError(
                     f"packet record {i}: multicast demand sets are not supported"
                 )
@@ -247,22 +223,3 @@ def to_digraph(inst: Instance) -> nx.DiGraph:
 def to_undirected(inst: Instance) -> nx.Graph:
     """Underlying undirected bipartite graph (arc directions dropped)."""
     return to_digraph(inst).to_undirected()
-
-
-def build_split_digraph(inst: Instance) -> SplitDigraph:
-    """Replace each packet vertex by an in/out pair joined by a weighted arc."""
-    heavy = 1 + total_weight(inst)
-    arcs = []
-    for p in inst.packets:
-        arcs.append((("in", p.id), ("out", p.id), p.weight))
-    for p in inst.packets:
-        for u in sorted(p.side):
-            arcs.append((("u", u), ("in", p.id), heavy))
-    for p in inst.packets:
-        arcs.append((("out", p.id), ("u", p.demand), heavy))
-    return SplitDigraph(
-        users=inst.users,
-        packet_ids=inst.packet_ids,
-        arcs=tuple(arcs),
-        heavy_weight=heavy,
-    )

@@ -1,7 +1,9 @@
 """Exact-arithmetic linear programming with `fractions.Fraction` results.
 
 A two-phase primal simplex with Bland's rule (guaranteed termination) plus
-a deterministic branch-and-bound layer for integer variables.  Everything
+a deterministic branch-and-bound layer for integer programs.  Integrality
+is the solver's choice: `solve_lp` solves a program's LP relaxation and
+`solve_ilp` the same program with every variable integer.  Everything
 is exact: optimal values, primal solutions, and dual certificates are
 rational numbers with no tolerance anywhere.  A branch-and-bound node is
 a program too: its parent with one variable bound tightened.
@@ -103,7 +105,6 @@ class LinearProgram:
     constraints: list[Constraint] = field(default_factory=list)
     lower: tuple[Fraction, ...] = ()
     upper: tuple[Fraction | None, ...] = ()  # None = unbounded above
-    integer: tuple[bool, ...] = ()
     var_names: tuple[str, ...] = ()
     var_keys: tuple = ()  # per column: Cycle, PartialClique or packet id; () if unset
 
@@ -114,15 +115,13 @@ class LinearProgram:
             self.lower = (_ZERO,) * n
         if not self.upper:
             self.upper = (None,) * n
-        if not self.integer:
-            self.integer = (False,) * n
         if not self.var_names:
             self.var_names = tuple(f"x{j}" for j in range(n))
         self.lower = tuple(map(_frac, self.lower))
         self.upper = tuple(None if b is None else _frac(b) for b in self.upper)
-        if not (n == len(self.lower) == len(self.upper) == len(self.integer) == len(self.var_names)
+        if not (n == len(self.lower) == len(self.upper) == len(self.var_names)
                 and len(self.var_keys) in (0, n)):
-            raise DimensionError("bounds/flags/names/keys must match the variable count")
+            raise DimensionError("bounds/names/keys must match the variable count")
         for lo, hi in zip(self.lower, self.upper):
             if hi is not None and lo > hi:
                 raise DimensionError(f"inconsistent bounds: {lo} > {hi}")
@@ -144,8 +143,7 @@ def transpose(lp: LinearProgram) -> LinearProgram:
     packing program (max, every row <=) over x >= 0.
 
     Row i becomes column i and column j becomes row j, each under its own
-    name; the columns are integer when every column of `lp` is.  Any other
-    program raises ValueError.
+    name.  Any other program raises ValueError.
     """
     rel = {"min": ">=", "max": "<="}.get(lp.sense)
     if rel is None or any(c.rel != rel for c in lp.constraints):
@@ -160,7 +158,6 @@ def transpose(lp: LinearProgram) -> LinearProgram:
         tuple(c.rhs for c in lp.constraints),
         [Constraint(col, dual_rel, cj, name)
          for col, cj, name in zip(columns, lp.objective, lp.var_names)],
-        integer=(all(lp.integer),) * m,
         var_names=tuple(c.name for c in lp.constraints),
     )
 
@@ -175,9 +172,6 @@ class SolveResult:
     reduced_costs: tuple[Fraction, ...] = ()
     branch_count: int = 0
     lp: LinearProgram | None = None
-
-    def primal_by_name(self) -> dict[str, Fraction]:
-        return dict(zip(self.lp.var_names, self.primal))
 
 
 def _reduce(nums, den):
@@ -266,7 +260,7 @@ def _simplex(tab, dens, basis, cost, banned):
 
 
 def solve_lp(lp: LinearProgram) -> SolveResult:
-    """Exact optimum of the LP relaxation (integrality flags ignored).
+    """Exact optimum of the LP relaxation.
 
     Returns primal values, the objective, and a full dual certificate: one
     shadow price per constraint row, one per finite upper bound, and the
@@ -448,23 +442,21 @@ def verify_certificate(lp: LinearProgram, res: SolveResult) -> bool:
 
 
 def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveResult:
-    """Exact branch-and-bound on the rational LP relaxation.
+    """Exact optimum of `lp` with every variable integer, by branch-and-bound
+    on the rational LP relaxation.
 
-    Deterministic: branch on the lowest-index fractional integral variable,
-    explore the floor branch first (depth-first).  Each node is `lp` with
-    tightened bounds; a branch whose bounds would cross is an infeasible
-    leaf, counted as a node but never built.  When every variable with
-    a nonzero objective coefficient is integer and its coefficient integral,
-    every integer point has an integral value, so node bounds are rounded
-    (floor for max, ceil for min) before they are compared with the incumbent.
+    Deterministic: branch on the lowest-index fractional variable, explore
+    the floor branch first (depth-first).  Each node is `lp` with tightened
+    bounds; a branch whose bounds would cross is an infeasible leaf, counted
+    as a node but never built.  When every objective coefficient is
+    integral, so is the value of every integer point, and node bounds are
+    rounded (floor for max, ceil for min) before they are compared with the
+    incumbent.
     """
     best: SolveResult | None = None
     nodes = 0
     maximize = lp.sense == "max"
-    integral = all(
-        flag and cj.denominator == 1
-        for cj, flag in zip(lp.objective, lp.integer) if cj
-    )
+    integral = all(cj.denominator == 1 for cj in lp.objective)
     stack: list[LinearProgram | None] = [lp]
     while stack:
         node = stack.pop()
@@ -486,11 +478,7 @@ def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveR
                 continue
             if not maximize and bound >= best.objective:
                 continue
-        frac_j = next(
-            (j for j in range(lp.num_vars)
-             if lp.integer[j] and res.primal[j].denominator != 1),
-            None,
-        )
+        frac_j = next((j for j, v in enumerate(res.primal) if v.denominator != 1), None)
         if frac_j is None:
             best = res
             continue

@@ -1,15 +1,13 @@
 """Builders for the bound and coding programs of the paper.
 
-Each program has one builder, and every builder makes an integer program:
-its LP relaxation (a primed name, P2' for P2) is `lp.solve_lp` of the same
-object, since `solve_lp` ignores the integer flags.  Only one side of each
-dual pair is written out: the covering programs P2 and P5 and the packing
-programs P4 and P4*, each a 0/1 incidence matrix of columns against rows.
-The deletion programs P1 and P6 and the feedback-set programs P3 and P3*
-are their exact LP duals, `lp.transpose(...)`, so row i of one is column i
-of the other under the same name and a pair lines up by index.  Each column
-is keyed (`var_keys`) by its `Cycle`, `PartialClique`, packet id or
-split-digraph cycle (its arc tuple); the names below are never parsed:
+Each program has one builder, and `lp.solve_ilp` solves it as an integer
+program while `lp.solve_lp` solves its LP relaxation (a primed name, P2'
+for P2).  Only the covering programs P2 and P5 are written out, each a 0/1
+incidence matrix of columns against per-packet rows.  The deletion
+programs P1 and P6 are their exact LP duals, `lp.transpose(...)`, so row i
+of one is column i of the other under the same name and a pair lines up
+by index.  Each column is keyed (`var_keys`) by its `Cycle`,
+`PartialClique` or packet id; the names below are never parsed:
 
 * cycle columns carry the packet and user interleaving, ``C:p1|p3@u1|u3``;
   only the first cycle of each packet set gets one (cycles with the same
@@ -19,20 +17,16 @@ split-digraph cycle (its arc tuple); the names below are never parsed:
   (a (k, 0)-clique's column would be the sum of its singleton columns);
 * per-packet covering rows are ``m:<pid>`` and direct-broadcast columns
   ``y:<pid>``, so P1 and P6 have the columns ``m:<pid>`` and P1 the rows
-  ``y:<pid>`` (x_m <= 1);
-* split-digraph arc rows are ``a:in.p1>out.p1`` and cycle columns ``sc<i>``.
+  ``y:<pid>`` (x_m <= 1).
 """
 
 from __future__ import annotations
 
 from .enumeration import Cycle, PartialClique
-from .instance import Instance, SplitDigraph
-from .lp import _ONE, _ZERO, OPTIMAL, Constraint, LinearProgram, SolveResult, _frac, transpose
+from .instance import Instance
+from .lp import _ONE, _ZERO, OPTIMAL, Constraint, LinearProgram, SolveResult, _frac
 
-__all__ = [
-    "build_P1", "build_P2", "build_P3", "build_P4", "build_P3_star",
-    "build_P4_star", "build_P5", "build_P6", "verify_duality", "cycle_var_name",
-]
+__all__ = ["build_P2", "build_P5", "verify_duality", "cycle_var_name"]
 
 
 def cycle_var_name(c: Cycle) -> str:
@@ -50,8 +44,7 @@ def _incidence_program(sense, columns, rows) -> LinearProgram:
         Constraint(tuple(_ONE if element in m else _ZERO for m in members), rel, _frac(rhs), name)
         for element, name, rhs in rows
     ]
-    return LinearProgram(sense, costs, constraints, integer=(True,) * len(costs),
-                         var_names=names, var_keys=keys)
+    return LinearProgram(sense, costs, constraints, var_names=names, var_keys=keys)
 
 
 def _cycle_columns(cycles):
@@ -75,41 +68,6 @@ def build_P2(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
     return _incidence_program("min", columns, _packet_rows(inst))
 
 
-def build_P1(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
-    """Maximum packet-weighted acyclic subgraph by packet deletion (ILP):
-    the dual of P2, one row per distinct cycle packet set."""
-    return transpose(build_P2(inst, cycles))
-
-
-def build_P4(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
-    """Cycle packing: maximize saved transmissions (complement of P2)."""
-    columns = [(name, c, 1, packets) for name, c, packets in _cycle_columns(cycles)]
-    return _incidence_program("max", columns, _packet_rows(inst))
-
-
-def build_P3(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
-    """Minimum-weight feedback packet vertex set (complement of P1): the
-    dual of P4."""
-    return transpose(build_P4(inst, cycles))
-
-
-def _arc_name(arc) -> str:
-    (sk, sv), (dk, dv) = arc[0], arc[1]
-    return f"a:{sk}.{sv}>{dk}.{dv}"
-
-
-def build_P4_star(sd: SplitDigraph, sd_cycles) -> LinearProgram:
-    """Cycle packing in the packet-split digraph under arc capacities."""
-    columns = [(f"sc{i}", cyc, 1, frozenset(cyc)) for i, cyc in enumerate(sd_cycles)]
-    rows = [((a[0], a[1]), _arc_name(a), a[2]) for a in sd.arcs]
-    return _incidence_program("max", columns, rows)
-
-
-def build_P3_star(sd: SplitDigraph, sd_cycles) -> LinearProgram:
-    """Minimum feedback arc set of the packet-split digraph: the dual of P4*."""
-    return transpose(build_P4_star(sd, sd_cycles))
-
-
 def build_P5(inst: Instance, cliques: list[PartialClique]) -> LinearProgram:
     """Optimal partial-clique code, scalar at the integer optimum and
     vector at the LP optimum."""
@@ -117,19 +75,13 @@ def build_P5(inst: Instance, cliques: list[PartialClique]) -> LinearProgram:
     return _incidence_program("min", columns, _packet_rows(inst))
 
 
-def build_P6(inst: Instance, cliques: list[PartialClique]) -> LinearProgram:
-    """Deletion program over partial cliques, equivalent to P1: the dual of
-    P5.  The singleton (1,0)-cliques supply the x_m <= 1 rows."""
-    return transpose(build_P5(inst, cliques))
-
-
 def verify_duality(a: SolveResult, b: SolveResult) -> bool:
     """Certify two solved programs as a primal-dual optimum.
 
     Both results must be optimal, `b.lp` must be `lp.transpose(a.lp)` up to
-    names and integrality, the objectives must be equal, and complementary
-    slackness must hold both ways: a positive variable of either program
-    forces the row of the other program with the same index tight.
+    names, the objectives must be equal, and complementary slackness must
+    hold both ways: a positive variable of either program forces the row of
+    the other program with the same index tight.
     Names and keys are not read.
     """
     if a.status != OPTIMAL or b.status != OPTIMAL or a.objective != b.objective:

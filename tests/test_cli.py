@@ -201,6 +201,8 @@ def test_mutated_instance_files_exit_0_or_2(fig1, tmp_path, capsys):
      "packet record 0: 'side' must be a list"),
     ("users: [u1, u2]\npackets: [{id: null, demand: u1, side: [u2]}]\n",
      "packet record 0: 'id' must hold id tokens"),
+    ("users: [u1]\npackets: [{id: p1, demand: []}]\n",
+     "packet record 0: 'demand' must name one user"),
 ])
 def test_instance_errors_exit_2(text, message, tmp_path, capsys):
     path = tmp_path / "bad.icp"
@@ -340,6 +342,20 @@ def test_truncation_needs_the_clique_family(dense12_file):
     # The clique listing alone is truncated.
     code, text = _run(["cliques", dense12_file, "--max-k", "2", "--format", "json"])
     assert code == 0 and {t["k"] for t in json.loads(text)} == {1, 2}
+
+
+def test_cliques_lists_the_whole_family_unless_capped(tmp_path, monkeypatch):
+    # A 13-packet clique core, the whole of which is a (13, 4)-clique.
+    inst = random_unicast_instance(random.Random(0), 13, 8, 3, 0.6, exact=True)
+    path = tmp_path / "core13.icp"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    code, text = _run(["cliques", str(path)])
+    full = "(13,4): " + " ".join(sorted(inst.packet_ids)) + "\n"
+    assert code == 0 and text.endswith(full + "total: 7065 partial cliques\n")
+    capped = _run(["cliques", str(path), "--max-k", "12"])
+    assert capped == (0, text.replace(full, "").replace("7065", "7064"))
+    monkeypatch.setenv("INDEXCODE_MAX_K", "12")
+    assert _run(["cliques", str(path)]) == capped
 
 
 def test_small_core_needs_no_large_max_k(tmp_path):

@@ -13,12 +13,7 @@ from indexcode import (
     solve_ilp,
     solve_lp,
 )
-from indexcode.coding import (
-    ScheduleError,
-    clique_schedule,
-    cycle_to_clique,
-    cyclic_schedule,
-)
+from indexcode.coding import ScheduleError, clique_schedule, cyclic_schedule
 from indexcode.gf256 import (
     gf_det,
     gf_inv,
@@ -28,6 +23,8 @@ from indexcode.gf256 import (
 )
 from indexcode.lp import OPTIMAL, SolveResult
 from indexcode.programs import build_P2, build_P5
+
+from paper_programs import cycle_to_clique
 
 
 # ---------------------------------------------------------------- GF(2^8)

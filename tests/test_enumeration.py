@@ -2,16 +2,12 @@ from random import Random
 
 import pytest
 
-from indexcode import (
-    enumerate_cycles,
-    enumerate_partial_cliques,
-    extract_cycles_from_clique,
-    make_instance,
-)
-from indexcode.enumeration import CapExceeded, Cycle, PartialClique, clique_core
+from indexcode import enumerate_cycles, enumerate_partial_cliques, make_instance
+from indexcode.enumeration import CapExceeded, Cycle, PartialClique
 from indexcode.generators import random_unicast_instance, random_uniprior_instance
 
 from conftest import dfs_cycles, full_clique_family
+from paper_programs import clique_core, extract_cycles_from_clique, validate_cycle
 
 
 def test_fig1_cycles(fig1):
@@ -50,7 +46,7 @@ def test_cycles_match_dfs_oracle(fig1, fig4):
 def test_cycles_validate_and_are_sorted(fig4):
     cycles = enumerate_cycles(fig4)
     for c in cycles:
-        c.validate(fig4)
+        validate_cycle(fig4, c)
     assert cycles == sorted(
         cycles, key=lambda c: (c.length, sorted(c.packets), c.packets, c.users)
     )
@@ -59,11 +55,11 @@ def test_cycles_validate_and_are_sorted(fig4):
 def test_cycle_validate_rejects_non_cycles(fig1):
     # Raised, not asserted, so the check survives `python -O`.
     with pytest.raises(ValueError, match="u2 does not demand p1"):
-        Cycle(("p1", "p3"), ("u2", "u3")).validate(fig1)
+        validate_cycle(fig1, Cycle(("p1", "p3"), ("u2", "u3")))
     with pytest.raises(ValueError, match="u1 does not hold p2"):
-        Cycle(("p1", "p2"), ("u1", "u2")).validate(fig1)
+        validate_cycle(fig1, Cycle(("p1", "p2"), ("u1", "u2")))
     with pytest.raises(ValueError, match="k >= 2"):
-        Cycle(("p1",), ("u1",)).validate(fig1)
+        validate_cycle(fig1, Cycle(("p1",), ("u1",)))
 
 
 def test_cycle_cap():
@@ -128,11 +124,13 @@ def test_cliques_are_the_non_dominated_family():
         # order and with the same d.
         kept = [t for t in full_clique_family(inst) if t.k == 1 or t.d >= 1]
         assert cliques == kept
-        # Every clique with d >= 1 lies in the core, which is one of them.
-        core = frozenset(clique_core(inst))
-        assert core == frozenset().union(*(t.packets for t in kept if t.d >= 1))
-        assert not core or core in {t.packets for t in kept if t.d >= 1}
-        for max_k in range(len(inst.packet_ids)):
+        # The core is the largest d >= 1 clique of the full family, and
+        # every other lies in it.
+        coded = [t.packets for t in kept if t.d >= 1]
+        core = max(coded, key=len, default=frozenset())
+        assert clique_core(inst) == sorted(core)
+        assert all(t <= core for t in coded)
+        for max_k in range(len(inst.packet_ids) + 2):
             assert enumerate_partial_cliques(inst, max_k) == [t for t in kept if t.k <= max_k]
 
 
@@ -152,7 +150,7 @@ def test_extract_cycles_ring():
     cycles = extract_cycles_from_clique(full, inst)
     assert len(cycles) == 1
     assert cycles[0].packet_set == frozenset(inst.packet_ids)
-    cycles[0].validate(inst)
+    validate_cycle(inst, cycles[0])
 
 
 def test_extract_cycles_d0():
@@ -193,7 +191,7 @@ def test_extract_cycles_disjoint_property():
                     len(s) for s in packet_lists
                 )
                 for c in cycles:
-                    c.validate(inst)
+                    validate_cycle(inst, c)
                 checked += 1
     assert checked > 10
 

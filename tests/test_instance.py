@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import networkx as nx
 import pytest
@@ -10,7 +11,6 @@ import indexcode
 from indexcode import (
     InstanceFormatError,
     InstanceValidationError,
-    build_split_digraph,
     is_uniprior,
     make_instance,
     parse_instance,
@@ -20,6 +20,8 @@ from indexcode import (
 from indexcode.generators import random_unicast_instance
 from indexcode.instance import to_digraph
 from random import Random
+
+from paper_programs import split_digraph
 
 FIG1_TEXT = """
 users: [u1, u2, u3]
@@ -138,31 +140,33 @@ def test_is_uniprior(fig1):
 
 
 def test_split_digraph_fig1(fig1):
-    sd = build_split_digraph(fig1)
-    assert len(sd.users) == 3 and len(sd.packet_ids) == 3
-    assert sd.heavy_weight == 4
-    packet_arcs = [a for a in sd.arcs if a[0][0] == "in"]
+    sd = split_digraph(fig1)
+    kinds = [kind for kind, _ in sd.nodes]
+    assert kinds.count("u") == 3 and kinds.count("in") == kinds.count("out") == 3
+    arcs = list(sd.edges(data="weight"))
+    packet_arcs = [a for a in arcs if a[0][0] == "in"]
     assert len(packet_arcs) == 3
     assert all(w == 1 for _, _, w in packet_arcs)
-    u2p = [a for a in sd.arcs if a[0][0] == "u"]
-    p2u = [a for a in sd.arcs if a[1][0] == "u"]
+    u2p = [a for a in arcs if a[0][0] == "u"]
+    p2u = [a for a in arcs if a[1][0] == "u"]
     assert len(u2p) == 4 and len(p2u) == 3
     assert all(w == 4 for _, _, w in u2p + p2u)
 
 
 def test_split_digraph_single_packet():
     inst = make_instance(["u1"], [("p1", 1, "u1", set())])
-    sd = build_split_digraph(inst)
-    assert len([a for a in sd.arcs if a[0][0] == "in"]) == 1
-    assert len(list(nx.simple_cycles(sd.to_networkx()))) == 0
+    sd = split_digraph(inst)
+    assert len([a for a in sd.edges if a[0][0] == "in"]) == 1
+    assert len(list(nx.simple_cycles(sd))) == 0
 
 
 def test_split_digraph_heavy_weight_dominates():
     rng = Random(7)
     for _ in range(20):
         inst = random_unicast_instance(rng)
-        sd = build_split_digraph(inst)
-        assert sd.heavy_weight > sum(w for src, _, w in sd.arcs if src[0] == "in")
+        weights = [(src[0], w) for src, _, w in split_digraph(inst).edges(data="weight")]
+        heavy = {w for kind, w in weights if kind != "in"}
+        assert len(heavy) == 1 and heavy.pop() > sum(w for kind, w in weights if kind == "in")
 
 
 def test_fact1_cycle_count_preserved():
@@ -170,7 +174,7 @@ def test_fact1_cycle_count_preserved():
     for _ in range(30):
         inst = random_unicast_instance(rng)
         n_orig = len(list(nx.simple_cycles(to_digraph(inst))))
-        n_split = len(list(nx.simple_cycles(build_split_digraph(inst).to_networkx())))
+        n_split = len(list(nx.simple_cycles(split_digraph(inst))))
         assert n_orig == n_split
 
 
@@ -199,6 +203,24 @@ def test_generated_suites_independent_of_hash_seed():
                               capture_output=True, text=True, check=True, timeout=60)
         texts.add(done.stdout)
     assert len(texts) == 1 and "packets:" in texts.pop()
+
+
+def test_public_surface():
+    # What `indexcode` exports: a helper that only tests use belongs in
+    # tests/paper_programs.py.
+    public = sorted(name for name, value in vars(indexcode).items()
+                    if not name.startswith("_") and not isinstance(value, ModuleType))
+    assert public == [
+        "BoundsReport", "CapExceeded", "CodingAction", "Constraint", "Cycle", "DecodeFailure",
+        "DecodeReport", "Instance", "InstanceError", "InstanceFormatError",
+        "InstanceValidationError", "LinearProgram", "NodeLimitExceeded", "PacketType",
+        "PartialClique", "PreconditionError", "ScheduleError", "SolveResult", "Theorem2Report",
+        "Transmission", "TransmissionSchedule", "bounds_report", "build_P2", "build_P5",
+        "clique_schedule", "cyclic_schedule", "enumerate_cycles", "enumerate_partial_cliques",
+        "is_planar", "is_uniprior", "make_instance", "mds_rows", "parse_instance",
+        "serialize_instance", "simulate", "solve_ilp", "solve_lp", "to_digraph", "to_undirected",
+        "total_weight", "transpose", "validate_instance", "verify_certificate", "verify_duality",
+    ]
 
 
 def test_parse_rejects_boolean_weight():

@@ -20,8 +20,8 @@ from indexcode.lp import (
 from conftest import lp_vertex_oracle
 
 
-def _lp(sense, c, rows, lower=(), upper=(), integer=(), names=()):
-    lp = LinearProgram(sense, tuple(c), [], lower, upper, integer, names)
+def _lp(sense, c, rows, lower=(), upper=(), names=()):
+    lp = LinearProgram(sense, tuple(c), [], lower, upper, names)
     for coeffs, rel, rhs in rows:
         lp.add_row(coeffs, rel, rhs)
     return lp
@@ -259,7 +259,7 @@ def test_ilp_knapsack():
     lp = _lp(
         "max", [10, 6, 4],
         [([1, 1, 1], "<=", 2)],
-        upper=(F(1),) * 3, integer=(True,) * 3,
+        upper=(F(1),) * 3,
     )
     res = solve_ilp(lp)
     assert res.objective == 16
@@ -277,7 +277,7 @@ def test_ilp_matches_bruteforce():
         rhss = [F(rng.randint(1, 5)) for _ in range(m)]
         lp = _lp(
             "max", c, [(r, "<=", b) for r, b in zip(rows, rhss)],
-            upper=(F(1),) * n, integer=(True,) * n,
+            upper=(F(1),) * n,
         )
         res = solve_ilp(lp)
         best = max(
@@ -300,7 +300,7 @@ def _pruning_ilp(seed, halve):
     rel = "<=" if sense == "max" else ">="
     obj = [F(x, 2) for x in c] if halve else c
     lp = _lp(sense, obj, [(r, rel, b) for r, b in zip(rows, rhss)],
-             upper=(F(3),) * 5, integer=(True,) * 5)
+             upper=(F(3),) * 5)
 
     def feasible(xs):
         lhss = [sum(a * x for a, x in zip(r, xs)) for r in rows]
@@ -325,7 +325,7 @@ def test_ilp_prunes_on_rounded_bound():
 
 
 def test_ilp_infeasible():
-    lp = _lp("max", [1], [([2], "=", 1)], upper=(F(3),), integer=(True,))
+    lp = _lp("max", [1], [([2], "=", 1)], upper=(F(3),))
     res = solve_ilp(lp)
     assert res.status == "infeasible"
 
@@ -336,7 +336,7 @@ def test_ilp_node_limit():
     lp = _lp(
         "max", [1, 1, 1],
         [([1, 1, 0], "<=", 1), ([0, 1, 1], "<=", 1), ([1, 0, 1], "<=", 1)],
-        upper=(F(1),) * 3, integer=(True,) * 3,
+        upper=(F(1),) * 3,
     )
     with pytest.raises(NodeLimitExceeded):
         solve_ilp(lp, node_limit=1)
@@ -449,13 +449,6 @@ def test_transpose_keeps_the_optimum():
         assert res.objective == dual.objective
         # The dual's optimum is the primal's row shadow prices, up to sign.
         assert verify_certificate(dual.lp, dual)
-
-
-def test_transpose_carries_integrality():
-    lp = _lp("max", [1, 2], [([1, 1], "<=", 3)], integer=(True, True))
-    assert transpose(lp).integer == (True,)
-    lp = _lp("max", [1, 2], [([1, 1], "<=", 3)], integer=(True, False))
-    assert transpose(lp).integer == (False,)
 
 
 @pytest.mark.parametrize("lp", [

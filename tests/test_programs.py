@@ -4,7 +4,6 @@ from itertools import permutations
 from random import Random
 
 from indexcode import (
-    build_split_digraph,
     enumerate_cycles,
     enumerate_partial_cliques,
     LinearProgram,
@@ -12,36 +11,24 @@ from indexcode import (
     PartialClique,
     solve_ilp,
     solve_lp,
-    split_digraph_cycles,
     total_weight,
     transpose,
     verify_certificate,
 )
 from indexcode.generators import random_unicast_instance, random_uniprior_instance
-from indexcode.programs import (
-    build_P1,
-    build_P2,
-    build_P3,
-    build_P3_star,
-    build_P4,
-    build_P4_star,
-    build_P5,
-    build_P6,
-    verify_duality,
-)
+from indexcode.programs import build_P2, build_P5, verify_duality
 
 from conftest import brute_max_acyclic, full_clique_family
+from paper_programs import build_P4, build_P4_star, split_digraph, split_digraph_cycles
 
 
-def _vals(inst, max_k=12):
-    cycles = enumerate_cycles(inst)
-    cliques = enumerate_partial_cliques(inst, max_k=max_k)
-    return cycles, cliques
+def _vals(inst):
+    return enumerate_cycles(inst), enumerate_partial_cliques(inst)
 
 
 def test_p1_structure_fig1(fig1):
     cycles = enumerate_cycles(fig1)
-    lp = build_P1(fig1, cycles)
+    lp = transpose(build_P2(fig1, cycles))
     assert lp.sense == "max"
     assert lp.var_names == ("m:p1", "m:p2", "m:p3")
     assert lp.objective == (F(1), F(1), F(1))
@@ -50,13 +37,12 @@ def test_p1_structure_fig1(fig1):
     assert rows["C:p1|p3@u1|u3"].rhs == 1
     assert rows["C:p1|p3|p2@u1|u3|u2"].rhs == 2
     assert all(c.rel == "<=" for c in lp.constraints)
-    assert all(lp.integer)
     assert solve_ilp(lp).objective == 2
 
 
 def test_p1_caps_each_packet_by_its_y_row(fig1):
     cycles = enumerate_cycles(fig1)
-    lp = build_P1(fig1, cycles)
+    lp = transpose(build_P2(fig1, cycles))
     # x_m <= 1 is the row y:<pid> (the dual of P2's direct broadcast column).
     rows = {c.name: c for c in lp.constraints}
     for j, pid in enumerate(("p1", "p2", "p3")):
@@ -88,7 +74,7 @@ def _rows(lp):
 def test_p4_structure_fig4(fig4):
     cycles = enumerate_cycles(fig4)
     lp = build_P4(fig4, cycles)
-    assert lp.sense == "max" and all(lp.integer)
+    assert lp.sense == "max"
     # The two 3-cycles share a packet set: only the first gets a column.
     assert lp.var_names == ("C:p1|p2@u1|u2", "C:p1|p3@u1|u3", "C:p2|p3@u2|u3",
                             "C:p1|p2|p3@u1|u2|u3")
@@ -103,7 +89,7 @@ def test_p4_structure_fig4(fig4):
 
 def test_p5_structure_fig1(fig1):
     lp = build_P5(fig1, enumerate_partial_cliques(fig1))
-    assert lp.sense == "min" and all(lp.integer)
+    assert lp.sense == "min"
     assert lp.var_names == ("T:p1", "T:p2", "T:p3", "T:p1|p3", "T:p1|p2|p3")
     assert lp.var_keys == (
         PartialClique(frozenset({"p1"}), 1, 0), PartialClique(frozenset({"p2"}), 1, 0),
@@ -120,10 +106,10 @@ def test_p5_structure_fig1(fig1):
 
 
 def test_p4_star_structure_fig1(fig1):
-    sd = build_split_digraph(fig1)
+    sd = split_digraph(fig1)
     sd_cycles = split_digraph_cycles(sd)
     lp = build_P4_star(sd, sd_cycles)
-    assert lp.sense == "max" and all(lp.integer)
+    assert lp.sense == "max"
     assert lp.var_names == ("sc0", "sc1")
     # Each column is keyed by its split-digraph cycle, an arc tuple.
     assert lp.var_keys == tuple(sd_cycles)
@@ -133,25 +119,26 @@ def test_p4_star_structure_fig1(fig1):
         (("out", "p3"), ("u", "u3")), (("u", "u3"), ("in", "p1")),
     )
     assert lp.objective == (1, 1)
-    # Packet arcs carry the packet weight, the others the heavy weight 4.
+    # Packet arcs carry the packet weight, the others the heavy weight 4;
+    # one row per arc, in the graph's edge order.
     assert _rows(lp) == [
         ("a:in.p1>out.p1", "<=", 1, (1, 1)),
-        ("a:in.p2>out.p2", "<=", 1, (0, 1)),
-        ("a:in.p3>out.p3", "<=", 1, (1, 1)),
+        ("a:out.p1>u.u1", "<=", 4, (1, 1)),
+        ("a:u.u1>in.p3", "<=", 4, (1, 1)),
         ("a:u.u2>in.p1", "<=", 4, (0, 1)),
         ("a:u.u3>in.p1", "<=", 4, (1, 0)),
         ("a:u.u3>in.p2", "<=", 4, (0, 1)),
-        ("a:u.u1>in.p3", "<=", 4, (1, 1)),
-        ("a:out.p1>u.u1", "<=", 4, (1, 1)),
+        ("a:in.p2>out.p2", "<=", 1, (0, 1)),
         ("a:out.p2>u.u2", "<=", 4, (0, 1)),
+        ("a:in.p3>out.p3", "<=", 1, (1, 1)),
         ("a:out.p3>u.u3", "<=", 4, (1, 1)),
     ]
 
 
 def test_fig1_all_bounds_equal_two(fig1):
     cycles, cliques = _vals(fig1)
-    assert solve_ilp(build_P1(fig1, cycles)).objective == 2
-    assert solve_lp(build_P1(fig1, cycles)).objective == 2
+    assert solve_ilp(transpose(build_P2(fig1, cycles))).objective == 2
+    assert solve_lp(transpose(build_P2(fig1, cycles))).objective == 2
     assert solve_lp(build_P2(fig1, cycles)).objective == 2
     assert solve_ilp(build_P2(fig1, cycles)).objective == 2
     assert solve_ilp(build_P5(fig1, cliques)).objective == 2
@@ -160,8 +147,8 @@ def test_fig1_all_bounds_equal_two(fig1):
 
 def test_fig4_bound_chain_with_gaps(fig4):
     cycles, cliques = _vals(fig4)
-    assert solve_ilp(build_P1(fig4, cycles)).objective == 1
-    assert solve_lp(build_P1(fig4, cycles)).objective == F(3, 2)
+    assert solve_ilp(transpose(build_P2(fig4, cycles))).objective == 1
+    assert solve_lp(transpose(build_P2(fig4, cycles))).objective == F(3, 2)
     assert solve_lp(build_P2(fig4, cycles)).objective == F(3, 2)
     assert solve_ilp(build_P2(fig4, cycles)).objective == 2
     assert solve_ilp(build_P5(fig4, cliques)).objective == 1
@@ -170,7 +157,7 @@ def test_fig4_bound_chain_with_gaps(fig4):
 
 def test_p6_structure_fig4(fig4):
     _, cliques = _vals(fig4)
-    lp = build_P6(fig4, cliques)
+    lp = transpose(build_P5(fig4, cliques))
     assert lp.sense == "max"
     rows = {c.name: c for c in lp.constraints}
     # (3,2)-clique row: x1+x2+x3 <= 1
@@ -180,7 +167,7 @@ def test_p6_structure_fig4(fig4):
     # singleton rows act as x_m <= 1
     assert rows["T:p1"].rhs == 1
     assert solve_ilp(lp).objective == 1
-    assert solve_lp(build_P6(fig4, cliques)).objective == 1
+    assert solve_lp(transpose(build_P5(fig4, cliques))).objective == 1
 
 
 def test_weighted_objective():
@@ -189,7 +176,7 @@ def test_weighted_objective():
         [("p1", 3, "u1", {"u2"}), ("p2", 2, "u2", {"u1"})],
     )
     cycles = enumerate_cycles(inst)
-    p1 = build_P1(inst, cycles)
+    p1 = transpose(build_P2(inst, cycles))
     assert dict(zip(p1.var_names, p1.objective)) == {"m:p1": 3, "m:p2": 2}
     assert solve_ilp(p1).objective == 3
     p2 = build_P2(inst, cycles)
@@ -205,7 +192,7 @@ def test_p1p2_relaxations_are_dual():
     insts = [random_unicast_instance(rng) for _ in range(40)]
     for inst in insts:
         cycles = enumerate_cycles(inst)
-        a = solve_lp(build_P1(inst, cycles))
+        a = solve_lp(transpose(build_P2(inst, cycles)))
         b = solve_lp(build_P2(inst, cycles))
         assert a.objective == b.objective
         assert verify_duality(a, b)
@@ -216,7 +203,7 @@ def test_p6p5_relaxations_are_dual():
     insts = [random_unicast_instance(rng, max_packets=5) for _ in range(25)]
     for inst in insts:
         cliques = enumerate_partial_cliques(inst)
-        a = solve_lp(build_P6(inst, cliques))
+        a = solve_lp(transpose(build_P5(inst, cliques)))
         b = solve_lp(build_P5(inst, cliques))
         assert a.objective == b.objective
         assert verify_duality(a, b)
@@ -227,8 +214,8 @@ def test_bound_chain_order():
     for _ in range(30):
         inst = random_unicast_instance(rng)
         cycles = enumerate_cycles(inst)
-        v1 = solve_ilp(build_P1(inst, cycles)).objective
-        v1r = solve_lp(build_P1(inst, cycles)).objective
+        v1 = solve_ilp(transpose(build_P2(inst, cycles))).objective
+        v1r = solve_lp(transpose(build_P2(inst, cycles))).objective
         v2r = solve_lp(build_P2(inst, cycles)).objective
         v2 = solve_ilp(build_P2(inst, cycles)).objective
         assert v1 <= v1r == v2r <= v2
@@ -241,8 +228,8 @@ def test_p1_equals_p6():
         cycles = enumerate_cycles(inst)
         cliques = enumerate_partial_cliques(inst)
         assert (
-            solve_ilp(build_P1(inst, cycles)).objective
-            == solve_ilp(build_P6(inst, cliques)).objective
+            solve_ilp(transpose(build_P2(inst, cycles))).objective
+            == solve_ilp(transpose(build_P5(inst, cliques))).objective
         )
 
 
@@ -268,16 +255,16 @@ def test_complementarity():
     for inst in insts:
         W = total_weight(inst)
         cycles = enumerate_cycles(inst)
-        assert solve_ilp(build_P1(inst, cycles)).objective + \
-            solve_ilp(build_P3(inst, cycles)).objective == W
+        assert solve_ilp(transpose(build_P2(inst, cycles))).objective + \
+            solve_ilp(transpose(build_P4(inst, cycles))).objective == W
         assert solve_ilp(build_P2(inst, cycles)).objective + \
             solve_ilp(build_P4(inst, cycles)).objective == W
 
 
 def test_p3_star_structure(fig1):
-    sd = build_split_digraph(fig1)
+    sd = split_digraph(fig1)
     sd_cycles = split_digraph_cycles(sd)
-    lp = build_P3_star(sd, sd_cycles)
+    lp = transpose(build_P4_star(sd, sd_cycles))
     named = dict(zip(lp.var_names, lp.objective))
     # packet arcs carry the packet weight; all other arcs the heavy weight 4
     assert named["a:in.p1>out.p1"] == 1
@@ -290,10 +277,10 @@ def test_star_equivalences():
     insts = [random_unicast_instance(rng, max_packets=5) for _ in range(15)]
     for inst in insts:
         cycles = enumerate_cycles(inst)
-        sd = build_split_digraph(inst)
+        sd = split_digraph(inst)
         sd_cycles = split_digraph_cycles(sd)
-        v3 = solve_ilp(build_P3(inst, cycles)).objective
-        v3s = solve_ilp(build_P3_star(sd, sd_cycles)).objective
+        v3 = solve_ilp(transpose(build_P4(inst, cycles))).objective
+        v3s = solve_ilp(transpose(build_P4_star(sd, sd_cycles))).objective
         assert v3 == v3s
         v4 = solve_ilp(build_P4(inst, cycles)).objective
         v4s = solve_ilp(build_P4_star(sd, sd_cycles)).objective
@@ -306,11 +293,11 @@ def test_p3_star_avoids_heavy_arcs():
     rng = Random(38)
     for _ in range(10):
         inst = random_unicast_instance(rng, max_packets=4)
-        sd = build_split_digraph(inst)
+        sd = split_digraph(inst)
         sd_cycles = split_digraph_cycles(sd)
-        lp = build_P3_star(sd, sd_cycles)
+        lp = transpose(build_P4_star(sd, sd_cycles))
         res = solve_ilp(lp)
-        chosen = [n for n, v in res.primal_by_name().items() if v]
+        chosen = [n for n, v in zip(lp.var_names, res.primal) if v]
         assert all(n.startswith("a:in.") for n in chosen)
 
 
@@ -319,7 +306,7 @@ def test_p1_matches_bruteforce_deletion_oracle():
     for _ in range(20):
         inst = random_unicast_instance(rng, max_packets=5)
         cycles = enumerate_cycles(inst)
-        assert solve_ilp(build_P1(inst, cycles)).objective == brute_max_acyclic(inst)
+        assert solve_ilp(transpose(build_P2(inst, cycles))).objective == brute_max_acyclic(inst)
 
 
 def _dense_instances_with_repeated_cycle_sets(seed, count):
@@ -344,10 +331,7 @@ def test_p2_has_one_column_per_cycle_packet_set():
                         if c.packet_set not in {d.packet_set for d in cycles[:i]}]
         # One column per cycle, duplicates included: same values.
         pids = list(inst.packet_ids)
-        full = LinearProgram(
-            "min", tuple(c.length - 1 for c in cycles) + (1,) * len(pids),
-            integer=(True,) * (len(cycles) + len(pids)),
-        )
+        full = LinearProgram("min", tuple(c.length - 1 for c in cycles) + (1,) * len(pids))
         for j, pid in enumerate(pids):
             full.add_row([int(pid in c.packet_set) for c in cycles]
                          + [int(i == j) for i in range(len(pids))], ">=", inst.packet(pid).weight)
@@ -357,10 +341,8 @@ def test_p2_has_one_column_per_cycle_packet_set():
 
 def test_deletion_programs_are_transposes(fig4):
     cycles, cliques = _vals(fig4)
-    for deletion, cover in ((build_P1(fig4, cycles), build_P2(fig4, cycles)),
-                            (build_P3(fig4, cycles), build_P4(fig4, cycles)),
-                            (build_P6(fig4, cliques), build_P5(fig4, cliques))):
-        back = transpose(deletion)
+    for cover in (build_P2(fig4, cycles), build_P4(fig4, cycles), build_P5(fig4, cliques)):
+        back = transpose(transpose(cover))
         assert (back.sense, back.objective, back.var_names) == (
             cover.sense, cover.objective, cover.var_names)
         assert back.constraints == cover.constraints
@@ -368,14 +350,14 @@ def test_deletion_programs_are_transposes(fig4):
 
 def test_verify_duality_rejects_non_dual_pairs(fig4):
     cycles = enumerate_cycles(fig4)
-    a = solve_lp(build_P1(fig4, cycles))
+    a = solve_lp(transpose(build_P2(fig4, cycles)))
     b = solve_lp(build_P2(fig4, cycles))
     assert verify_duality(a, b) and verify_duality(b, a)
     # A program paired with itself.
     assert not verify_duality(a, a)
     assert not verify_duality(b, b)
     # A perturbed primal program: one rhs changed, the optimum kept.
-    lp = build_P1(fig4, cycles)
+    lp = transpose(build_P2(fig4, cycles))
     con = lp.constraints[0]
     lp.constraints[0] = replace(con, rhs=con.rhs + 1)
     bumped = replace(a, lp=lp)
@@ -388,7 +370,7 @@ def test_verify_duality_rejects_non_dual_pairs(fig4):
 
 def test_verify_duality_rejects_unequal_objectives_and_other_forms(fig4):
     cycles = enumerate_cycles(fig4)
-    a = solve_lp(build_P1(fig4, cycles))
+    a = solve_lp(transpose(build_P2(fig4, cycles)))
     b = solve_lp(build_P2(fig4, cycles))
     assert verify_duality(a, b)
     assert not verify_duality(replace(a, objective=a.objective + 1), b)
@@ -414,7 +396,7 @@ def test_verify_duality_rejects_programs_of_another_instance():
     for _ in range(400):
         inst = random_unicast_instance(rng, max_packets=4, max_users=4, side_prob=0.6)
         cycles = enumerate_cycles(inst)
-        a = solve_lp(build_P1(inst, cycles))
+        a = solve_lp(transpose(build_P2(inst, cycles)))
         b = solve_lp(build_P2(inst, cycles))
         shape = (len(a.lp.constraints), a.lp.num_vars, a.objective)
         other = seen.get(shape)
@@ -447,8 +429,8 @@ def test_pruned_clique_family_matches_full_family_oracle():
         ilp_pruned = solve_ilp(build_P5(inst, pruned))
         branched += ilp_pruned.branch_count > 1
         assert ilp_pruned.objective == ilp_full.objective
-        p6_full = solve_lp(build_P6(inst, full))
-        p6_pruned = solve_lp(build_P6(inst, pruned))
+        p6_full = solve_lp(transpose(build_P5(inst, full)))
+        p6_pruned = solve_lp(transpose(build_P5(inst, pruned)))
         assert p6_pruned.objective == p6_full.objective == lp_pruned.objective
         assert verify_duality(p6_pruned, lp_pruned)
         assert verify_certificate(lp_pruned.lp, lp_pruned)
