@@ -50,6 +50,6 @@ from .lp import (
     verify_certificate,
 )
 from .programs import build_P2, build_P5, verify_duality
-from .simulate import DecodeFailure, DecodeReport, simulate
+from .simulate import DecodeReport, simulate
 
 __version__ = "0.1.0"

@@ -10,12 +10,12 @@ Each code family has one expander, `cyclic_schedule` for P2 and
 `clique_schedule` for P5, and it takes an integer optimum and an LP
 relaxation's optimum alike: theta is the lcm of the solution's
 denominators, so it is 1 for a scalar code and splits each packet into
-theta subpackets for a vector code.
+theta subpackets for a vector code.  `TransmissionSchedule.to_doc` is the
+schedule as the JSON document that ``indexcode code`` writes.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,8 +72,9 @@ class TransmissionSchedule:
         """Clearance time in packet units (transmissions / theta)."""
         return Fraction(len(self.transmissions), self.theta)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        """The schedule as a JSON-ready dict; a term's key is "pid/unit"."""
+        return {
             "field": self.field_name,
             "theta": self.theta,
             "granularity": "packet" if self.theta == 1 else "subpacket",
@@ -83,7 +84,6 @@ class TransmissionSchedule:
                 for t in self.transmissions
             ],
         }
-        return json.dumps(doc, indent=2)
 
 
 class _UnitPool:

@@ -89,13 +89,6 @@ class Constraint:
                           for j, a in nz)
 
 
-def _check_row(con: Constraint, n: int) -> None:
-    if len(con.coeffs) != n:
-        raise DimensionError(f"row {con.name!r} has {len(con.coeffs)} coefficients, expected {n}")
-    if con.rel not in ("<=", ">=", "="):
-        raise DimensionError(f"unknown relation {con.rel!r}")
-
-
 @dataclass
 class LinearProgram:
     """max/min c.x subject to linear rows and per-variable bounds."""
@@ -126,16 +119,15 @@ class LinearProgram:
             if hi is not None and lo > hi:
                 raise DimensionError(f"inconsistent bounds: {lo} > {hi}")
         for c in self.constraints:
-            _check_row(c, n)
+            if len(c.coeffs) != n:
+                raise DimensionError(
+                    f"row {c.name!r} has {len(c.coeffs)} coefficients, expected {n}")
+            if c.rel not in ("<=", ">=", "="):
+                raise DimensionError(f"unknown relation {c.rel!r}")
 
     @property
     def num_vars(self) -> int:
         return len(self.objective)
-
-    def add_row(self, coeffs, rel, rhs, name=""):
-        con = Constraint(tuple(map(_frac, coeffs)), rel, _frac(rhs), name)
-        _check_row(con, self.num_vars)
-        self.constraints.append(con)
 
 
 def transpose(lp: LinearProgram) -> LinearProgram:

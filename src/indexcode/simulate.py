@@ -43,20 +43,14 @@ from .instance import Instance
 DEFAULT_PAYLOAD_SIZE = 64
 
 
-class DecodeFailure(RuntimeError):
-    """A receiver could not recover a demanded (sub)packet."""
-
-    def __init__(self, user, packet):
-        super().__init__(f"user {user!r} cannot decode packet {packet!r}")
-        self.user = user
-        self.packet = packet
-
-
 @dataclass
 class DecodeReport:
     success: dict[str, bool]
     transmissions: int
     theta: int
+    # The first user, and its first demanded packet, that fails to decode,
+    # both in instance order; None when every user decodes.
+    failure: tuple[str, str] | None = None
 
     @property
     def all_decoded(self) -> bool:
@@ -148,13 +142,8 @@ def simulate(
     schedule: TransmissionSchedule,
     seed: int = 0,
     payload_size: int = DEFAULT_PAYLOAD_SIZE,
-    raise_on_failure: bool = True,
 ) -> DecodeReport:
-    """Run the schedule and check that every user decodes its demands.
-
-    DecodeFailure names the first user, and its first demanded packet, that
-    fails, both in instance order.
-    """
+    """Run the schedule and check that every user decodes its demands."""
     theta = schedule.theta
     size = payload_size
     stream = hashlib.shake_256(b"%d" % seed).digest(
@@ -211,7 +200,7 @@ def simulate(
         entries_of.append(tuple(entries))
 
     success = {}
-    first_failure = None
+    failure = None
     for user in inst.users:
         known = inst.side_packets(user)
         demanded = [p.id for p in inst.packets if p.demand == user]
@@ -251,8 +240,6 @@ def simulate(
             None,
         )
         success[user] = failed is None
-        if failed is not None and first_failure is None:
-            first_failure = (user, failed)
-    if first_failure is not None and raise_on_failure:
-        raise DecodeFailure(*first_failure)
-    return DecodeReport(success, len(schedule.transmissions), theta)
+        if failed is not None and failure is None:
+            failure = (user, failed)
+    return DecodeReport(success, len(schedule.transmissions), theta, failure)

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
 
@@ -21,7 +22,7 @@ from indexcode.gf256 import (
     gf_scale_bytes,
     mds_rows,
 )
-from indexcode.lp import OPTIMAL, SolveResult
+from indexcode.lp import OPTIMAL, Constraint, SolveResult
 from indexcode.programs import build_P2, build_P5
 
 from paper_programs import cycle_to_clique
@@ -85,8 +86,8 @@ def test_fig1_scalar_cycle_schedule(fig1):
     # Pin the 3-cycle away to make the optimal solution unique: one round of
     # the 2-cycle {p1,p3} plus p2 uncoded, i.e. transmissions q1^q3 and q2.
     lp = build_P2(fig1, enumerate_cycles(fig1))
-    pin = [1 if n.startswith("C:p1|p3|p2") else 0 for n in lp.var_names]
-    lp.add_row(pin, "<=", 0, name="pin")
+    pin = tuple(F(n.startswith("C:p1|p3|p2")) for n in lp.var_names)
+    lp = replace(lp, constraints=lp.constraints + [Constraint(pin, "<=", F(0), "pin")])
     res = solve_ilp(lp)
     assert res.objective == 2
     sched = cyclic_schedule(fig1, res)
@@ -142,7 +143,7 @@ def test_theta_is_one_for_integral_solutions(fig1):
 
 def test_schedule_json_roundtrip(fig1):
     res = solve_ilp(build_P2(fig1, enumerate_cycles(fig1)))
-    doc = json.loads(cyclic_schedule(fig1, res).to_json())
+    doc = json.loads(json.dumps(cyclic_schedule(fig1, res).to_doc()))
     assert doc["field"] == "gf2"
     assert doc["theta"] == 1
     assert doc["total_count"] == "2"
@@ -159,7 +160,8 @@ def test_cyclic_schedule_reads_theta_off_the_solution(fig4):
 
 def test_schedule_rejects_infeasible(fig1):
     lp = build_P2(fig1, enumerate_cycles(fig1))
-    lp.add_row([0] * lp.num_vars, "<=", -1, name="absurd")
+    absurd = Constraint((F(0),) * lp.num_vars, "<=", F(-1), "absurd")
+    lp = replace(lp, constraints=lp.constraints + [absurd])
     res = solve_ilp(lp)
     with pytest.raises(ScheduleError):
         cyclic_schedule(fig1, res)

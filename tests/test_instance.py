@@ -211,9 +211,9 @@ def test_public_surface():
     public = sorted(name for name, value in vars(indexcode).items()
                     if not name.startswith("_") and not isinstance(value, ModuleType))
     assert public == [
-        "BoundsReport", "CapExceeded", "CodingAction", "Constraint", "Cycle", "DecodeFailure",
-        "DecodeReport", "Instance", "InstanceError", "InstanceFormatError",
-        "InstanceValidationError", "LinearProgram", "NodeLimitExceeded", "PacketType",
+        "BoundsReport", "CapExceeded", "CodingAction", "Constraint", "Cycle", "DecodeReport",
+        "Instance", "InstanceError", "InstanceFormatError", "InstanceValidationError",
+        "LinearProgram", "NodeLimitExceeded", "PacketType",
         "PartialClique", "PreconditionError", "ScheduleError", "SolveResult", "Theorem2Report",
         "Transmission", "TransmissionSchedule", "bounds_report", "build_P2", "build_P5",
         "clique_schedule", "cyclic_schedule", "enumerate_cycles", "enumerate_partial_cliques",
@@ -221,6 +221,13 @@ def test_public_surface():
         "serialize_instance", "simulate", "solve_ilp", "solve_lp", "to_digraph", "to_undirected",
         "total_weight", "transpose", "validate_instance", "verify_certificate", "verify_duality",
     ]
+
+
+def test_no_module_reads_the_environment():
+    # Caps come from flags alone: no hidden process state steers a result.
+    for path in Path(indexcode.__file__).parent.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        assert "environ" not in source and "getenv" not in source, path.name
 
 
 def test_parse_rejects_boolean_weight():

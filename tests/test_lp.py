@@ -20,11 +20,12 @@ from indexcode.lp import (
 from conftest import lp_vertex_oracle
 
 
+def _row(coeffs, rel, rhs):
+    return Constraint(tuple(map(F, coeffs)), rel, F(rhs))
+
+
 def _lp(sense, c, rows, lower=(), upper=(), names=()):
-    lp = LinearProgram(sense, tuple(c), [], lower, upper, names)
-    for coeffs, rel, rhs in rows:
-        lp.add_row(coeffs, rel, rhs)
-    return lp
+    return LinearProgram(sense, tuple(c), [_row(*r) for r in rows], lower, upper, names)
 
 
 def test_single_variable_box():
@@ -138,14 +139,16 @@ def _random_mixed_lp(rng):
              for lo in lower]
     x0 = [lo + (F(rng.randint(0, 4), 2) if hi is None else (hi - lo) * F(rng.randint(0, 4), 4))
           for lo, hi in zip(lower, upper)]
-    lp = LinearProgram(rng.choice(("max", "min")), tuple(frac() for _ in range(n)),
-                       lower=tuple(lower), upper=tuple(upper))
+    sense, c = rng.choice(("max", "min")), tuple(frac() for _ in range(n))
+    rows = []
     for _ in range(rng.randint(1, 3)):
         coeffs = [rng.choice((F(0), frac())) for _ in range(n)]
         rel = rng.choice(("<=", ">=", "="))
         lhs = sum(a * x for a, x in zip(coeffs, x0))
         slack = F(rng.randint(0, 3), rng.choice((1, 2)))
-        lp.add_row(coeffs, rel, {"<=": lhs + slack, ">=": lhs - slack, "=": lhs}[rel])
+        rows.append(Constraint(tuple(coeffs), rel,
+                               {"<=": lhs + slack, ">=": lhs - slack, "=": lhs}[rel]))
+    lp = LinearProgram(sense, c, rows, tuple(lower), tuple(upper))
     overrides = None
     if rng.random() < 0.3:
         j = rng.randrange(n)
@@ -219,13 +222,13 @@ def test_certificate_rejects_each_broken_condition():
     # fixed at 1; c meets a <=, a >= and an = row, all tight; e, f and g
     # have slack rows of each kind, and h a tight <= row.
     names = ("a", "b", "c", "e", "f", "g", "h", "k1", "k2")
-    lp = LinearProgram("max", (-1, 1, 1, 0, 0, 0, 1, -2, 2), [],
+    rows = [_row([coef if n == var else 0 for n in names], rel, rhs)
+            for var, coef, rel, rhs in [("c", 1, "<=", 3), ("c", 1, ">=", 3), ("c", 1, "=", 3),
+                                        ("e", 1, "<=", 1), ("f", -1, ">=", -1), ("g", 1, "=", 1),
+                                        ("h", 1, "<=", 2)]]
+    lp = LinearProgram("max", (-1, 1, 1, 0, 0, 0, 1, -2, 2), rows,
                        lower=(1, 0, 0, 0, 0, 0, 0, 1, 1),
                        upper=(None, 2, None, None, None, None, None, 1, 1), var_names=names)
-    for var, coef, rel, rhs in [("c", 1, "<=", 3), ("c", 1, ">=", 3), ("c", 1, "=", 3),
-                                ("e", 1, "<=", 1), ("f", -1, ">=", -1), ("g", 1, "=", 1),
-                                ("h", 1, "<=", 2)]:
-        lp.add_row([coef if n == var else 0 for n in names], rel, rhs)
     res = solve_lp(lp)
     x, y, u, r = res.primal, res.row_duals, res.upper_bound_duals, res.reduced_costs
     assert (res.objective, x) == (6, (1, 2, 3, 0, 0, 1, 2, 1, 1))
@@ -343,30 +346,12 @@ def test_ilp_node_limit():
 
 
 def test_dimension_errors():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="has 2 coefficients, expected 1"):
         LinearProgram("max", (F(1),), [Constraint((F(1), F(2)), "<=", F(1))])
     with pytest.raises(DimensionError):
         LinearProgram("max", (F(1),), lower=(F(2),), upper=(F(1),))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="unknown relation '<<'"):
         LinearProgram("max", (F(1),), [Constraint((F(1),), "<<", F(1))])
-
-
-def test_add_row_rejects_a_wrong_length():
-    # Unchecked, a third coefficient would land on row 0's slack column and
-    # max x0 + x1 s.t. x0 + 5 s0 <= 2 would read "optimal 5".
-    lp = _lp("max", [1, 1], [], upper=(1, 1))
-    for coeffs in ([1, 0, 5], [1]):
-        with pytest.raises(DimensionError, match="has .* coefficients, expected 2"):
-            lp.add_row(coeffs, "<=", 2)
-    assert lp.constraints == [] and solve_lp(lp).objective == 2
-
-
-def test_add_row_rejects_an_unknown_relation():
-    # Unchecked, "<" would be solved as "=": min x0 + x1 would read 2.
-    lp = _lp("min", [1, 1], [])
-    with pytest.raises(DimensionError, match="unknown relation '<'"):
-        lp.add_row([1, 1], "<", 2)
-    assert lp.constraints == [] and solve_lp(lp).objective == 0
 
 
 def test_int_row_is_the_dense_row_over_one_denominator():

@@ -4,6 +4,7 @@ from itertools import permutations
 from random import Random
 
 from indexcode import (
+    Constraint,
     enumerate_cycles,
     enumerate_partial_cliques,
     LinearProgram,
@@ -331,10 +332,11 @@ def test_p2_has_one_column_per_cycle_packet_set():
                         if c.packet_set not in {d.packet_set for d in cycles[:i]}]
         # One column per cycle, duplicates included: same values.
         pids = list(inst.packet_ids)
-        full = LinearProgram("min", tuple(c.length - 1 for c in cycles) + (1,) * len(pids))
-        for j, pid in enumerate(pids):
-            full.add_row([int(pid in c.packet_set) for c in cycles]
-                         + [int(i == j) for i in range(len(pids))], ">=", inst.packet(pid).weight)
+        rows = [Constraint(tuple(F(pid in c.packet_set) for c in cycles)
+                           + tuple(F(i == j) for i in range(len(pids))),
+                           ">=", F(inst.packet(pid).weight))
+                for j, pid in enumerate(pids)]
+        full = LinearProgram("min", tuple(c.length - 1 for c in cycles) + (1,) * len(pids), rows)
         assert solve_ilp(p2).objective == solve_ilp(full).objective
         assert solve_lp(p2).objective == solve_lp(full).objective
 

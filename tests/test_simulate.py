@@ -6,8 +6,6 @@ from dataclasses import replace
 from pathlib import Path
 from random import Random
 
-import pytest
-
 import indexcode
 from indexcode import (
     coding,
@@ -27,7 +25,7 @@ from indexcode.coding import (
 from indexcode.generators import random_unicast_instance, random_uniprior_instance
 from indexcode.gf256 import gf_inv, gf_mul, gf_scale_bytes
 from indexcode.programs import build_P2, build_P5
-from indexcode.simulate import DecodeFailure, _eliminate, simulate
+from indexcode.simulate import _eliminate, simulate
 
 # The package exports the function `simulate` under the submodule's name.
 simulate_module = importlib.import_module("indexcode.simulate")
@@ -71,18 +69,20 @@ def test_dropped_transmission_fails(fig1):
     broken = type(sched)(
         sched.field_name, sched.theta, sched.actions, sched.transmissions[:1]
     )
-    with pytest.raises(DecodeFailure) as ei:
-        simulate(fig1, broken)
-    assert ei.value.user in ("u1", "u2", "u3")
-    assert ei.value.packet in ("p1", "p2", "p3")
+    report = simulate(fig1, broken)
+    assert not report.all_decoded
+    user, packet = report.failure
+    assert user in ("u1", "u2", "u3")
+    assert packet in ("p1", "p2", "p3")
 
 
 def test_failure_report_without_raise(fig1):
     sched = _scalar_cyclic(fig1)
     broken = type(sched)(sched.field_name, sched.theta, sched.actions, [])
-    report = simulate(fig1, broken, raise_on_failure=False)
+    report = simulate(fig1, broken)
     assert not report.all_decoded
     assert not any(report.success.values())
+    assert report.failure == ("u1", "p1")
 
 
 def test_corrupted_coefficient_fails(fig1):
@@ -94,8 +94,7 @@ def test_corrupted_coefficient_fails(fig1):
         sched.field_name, sched.theta, sched.actions,
         [Transmission(first.coeffs) for _ in sched.transmissions],
     )
-    with pytest.raises(DecodeFailure):
-        simulate(fig1, broken)
+    assert simulate(fig1, broken).failure is not None
 
 
 def test_random_scalar_schedules_decode():
@@ -240,14 +239,11 @@ def test_decode_failure_names_the_first_demand_in_instance_order():
     script = (
         "from indexcode import make_instance\n"
         "from indexcode.coding import GF2, TransmissionSchedule\n"
-        "from indexcode.simulate import DecodeFailure, simulate\n"
+        "from indexcode.simulate import simulate\n"
         "sides = [(), ('u2',), ('u3',), ('u4',), ('u2', 'u3')]\n"
         "inst = make_instance(['u1', 'u2', 'u3', 'u4'],\n"
         "                     [(p, 1, 'u1', s) for p, s in zip('abcde', sides)])\n"
-        "try:\n"
-        "    simulate(inst, TransmissionSchedule(GF2, 1, [], []))\n"
-        "except DecodeFailure as exc:\n"
-        "    print(exc.user, exc.packet)\n"
+        "print(*simulate(inst, TransmissionSchedule(GF2, 1, [], [])).failure)\n"
     )
     src = str(Path(indexcode.__file__).resolve().parents[1])
     for hash_seed in ("0", "1", "2", "3"):
@@ -337,12 +333,9 @@ def _random_schedule(rng):
 
 
 def _outcome(inst, sched):
-    report = simulate(inst, sched, payload_size=4, raise_on_failure=False)
-    try:
-        simulate(inst, sched, payload_size=4)
-    except DecodeFailure as exc:
-        return report.success, (exc.user, exc.packet)
-    return report.success, None
+    report = simulate(inst, sched, payload_size=4)
+    assert (report.failure is None) == report.all_decoded
+    return report.success, report.failure
 
 
 def test_chain_row_that_misses_the_demand_is_kept():
