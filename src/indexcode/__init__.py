@@ -34,8 +34,6 @@ from .instance import (
     make_instance,
     parse_instance,
     serialize_instance,
-    to_digraph,
-    to_undirected,
     total_weight,
     validate_instance,
 )

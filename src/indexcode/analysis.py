@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import networkx as nx
-
 from . import programs
 from .enumeration import (
     DEFAULT_MAX_CYCLES, CapExceeded, Cycle, PartialClique, enumerate_cycles,
     enumerate_partial_cliques,
 )
-from .instance import Instance, is_uniprior, to_undirected, total_weight
+from .instance import Instance, is_uniprior, total_weight
 from .lp import (
     DEFAULT_NODE_LIMIT, OPTIMAL, LinearProgram, SolveResult, solve_ilp, solve_lp, transpose,
 )
@@ -39,10 +37,193 @@ class SolveError(RuntimeError):
     """A program of the family has no optimum."""
 
 
+def _left_right_planar(n: int, edges: list[tuple[int, int]]) -> bool:
+    """Planarity of the simple graph on vertices 0..n-1 with these edges: the
+    left-right test (de Fraysseix and Rosenstiehl; Brandes, "The Left-Right
+    Planarity Test", 2009) as a decision, with no embedding, iterative.
+
+    A depth-first search orients every edge, away from its root along tree
+    edges and towards an ancestor along back edges, and gives each edge its
+    two lowest return heights; a second search, taking each vertex's edges
+    by nesting depth, keeps a stack of conflict pairs: intervals of back
+    edges that must lie on one side (left or right) of the tree, each pair's
+    two intervals on opposite sides.  The graph is planar unless some
+    interval has to lie on both sides.  An interval is the chain of back
+    edges ``ref`` links from its high end down to its low end, stored as
+    [low, high]; a pair as [left low, left high, right low, right high];
+    None marks an empty end.
+    """
+    adj = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(edges):
+        adj[a].append((b, i))
+        adj[b].append((a, i))
+    m = len(edges)
+    height, parent = [-1] * n, [-1] * n  # parent: the tree edge into a vertex
+    tail, head, lowpt, lowpt2, nesting = [0] * m, [0] * m, [0] * m, [0] * m, [0] * m
+    oriented, out, roots = [False] * m, [[] for _ in range(n)], []
+
+    # Orientation: each edge's lowpoints, finished once its subtree is.
+    at = [0] * n
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            if at[v] < len(adj[v]):
+                w, i = adj[v][at[v]]
+                at[v] += 1
+                if oriented[i]:
+                    continue
+                oriented[i] = True
+                tail[i], head[i] = v, w
+                out[v].append(i)
+                lowpt[i] = lowpt2[i] = height[v]
+                if height[w] < 0:  # a tree edge: finished when w is
+                    parent[w] = i
+                    height[w] = height[v] + 1
+                    stack.append(w)
+                    continue
+                lowpt[i] = height[w]  # a back edge
+            else:
+                stack.pop()
+                i = parent[v]
+                if i < 0:
+                    continue
+                v = tail[i]
+            # Edge i = (v, w) is finished: its nesting depth, and the
+            # lowpoints of the tree edge e into v.
+            nesting[i] = 2 * lowpt[i] + (lowpt2[i] < height[v])
+            e = parent[v]
+            if e >= 0:
+                if lowpt[i] < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], lowpt2[i])
+                    lowpt[e] = lowpt[i]
+                elif lowpt[i] > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], lowpt[i])
+                else:
+                    lowpt2[e] = min(lowpt2[e], lowpt2[i])
+
+    # ref: the next back edge down an interval's chain (an entry for None
+    # may be written, and is never read); bottom: the top of S when an edge
+    # was reached, below which its return edges lie.
+    ref, lowpt_edge, bottom, S = {}, [None] * m, [None] * m, []
+
+    def conflicting(low, high, b):
+        return (low is not None or high is not None) and lowpt[high] > lowpt[b]
+
+    def lowest(P):
+        if P[0] is None and P[1] is None:
+            return lowpt[P[2]]
+        if P[2] is None and P[3] is None:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def add_constraints(ei, e):
+        """Merge the return edges of ei, and those of its earlier siblings
+        that conflict with them, into one new pair; False if one interval
+        has to take both sides."""
+        P = [None, None, None, None]
+        while True:  # the return edges of ei, into P's right interval
+            Q = S.pop()
+            if Q[0] is not None or Q[1] is not None:
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if Q[0] is not None or Q[1] is not None:
+                return False
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[2] is None and P[3] is None:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom[ei]:
+                break
+        while S and (conflicting(S[-1][0], S[-1][1], ei)
+                     or conflicting(S[-1][2], S[-1][3], ei)):
+            Q = S.pop()  # a conflicting pair of earlier siblings
+            if conflicting(Q[2], Q[3], ei):
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if conflicting(Q[2], Q[3], ei):
+                return False
+            ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P != [None, None, None, None]:
+            S.append(P)
+        return True
+
+    def remove_back_edges(e):
+        """Drop the back edges that end at the tail u of tree edge e."""
+        u = tail[e]
+        while S and lowest(S[-1]) == height[u]:
+            S.pop()
+        if S:
+            P = S[-1]
+            while P[1] is not None and head[P[1]] == u:
+                P[1] = ref.get(P[1])
+            if P[1] is None and P[0] is not None:
+                ref[P[0]] = P[2]
+                P[0] = None
+            while P[3] is not None and head[P[3]] == u:
+                P[3] = ref.get(P[3])
+            if P[3] is None and P[2] is not None:
+                ref[P[2]] = P[0]
+                P[2] = None
+
+    # Testing: the conflict pairs, each vertex's edges by nesting depth.
+    order = [sorted(edges_out, key=nesting.__getitem__) for edges_out in out]
+    at, descended = [0] * n, [False] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            e = parent[v]
+            if at[v] == len(order[v]):
+                stack.pop()
+                if e >= 0:
+                    remove_back_edges(e)
+                continue
+            ei = order[v][at[v]]
+            if not descended[v]:
+                bottom[ei] = S[-1] if S else None
+                if parent[head[ei]] == ei:  # a tree edge: go down first
+                    descended[v] = True
+                    stack.append(head[ei])
+                    continue
+                lowpt_edge[ei] = ei
+                S.append([None, None, ei, ei])
+            descended[v] = False
+            if lowpt[ei] < height[v]:  # ei has a return edge
+                if at[v] == 0:
+                    lowpt_edge[e] = lowpt_edge[ei]
+                elif not add_constraints(ei, e):
+                    return False
+            at[v] += 1
+    return True
+
+
 def is_planar(inst: Instance) -> bool:
-    """Planarity of the underlying undirected bipartite graph."""
-    ok, _ = nx.check_planarity(to_undirected(inst))
-    return ok
+    """Planarity of the underlying undirected bipartite graph.  A simple
+    bipartite planar graph on V >= 3 vertices has at most 2V - 4 edges
+    (Euler's formula, every face bounded by at least 4 edges), so a denser
+    one is rejected at once; the left-right test decides the rest."""
+    m = len(inst.packets)
+    user_at = {u: m + j for j, u in enumerate(inst.users)}
+    n = m + len(user_at)
+    edges = [(i, user_at[u]) for i, p in enumerate(inst.packets)
+             for u in (p.demand, *sorted(p.side))]
+    if n >= 3 and len(edges) > 2 * n - 4:
+        return False
+    return _left_right_planar(n, edges)
 
 
 @dataclass

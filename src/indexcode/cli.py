@@ -12,6 +12,7 @@ code; `run` writes the document as JSON, or as the lines of its `_text_*`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -186,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):  # where argparse prints --help
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

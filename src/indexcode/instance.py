@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import networkx as nx
 import yaml
 
 # libyaml's parser when PyYAML was built with it; both build the same documents.
@@ -204,22 +203,3 @@ def is_uniprior(inst: Instance, strict: bool = True) -> bool:
     if strict:
         return all(len(p.side) == 1 for p in inst.packets)
     return all(len(p.side) <= 1 for p in inst.packets)
-
-
-def to_digraph(inst: Instance) -> nx.DiGraph:
-    """The bipartite digraph: ("p", id) -> ("u", id) arcs are demands,
-    ("u", id) -> ("p", id) arcs are side information."""
-    g = nx.DiGraph()
-    for u in inst.users:
-        g.add_node(("u", u))
-    for p in inst.packets:
-        g.add_node(("p", p.id))
-        g.add_edge(("p", p.id), ("u", p.demand))
-        for u in sorted(p.side):
-            g.add_edge(("u", u), ("p", p.id))
-    return g
-
-
-def to_undirected(inst: Instance) -> nx.Graph:
-    """Underlying undirected bipartite graph (arc directions dropped)."""
-    return to_digraph(inst).to_undirected()

@@ -14,7 +14,8 @@ import pytest
 
 from indexcode import make_instance
 from indexcode.enumeration import PartialClique
-from indexcode.instance import to_digraph
+
+from paper_programs import to_digraph
 
 
 @pytest.fixture

@@ -5,9 +5,10 @@ P4* appear in the paper's proofs (criterion 8 of the acceptance suite),
 and so do the extraction of packet-disjoint cycles from a partial clique
 and the rewriting of a cyclic code as a partial-clique code (Theorem 4).
 No command reaches them, so they live here, next to the tests that check
-them.  P4 and P4* are built like P2 and P5, by `programs._incidence_program`;
-P3 and P3* are `lp.transpose(build_P4(...))` and
-`lp.transpose(build_P4_star(...))`.
+them, with the instance's digraph and its undirected graph as networkx
+graphs for the tests' oracles.  P4 and P4* are built like P2 and P5, by
+`programs._incidence_program`; P3 and P3* are `lp.transpose(build_P4(...))`
+and `lp.transpose(build_P4_star(...))`.
 """
 
 import networkx as nx
@@ -19,6 +20,25 @@ from indexcode.enumeration import (
 from indexcode.instance import Instance, is_uniprior, total_weight
 from indexcode.lp import LinearProgram
 from indexcode.programs import _cycle_columns, _incidence_program, _packet_rows
+
+
+def to_digraph(inst: Instance) -> nx.DiGraph:
+    """The bipartite digraph: ("p", id) -> ("u", id) arcs are demands,
+    ("u", id) -> ("p", id) arcs are side information."""
+    g = nx.DiGraph()
+    for u in inst.users:
+        g.add_node(("u", u))
+    for p in inst.packets:
+        g.add_node(("p", p.id))
+        g.add_edge(("p", p.id), ("u", p.demand))
+        for u in sorted(p.side):
+            g.add_edge(("u", u), ("p", p.id))
+    return g
+
+
+def to_undirected(inst: Instance) -> nx.Graph:
+    """Underlying undirected bipartite graph (arc directions dropped)."""
+    return to_digraph(inst).to_undirected()
 
 
 def build_P4(inst: Instance, cycles: list[Cycle]) -> LinearProgram:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from random import Random
@@ -5,7 +6,7 @@ from random import Random
 import networkx as nx
 import pytest
 
-from indexcode import lp, make_instance, programs, to_undirected
+from indexcode import lp, make_instance, programs
 from indexcode.analysis import (
     Analysis,
     PreconditionError,
@@ -20,6 +21,9 @@ from indexcode.generators import (
     random_uniprior_instance,
     random_unicast_instance,
 )
+from indexcode.instance import Instance, PacketType
+
+from paper_programs import to_undirected
 
 # ----------------------------------------------------------------- planarity
 
@@ -108,6 +112,69 @@ def test_constructed_planar_instances_are_planar():
     rng = Random(42)
     for _ in range(30):
         assert is_planar(random_planar_instance(rng))
+
+
+def _nx_planar(inst):
+    return nx.check_planarity(to_undirected(inst))[0]
+
+
+def _random_bipartite_instance(rng):
+    """An instance whose underlying graph is a random bipartite graph: each
+    packet is joined to a random subset of the users (one at least), and a
+    packet that would repeat another's (demand, side) pair is left out."""
+    users = [f"u{i}" for i in range(rng.randint(3, 6))]
+    p = rng.uniform(0.2, 0.7)
+    seen, packets = set(), []
+    for k in range(rng.randint(3, 10)):
+        nbrs = [u for u in users if rng.random() < p] or [rng.choice(users)]
+        key = (nbrs[0], frozenset(nbrs[1:]))
+        if key not in seen:
+            seen.add(key)
+            packets.append(PacketType(f"p{k}", 1, *key))
+    return Instance(tuple(users), tuple(packets))
+
+
+def test_planarity_matches_networkx_on_random_bipartite_graphs():
+    rng = Random(43)
+    seen = Counter()
+    for _ in range(10_000):
+        inst = _random_bipartite_instance(rng)
+        g = nx.Graph()
+        g.add_nodes_from(inst.users + inst.packet_ids)
+        g.add_edges_from((p.id, u) for p in inst.packets for u in (p.demand, *p.side))
+        want = nx.check_planarity(g)[0]
+        assert is_planar(inst) == want, inst
+        seen[want, g.number_of_edges() > 2 * g.number_of_nodes() - 4] += 1
+    # The left-right test, not Euler's bound alone, decides hundreds of
+    # non-planar graphs.
+    assert seen[True, True] == 0 and seen[False, False] >= 500 and seen[True, False] >= 500
+
+
+def test_planarity_matches_networkx_on_every_3x3_uniprior_instance():
+    insts = list(all_uniprior_instances(3, 3))
+    assert insts and all(is_planar(inst) == _nx_planar(inst) for inst in insts)
+
+
+def _subdivided(kind):
+    """K5 or K3,3 with each edge {a, b} subdivided by a packet that a demands
+    and b holds, as users and packet tuples: bipartite and not planar."""
+    if kind == "k5":
+        users = [f"a{i}" for i in range(5)]
+        pairs = list(combinations(users, 2))
+    else:
+        users = [f"a{i}" for i in range(3)] + [f"b{i}" for i in range(3)]
+        pairs = [(a, b) for a in users[:3] for b in users[3:]]
+    return users, [(f"p{k}", 1, a, {b}) for k, (a, b) in enumerate(pairs)]
+
+
+@pytest.mark.parametrize("kind", ["k5", "k33"])
+def test_subdivided_kuratowski_graphs(kind):
+    # Non-planar, within Euler's bound, and planar once any edge is gone.
+    users, packets = _subdivided(kind)
+    insts = [make_instance(users, packets)]
+    insts += [make_instance(users, packets[:k] + packets[k + 1:]) for k in range(len(packets))]
+    assert [is_planar(inst) for inst in insts] == [False] + [True] * len(packets)
+    assert [_nx_planar(inst) for inst in insts] == [False] + [True] * len(packets)
 
 
 # -------------------------------------------------------------- bounds report

@@ -252,17 +252,47 @@ def test_yaml_syntax_error_names_line_and_column(text, tmp_path, capsys):
     assert re.search(r"\(line \d+, column \d+\)$", err), err
 
 
-def test_cli_does_not_import_numpy(fig1_file):
+def _fresh_run_imports(argv, module):
+    """`run(argv)` in a fresh interpreter: its exit code, and whether it left
+    `module` in `sys.modules`, as one line."""
     script = (
         "import sys\n"
         "from indexcode.cli import run\n"
-        f"code = run(['bounds', {fig1_file!r}])\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        f"code = run({argv!r})\n"
+        f"print(code, {module!r} in sys.modules)\n"
     )
     src = str(Path(indexcode.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout.splitlines()[-1] == "0 False"
+    return done.stdout.splitlines()[-1]
+
+
+def test_cli_does_not_import_numpy(fig1_file):
+    assert _fresh_run_imports(["bounds", fig1_file], "numpy") == "0 False"
+
+
+def test_cli_does_not_import_networkx(fig1_file):
+    # Importing networkx took most of a short command's start-up time.
+    assert _fresh_run_imports(["bounds", fig1_file, "--format", "json"], "networkx") == "0 False"
+
+
+def test_long_ring_answers_planar_and_cycles(tmp_path):
+    # A 3,000-packet ring: a recursive search would need 6,000 frames.
+    assert sys.getrecursionlimit() < 6000
+    users = [f"u{i}" for i in range(3000)]
+    ring = make_instance(users, [(f"p{i}", 1, u, {users[i - 1]}) for i, u in enumerate(users)])
+    path = tmp_path / "ring.icp"
+    path.write_text(serialize_instance(ring), encoding="utf-8")
+    assert _run(["planar", str(path)]) == (0, "planar: true\n")
+    code, text = _run(["cycles", str(path), "--format", "json"])
+    assert code == 0 and [len(c["users"]) for c in json.loads(text)] == [3000]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"], ["code", "-h"]])
+def test_help_is_written_to_out(argv, capsys):
+    code, text = _run(argv)
+    assert code == 0 and text.startswith("usage: indexcode")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cap_exceeded_is_error(fig4_file):

@@ -1,13 +1,14 @@
 from random import Random
 
+import networkx as nx
 import pytest
 
 from indexcode import enumerate_cycles, enumerate_partial_cliques, make_instance
-from indexcode.enumeration import CapExceeded, Cycle, PartialClique
+from indexcode.enumeration import CapExceeded, Cycle, PartialClique, _normalize_cycle
 from indexcode.generators import random_unicast_instance, random_uniprior_instance
 
 from conftest import dfs_cycles, full_clique_family
-from paper_programs import clique_core, extract_cycles_from_clique, validate_cycle
+from paper_programs import clique_core, extract_cycles_from_clique, to_digraph, validate_cycle
 
 
 def test_fig1_cycles(fig1):
@@ -41,6 +42,29 @@ def test_cycles_match_dfs_oracle(fig1, fig4):
     for inst in insts:
         got = {(c.packets, c.users) for c in enumerate_cycles(inst)}
         assert got == dfs_cycles(inst)
+
+
+def _nx_cycles(inst):
+    """The cycles networkx's `simple_cycles` finds in the instance digraph,
+    normalized and sorted as `enumerate_cycles` reports them."""
+    cycles = []
+    for nodes in nx.simple_cycles(to_digraph(inst)):
+        i = next(j for j, n in enumerate(nodes) if n[0] == "p")
+        nodes = nodes[i:] + nodes[:i]
+        cycles.append(_normalize_cycle([x for _, x in nodes[0::2]], [x for _, x in nodes[1::2]]))
+    return sorted(cycles, key=lambda c: (c.length, sorted(c.packets), c.packets, c.users))
+
+
+def test_cycles_match_networkx():
+    rng = Random(17)
+    found = 0
+    for k in range(1000):
+        inst = (random_unicast_instance(rng) if k % 2 else
+                random_unicast_instance(rng, max_packets=10, max_users=6, side_prob=0.5))
+        cycles = enumerate_cycles(inst)
+        assert cycles == _nx_cycles(inst), inst
+        found += len(cycles)
+    assert found >= 2000
 
 
 def test_cycles_validate_and_are_sorted(fig4):

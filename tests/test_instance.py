@@ -18,10 +18,9 @@ from indexcode import (
     total_weight,
 )
 from indexcode.generators import random_unicast_instance
-from indexcode.instance import to_digraph
 from random import Random
 
-from paper_programs import split_digraph
+from paper_programs import split_digraph, to_digraph
 
 FIG1_TEXT = """
 users: [u1, u2, u3]
@@ -218,8 +217,8 @@ def test_public_surface():
         "Transmission", "TransmissionSchedule", "bounds_report", "build_P2", "build_P5",
         "clique_schedule", "cyclic_schedule", "enumerate_cycles", "enumerate_partial_cliques",
         "is_planar", "is_uniprior", "make_instance", "mds_rows", "parse_instance",
-        "serialize_instance", "simulate", "solve_ilp", "solve_lp", "to_digraph", "to_undirected",
-        "total_weight", "transpose", "validate_instance", "verify_certificate", "verify_duality",
+        "serialize_instance", "simulate", "solve_ilp", "solve_lp", "total_weight", "transpose",
+        "validate_instance", "verify_certificate", "verify_duality",
     ]
 
 
