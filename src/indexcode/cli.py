@@ -23,15 +23,26 @@ from .instance import InstanceError, parse_instance
 from .simulate import simulate as _simulate
 
 
-def _cap(text: str) -> int:
-    """A cap: a non-negative decimal integer."""
-    if text.isascii() and text.isdigit():
+def _decimal(text: str, digits: str, kind: str) -> int:
+    """`text` as an int when `digits`, its part after any sign, is ASCII
+    decimal digits only."""
+    if digits.isascii() and digits.isdigit():
         try:
             return int(text)
         except ValueError:  # more digits than `int` converts
             pass
     shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {shown}")
+    raise argparse.ArgumentTypeError(f"expected {kind}, got {shown}")
+
+
+def _cap(text: str) -> int:
+    """A cap: a non-negative decimal integer."""
+    return _decimal(text, text, "a non-negative integer")
+
+
+def _seed(text: str) -> int:
+    """A seed: a decimal integer, with an optional leading '-'."""
+    return _decimal(text, text.removeprefix("-"), "an integer")
 
 
 def _load(path: str):
@@ -179,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("code", "simulate"):
             sp.add_argument("--strategy", choices=["cyclic", "partial-clique"], default="cyclic")
             sp.add_argument("--mode", choices=["scalar", "vector"], default="scalar")
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=_seed, default=0)
         sp.set_defaults(fn=fn, text=text)
     return p
 

@@ -17,10 +17,12 @@ from math import comb
 from .instance import Instance
 
 DEFAULT_MAX_CYCLES = 100_000
-# Cap on the packet subsets `enumerate_partial_cliques` examines: the full
-# family of a clique core of up to 16 packets (65,519 subsets of two or
-# more) passes, that of a 17-packet core does not.  A family at the cap
-# took 0.45-0.55 s (7-9 us a subset) on a 2-core x86-64 VM under Python 3.11.
+# Cap on the subsets of two or more packets, up to size max_k, of the
+# clique core that `enumerate_partial_cliques` may consider: the whole
+# lattice of a core of up to 16 packets (65,519 such subsets) passes, that
+# of a 17-packet core does not.  A family at the cap, a 16-packet core in
+# which all 65,519 have d >= 1, took 0.46-0.50 s on a 2-core x86-64 VM under
+# Python 3.11, mostly spent building the 65,535 `PartialClique` objects.
 MAX_CLIQUE_SUBSETS = 2**16
 
 
@@ -206,6 +208,47 @@ def _core_mask(held: list[int]) -> int:
         core = kept
 
 
+def _sieve(hc: dict[int, int], c: int, top: int) -> list[int]:
+    """Every subset, as a bitmask over the c core bits, of 2 to top core
+    packets with d >= 1, by size and then in descending numeric order.
+
+    Bit m of one int of 2^c bits stands for the subset m.  A subset is bad
+    when it holds a packet b and none of hc[b], the core packets that b's
+    demander holds: the subsets of core - hc[b] - b, moved up by b.  Those
+    subsets are set by doubling (B = 1, then B |= B << x for each bit x of
+    the set), so c^2 shifts and ORs on ints of at most 2^c bits mark every
+    bad subset at once; the set bits of the complement are read in one pass.
+    """
+    full = (1 << c) - 1
+    bad = 0
+    for b, h in hc.items():
+        sub, free = 1, full & ~h & ~b
+        while free:
+            x = free & -free
+            sub |= sub << x
+            free ^= x
+        bad |= sub << b
+    text = bin(~bad & ((1 << (1 << c)) - 1))  # "0b1...": subset m at index last - m
+    last = len(text) - 1
+    by_size = [[] for _ in range(c + 1)]
+    i = text.find("1", 2)
+    while i != -1:
+        m = last - i
+        by_size[m.bit_count()].append(m)
+        i = text.find("1", i + 1)
+    return [m for masks in by_size[2:top + 1] for m in masks]
+
+
+def _scan(hc: dict[int, int], top: int):
+    """The subsets `_sieve` lists, found by testing each subset of 2 to top
+    core packets in turn."""
+    for k in range(2, top + 1):
+        for members in combinations(hc, k):
+            m = sum(members)
+            if all(hc[b] & m for b in members):
+                yield m
+
+
 def enumerate_partial_cliques(inst: Instance, max_k: int | None = None) -> list[PartialClique]:
     """The non-dominated (k, d)-partial cliques, all of them or those of
     size <= max_k: every singleton as a (1, 0)-clique, and every larger
@@ -229,28 +272,44 @@ def enumerate_partial_cliques(inst: Instance, max_k: int | None = None) -> list[
     holding p.  Node LPs, the branch tree, its node count and the choice
     among tied optima of P5 may therefore differ; val(P5) does not.
 
-    d is counted on int bitmasks: held[i] is the set of packets held by
-    packet i's demander, and d(S) = min over i in S of |held[i] & S|.  Only
-    the subsets of the clique core can have d >= 1: a union of subsets with
-    d >= 1 has d >= 1 too.  More than `MAX_CLIQUE_SUBSETS` of them up to
-    size max_k raises `CapExceeded` before any is examined.
+    d is counted on int bitmasks over the clique core: the i-th of its c
+    packets in id order is bit c-1-i, hc[b] is the set of core packets held
+    by the demander of core packet b, and d(S) = min over b in S of
+    |hc[b] & S|.  Only the subsets of the core can have d >= 1: a union of
+    subsets with d >= 1 has d >= 1 too.  More than `MAX_CLIQUE_SUBSETS` of
+    them of sizes 2 to max_k raises `CapExceeded` before any is looked at.
+    When the core's whole subset lattice is under the cap (c <= 16, so on
+    every call without max_k), `_sieve` marks all subsets with d >= 1 at
+    once in an int of 2^c bits, with c^2 big-int operations, and only those
+    are visited: the rest of the cost grows with the output.  A larger core,
+    reachable only with a small max_k, is scanned with `combinations` up to
+    size max_k.  As among subsets of one size descending numeric order is
+    lexicographic order of ids, both list the cliques in the same order.
     """
     pids, held = _held_masks(inst)
     core = _core_mask(held)
     max_k = len(pids) if max_k is None else max_k
     out = [PartialClique(frozenset((pid,)), 1, 0) for pid in pids] if max_k >= 1 else []
     idx_core = [i for i in range(len(pids)) if core >> i & 1]
-    top = min(len(idx_core), max_k)
-    subsets = sum(comb(len(idx_core), k) for k in range(2, top + 1))
+    c = len(idx_core)
+    top = min(c, max_k)
+    subsets = sum(comb(c, k) for k in range(2, top + 1))
     if subsets > MAX_CLIQUE_SUBSETS:
         raise CapExceeded(
-            f"partial-clique enumeration: {subsets} subsets of the {len(idx_core)}-packet "
+            f"partial-clique enumeration: {subsets} subsets of the {c}-packet "
             f"clique core up to size {top}, more than the cap of {MAX_CLIQUE_SUBSETS}",
             subsets)
-    for k in range(2, top + 1):
-        for idx in combinations(idx_core, k):
-            mask = sum(1 << i for i in idx)
-            if all(held[i] & mask for i in idx):
-                d = min((held[i] & mask).bit_count() for i in idx)
-                out.append(PartialClique(frozenset(pids[i] for i in idx), k, d))
+    bit = {i: 1 << (c - 1 - t) for t, i in enumerate(idx_core)}
+    hc = {bit[i]: sum(bit[j] for j in idx_core if held[i] >> j & 1) for i in idx_core}
+    members = [(bit[i], hc[bit[i]], pids[i]) for i in idx_core]
+    fits = (1 << c) - c - 1 <= MAX_CLIQUE_SUBSETS
+    for m in _sieve(hc, c, top) if fits else _scan(hc, top):
+        ids, d = [], c
+        for b, h, pid in members:
+            if b & m:
+                ids.append(pid)
+                held_in = (h & m).bit_count()
+                if held_in < d:
+                    d = held_in
+        out.append(PartialClique(frozenset(ids), len(ids), d))
     return out

@@ -493,6 +493,20 @@ def test_bad_cap_flag_is_error(fig4_file, capsys, flag, value):
     assert "unrecognized arguments: --max-k 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["code", "simulate"])
+@pytest.mark.parametrize("value", ["1_0", " 7", "7 ", "١٢", "+7", "-", "7-", "abc",
+                                   _HUGE])
+def test_bad_seed_is_error(fig4_file, capsys, command, value):
+    code, text = _run([command, fig4_file, "--seed", value])
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"indexcode {command}: error: argument --seed: expected an integer, "
+                          "got ")
+    assert err.count("\n") == 1 and len(err) < 200
+    # A negative seed is a seed.
+    assert _run([command, fig4_file, "--seed", "-7"])[0] == 0
+
+
 @pytest.mark.parametrize("command", ["bounds", "check", "code"])
 def test_node_limit_applies_to_every_solver(fig4_file, capsys, command):
     code, text = _run([command, fig4_file, "--node-limit", "0"])

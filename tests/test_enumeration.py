@@ -138,6 +138,12 @@ def test_cliques_are_the_non_dominated_family():
     insts = [random_unicast_instance(rng, rng.randint(1, 8), rng.choice((3, 5, 8)), 3, 0.6,
                                      exact=True) for _ in range(40)]
     insts += [random_unicast_instance(rng) for _ in range(20)]
+    # Dense draws with clique cores of 9 to 14 packets, and a 16-packet ring
+    # whose packets are each held by the two users after their demander: the
+    # largest core whose every subset is examined.
+    insts += [random_unicast_instance(rng, m, 6, 3, 0.5, exact=True) for m in range(9, 15)]
+    insts.append(_ring(16, (1, 2)))
+    assert [len(clique_core(inst)) for inst in insts[-7:]] == [9, 10, 11, 12, 13, 14, 16]
     for inst in insts:
         cliques = enumerate_partial_cliques(inst)
         # Every singleton, and no (k, 0)-clique with k > 1.
@@ -156,13 +162,20 @@ def test_cliques_are_the_non_dominated_family():
         assert all(t <= core for t in coded)
         for max_k in range(len(inst.packet_ids) + 2):
             assert enumerate_partial_cliques(inst, max_k) == [t for t in kept if t.k <= max_k]
+    # A 22-packet core, too large for every subset to be examined, listed up
+    # to size 2 and 3.
+    inst = random_unicast_instance(rng, 22, 8, 3, 0.5, exact=True)
+    assert len(clique_core(inst)) == 22
+    for max_k in (2, 3):
+        kept = [t for t in full_clique_family(inst, max_k) if t.k == 1 or t.d >= 1]
+        assert enumerate_partial_cliques(inst, max_k) == kept
 
 
-def _ring(n):
+def _ring(n, offsets=(1,)):
     users = [f"u{i}" for i in range(n)]
     return make_instance(
         users,
-        [(f"p{i}", 1, users[i], {users[(i + 1) % n]}) for i in range(n)],
+        [(f"p{i}", 1, users[i], {users[(i + o) % n] for o in offsets}) for i in range(n)],
     )
 
 
