@@ -47,7 +47,7 @@ from .lp import (
     transpose,
     verify_certificate,
 )
-from .programs import build_P2, build_P5, verify_duality
+from .programs import build_P2, build_P5
 from .simulate import DecodeReport, simulate
 
 __version__ = "0.1.0"

@@ -2,10 +2,11 @@
 
 An `Analysis` solves the deletion/covering program family of one instance
 exactly, each program once: it builds the covering programs P2 and P5, and
-the deletion programs P1 and P6 are their transposes.  `bounds_report`
+the deletion program P1 is the transpose of P2.  `bounds_report`
 assembles the bound chain val(P1) <= val(P1') = val(P2') <= val(P2) from
-it, and the theorem checkers assert the equalities that hold for planar
-and unicast-uniprior instances.
+it, `duality` certifies a covering relaxation's optimum, which proves its
+pair's LP duality, and the theorem checkers assert the equalities that
+hold for planar and unicast-uniprior instances.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ from functools import cached_property
 
 from . import programs
 from .enumeration import (
-    DEFAULT_MAX_CYCLES, CapExceeded, Cycle, PartialClique, enumerate_cycles,
-    enumerate_partial_cliques,
+    DEFAULT_MAX_CYCLES, Cycle, PartialClique, enumerate_cycles, enumerate_partial_cliques,
 )
 from .instance import Instance, is_uniprior, total_weight
 from .lp import (
     DEFAULT_NODE_LIMIT, OPTIMAL, LinearProgram, SolveResult, solve_ilp, solve_lp, transpose,
+    verify_certificate,
 )
-
-# Cap on P6's rows of cliques with d >= 1: the 4,083 of a 12-packet core.
-# `solve_lp`'s dense tableau grows as rows^2 (`check`: 487 MB at 13 packets).
-MAX_P6_CLIQUES = 2**12 - 13
 
 
 class PreconditionError(ValueError):
@@ -281,9 +278,8 @@ class Analysis:
     """One instance under fixed caps (None selects the default).  Each family
     is enumerated, each program built or transposed, and each program or
     relaxation solved, at most once, on first use; a program without an
-    optimum raises `SolveError`; a P6 beyond `MAX_P6_CLIQUES` raises
-    `CapExceeded`.  P5 and P6 range over the whole clique family, which the
-    instance fixes, so no cap selects it."""
+    optimum raises `SolveError`.  P5 ranges over the whole clique family,
+    which the instance fixes, so no cap selects it."""
 
     def __init__(self, inst: Instance, max_cycles=None, node_limit=None):
         self.inst = inst
@@ -298,12 +294,12 @@ class Analysis:
 
     @cached_property
     def cliques(self) -> list[PartialClique]:
-        """The clique family of P5 and P6: the singletons and every clique
-        with d >= 1."""
+        """The clique family of P5: the singletons and every clique with
+        d >= 1."""
         return enumerate_partial_cliques(self.inst)
 
     def _program(self, name: str) -> LinearProgram:
-        """The integer program P2 or P5, or its transpose P1 or P6, made once
+        """The integer program P2 or P5, or P1, the transpose of P2, made once
         on first use (`solve` reads a primed name as its LP relaxation)."""
         prog = self._programs.get(name)
         if prog is None:
@@ -312,17 +308,15 @@ class Analysis:
                 prog = programs.build_P2(self.inst, self.cycles)
             elif name == "P5":
                 prog = programs.build_P5(self.inst, self.cliques)
+            elif name == "P1":
+                prog = transpose(self._program("P2"))
             else:
-                rows = sum(1 for t in self.cliques if t.d) if name == "P6" else 0
-                if rows > MAX_P6_CLIQUES:
-                    raise CapExceeded(f"P6 has {rows} rows of cliques with d >= 1, "
-                                      f"more than the cap of {MAX_P6_CLIQUES}", rows)
-                prog = transpose(self._program({"P1": "P2", "P6": "P5"}[name]))
+                raise KeyError(name)
             self._programs[name] = prog
         return prog
 
     def solve(self, name: str) -> SolveResult:
-        """The optimum of P1, P2, P5 or P6, or of a primed LP relaxation."""
+        """The optimum of P1, P2 or P5, or of a primed LP relaxation."""
         res = self._solved.get(name)
         if res is None:
             prog = self._program(name.rstrip("'"))
@@ -335,11 +329,16 @@ class Analysis:
     def value(self, name: str) -> Fraction:
         return self.solve(name).objective
 
-    def duality(self, bound: str, cover: str) -> bool:
-        """`programs.verify_duality` on a deletion/covering pair."""
-        return programs.verify_duality(self.solve(bound), self.solve(cover))
+    def duality(self, cover: str) -> bool:
+        """`verify_certificate` on the LP optimum of the covering program
+        `cover`, P2 or P5.  A valid certificate proves both programs of the
+        pair optimal with one value: the point solves the covering
+        relaxation (P2' or P5'), and its row duals solve the LP dual, the
+        deletion relaxation (P1' or P6')."""
+        return verify_certificate(self._program(cover), self.solve(cover + "'"))
 
     def bounds(self) -> BoundsReport:
+        self.cliques  # a clique core over its cap is refused before any cycle is enumerated
         v = self.value
         return BoundsReport(
             W=total_weight(self.inst),

@@ -4,9 +4,11 @@ Subcommands: bounds, cycles, cliques, code, simulate, planar, check.
 Instance files use the YAML mapping format of `indexcode.instance`.
 A subcommand takes a flag only for each cap it reads, with its default in
 `build_parser`.  Only `cliques` reads a clique size cap, and it lists the
-whole clique family unless one is set: P5 and P6 always range over the
-whole family.  A subcommand's `_cmd_*` returns its one document and its exit
-code; `run` writes the document as JSON, or as the lines of its `_text_*`.
+whole clique family unless one is set: P5 always ranges over the whole
+family.  `check` proves each primal-dual pair from its covering optimum
+(`Analysis.duality`).  A subcommand's `_cmd_*` returns its one document
+and its exit code; `run` writes the document as JSON, or as the lines of
+its `_text_*`.
 """
 
 from __future__ import annotations
@@ -135,9 +137,10 @@ def _text_simulate(doc):
 
 def _cmd_check(args, inst):
     a = analysis.Analysis(inst, args.max_cycles, args.node_limit)
+    a.cliques  # a clique core over its cap is refused before any cycle is enumerated
     results = {
-        "cyclic_duality": a.duality("P1'", "P2'"),
-        "clique_duality": a.duality("P6'", "P5'"),
+        "cyclic_duality": a.duality("P2"),
+        "clique_duality": a.duality("P5"),
         "theorem2": a.theorem2().holds is not False,
     }
     # A theorem whose hypotheses fail is left out; Corollary 2 is checked only

@@ -22,9 +22,10 @@ does not divide its entry), and divides each updated row by one gcd.  The
 ratio test cross-multiplies integers.  Fractions are built only when the
 primal, the duals and the reduced costs are read out, and only for nonzero
 values, so the pivot sequence and every reported value are those of a plain
-rational tableau.  `verify_certificate` (and `programs.verify_duality`)
-read the dense `coeffs` on purpose, so a certificate does not rest on the
-conversion it certifies.
+rational tableau.  `verify_certificate`, the package's one certificate
+checker, reads the dense `coeffs` on purpose, so a certificate does not
+rest on the conversion it certifies; it too compares integers, each vector
+of the certificate over one common denominator.
 
 Sign conventions for the reported certificate (see `verify_certificate`):
 duals are shadow prices in the problem's own sense, i.e. the derivative of
@@ -384,52 +385,80 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     )
 
 
+def _as_integers(values) -> tuple[int, list[int]]:
+    """(d, [v * d, ...]): rationals (or ints) as integers over d, the lcm of
+    their denominators."""
+    d = lcm(*{v.denominator for v in values})
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def verify_certificate(lp: LinearProgram, res: SolveResult) -> bool:
     """Check the primal/dual pair exactly: feasibility, complementary
-    slackness, dual stationarity, and strong duality.  No tolerances."""
-    if res.status != OPTIMAL:
+    slackness, dual stationarity, and strong duality.  No tolerances.
+
+    The check reads the dense `coeffs` and skips their zeros (the shared 0
+    and 1 by identity), never `Constraint.int_row`.  x, y, each vector of
+    bound multipliers and each vector of the program's own values are
+    brought over one common denominator, so every comparison
+    cross-multiplies integers and the stationarity sums sum_i y_i a_ij add
+    up integers; a certificate of the wrong length is rejected.
+    """
+    n, rows = lp.num_vars, lp.constraints
+    u = [_ZERO if v is None else v for v in res.upper_bound_duals]
+    if (res.status != OPTIMAL or len(res.row_duals) != len(rows)
+            or not len(res.primal) == len(u) == len(res.reduced_costs) == n):
         return False
-    x = res.primal
-    y = res.row_duals
-    u = res.upper_bound_duals
-    r = res.reduced_costs
     sgn = 1 if lp.sense == "min" else -1  # internal minimization sign
-    # Primal feasibility + complementary slackness on rows.
-    for con, yi in zip(lp.constraints, y):
-        lhs = sum(a * xj for a, xj in zip(con.coeffs, x))
-        if con.rel == "<=" and lhs > con.rhs:
-            return False
-        if con.rel == ">=" and lhs < con.rhs:
-            return False
-        if con.rel == "=" and lhs != con.rhs:
-            return False
-        if yi != 0 and lhs != con.rhs:
+    dx, X = _as_integers(res.primal)
+    dy, Y = _as_integers(res.row_duals)
+    db, B = _as_integers([con.rhs for con in rows])
+    # Row i as integers A_ij = a_ij * den_i over its nonzero columns j.
+    int_rows = []
+    for con in rows:
+        nz = [(j, a) for j, a in enumerate(con.coeffs) if a is not _ZERO and a]
+        den = lcm(*{a.denominator for _, a in nz if a is not _ONE})
+        int_rows.append((den, [(j, den if a is _ONE else a.numerator * (den // a.denominator))
+                               for j, a in nz]))
+    # Primal feasibility, complementary slackness and the dual sign on rows;
+    # S[j] / (dy * D) is sum_i y_i a_ij, D the lcm of the row denominators.
+    D = lcm(*(den for den, _ in int_rows))
+    S = [0] * n
+    for con, (den, A), Yi, Bi in zip(rows, int_rows, Y, B):
+        gap = sum(a * X[j] for j, a in A) * db - Bi * den * dx  # the sign of lhs - rhs
+        rel = con.rel
+        if (gap > 0 and rel != ">=") or (gap < 0 and rel != "<=") or (Yi and gap):
             return False
         # Dual sign: for a max problem, <= rows have y >= 0, >= rows y <= 0.
-        if con.rel == "<=" and sgn * yi > 0:
+        if (rel == "<=" and sgn * Yi > 0) or (rel == ">=" and sgn * Yi < 0):
             return False
-        if con.rel == ">=" and sgn * yi < 0:
+        if Yi:
+            k = Yi * (D // den)
+            for j, a in A:
+                S[j] += k * a
+    du, U = _as_integers(u)
+    dr, R = _as_integers(res.reduced_costs)
+    dc, C = _as_integers(lp.objective)
+    dl, L = _as_integers(lp.lower)
+    dh, H = _as_integers([_ZERO if hi is None else hi for hi in lp.upper])
+    ds = dy * D
+    E = lcm(dc, ds, du, dr)
+    fc, fs, fu, fr = E // dc, E // ds, E // du, E // dr
+    for j, hi in enumerate(lp.upper):
+        xl, lx = X[j] * dl, L[j] * dx  # x_j and lo_j over dx * dl
+        if xl < lx or (hi is not None and X[j] * dh > H[j] * dx):
             return False
-    dual_obj = sum(yi * con.rhs for con, yi in zip(lp.constraints, y))
-    for j in range(lp.num_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if x[j] < lo or (hi is not None and x[j] > hi):
-            return False
-        uj = u[j] if u[j] is not None else Fraction(0)
-        if uj != 0 and (hi is None or x[j] != hi):
-            return False
-        if sgn * uj > 0:
+        Uj, Rj = U[j], R[j]
+        if Uj and (hi is None or X[j] * dh != H[j] * dx) or sgn * Uj > 0:
             return False
         # Stationarity: c_j = sum_i y_i a_ij + u_j + r_j, with r_j the
         # lower-bound multiplier, complementary to x_j > lo_j.
-        aj = sum(yi * con.coeffs[j] for con, yi in zip(lp.constraints, y))
-        if lp.objective[j] != aj + uj + r[j]:
+        if C[j] * fc != S[j] * fs + Uj * fu + Rj * fr:
             return False
-        if r[j] != 0 and x[j] != lo:
+        if Rj and xl != lx or sgn * Rj < 0:
             return False
-        if sgn * r[j] < 0:
-            return False
-        dual_obj += uj * (hi if hi is not None else 0) + r[j] * lo
+    dual_obj = (Fraction(sum(y * b for y, b in zip(Y, B)), dy * db)
+                + Fraction(sum(v * hi for v, hi in zip(U, H)), du * dh)
+                + Fraction(sum(r * lo for r, lo in zip(R, L)), dr * dl))
     return dual_obj == res.objective
 
 

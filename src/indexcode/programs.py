@@ -6,8 +6,10 @@ for P2).  Only the covering programs P2 and P5 are written out, each a 0/1
 incidence matrix of columns against per-packet rows.  The deletion
 programs P1 and P6 are their exact LP duals, `lp.transpose(...)`, so row i
 of one is column i of the other under the same name and a pair lines up
-by index.  Each column is keyed (`var_keys`) by its `Cycle`,
-`PartialClique` or packet id; the names below are never parsed:
+by index.  `lp.verify_certificate` on a covering program's LP optimum
+proves both relaxations of its pair optimal with one value.  Each column
+is keyed (`var_keys`) by its `Cycle`, `PartialClique` or packet id; the
+names below are never parsed:
 
 * cycle columns carry the packet and user interleaving, ``C:p1|p3@u1|u3``;
   only the first cycle of each packet set gets one (cycles with the same
@@ -24,9 +26,9 @@ from __future__ import annotations
 
 from .enumeration import Cycle, PartialClique
 from .instance import Instance
-from .lp import _ONE, _ZERO, OPTIMAL, Constraint, LinearProgram, SolveResult, _frac
+from .lp import _ONE, _ZERO, Constraint, LinearProgram, _frac
 
-__all__ = ["build_P2", "build_P5", "verify_duality", "cycle_var_name"]
+__all__ = ["build_P2", "build_P5", "cycle_var_name"]
 
 
 def cycle_var_name(c: Cycle) -> str:
@@ -73,37 +75,3 @@ def build_P5(inst: Instance, cliques: list[PartialClique]) -> LinearProgram:
     vector at the LP optimum."""
     columns = [("T:" + "|".join(t.sorted_packets), t, t.k - t.d, t.packets) for t in cliques]
     return _incidence_program("min", columns, _packet_rows(inst))
-
-
-def verify_duality(a: SolveResult, b: SolveResult) -> bool:
-    """Certify two solved programs as a primal-dual optimum.
-
-    Both results must be optimal, `b.lp` must be `lp.transpose(a.lp)` up to
-    names, the objectives must be equal, and complementary slackness must
-    hold both ways: a positive variable of either program forces the row of
-    the other program with the same index tight.
-    Names and keys are not read.
-    """
-    if a.status != OPTIMAL or b.status != OPTIMAL or a.objective != b.objective:
-        return False
-    p, q = a.lp, b.lp
-    for prog in (p, q):
-        rel = ">=" if prog.sense == "min" else "<="
-        if (any(c.rel != rel for c in prog.constraints) or any(prog.lower)
-                or any(hi is not None for hi in prog.upper)):
-            return False
-    columns = zip(*(c.coeffs for c in p.constraints))
-    if (p.sense == q.sense or p.num_vars != len(q.constraints)
-            or q.num_vars != len(p.constraints)
-            or p.objective != tuple(c.rhs for c in q.constraints)
-            or q.objective != tuple(c.rhs for c in p.constraints)
-            or any(c.coeffs != col for c, col in zip(q.constraints, columns))):
-        return False
-
-    def slack_free(res: SolveResult, values) -> bool:
-        """Row i of `res.lp` is tight wherever values[i] > 0."""
-        x = [(j, v) for j, v in enumerate(res.primal) if v]
-        return all(sum(con.coeffs[j] * v for j, v in x) == con.rhs
-                   for con, yi in zip(res.lp.constraints, values) if yi)
-
-    return slack_free(a, b.primal) and slack_free(b, a.primal)

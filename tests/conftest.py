@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's own algorithms: cycle listing
 is a plain DFS over vertex sequences, the ILP oracle enumerates all 2^M
-deletion patterns, and the LP oracle enumerates basic solutions of the
-polytope directly.
+deletion patterns, the LP oracle enumerates basic solutions of the
+polytope directly, and the certificate oracle checks a solve's certificate
+in plain Fraction arithmetic, term by term.
 """
 
 from fractions import Fraction
@@ -146,3 +147,53 @@ def lp_vertex_oracle(objective, rows, rhss, lowers, uppers, sense="max"):
         if best is None or (val > best if sense == "max" else val < best):
             best = val
     return best
+
+
+def certificate_oracle(lp, res):
+    """`lp.verify_certificate`'s verdict, in Fraction arithmetic over every
+    dense coefficient: feasibility, complementary slackness, dual
+    stationarity and strong duality, exactly."""
+    if res.status != "optimal":
+        return False
+    x = res.primal
+    y = res.row_duals
+    u = res.upper_bound_duals
+    r = res.reduced_costs
+    sgn = 1 if lp.sense == "min" else -1  # internal minimization sign
+    # Primal feasibility + complementary slackness on rows.
+    for con, yi in zip(lp.constraints, y):
+        lhs = sum(a * xj for a, xj in zip(con.coeffs, x))
+        if con.rel == "<=" and lhs > con.rhs:
+            return False
+        if con.rel == ">=" and lhs < con.rhs:
+            return False
+        if con.rel == "=" and lhs != con.rhs:
+            return False
+        if yi != 0 and lhs != con.rhs:
+            return False
+        # Dual sign: for a max problem, <= rows have y >= 0, >= rows y <= 0.
+        if con.rel == "<=" and sgn * yi > 0:
+            return False
+        if con.rel == ">=" and sgn * yi < 0:
+            return False
+    dual_obj = sum(yi * con.rhs for con, yi in zip(lp.constraints, y))
+    for j in range(lp.num_vars):
+        lo, hi = lp.lower[j], lp.upper[j]
+        if x[j] < lo or (hi is not None and x[j] > hi):
+            return False
+        uj = u[j] if u[j] is not None else Fraction(0)
+        if uj != 0 and (hi is None or x[j] != hi):
+            return False
+        if sgn * uj > 0:
+            return False
+        # Stationarity: c_j = sum_i y_i a_ij + u_j + r_j, with r_j the
+        # lower-bound multiplier, complementary to x_j > lo_j.
+        aj = sum(yi * con.coeffs[j] for con, yi in zip(lp.constraints, y))
+        if lp.objective[j] != aj + uj + r[j]:
+            return False
+        if r[j] != 0 and x[j] != lo:
+            return False
+        if sgn * r[j] < 0:
+            return False
+        dual_obj += uj * (hi if hi is not None else 0) + r[j] * lo
+    return dual_obj == res.objective

@@ -421,18 +421,41 @@ def test_theta_beyond_the_symbol_cap_is_error(fig4, fig4_file, monkeypatch, caps
         f"error: theta=2000006 gives 6000018 symbols, more than the cap of {coding.MAX_SYMBOLS}\n")
 
 
-def test_check_refuses_a_P6_too_large_to_solve(tmp_path, capsys):
-    # A 13-packet clique core: P6 would have one row for each of its 7,539
-    # cliques with d >= 1.  Only `check` reads P6; `bounds` reads P5.
+def test_check_answers_on_a_13_packet_clique_core(tmp_path, capsys):
+    # A 13-packet clique core with 7,539 cliques of d >= 1: P5' has a column
+    # for each, and its certificate proves the clique pair with no tableau
+    # of a row for each.
     inst = random_unicast_instance(random.Random(0), 13, 6, 1, 0.6, exact=True)
     path = tmp_path / "core13.icp"
     path.write_text(serialize_instance(inst), encoding="utf-8")
-    assert _run(["check", str(path)]) == (2, "")
-    assert capsys.readouterr().err == (
-        "error: P6 has 7539 rows of cliques with d >= 1, "
-        f"more than the cap of {analysis.MAX_P6_CLIQUES}\n")
+    code, text = _run(["check", str(path)])
+    assert (code, text) == (0, "cyclic_duality: pass\nclique_duality: pass\ntheorem2: pass\n")
+    assert capsys.readouterr().err == ""
     code, text = _run(["bounds", str(path)])
     assert code == 0 and "chain_ok: True\n" in text
+
+
+@pytest.mark.parametrize("command", ["bounds", "check"])
+def test_clique_cap_is_reached_before_any_cycle(command, tmp_path, monkeypatch, capsys):
+    # A 17-packet clique core, over the subset cap, whose cycles also exceed
+    # the cycle cap: the cheap clique check refuses it before any cycle is
+    # enumerated.
+    users = [f"u{i}" for i in range(17)]
+    inst = make_instance(users, [(f"p{i}", 1, u, set(users) - {u}) for i, u in enumerate(users)])
+    path = tmp_path / "dense17.icp"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls["enumerate_cycles"] += 1
+        return enumeration.enumerate_cycles(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "enumerate_cycles", counted)
+    assert _run([command, str(path)]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: partial-clique enumeration: 131054 subsets of the 17-packet clique core "
+        f"up to size 17, more than the cap of {enumeration.MAX_CLIQUE_SUBSETS}\n")
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("argv, code, last_err", [
@@ -527,7 +550,7 @@ def test_check_solves_each_program_once(tmp_path, monkeypatch):
     ilp_depth = [0]
     targets = {fn: name for module in (programs, enumeration, lp)
                for name, fn in vars(module).items()
-               if name.startswith(("build_P", "enumerate_", "solve_", "transpose"))}
+               if name.startswith(("build_P", "enumerate_", "solve_", "transpose", "verify_"))}
 
     def counted(fn, name):
         def wrapper(*args, **kwargs):
@@ -553,8 +576,9 @@ def test_check_solves_each_program_once(tmp_path, monkeypatch):
     assert list(json.loads(text)) == [
         "cyclic_duality", "clique_duality", "theorem2", "theorem4", "corollary2"
     ]
-    # P1 and P6 are transposes of P2 and P5; the relaxations solve the same programs.
+    # P1 is the transpose of P2; the relaxations solve the same programs, and
+    # one certificate of each covering relaxation proves its duality pair.
     assert calls == Counter(
-        {"build_P2": 1, "build_P5": 1, "transpose": 2, "enumerate_cycles": 1,
-         "enumerate_partial_cliques": 1, "solve_ilp": 3, "solve_lp": 4}
+        {"build_P2": 1, "build_P5": 1, "transpose": 1, "enumerate_cycles": 1,
+         "enumerate_partial_cliques": 1, "solve_ilp": 3, "solve_lp": 3, "verify_certificate": 2}
     )

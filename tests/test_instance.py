@@ -218,7 +218,7 @@ def test_public_surface():
         "clique_schedule", "cyclic_schedule", "enumerate_cycles", "enumerate_partial_cliques",
         "is_planar", "is_uniprior", "make_instance", "mds_rows", "parse_instance",
         "serialize_instance", "simulate", "solve_ilp", "solve_lp", "total_weight", "transpose",
-        "validate_instance", "verify_certificate", "verify_duality",
+        "validate_instance", "verify_certificate",
     ]
 
 

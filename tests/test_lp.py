@@ -17,7 +17,7 @@ from indexcode.lp import (
     verify_certificate,
 )
 
-from conftest import lp_vertex_oracle
+from conftest import certificate_oracle, lp_vertex_oracle
 
 
 def _row(coeffs, rel, rhs):
@@ -172,8 +172,24 @@ def _oracle_value(lp, lower, upper, cap):
     return lp_vertex_oracle(lp.objective, rows, rhss, lower, uppers, lp.sense)
 
 
+def _tampered(rng, res):
+    """`res` with one entry of its objective, point or multipliers moved by
+    a small rational (possibly 0)."""
+    field = rng.choice(("objective", "primal", "row_duals", "upper_bound_duals",
+                        "reduced_costs"))
+    step = F(rng.randint(-2, 2), rng.randint(1, 3))
+    if field == "objective":
+        return replace(res, objective=res.objective + step)
+    values = getattr(res, field)
+    if not values:
+        return res
+    j = rng.randrange(len(values))
+    return replace(res, **{field: _at(values, j, (values[j] or 0) + step)})
+
+
 def test_integer_tableau_exact_on_mixed_random_lps():
     rng = Random(23)
+    tamper = Random(24)
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(800):
         lp, overrides = _random_mixed_lp(rng)
@@ -190,6 +206,12 @@ def test_integer_tableau_exact_on_mixed_random_lps():
         lp = replace(lp, lower=tuple(lower), upper=tuple(upper))
         res = solve_lp(lp)
         seen[res.status] += 1
+        # The integer verifier and the Fraction oracle agree on every
+        # certificate, valid or not.
+        assert verify_certificate(lp, res) == certificate_oracle(lp, res)
+        if res.status == "optimal":
+            bad = _tampered(tamper, res)
+            assert verify_certificate(lp, bad) == certificate_oracle(lp, bad)
         capped = _oracle_value(lp, lower, upper, F(10**4))
         if res.status == "infeasible":
             assert capped is None
@@ -211,6 +233,19 @@ def test_certificate_rejects_tampering():
         res.upper_bound_duals, res.reduced_costs, res.branch_count, res.lp,
     )
     assert not verify_certificate(lp, bad)
+
+
+def test_certificate_of_the_wrong_length_is_rejected():
+    # The Fraction oracle pairs rows with duals by zip, so it would accept
+    # the extra dual; a missing entry would make it index past the end.
+    lp = _lp("max", [1, 1], [([2, 1], "<=", 2), ([1, 2], "<=", 2)])
+    res = solve_lp(lp)
+    assert verify_certificate(lp, res)
+    assert certificate_oracle(lp, replace(res, row_duals=res.row_duals + (F(0),)))
+    for field in ("primal", "row_duals", "upper_bound_duals", "reduced_costs"):
+        values = getattr(res, field)
+        for wrong in (values[:-1], values + values[-1:]):
+            assert not verify_certificate(lp, replace(res, **{field: wrong})), field
 
 
 def _at(values, j, v):
@@ -256,6 +291,7 @@ def test_certificate_rejects_each_broken_condition():
     }
     for condition, fields in broken.items():
         assert not verify_certificate(lp, replace(res, **fields)), condition
+        assert not certificate_oracle(lp, replace(res, **fields)), condition
 
 
 def test_ilp_knapsack():
