@@ -33,7 +33,6 @@ from .instance import (
     is_uniprior,
     make_instance,
     parse_instance,
-    serialize_instance,
     total_weight,
     validate_instance,
 )

@@ -54,6 +54,15 @@ class CodingAction:
     count: int
     d: int = 0
 
+    @property
+    def transmissions_per_round(self) -> int:
+        """K-1 for a K-cycle, k-d for a (k, d) clique, 1 for a direct round."""
+        if self.kind == "cycle":
+            return len(self.packets) - 1
+        if self.kind == "clique":
+            return len(self.packets) - self.d
+        return 1
+
 
 @dataclass(frozen=True)
 class Transmission:
@@ -131,7 +140,7 @@ def _expand(inst: Instance, actions, theta, field_name) -> TransmissionSchedule:
     for action in actions:
         if action.kind == "clique":
             k = len(action.packets)
-            rows = mds_rows(k, k - action.d)
+            rows = mds_rows(k, action.transmissions_per_round)
         for _ in range(action.count):
             units = [(pid, pool.take(pid)) for pid in action.packets]
             if action.kind == "cycle":

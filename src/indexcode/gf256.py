@@ -62,22 +62,3 @@ def mds_rows(k: int, r: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"Cauchy construction needs 2k <= 256, got k={k}")
     return tuple(tuple(gf_inv(i ^ (k + j)) for j in range(k)) for i in range(r))
 
-
-def gf_det(matrix) -> int:
-    """Determinant of a square matrix over GF(2^8) (for minor checks)."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        det = gf_mul(det, m[col][col])
-        inv = gf_inv(m[col][col])
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = gf_mul(m[i][col], inv)
-                m[i] = [a ^ gf_mul(f, b) for a, b in zip(m[i], m[col])]
-    return det

@@ -177,18 +177,6 @@ def parse_instance(text: str) -> Instance:
     return validate_instance(Instance(tuple(users), tuple(packets)))
 
 
-def serialize_instance(inst: Instance) -> str:
-    """Emit instance-file text; `parse_instance` round-trips it."""
-    doc = {
-        "users": list(inst.users),
-        "packets": [
-            {"id": p.id, "weight": p.weight, "demand": p.demand, "side": sorted(p.side)}
-            for p in inst.packets
-        ],
-    }
-    return yaml.safe_dump(doc, sort_keys=False)
-
-
 def total_weight(inst: Instance) -> int:
     """Sum of all packet-type weights (the number of unit packets W)."""
     return sum(p.weight for p in inst.packets)

@@ -4,19 +4,22 @@ The complement programs P3 and P4 and the packet-split programs P3* and
 P4* appear in the paper's proofs (criterion 8 of the acceptance suite),
 and so do the extraction of packet-disjoint cycles from a partial clique
 and the rewriting of a cyclic code as a partial-clique code (Theorem 4).
-No command reaches them, so they live here, next to the tests that check
-them, with the instance's digraph and its undirected graph as networkx
-graphs for the tests' oracles.  P4 and P4* are built like P2 and P5, by
+No command reaches them, nor the determinant over GF(2^8) that checks the
+MDS minors, nor the writer of the instance files the tests read, so they
+live here, next to the tests that check them, with the instance's digraph
+and its undirected graph as networkx graphs for the tests' oracles.  P4 and P4* are built like P2 and P5, by
 `programs._incidence_program`; P3 and P3* are `lp.transpose(build_P4(...))`
 and `lp.transpose(build_P4_star(...))`.
 """
 
 import networkx as nx
+import yaml
 
 from indexcode.coding import GF256, CodingAction, TransmissionSchedule, _expand
 from indexcode.enumeration import (
     Cycle, PartialClique, _core_mask, _held_masks, _normalize_cycle,
 )
+from indexcode.gf256 import gf_inv, gf_mul
 from indexcode.instance import Instance, is_uniprior, total_weight
 from indexcode.lp import LinearProgram
 from indexcode.programs import _cycle_columns, _incidence_program, _packet_rows
@@ -140,3 +143,35 @@ def cycle_to_clique(inst: Instance, schedule: TransmissionSchedule) -> Transmiss
                CodingAction("clique", tuple(sorted(a.packets)), a.count, d=int(a.kind == "cycle"))
                for a in schedule.actions]
     return _expand(inst, actions, schedule.theta, GF256)
+
+
+def gf_det(matrix) -> int:
+    """Determinant of a square matrix over GF(2^8) (for minor checks)."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    det = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        det = gf_mul(det, m[col][col])
+        inv = gf_inv(m[col][col])
+        for i in range(col + 1, n):
+            if m[i][col]:
+                f = gf_mul(m[i][col], inv)
+                m[i] = [a ^ gf_mul(f, b) for a, b in zip(m[i], m[col])]
+    return det
+
+
+def serialize_instance(inst: Instance) -> str:
+    """Emit instance-file text; `parse_instance` round-trips it."""
+    doc = {
+        "users": list(inst.users),
+        "packets": [
+            {"id": p.id, "weight": p.weight, "demand": p.demand, "side": sorted(p.side)}
+            for p in inst.packets
+        ],
+    }
+    return yaml.safe_dump(doc, sort_keys=False)

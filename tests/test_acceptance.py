@@ -33,11 +33,13 @@ from indexcode.generators import (
     random_unicast_instance,
     random_uniprior_instance,
 )
-from indexcode.gf256 import gf_inv, gf_mul, mds_rows, gf_det
+from indexcode.gf256 import gf_inv, gf_mul, mds_rows
 from indexcode.programs import build_P2, build_P5
 
 from conftest import brute_max_acyclic
-from paper_programs import build_P4, build_P4_star, split_digraph, split_digraph_cycles
+from paper_programs import (
+    build_P4, build_P4_star, gf_det, split_digraph, split_digraph_cycles,
+)
 
 
 @pytest.fixture(scope="module")

@@ -15,10 +15,12 @@ import pytest
 
 import indexcode
 from indexcode import (
-    analysis, cli, coding, enumeration, lp, make_instance, programs, serialize_instance,
+    analysis, cli, coding, enumeration, lp, make_instance, programs,
 )
 from indexcode.cli import run
 from indexcode.generators import random_unicast_instance
+
+from paper_programs import serialize_instance
 
 
 @pytest.fixture

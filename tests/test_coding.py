@@ -16,7 +16,6 @@ from indexcode import (
 )
 from indexcode.coding import ScheduleError, clique_schedule, cyclic_schedule
 from indexcode.gf256 import (
-    gf_det,
     gf_inv,
     gf_mul,
     gf_scale_bytes,
@@ -25,7 +24,7 @@ from indexcode.gf256 import (
 from indexcode.lp import OPTIMAL, Constraint, SolveResult
 from indexcode.programs import build_P2, build_P5
 
-from paper_programs import cycle_to_clique
+from paper_programs import cycle_to_clique, gf_det
 
 
 # ---------------------------------------------------------------- GF(2^8)

@@ -14,13 +14,12 @@ from indexcode import (
     is_uniprior,
     make_instance,
     parse_instance,
-    serialize_instance,
     total_weight,
 )
 from indexcode.generators import random_unicast_instance
 from random import Random
 
-from paper_programs import split_digraph, to_digraph
+from paper_programs import serialize_instance, split_digraph, to_digraph
 
 FIG1_TEXT = """
 users: [u1, u2, u3]
@@ -179,11 +178,11 @@ def test_fact1_cycle_count_preserved():
 
 _SUITE_SCRIPT = """
 from random import Random
-from indexcode import serialize_instance
 from indexcode.generators import (
     all_uniprior_instances, random_planar_instance, random_unicast_instance,
     random_uniprior_instance,
 )
+from paper_programs import serialize_instance
 rng = Random(7)
 for gen in (random_unicast_instance, random_planar_instance, random_uniprior_instance):
     for _ in range(30):
@@ -197,7 +196,8 @@ def test_generated_suites_independent_of_hash_seed():
     src = str(Path(indexcode.__file__).resolve().parents[1])
     texts = set()
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
         done = subprocess.run([sys.executable, "-c", _SUITE_SCRIPT], env=env,
                               capture_output=True, text=True, check=True, timeout=60)
         texts.add(done.stdout)
@@ -217,7 +217,7 @@ def test_public_surface():
         "Transmission", "TransmissionSchedule", "bounds_report", "build_P2", "build_P5",
         "clique_schedule", "cyclic_schedule", "enumerate_cycles", "enumerate_partial_cliques",
         "is_planar", "is_uniprior", "make_instance", "mds_rows", "parse_instance",
-        "serialize_instance", "simulate", "solve_ilp", "solve_lp", "total_weight", "transpose",
+        "simulate", "solve_ilp", "solve_lp", "total_weight", "transpose",
         "validate_instance", "verify_certificate",
     ]
 

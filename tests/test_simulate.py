@@ -360,3 +360,140 @@ def test_pruned_decoding_matches_the_full_system():
         assert _outcome(inst, sched) == expected
         failures += expected[1] is not None
     assert 60 <= failures <= 240, failures
+
+
+# --------------------------------------------- batches of repeated rounds
+
+def _scaled(inst, factors):
+    return make_instance(list(inst.users), [(p.id, p.weight * k, p.demand, p.side)
+                                            for p, k in zip(inst.packets, factors)])
+
+
+def _batched_schedule(rng, fig4):
+    """A vector schedule whose actions repeat their rounds: fig4 with its
+    weights scaled up (theta = 2 when all three factors are odd), or a
+    random instance with scaled weights, under P2' or P5'; sometimes one
+    action is re-expanded past its units."""
+    kind = rng.choice(("fig4", "fig4", "unicast", "uniprior"))
+    if kind == "fig4":
+        inst = _scaled(fig4, [rng.choice((3, 5, 7, 9)) for _ in range(3)])
+    elif kind == "unicast":
+        inst = random_unicast_instance(rng, side_prob=0.5)
+        inst = _scaled(inst, [rng.randint(2, 4)] * len(inst.packets))
+    else:
+        inst = random_uniprior_instance(rng)
+        inst = _scaled(inst, [rng.randint(2, 4)] * len(inst.packets))
+    if kind == "uniprior" or rng.random() < 0.5:
+        sched = clique_schedule(inst, solve_lp(build_P5(inst, enumerate_partial_cliques(inst))))
+    else:
+        sched = cyclic_schedule(inst, solve_lp(build_P2(inst, enumerate_cycles(inst))))
+    if rng.random() < 0.3:
+        actions = list(sched.actions)
+        j = rng.randrange(len(actions))
+        actions[j] = replace(actions[j], count=actions[j].count + rng.randint(1, 3))
+        sched = coding._expand(inst, actions, sched.theta, sched.field_name)
+    return inst, sched
+
+
+def _break_inside_a_batch(rng, inst, sched):
+    """The schedule with one or two transmissions broken after the first
+    round of an action that has more than one: dropped, a coefficient or a
+    unit corrupted, swapped with another transmission, or duplicated."""
+    txs = [list(t.coeffs) for t in sched.transmissions]
+    ranges, at = [], 0
+    for action in sched.actions:
+        stop = at + action.transmissions_per_round * action.count
+        if action.count > 1:
+            ranges.append((at + action.transmissions_per_round, stop))
+        at = stop
+    units = {p.id: p.weight * sched.theta for p in inst.packets}
+    ops = []
+    # Last position first, so that a drop or an insertion moves no
+    # position still to be broken.
+    for q in sorted({rng.randrange(*rng.choice(ranges)) for _ in range(rng.choice((1, 1, 2)))},
+                    reverse=True):
+        op = rng.choice(("drop", "coef", "unit", "swap", "duplicate"))
+        ops.append(op)
+        terms = txs[q]
+        j = rng.randrange(len(terms))
+        (pid, unit), coef = terms[j]
+        if op == "drop":
+            txs.pop(q)
+        elif op == "coef":
+            terms[j] = ((pid, unit), rng.choice([c for c in range(256) if c != coef]))
+        elif op == "unit":
+            if rng.random() < 0.5 and units[pid] > 1:
+                unit = rng.choice([u for u in range(units[pid]) if u != unit])
+            else:
+                pid = rng.choice(list(units))
+                unit = rng.randrange(units[pid])
+            terms[j] = ((pid, unit), coef)
+        elif op == "swap":
+            r = rng.choice([r for r in range(len(txs)) if txs[r] != terms] or [q])
+            txs[q], txs[r] = txs[r], txs[q]
+        else:
+            txs.insert(rng.randrange(q, len(txs) + 1), list(terms))
+    broken = TransmissionSchedule(sched.field_name, sched.theta, sched.actions,
+                                  [Transmission(tuple(terms)) for terms in txs])
+    return broken, ops
+
+
+def test_faults_inside_batches_match_the_full_system(fig4):
+    # A fault after the first round of a batch breaks its repetition, so
+    # the batch is declined and decoded symbol by symbol; a decoder that
+    # checked only each batch's first round would get these wrong.
+    rng = Random(76)
+    seen = {"theta>1": 0, "failed": 0, "decoded": 0}
+    for _ in range(1000):
+        inst, sched = _batched_schedule(rng, fig4)
+        broken, ops = _break_inside_a_batch(rng, inst, sched)
+        seen["theta>1"] += sched.theta > 1
+        for size in (1, 64):
+            report = simulate(inst, broken, seed=rng.randrange(100), payload_size=size)
+            expected = _full_system_outcome(inst, broken, size)
+            assert (report.success, report.failure) == expected, (inst, ops, size)
+        seen["failed" if expected[1] else "decoded"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_each_receiver_eliminates_each_batch_once(fig4, monkeypatch):
+    # fig4 with weights x100: 150 XOR rounds under P2' and 100 MDS rounds
+    # under P5'.  Each receiver makes one elimination per action that holds
+    # a packet it demands, over the payloads of all the action's rounds.
+    calls = []
+
+    def counting(rows, size):
+        calls.append(size)
+        return _eliminate(rows, size)
+
+    monkeypatch.setattr(simulate_module, "_eliminate", counting)
+    inst = _scaled(fig4, [100] * 3)
+    for sched in (
+        cyclic_schedule(inst, solve_lp(build_P2(inst, enumerate_cycles(inst)))),
+        clique_schedule(inst, solve_lp(build_P5(inst, enumerate_partial_cliques(inst)))),
+    ):
+        calls.clear()
+        report = simulate(inst, sched)
+        assert report.all_decoded
+        assert (report.success, report.failure) == _full_system_outcome(inst, sched)
+        expected = sorted(action.count * 64 for user in inst.users for action in sched.actions
+                          if any(inst.packet(pid).demand == user for pid in action.packets))
+        assert sorted(calls) == expected
+        assert len(calls) <= 6 < len(sched.transmissions) // 10
+
+
+def test_rounds_that_share_a_unit_are_not_a_batch():
+    # Each round holds two units of a and the next round shifts both, so
+    # the rounds a0 + a1 and a1 + a2 overlap: they repeat their first round
+    # but are no batch.  With a2 sent alone, u1 solves a2, a1, then a0.
+    inst = make_instance(["u1"], [("a", 3, "u1", ())])
+    a = [("a", i) for i in range(3)]
+    sched = TransmissionSchedule(GF256, 1, [
+        coding.CodingAction("cycle", ("a", "a"), 2),
+        coding.CodingAction("direct", ("a",), 1),
+    ], [
+        Transmission(((a[0], 1), (a[1], 1))),
+        Transmission(((a[1], 1), (a[2], 1))),
+        Transmission(((a[2], 1),)),
+    ])
+    assert _outcome(inst, sched) == _full_system_outcome(inst, sched) == ({"u1": True}, None)
