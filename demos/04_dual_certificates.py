@@ -12,11 +12,16 @@ batch of random instances, check objective equality and each certificate,
 and print one pair of optima in full.
 """
 
+import sys
+from pathlib import Path
 from random import Random
 
 from indexcode import enumerate_cycles, solve_lp, transpose, verify_certificate
-from indexcode.generators import random_unicast_instance
 from indexcode.programs import build_P2
+
+# The random instance generator lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from generators import random_unicast_instance  # noqa: E402
 
 rng = Random(7)
 

@@ -18,9 +18,11 @@ symbol bit-exactly.
 Take the bipartite graph joining each row to the symbols it contains.  The
 row space is the direct sum of the spans of the rows of its connected
 components, so a unit vector e_s lies in the row space exactly when it lies
-in the span of the rows of s's component: rows outside that component can
-be left out, or eliminated apart, without changing which demanded symbols
-are determined.
+in the span of the rows of s's component.  A receiver therefore eliminates
+blocks, each a union of components, apart: each block whole and once, and
+only a block that decodes a unit it demands.  A block is the symbols it
+decodes, per packet, their truth, its payload width and its encoded rows,
+which a receiver that holds none of the block's packets shares.
 
 Batches.  A schedule's actions repeat one small code ``count`` times on
 fresh units, so each action proposes a batch: the next ``count`` rounds of
@@ -32,27 +34,21 @@ is checked on the whole batch at once, as tuple equality over its
 flattened terms.  Rounds then share no symbol.  An accepted batch must
 also share no symbol, counting terms with a zero coefficient, with any
 other batch or any transmission outside the accepted batches; then it is a
-union of components, and so is each of its rounds.  Its symbols occur
-nowhere else, so a demanded unit in it is decoded or lost within it.  The
-elimination's control flow depends only on the coefficients, which every
-round repeats, so a receiver eliminates the first round's rows once, each
-payload carrying all rounds as one int of ``count * size`` bytes, round j
-at bytes ``[j * size, (j + 1) * size)``.  A packet's truth over the batch
-is then one contiguous slice of the stream, and XOR and scaling act on all
-rounds at once.  Only receivers with a demanded packet in the batch
-eliminate it.
+union of components, and so is each of its rounds.  Each accepted batch is
+one block.  The elimination's control flow depends only on the
+coefficients, which every round repeats, so its rows are the first round's
+and each payload carries all rounds as one int of ``count * size`` bytes,
+round j at bytes ``[j * size, (j + 1) * size)``.  A packet's truth over the
+batch is then one contiguous slice of the stream, and XOR and scaling act
+on all rounds at once.
 
-Everything else -- broken or dropped rounds, duplicated units, schedules
-without actions -- is decoded over ``(packet, unit)`` symbols, and a
-receiver eliminates only the transmissions that can reach its demands.
-Packet-level reach keeps at least their components.  It starts from the
-demanded packets and repeatedly adds the unknown packets of every
-transmission whose unknown packets meet it; a transmission's packets are
-those of its nonzero terms, a superset of the packets of its row after
-cancellation.  Every row in a demanded symbol's component is joined to it
-by a chain of rows, each sharing an unknown symbol, hence an unknown
-packet, with the next, so reach contains the packets of all of them, and
-each of them is kept.
+The transmissions outside every accepted batch -- broken or dropped
+rounds, duplicated units, schedules without actions -- form one more block,
+over ``(packet, unit)`` symbols, which decodes each packet's units outside
+the batches; sharing no symbol with them, it is a union of components too.
+What is encoded is checked against the instance first: the terms of those
+transmissions and each proposed batch's first round, which its later
+rounds repeat.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import sub
 
-from .coding import TransmissionSchedule
+from .coding import ScheduleError, TransmissionSchedule
 from .gf256 import _EXP, _LOG, gf_scale_bytes
 from .instance import Instance
 
@@ -164,16 +160,14 @@ def _eliminate(rows, size):
     return solved
 
 
-def _encode(terms, truth_of, size):
+def _encode(terms, truth, size):
     """A transmission's row, with the coefficients of a repeated symbol
-    added and zeros dropped, its broadcast payload, each entry of the row as
-    (packet, symbol, coef, coef * truth), and the packets of its nonzero
-    terms, in term order; None when the row is empty, as all its terms are
-    zero or cancel, which tells no receiver anything.  The payload is the
-    XOR of the scaled entries."""
+    added and zeros dropped, its broadcast payload, and each entry of the
+    row as (packet, symbol, coef, coef * truth), in term order; None when
+    the row is empty, as all its terms are zero or cancel, which tells no
+    receiver anything.  The payload is the XOR of the scaled entries."""
     row = dict(terms)
     if len(row) < len(terms) or 0 in row.values():  # a repeated symbol or a zero
-        pids = [sym[0] for sym, coef in terms if coef]
         row = {}
         for sym, coef in terms:
             v = row.get(sym, 0) ^ coef
@@ -183,12 +177,10 @@ def _encode(terms, truth_of, size):
                 del row[sym]
         if not row:
             return None
-    else:
-        pids = [sym[0] for sym in row]
     payload = 0
     entries = []
     for sym, coef in row.items():
-        part = truth_of(sym)
+        part = truth[sym]
         if coef != 1:
             part = _scale(coef, part, size)
         payload ^= part
@@ -196,7 +188,7 @@ def _encode(terms, truth_of, size):
     # A tuple, not a list: the garbage collector untracks a tuple of ints,
     # strings and such tuples, so entries alive for the whole call are not
     # promoted to the oldest generation to bring on full collections.
-    return row, payload, tuple(entries), pids
+    return row, payload, tuple(entries)
 
 
 def _received(entries, payload, held):
@@ -229,8 +221,13 @@ def _batch(txs, start, per_round, count, units):
         return None
     syms, coefs = zip(*chain.from_iterable(coeffs))
     pids, seq = zip(*syms)
-    if (coefs[width:] != coefs[:-width] or pids[width:] != pids[:-width]
-            or set(map(sub, seq[width:], seq[:-width])) - {1}):
+    if coefs[width:] != coefs[:-width] or pids[width:] != pids[:-width]:
+        return None
+    try:
+        steps = set(map(sub, seq[width:], seq[:-width]))
+    except TypeError:  # a unit that is not a number, which `_check` reports
+        return None
+    if steps - {1}:
         return None
     first = {}
     for pid, unit in syms[:width]:
@@ -240,6 +237,17 @@ def _batch(txs, start, per_round, count, units):
         if type(unit) is not int or not 0 <= unit <= units.get(pid, 0) - count:
             return None
     return coeffs[:per_round], first
+
+
+def _check(terms, units):
+    """Raise ScheduleError at the first term that is not ((packet, unit),
+    coef) with a packet of the instance, an int unit within the packet
+    (`units`: packet -> its number of units) and an int coef in 0..255."""
+    for (pid, unit), coef in terms:
+        if not (type(unit) is int and 0 <= unit < units.get(pid, 0)
+                and type(coef) is int and 0 <= coef <= 255):
+            raise ScheduleError(f"term {((pid, unit), coef)!r} is not a unit of a packet "
+                                f"of the instance with a coefficient in 0..255")
 
 
 def _outside(spans, n):
@@ -272,15 +280,10 @@ def simulate(
         base[p.id] = at
         units[p.id] = p.weight * theta
         at += p.weight * theta * size
-    truth = {}  # packet id -> the payloads of its units, in unit order
 
-    def unit_truth(sym):
-        pid, unit = sym
-        if pid not in truth:
-            at = base[pid]
-            truth[pid] = [int.from_bytes(stream[i:i + size], "little")
-                          for i in range(at, at + units[pid] * size, size)]
-        return truth[pid][unit]
+    def truth_of(pid, unit, width):
+        at = base[pid] + unit * size
+        return int.from_bytes(stream[at:at + width], "little")
 
     # The batches the actions propose that repeat their first round, and
     # the units each claims of each packet.
@@ -292,8 +295,12 @@ def simulate(
         found = _batch(txs, at, per_round, action.count, units)
         stop = at + per_round * action.count
         if found is not None:
+            _check(chain.from_iterable(found[0]), units)
             proposed.append((at, stop, *found, action.count))
         at = max(at, stop)
+    outside = _outside(proposed, len(txs))
+    for i in outside:
+        _check(txs[i].coeffs, units)
     spans = {}  # packet id -> [(first unit, end unit, proposal index)]
     for j, (_, _, _, first, count) in enumerate(proposed):
         for pid, unit in first.items():
@@ -308,49 +315,35 @@ def simulate(
             for lo2, hi2, k in claims[i + 1:]:
                 if lo < hi2 and lo2 < hi:
                     declined.update((j, k))
-    for i in _outside(proposed, len(txs)):
+    for i in outside:
         for (pid, unit), _ in txs[i].coeffs:
             declined.update(j for lo, hi, j in spans.get(pid, ()) if lo <= unit < hi)
     accepted = [proposal for j, proposal in enumerate(proposed) if j not in declined]
-    leftover = _outside(accepted, len(txs))
 
-    # Per accepted batch: {pid: first unit}, the wide truth of each
-    # first-round symbol, the payload width, and the first round's rows and
-    # broadcast payloads, and their entries.
-    batches = []
+    # The blocks, as ({pid: its symbols decoded}, {symbol: its truth},
+    # payload width, the terms sent): one per accepted batch, its first
+    # round, and one for the transmissions outside them.
+    unencoded = []
     covered = {}  # packet id -> [(first unit, end unit)] of accepted batches
     for _, _, rounds, first, count in accepted:
         width = count * size
-        wide = {}
+        decodes = {pid: [(pid, unit)] for pid, unit in first.items()}
+        truth = {(pid, unit): truth_of(pid, unit, width) for pid, unit in first.items()}
+        unencoded.append((decodes, truth, width, rounds))
         for pid, unit in first.items():
-            at = base[pid] + unit * size
-            wide[(pid, unit)] = int.from_bytes(stream[at:at + width], "little")
             covered.setdefault(pid, []).append((unit, unit + count))
-        encoded = [e for e in (_encode(terms, wide.__getitem__, width) for terms in rounds) if e]
-        batches.append((first, wide, width,
-                        [(row, payload) for row, payload, _, _ in encoded],
-                        [entries for _, _, entries, _ in encoded]))
-    # packet id -> its units outside every accepted batch
-    gaps = {pid: _outside(sorted(covered.get(pid, ())), n) for pid, n in units.items()}
-
-    # Per transmission outside the batches: its row and broadcast payload,
-    # and its entries.  They are grouped by the packets of their nonzero
-    # terms.
-    sent = []
-    entries_of = []
-    by_packets = {}  # packet set -> indices of its transmissions
-    last = None
-    for i in leftover:
-        encoded = _encode(txs[i].coeffs, unit_truth, size)
-        if encoded is None:
-            continue
-        row, payload, entries, pids = encoded
-        if pids != last:  # the rounds of an action share their packets
-            group = by_packets.setdefault(frozenset(pids), [])
-            last = pids
-        group.append(len(sent))
-        sent.append((row, payload))
-        entries_of.append(entries)
+    rest = {}  # packet id -> its symbols outside every accepted batch
+    for pid, n in units.items():
+        gaps = _outside(sorted(covered.get(pid, ())), n)
+        if gaps:
+            rest[pid] = [(pid, unit) for unit in gaps]
+    if rest:
+        truth = {sym: truth_of(*sym, size) for syms in rest.values() for sym in syms}
+        sent = [txs[i].coeffs for i in _outside(accepted, len(txs))]
+        unencoded.append((rest, truth, size, sent))
+    blocks = [(decodes, truth, width,
+               [e for e in (_encode(terms, truth, width) for terms in sent) if e])
+              for decodes, truth, width, sent in unencoded]
 
     success = {}
     failure = None
@@ -358,46 +351,19 @@ def simulate(
         known = inst.side_packets(user)
         demanded = [p.id for p in inst.packets if p.demand == user]
         failed = set()
-        for first, wide, width, pairs, entries in batches:
-            mine = first.keys() & demanded
+        for decodes, truth, width, encoded in blocks:
+            mine = decodes.keys() & demanded
             if not mine:
                 continue
-            held = known & first.keys()
+            held = known & decodes.keys()
             if held:
-                pairs = [got for got in (_received(e, rhs, held)
-                                         for e, (_, rhs) in zip(entries, pairs)) if got]
-            solved = _eliminate(pairs, width) if pairs else {}
+                rows = [got for got in (_received(entries, payload, held)
+                                        for _, payload, entries in encoded) if got]
+            else:
+                rows = [(row, payload) for row, payload, _ in encoded]
+            solved = _eliminate(rows, width)
             failed.update(pid for pid in mine
-                          if solved.get((pid, first[pid])) != wide[(pid, first[pid])])
-        solved = {}
-        if sent and any(gaps[pid] for pid in demanded):
-            reach = set(demanded)
-            unknown = [pkts - known for pkts in by_packets]
-            grown = True
-            while grown:
-                grown = False
-                for pkts in unknown:
-                    if not reach.isdisjoint(pkts) and not pkts <= reach:
-                        reach |= pkts
-                        grown = True
-            # reach holds no known packet, so a packet set meets it exactly
-            # when the set's unknown packets do.
-            rows = {}  # transmission index -> (row, right-hand side)
-            for pkts, indices in by_packets.items():
-                if reach.isdisjoint(pkts):
-                    continue
-                held = pkts & known
-                if not held:
-                    rows.update((i, sent[i]) for i in indices)
-                    continue
-                for i in indices:
-                    got = _received(entries_of[i], sent[i][1], held)
-                    if got:
-                        rows[i] = got
-            if rows:
-                solved = _eliminate([rows[i] for i in sorted(rows)], size)
-        failed.update(pid for pid in demanded
-                      if any(solved.get((pid, i)) != unit_truth((pid, i)) for i in gaps[pid]))
+                          if any(solved.get(sym) != truth[sym] for sym in decodes[pid]))
         first_failed = next((pid for pid in demanded if pid in failed), None)
         success[user] = first_failed is None
         if first_failed is not None and failure is None:

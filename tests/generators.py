@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from random import Random
 
-from .instance import Instance, PacketType, validate_instance
+from indexcode.instance import Instance, PacketType, validate_instance
 
 
 def _finish(users, raw_packets) -> Instance | None:

@@ -27,16 +27,16 @@ from indexcode.coding import (
     clique_schedule,
     cyclic_schedule,
 )
-from indexcode.generators import (
+from indexcode.gf256 import gf_inv, gf_mul, mds_rows
+from indexcode.programs import build_P2, build_P5
+
+from conftest import brute_max_acyclic
+from generators import (
     all_uniprior_instances,
     random_planar_instance,
     random_unicast_instance,
     random_uniprior_instance,
 )
-from indexcode.gf256 import gf_inv, gf_mul, mds_rows
-from indexcode.programs import build_P2, build_P5
-
-from conftest import brute_max_acyclic
 from paper_programs import (
     build_P4, build_P4_star, gf_det, split_digraph, split_digraph_cycles,
 )

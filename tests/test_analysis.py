@@ -15,14 +15,14 @@ from indexcode.analysis import (
     is_planar,
 )
 from indexcode.enumeration import enumerate_partial_cliques
-from indexcode.generators import (
+from indexcode.instance import Instance, PacketType
+
+from generators import (
     all_uniprior_instances,
     random_planar_instance,
     random_uniprior_instance,
     random_unicast_instance,
 )
-from indexcode.instance import Instance, PacketType
-
 from paper_programs import to_undirected
 
 # ----------------------------------------------------------------- planarity

@@ -18,8 +18,8 @@ from indexcode import (
     analysis, cli, coding, enumeration, lp, make_instance, programs,
 )
 from indexcode.cli import run
-from indexcode.generators import random_unicast_instance
 
+from generators import random_unicast_instance
 from paper_programs import serialize_instance
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from indexcode import enumerate_cycles, enumerate_partial_cliques, make_instance
 from indexcode.enumeration import CapExceeded, Cycle, PartialClique, _normalize_cycle
-from indexcode.generators import random_unicast_instance, random_uniprior_instance
 
 from conftest import dfs_cycles, full_clique_family
+from generators import random_unicast_instance, random_uniprior_instance
 from paper_programs import clique_core, extract_cycles_from_clique, to_digraph, validate_cycle
 
 

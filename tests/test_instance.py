@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 from types import ModuleType
 
 import networkx as nx
@@ -16,9 +17,8 @@ from indexcode import (
     parse_instance,
     total_weight,
 )
-from indexcode.generators import random_unicast_instance
-from random import Random
 
+from generators import random_unicast_instance
 from paper_programs import serialize_instance, split_digraph, to_digraph
 
 FIG1_TEXT = """
@@ -178,7 +178,7 @@ def test_fact1_cycle_count_preserved():
 
 _SUITE_SCRIPT = """
 from random import Random
-from indexcode.generators import (
+from generators import (
     all_uniprior_instances, random_planar_instance, random_unicast_instance,
     random_uniprior_instance,
 )

@@ -14,10 +14,10 @@ from indexcode import (
     transpose,
     verify_certificate,
 )
-from indexcode.generators import random_unicast_instance, random_uniprior_instance
 from indexcode.programs import build_P2, build_P5
 
 from conftest import brute_max_acyclic, full_clique_family
+from generators import random_unicast_instance, random_uniprior_instance
 from paper_programs import build_P4, build_P4_star, split_digraph, split_digraph_cycles
 
 

@@ -6,6 +6,8 @@ from dataclasses import replace
 from pathlib import Path
 from random import Random
 
+import pytest
+
 import indexcode
 from indexcode import (
     coding,
@@ -22,10 +24,11 @@ from indexcode.coding import (
     clique_schedule,
     cyclic_schedule,
 )
-from indexcode.generators import random_unicast_instance, random_uniprior_instance
 from indexcode.gf256 import gf_inv, gf_mul, gf_scale_bytes
 from indexcode.programs import build_P2, build_P5
 from indexcode.simulate import _eliminate, simulate
+
+from generators import random_unicast_instance, random_uniprior_instance
 
 # The package exports the function `simulate` under the submodule's name.
 simulate_module = importlib.import_module("indexcode.simulate")
@@ -206,10 +209,10 @@ def test_sparse_decoder_matches_dense_oracle():
 def test_repeated_symbol_in_a_transmission_adds(fig1, monkeypatch):
     # Coefficients of a symbol listed twice add in GF(2^8): 3 + 5 = 6 and
     # c + c = 0.  A zero coefficient, given or from cancellation, is never
-    # stored in a sparse row.  A receiver gets only the rows that can reach
-    # its demands: the packets of a transmission are those of its nonzero
-    # terms, so u1 (demands p1) gets no row from the p2 + 2*p3 + 2*p3
-    # transmission, while u2 (demands p2) gets the p3 row through it.
+    # stored in a sparse row.  Without actions, every transmission is in
+    # one block, so each receiver gets every row its side packets leave:
+    # u1 (demands p1) gets the p2 row of the p2 + 2*p3 + 2*p3 transmission
+    # as well, though it shares no symbol with p1.
     seen = {}
 
     def recording(rows, size):
@@ -227,10 +230,33 @@ def test_repeated_symbol_in_a_transmission_adds(fig1, monkeypatch):
     assert report.all_decoded
     # Users in order u1 (holds p3), u2 (holds p1), u3 (holds p1, p2).
     assert seen["rows"] == [
-        [{p1: 6}],
+        [{p1: 6}, {p2: 1}],
         [{p2: 1}, {p3: 7}],
         [{p3: 7}],
     ]
+
+
+def test_term_outside_the_instance_is_a_schedule_error(fig1):
+    # Each term is checked before it is encoded: a unit past the packet
+    # would read another packet's payload.
+    def rejects(inst, sched, term):
+        with pytest.raises(coding.ScheduleError) as err:
+            simulate(inst, sched)
+        assert str(err.value) == (f"term {term!r} is not a unit of a packet of the instance "
+                                  "with a coefficient in 0..255")
+
+    for term in ((("p1", 5), 1), (("zz", 0), 1), (("p1", "0"), 1), (("p1", 0), 256),
+                 (("p1", 0), -1), (("p1", -1), 1)):
+        rejects(fig1, TransmissionSchedule(GF256, 1, [], [
+            Transmission(((("p2", 0), 1),)), Transmission(((("p3", 0), 1), term))]), term)
+    # An action of two rounds on a: a0 and a1 with coefficient 300 in both
+    # are one batch, a0 and a "1" are none.
+    inst = make_instance(["u1"], [("a", 2, "u1", ())])
+    action = coding.CodingAction("direct", ("a",), 2)
+    for first, second, term in (((("a", 0), 300), (("a", 1), 300), (("a", 0), 300)),
+                                ((("a", 0), 1), (("a", "1"), 1), (("a", "1"), 1))):
+        rejects(inst, TransmissionSchedule(GF256, 1, [action], [
+            Transmission((first,)), Transmission((second,))]), term)
 
 
 def test_decode_failure_names_the_first_demand_in_instance_order():
@@ -340,7 +366,8 @@ def _outcome(inst, sched):
 
 def test_chain_row_that_misses_the_demand_is_kept():
     # u1 needs a; a + b alone is not enough, and the b row that completes it
-    # never touches a.
+    # never touches a, so a decoder that kept only the rows holding a
+    # demanded symbol would fail.
     inst = make_instance(["u1", "u2"], [("a", 1, "u1", ()), ("b", 1, "u2", ())])
     a, b = ("a", 0), ("b", 0)
     sched = TransmissionSchedule(GF256, 1, [], [
@@ -460,6 +487,8 @@ def test_each_receiver_eliminates_each_batch_once(fig4, monkeypatch):
     # fig4 with weights x100: 150 XOR rounds under P2' and 100 MDS rounds
     # under P5'.  Each receiver makes one elimination per action that holds
     # a packet it demands, over the payloads of all the action's rounds.
+    # With the actions stripped, all transmissions form one block, which
+    # each receiver with a demand eliminates once.
     calls = []
 
     def counting(rows, size):
@@ -468,18 +497,21 @@ def test_each_receiver_eliminates_each_batch_once(fig4, monkeypatch):
 
     monkeypatch.setattr(simulate_module, "_eliminate", counting)
     inst = _scaled(fig4, [100] * 3)
+    demanding = [user for user in inst.users if any(p.demand == user for p in inst.packets)]
     for sched in (
         cyclic_schedule(inst, solve_lp(build_P2(inst, enumerate_cycles(inst)))),
         clique_schedule(inst, solve_lp(build_P5(inst, enumerate_partial_cliques(inst)))),
     ):
-        calls.clear()
-        report = simulate(inst, sched)
-        assert report.all_decoded
-        assert (report.success, report.failure) == _full_system_outcome(inst, sched)
-        expected = sorted(action.count * 64 for user in inst.users for action in sched.actions
-                          if any(inst.packet(pid).demand == user for pid in action.packets))
-        assert sorted(calls) == expected
-        assert len(calls) <= 6 < len(sched.transmissions) // 10
+        batched = sorted(action.count * 64 for user in inst.users for action in sched.actions
+                         if any(inst.packet(pid).demand == user for pid in action.packets))
+        for run, expected in ((sched, batched),
+                              (replace(sched, actions=[]), [64] * len(demanding))):
+            calls.clear()
+            report = simulate(inst, run)
+            assert report.all_decoded
+            assert (report.success, report.failure) == _full_system_outcome(inst, run)
+            assert sorted(calls) == expected
+            assert len(calls) <= 6 < len(sched.transmissions) // 10
 
 
 def test_rounds_that_share_a_unit_are_not_a_batch():
