@@ -43,8 +43,8 @@ print(f"certified optimal clearance time: {t2.optimal_clearance}")
 
 sched = cyclic_schedule(inst, solve_ilp(build_P2(inst, cycles)))
 print(f"\nSchedule over {sched.field_name} ({len(sched.transmissions)} transmissions):")
-for t in sched.transmissions:
-    print("  " + " XOR ".join(pid for (pid, _), _ in t.coeffs))
+for terms in sched.transmissions:
+    print("  " + " XOR ".join(pid for (pid, _), _ in terms))
 
 report = simulate(inst, sched)
 print(f"\nsimulation: all users decoded = {report.all_decoded}")

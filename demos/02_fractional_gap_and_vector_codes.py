@@ -41,7 +41,7 @@ sched = cyclic_schedule(inst, res)
 print(f"\nvector code: theta={sched.theta}, "
       f"{len(sched.transmissions)} subpacket transmissions, "
       f"clearance={sched.total_count} packet slots")
-for t in sched.transmissions:
-    print("  " + " XOR ".join(f"{pid}/{unit}" for (pid, unit), _ in t.coeffs))
+for terms in sched.transmissions:
+    print("  " + " XOR ".join(f"{pid}/{unit}" for (pid, unit), _ in terms))
 
 print(f"\nall users decode: {simulate(inst, sched).all_decoded}")

@@ -53,6 +53,6 @@ res = solve_ilp(build_P5(big, full))
 sched = clique_schedule(big, res)
 print(f"\n4-user (4,2)-clique: {len(sched.transmissions)} transmissions "
       f"over {sched.field_name}")
-for t in sched.transmissions:
-    print("  " + " + ".join(f"{coef}*{pid}" for (pid, _), coef in t.coeffs))
+for terms in sched.transmissions:
+    print("  " + " + ".join(f"{coef}*{pid}" for (pid, _), coef in terms))
 print(f"decodes: {simulate(big, sched).all_decoded}")

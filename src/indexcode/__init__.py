@@ -11,7 +11,6 @@ from .analysis import (
 from .coding import (
     CodingAction,
     ScheduleError,
-    Transmission,
     TransmissionSchedule,
     clique_schedule,
     cyclic_schedule,

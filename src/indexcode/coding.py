@@ -2,9 +2,12 @@
 
 A schedule is an ordered list of coding actions (cycle XOR rounds over
 GF(2), partial-clique MDS rounds over GF(2^8), and uncoded broadcasts)
-expanded into concrete transmissions.  Each transmission is a coefficient
-vector over symbols; a symbol is one (sub)packet unit, identified by
-``(packet_id, index)`` with index ranging over ``weight * theta`` units.
+expanded into concrete transmissions.  A symbol is one (sub)packet unit,
+``(packet_id, unit)`` with unit in ``range(weight * theta)``, and a
+transmission is its tuple of terms, ``(((packet_id, unit), coef), ...)``.
+An action repeats one round `count` times, each round on fresh units:
+`CodingAction.rows` is that round's code over the action's packets, and
+the units an action takes fix all its transmissions.
 
 Each code family has one expander, `cyclic_schedule` for P2 and
 `clique_schedule` for P5, and it takes an integer optimum and an LP
@@ -19,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, repeat, zip_longest
 
 from .enumeration import Cycle, PartialClique
 from .gf256 import mds_rows
@@ -35,18 +40,18 @@ MAX_SYMBOLS = 1 << 18
 
 
 class ScheduleError(ValueError):
-    """Solution unfit for expansion (wrong status, negative counts, packets
-    left uncovered, too many symbols)."""
+    """Solution unfit for expansion (wrong status, negative counts, a
+    column outside the code family, packets left uncovered, too many
+    symbols), or a term unfit for simulation."""
 
 
 @dataclass(frozen=True)
 class CodingAction:
-    """One batch of identical coding rounds.
+    """One batch of `count` identical coding rounds, each on the next unit
+    of every packet of the action (its packets are distinct).
 
-    kind "cycle": packets in cycle order; each round is K-1 XOR
-    transmissions.  kind "clique": packets plus the surplus d; each
-    round is k-d MDS-coded transmissions.  kind "direct": one uncoded unit
-    of a single packet per round.
+    kind "cycle": packets in cycle order.  kind "clique": packets plus the
+    surplus d.  kind "direct": a single packet, sent uncoded.
     """
 
     kind: str  # "cycle" | "clique" | "direct"
@@ -54,19 +59,17 @@ class CodingAction:
     count: int
     d: int = 0
 
-    @property
-    def transmissions_per_round(self) -> int:
-        """K-1 for a K-cycle, k-d for a (k, d) clique, 1 for a direct round."""
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The code of one round, a transmission per row, as (position in
+        `packets`, coef) terms: the K-1 XORs of neighbours along a K-cycle,
+        the k-d Cauchy rows of a (k, d) clique, or the packet itself."""
         if self.kind == "cycle":
-            return len(self.packets) - 1
+            return tuple(((i, 1), (i + 1, 1)) for i in range(len(self.packets) - 1))
         if self.kind == "clique":
-            return len(self.packets) - self.d
-        return 1
-
-
-@dataclass(frozen=True)
-class Transmission:
-    coeffs: tuple[tuple[tuple[str, int], int], ...]  # ((pid, unit), coef)
+            k = len(self.packets)
+            return tuple(tuple(enumerate(row)) for row in mds_rows(k, k - self.d))
+        return (((0, 1),),)
 
 
 @dataclass
@@ -74,7 +77,8 @@ class TransmissionSchedule:
     field_name: str  # GF2 or GF256
     theta: int
     actions: list[CodingAction]
-    transmissions: list[Transmission] = field(default_factory=list)
+    # Each transmission is its terms, (((pid, unit), coef), ...).
+    transmissions: list[tuple] = field(default_factory=list)
 
     @property
     def total_count(self) -> Fraction:
@@ -89,76 +93,58 @@ class TransmissionSchedule:
             "granularity": "packet" if self.theta == 1 else "subpacket",
             "total_count": str(self.total_count),
             "transmissions": [
-                {f"{pid}/{unit}": coef for (pid, unit), coef in t.coeffs}
-                for t in self.transmissions
+                {f"{pid}/{unit}": coef for (pid, unit), coef in terms}
+                for terms in self.transmissions
             ],
         }
 
 
-class _UnitPool:
-    """Greedy per-packet unit cursor; exhausted packets hand out a
-    duplicate of their last unit (redundant for every receiver)."""
-
-    def __init__(self, inst: Instance, theta: int):
-        self.limit = {p.id: p.weight * theta for p in inst.packets}
-        self.cursor = {p.id: 0 for p in inst.packets}
-
-    def take(self, pid: str) -> int:
-        c = self.cursor[pid]
-        if c < self.limit[pid]:
-            self.cursor[pid] = c + 1
-            return c
-        return self.limit[pid] - 1
-
-    def all_covered(self) -> bool:
-        return all(self.cursor[p] >= self.limit[p] for p in self.limit)
-
-
-def _counts(res: SolveResult):
+def _counts(res: SolveResult, family, label):
     """theta, the lcm of the solution's denominators (1 for an integral
-    optimum), and (column name, key, count * theta) per column in name order."""
+    optimum), and (key, count * theta) per positive column in name order;
+    every positive column must be keyed by an instance of `family`."""
     if res.status != OPTIMAL:
         raise ScheduleError(f"solution status is {res.status}, not optimal")
     theta = math.lcm(*(v.denominator for v in res.primal))
     counts = []
-    columns = zip(res.lp.var_names, res.lp.var_keys, res.primal)
+    columns = zip_longest(res.lp.var_names, res.lp.var_keys, res.primal)
     for name, key, v in sorted(columns, key=lambda col: col[0]):
         if v < 0:
             raise ScheduleError(f"{name}: negative count")
-        counts.append((name, key, int(v * theta)))
+        if v:
+            if not isinstance(key, family):
+                raise ScheduleError(f"unexpected variable {name!r} in {label} solution")
+            counts.append((key, int(v * theta)))
     return theta, counts
 
 
 def _expand(inst: Instance, actions, theta, field_name) -> TransmissionSchedule:
+    """Each action's `count` rounds of its `rows`, round j on the j-th of
+    the units the action takes of each packet: the packet's next `count`
+    units, then its last unit again once it is used up (a duplicate,
+    redundant for every receiver)."""
     symbols = theta * total_weight(inst)
     if symbols > MAX_SYMBOLS:
         raise ScheduleError(
             f"theta={theta} gives {symbols} symbols, more than the cap of {MAX_SYMBOLS}"
         )
-    pool = _UnitPool(inst, theta)
-    sched = TransmissionSchedule(field_name, theta, list(actions))
+    units = {p.id: p.weight * theta for p in inst.packets}
+    cursor = dict.fromkeys(units, 0)
+    transmissions = []
     for action in actions:
-        if action.kind == "clique":
-            k = len(action.packets)
-            rows = mds_rows(k, action.transmissions_per_round)
-        for _ in range(action.count):
-            units = [(pid, pool.take(pid)) for pid in action.packets]
-            if action.kind == "cycle":
-                for i in range(len(units) - 1):
-                    sched.transmissions.append(
-                        Transmission(((units[i], 1), (units[i + 1], 1)))
-                    )
-            elif action.kind == "clique":
-                for row in rows:
-                    sched.transmissions.append(
-                        Transmission(tuple(zip(units, row)))
-                    )
-            else:
-                sched.transmissions.append(Transmission(((units[0], 1),)))
-    if not pool.all_covered():
-        missing = [p for p, c in pool.cursor.items() if c < pool.limit[p]]
+        taken = []  # per packet, its symbol in each round
+        for pid in action.packets:
+            start, end = cursor[pid], units[pid]
+            fresh = range(start, min(start + action.count, end))
+            cursor[pid] = start + len(fresh)
+            taken.append([*zip(repeat(pid), fresh)] + [(pid, end - 1)] * (action.count - len(fresh)))
+        # Each row's transmissions over all rounds, then interleaved round by round.
+        by_row = [zip(*(zip(taken[i], repeat(coef)) for i, coef in row)) for row in action.rows]
+        transmissions.extend(chain.from_iterable(zip(*by_row)))
+    missing = [pid for pid, n in units.items() if cursor[pid] < n]
+    if missing:
         raise ScheduleError(f"solution does not cover packets {missing}")
-    return sched
+    return TransmissionSchedule(field_name, theta, list(actions), transmissions)
 
 
 def cyclic_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
@@ -168,23 +154,15 @@ def cyclic_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
     common multiple of the solution's denominators, so that every scaled
     action count is integral; an integral optimum has theta = 1.
     """
-    theta, counts = _counts(res)
-    actions = [CodingAction("cycle", key.packets, n)
-               for _, key, n in counts if n and isinstance(key, Cycle)]
-    actions += [CodingAction("direct", (key,), n)
-                for _, key, n in counts if n and isinstance(key, str)]
+    theta, counts = _counts(res, (Cycle, str), "cyclic")
+    actions = [CodingAction("cycle", key.packets, n) for key, n in counts if isinstance(key, Cycle)]
+    actions += [CodingAction("direct", (key,), n) for key, n in counts if isinstance(key, str)]
     return _expand(inst, actions, theta, GF2)
 
 
 def clique_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
     """Expand an optimum of the partial-clique program P5 or its relaxation
     P5', with theta read off the solution as in `cyclic_schedule`."""
-    theta, counts = _counts(res)
-    actions = []
-    for name, key, n in counts:
-        if n == 0:
-            continue
-        if not isinstance(key, PartialClique):
-            raise ScheduleError(f"unexpected variable {name!r} in clique solution")
-        actions.append(CodingAction("clique", key.sorted_packets, n, d=key.d))
+    theta, counts = _counts(res, PartialClique, "clique")
+    actions = [CodingAction("clique", key.sorted_packets, n, d=key.d) for key, n in counts]
     return _expand(inst, actions, theta, GF256)

@@ -4,12 +4,12 @@ Each program has one builder, and `lp.solve_ilp` solves it as an integer
 program while `lp.solve_lp` solves its LP relaxation (a primed name, P2'
 for P2).  Only the covering programs P2 and P5 are written out, each a 0/1
 incidence matrix of columns against per-packet rows.  The deletion
-programs P1 and P6 are their exact LP duals, `lp.transpose(...)`, so row i
-of one is column i of the other under the same name and a pair lines up
-by index.  `lp.verify_certificate` on a covering program's LP optimum
-proves both relaxations of its pair optimal with one value.  Each column
-is keyed (`var_keys`) by its `Cycle`, `PartialClique` or packet id; the
-names below are never parsed:
+programs P1 and P6 are their exact LP duals.  P1 is built as
+`lp.transpose(build_P2(...))`, so row i of one is column i of the other
+under the same name; P6 is never built: `lp.verify_certificate` on P5's LP
+optimum proves P5' and P6' optimal with one value (`Analysis.duality`), as
+it does P2' and P1'.  Each column is keyed (`var_keys`) by its `Cycle`,
+`PartialClique` or packet id; the names below are never parsed:
 
 * cycle columns carry the packet and user interleaving, ``C:p1|p3@u1|u3``;
   only the first cycle of each packet set gets one (cycles with the same
@@ -18,8 +18,8 @@ names below are never parsed:
   `enumerate_partial_cliques`: the singletons and the cliques with d >= 1
   (a (k, 0)-clique's column would be the sum of its singleton columns);
 * per-packet covering rows are ``m:<pid>`` and direct-broadcast columns
-  ``y:<pid>``, so P1 and P6 have the columns ``m:<pid>`` and P1 the rows
-  ``y:<pid>`` (x_m <= 1).
+  ``y:<pid>``, so P1 has the columns ``m:<pid>`` and the rows ``y:<pid>``
+  (x_m <= 1).
 """
 
 from __future__ import annotations

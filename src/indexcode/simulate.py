@@ -6,14 +6,15 @@ decimal seed, ``n * size`` bytes long for ``n`` symbols, of which symbol i
 size)``.  Runs are therefore exactly reproducible.  A payload is the int of
 its little-endian bytes, so adding two payloads is XOR.
 
-Each transmission is encoded once: its terms ``(symbol, coef, coef *
-truth)``, the coefficients of a repeated symbol added, and its broadcast
-payload, the XOR of the scaled terms.  A receiver sees only the broadcast
-payload and its own side packets: it XORs the scaled terms of the packets
-it holds out of the payload, and keeps the rest as a sparse row over
-GF(2^8), which holds the GF(2) of cyclic codes as its subfield {0, 1}.
-Sparse Gaussian elimination over those rows must recover every demanded
-symbol bit-exactly.
+A transmission is its tuple of terms ``((packet, unit), coef)``, the
+symbol ``(packet, unit)`` being one (sub)packet unit.  Each is encoded
+once: its entries ``(symbol, coef, coef * truth)``, the coefficients of a
+repeated symbol added, and its broadcast payload, the XOR of the scaled
+entries.  A receiver sees only the broadcast payload and its own side
+packets: it XORs the scaled terms of the packets it holds out of the
+payload, and keeps the rest as a sparse row over GF(2^8), which holds the
+GF(2) of cyclic codes as its subfield {0, 1}.  Sparse Gaussian elimination
+over those rows must recover every demanded symbol bit-exactly.
 
 Take the bipartite graph joining each row to the symbols it contains.  The
 row space is the direct sum of the spans of the rows of its connected
@@ -26,12 +27,12 @@ which a receiver that holds none of the block's packets shares.
 
 Batches.  A schedule's actions repeat one small code ``count`` times on
 fresh units, so each action proposes a batch: the next ``count`` rounds of
-transmissions, a round being as many as the action's code sends.  The
-proposal is accepted only if the batch's transmissions are its first
-round's, round after round, with every unit advanced by one, each packet
-holds one unit in that round, and the units stay within the packet; that
-is checked on the whole batch at once, as tuple equality over its
-flattened terms.  Rounds then share no symbol.  An accepted batch must
+transmissions, a round being one transmission per row of the action's
+`rows`.  The proposal is accepted only if the batch's transmissions are
+its first round's, round after round, with every unit advanced by one,
+each packet holds one unit in that round, and the units stay within the
+packet; that is checked on the whole batch at once, as tuple equality over
+its flattened terms.  Rounds then share no symbol.  An accepted batch must
 also share no symbol, counting terms with a zero coefficient, with any
 other batch or any transmission outside the accepted batches; then it is a
 union of components, and so is each of its rounds.  Each accepted batch is
@@ -214,39 +215,47 @@ def _batch(txs, start, per_round, count, units):
     stop = start + per_round * count
     if per_round < 1 or count < 1 or stop > len(txs):
         return None
-    coeffs = [t.coeffs for t in txs[start:stop]]
-    lens = list(map(len, coeffs))
+    batch = txs[start:stop]
+    lens = list(map(len, batch))
     width = sum(lens[:per_round])  # terms per round
     if not width or lens[per_round:] != lens[:-per_round]:
         return None
-    syms, coefs = zip(*chain.from_iterable(coeffs))
-    pids, seq = zip(*syms)
-    if coefs[width:] != coefs[:-width] or pids[width:] != pids[:-width]:
-        return None
+    # A term or symbol that is not a pair, a unit that is not a number or
+    # an unhashable packet is no batch; `_check` reports it.
     try:
-        steps = set(map(sub, seq[width:], seq[:-width]))
-    except TypeError:  # a unit that is not a number, which `_check` reports
-        return None
-    if steps - {1}:
-        return None
-    first = {}
-    for pid, unit in syms[:width]:
-        if first.setdefault(pid, unit) != unit:
+        syms, coefs = zip(*chain.from_iterable(batch), strict=True)
+        pids, seq = zip(*syms, strict=True)
+        if coefs[width:] != coefs[:-width] or pids[width:] != pids[:-width]:
             return None
+        if set(map(sub, seq[width:], seq[:-width])) - {1}:
+            return None
+        first = {}
+        for pid, unit in syms[:width]:
+            if first.setdefault(pid, unit) != unit:
+                return None
+    except (TypeError, ValueError):
+        return None
     for pid, unit in first.items():
         if type(unit) is not int or not 0 <= unit <= units.get(pid, 0) - count:
             return None
-    return coeffs[:per_round], first
+    return batch[:per_round], first
 
 
 def _check(terms, units):
-    """Raise ScheduleError at the first term that is not ((packet, unit),
-    coef) with a packet of the instance, an int unit within the packet
-    (`units`: packet -> its number of units) and an int coef in 0..255."""
-    for (pid, unit), coef in terms:
-        if not (type(unit) is int and 0 <= unit < units.get(pid, 0)
-                and type(coef) is int and 0 <= coef <= 255):
-            raise ScheduleError(f"term {((pid, unit), coef)!r} is not a unit of a packet "
+    """Raise ScheduleError, showing the term as given, at the first term
+    that is not ((packet, unit), coef), a pair whose symbol is a tuple,
+    with a packet of the instance, an int unit within the packet (`units`:
+    packet -> its number of units) and an int coef in 0..255."""
+    for term in terms:
+        try:
+            sym, coef = term
+            pid, unit = sym
+            ok = (type(sym) is tuple and type(unit) is int and 0 <= unit < units.get(pid, 0)
+                  and type(coef) is int and 0 <= coef <= 255)
+        except (TypeError, ValueError):  # not a pair, or an unhashable packet
+            ok = False
+        if not ok:
+            raise ScheduleError(f"term {term!r} is not a unit of a packet "
                                 f"of the instance with a coefficient in 0..255")
 
 
@@ -291,7 +300,7 @@ def simulate(
     proposed = []  # (start, stop, first round's terms, {pid: unit}, count)
     at = 0
     for action in schedule.actions:
-        per_round = action.transmissions_per_round
+        per_round = len(action.rows)
         found = _batch(txs, at, per_round, action.count, units)
         stop = at + per_round * action.count
         if found is not None:
@@ -300,7 +309,7 @@ def simulate(
         at = max(at, stop)
     outside = _outside(proposed, len(txs))
     for i in outside:
-        _check(txs[i].coeffs, units)
+        _check(txs[i], units)
     spans = {}  # packet id -> [(first unit, end unit, proposal index)]
     for j, (_, _, _, first, count) in enumerate(proposed):
         for pid, unit in first.items():
@@ -316,7 +325,7 @@ def simulate(
                 if lo < hi2 and lo2 < hi:
                     declined.update((j, k))
     for i in outside:
-        for (pid, unit), _ in txs[i].coeffs:
+        for (pid, unit), _ in txs[i]:
             declined.update(j for lo, hi, j in spans.get(pid, ()) if lo <= unit < hi)
     accepted = [proposal for j, proposal in enumerate(proposed) if j not in declined]
 
@@ -339,7 +348,7 @@ def simulate(
             rest[pid] = [(pid, unit) for unit in gaps]
     if rest:
         truth = {sym: truth_of(*sym, size) for syms in rest.values() for sym in syms}
-        sent = [txs[i].coeffs for i in _outside(accepted, len(txs))]
+        sent = [txs[i] for i in _outside(accepted, len(txs))]
         unencoded.append((rest, truth, size, sent))
     blocks = [(decodes, truth, width,
                [e for e in (_encode(terms, truth, width) for terms in sent) if e])

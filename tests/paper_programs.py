@@ -136,8 +136,8 @@ def cycle_to_clique(inst: Instance, schedule: TransmissionSchedule) -> Transmiss
     """Replace every K-cycle action by a (K,1)-clique action and every direct
     broadcast by a (1,0)-clique action.
 
-    Transmission counts are preserved exactly: a K-cycle round is K-1 XOR
-    transmissions, a (K,1)-clique round is K-1 MDS transmissions.
+    Transmission counts are preserved exactly: a round of either action is
+    K-1 transmissions, one per row (K-1 XORs or K-1 MDS rows).
     """
     actions = [a if a.kind == "clique" else
                CodingAction("clique", tuple(sorted(a.packets)), a.count, d=int(a.kind == "cycle"))

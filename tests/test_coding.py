@@ -13,8 +13,15 @@ from indexcode import (
     simulate,
     solve_ilp,
     solve_lp,
+    transpose,
 )
-from indexcode.coding import ScheduleError, clique_schedule, cyclic_schedule
+from indexcode.coding import (
+    CodingAction,
+    ScheduleError,
+    _expand,
+    clique_schedule,
+    cyclic_schedule,
+)
 from indexcode.gf256 import (
     gf_inv,
     gf_mul,
@@ -24,6 +31,7 @@ from indexcode.gf256 import (
 from indexcode.lp import OPTIMAL, Constraint, SolveResult
 from indexcode.programs import build_P2, build_P5
 
+from generators import random_unicast_instance
 from paper_programs import cycle_to_clique, gf_det
 
 
@@ -93,10 +101,10 @@ def test_fig1_scalar_cycle_schedule(fig1):
     assert sched.field_name == "gf2"
     assert sched.theta == 1
     assert sched.total_count == 2
-    sets = [frozenset(dict(t.coeffs)) for t in sched.transmissions]
+    sets = [frozenset(dict(t)) for t in sched.transmissions]
     assert frozenset({("p1", 0), ("p3", 0)}) in sets
     assert frozenset({("p2", 0)}) in sets
-    assert all(c == 1 for t in sched.transmissions for (_, c) in t.coeffs)
+    assert all(c == 1 for t in sched.transmissions for (_, c) in t)
 
 
 def test_fig4_vector_cycle_schedule(fig4):
@@ -113,7 +121,7 @@ def test_fig4_clique_schedule(fig4):
     sched = clique_schedule(fig4, res)
     assert sched.total_count == 1
     [t] = sched.transmissions
-    assert dict(t.coeffs) == {("p1", 0): 1, ("p2", 0): 1, ("p3", 0): 1}
+    assert dict(t) == {("p1", 0): 1, ("p2", 0): 1, ("p3", 0): 1}
 
 
 def test_clique_schedule_uses_gf256_when_needed():
@@ -189,6 +197,84 @@ def test_expansion_errors(fig1):
     with pytest.raises(ScheduleError,
                        match=r"^unexpected variable 'C:p1\|p3\|p2@u1\|u3\|u2' in clique solution$"):
         clique_schedule(fig1, solution(0, 1, 0, 0, 0))
+
+
+def _refused(expand, inst, res, label):
+    name = min(n for n, v in zip(res.lp.var_names, res.primal) if v)
+    with pytest.raises(ScheduleError) as err:
+        expand(inst, res)
+    assert str(err.value) == f"unexpected variable {name!r} in {label} solution"
+    return name
+
+
+def test_cyclic_schedule_refuses_clique_columns(fig1):
+    res = solve_lp(build_P5(fig1, enumerate_partial_cliques(fig1)))
+    assert _refused(cyclic_schedule, fig1, res, "cyclic").startswith("T:")
+
+
+def test_schedules_refuse_columns_without_keys(fig1):
+    # P1' has no `var_keys`: its positive columns belong to neither family.
+    res = solve_lp(transpose(build_P2(fig1, enumerate_cycles(fig1))))
+    assert res.lp.var_keys == ()
+    assert _refused(cyclic_schedule, fig1, res, "cyclic").startswith("m:")
+    assert _refused(clique_schedule, fig1, res, "clique").startswith("m:")
+
+
+def _expand_by_rounds(inst, actions, theta):
+    """Reference expansion, one round at a time: a round takes one unit of
+    each of the action's packets, the packet's next unit or, once it is
+    used up, its last unit again; a count below 1 sends nothing.  Returns
+    the transmissions, the packets left uncovered and how many units were
+    taken past a packet's end."""
+    end = {p.id: p.weight * theta for p in inst.packets}
+    taken = dict.fromkeys(end, 0)
+    txs, past = [], 0
+    for action in actions:
+        for _ in range(action.count):
+            syms = []
+            for pid in action.packets:
+                past += taken[pid] == end[pid]
+                syms.append((pid, min(taken[pid], end[pid] - 1)))
+                taken[pid] = min(taken[pid] + 1, end[pid])
+            if action.kind == "cycle":
+                txs += [((a, 1), (b, 1)) for a, b in zip(syms, syms[1:])]
+            elif action.kind == "clique":
+                txs += [tuple(zip(syms, row)) for row in mds_rows(len(syms), len(syms) - action.d)]
+            else:
+                txs.append(((syms[0], 1),))
+    return txs, [pid for pid in end if taken[pid] < end[pid]], past
+
+
+def test_expansion_takes_one_unit_of_each_packet_per_round():
+    rng = Random(77)
+    seen = {"count < 1": 0, "past the end": 0, "shared": 0, "uncovered": 0, "covered": 0}
+    for _ in range(400):
+        inst = random_unicast_instance(rng, max_packets=5)
+        theta = rng.randint(1, 3)
+        ids = inst.packet_ids
+        actions = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.choice(("cycle", "clique", "direct") if len(ids) > 1 else ("clique", "direct"))
+            k = 1 if kind == "direct" else rng.randint(1 + (kind == "cycle"), len(ids))
+            count = rng.choice((0, -1, rng.randint(1, 10)))
+            d = rng.randrange(k) if kind == "clique" else 0
+            actions.append(CodingAction(kind, tuple(rng.sample(ids, k)), count, d))
+        if rng.random() < 0.7:  # cover every packet, with a direct send of all its units
+            actions += [CodingAction("direct", (p.id,), p.weight * theta) for p in inst.packets]
+        txs, uncovered, past = _expand_by_rounds(inst, actions, theta)
+        if uncovered:
+            with pytest.raises(ScheduleError) as err:
+                _expand(inst, actions, theta, "gf256")
+            assert str(err.value) == f"solution does not cover packets {uncovered}"
+        else:
+            sched = _expand(inst, actions, theta, "gf256")
+            assert (sched.transmissions, sched.actions, sched.theta) == (txs, actions, theta)
+        seen["count < 1"] += any(a.count < 1 for a in actions)
+        seen["past the end"] += past > 0
+        seen["shared"] += len({pid for a in actions for pid in a.packets}) < sum(
+            len(a.packets) for a in actions)
+        seen["uncovered" if uncovered else "covered"] += 1
+    assert min(seen.values()) >= 80, seen
 
 
 def test_cycle_to_clique_keeps_direct_actions(fig1):

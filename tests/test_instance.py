@@ -214,7 +214,7 @@ def test_public_surface():
         "Instance", "InstanceError", "InstanceFormatError", "InstanceValidationError",
         "LinearProgram", "NodeLimitExceeded", "PacketType",
         "PartialClique", "PreconditionError", "ScheduleError", "SolveResult", "Theorem2Report",
-        "Transmission", "TransmissionSchedule", "bounds_report", "build_P2", "build_P5",
+        "TransmissionSchedule", "bounds_report", "build_P2", "build_P5",
         "clique_schedule", "cyclic_schedule", "enumerate_cycles", "enumerate_partial_cliques",
         "is_planar", "is_uniprior", "make_instance", "mds_rows", "parse_instance",
         "simulate", "solve_ilp", "solve_lp", "total_weight", "transpose",

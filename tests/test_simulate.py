@@ -19,7 +19,6 @@ from indexcode import (
 )
 from indexcode.coding import (
     GF256,
-    Transmission,
     TransmissionSchedule,
     clique_schedule,
     cyclic_schedule,
@@ -95,7 +94,7 @@ def test_corrupted_coefficient_fails(fig1):
     first = sched.transmissions[0]
     broken = type(sched)(
         sched.field_name, sched.theta, sched.actions,
-        [Transmission(first.coeffs) for _ in sched.transmissions],
+        [first for _ in sched.transmissions],
     )
     assert simulate(fig1, broken).failure is not None
 
@@ -222,9 +221,9 @@ def test_repeated_symbol_in_a_transmission_adds(fig1, monkeypatch):
     monkeypatch.setattr(simulate_module, "_eliminate", recording)
     p1, p2, p3 = ("p1", 0), ("p2", 0), ("p3", 0)
     sched = TransmissionSchedule(GF256, 1, [], [
-        Transmission(((p1, 3), (p1, 5), (p2, 0))),
-        Transmission(((p2, 1), (p3, 2), (p3, 2))),
-        Transmission(((p3, 7), (p1, 7), (p1, 7))),
+        ((p1, 3), (p1, 5), (p2, 0)),
+        ((p2, 1), (p3, 2), (p3, 2)),
+        ((p3, 7), (p1, 7), (p1, 7)),
     ])
     report = simulate(fig1, sched)
     assert report.all_decoded
@@ -236,27 +235,45 @@ def test_repeated_symbol_in_a_transmission_adds(fig1, monkeypatch):
     ]
 
 
+def _rejects(inst, sched, term):
+    with pytest.raises(coding.ScheduleError) as err:
+        simulate(inst, sched)
+    assert str(err.value) == (f"term {term!r} is not a unit of a packet of the instance "
+                              "with a coefficient in 0..255")
+
+
 def test_term_outside_the_instance_is_a_schedule_error(fig1):
     # Each term is checked before it is encoded: a unit past the packet
-    # would read another packet's payload.
-    def rejects(inst, sched, term):
-        with pytest.raises(coding.ScheduleError) as err:
-            simulate(inst, sched)
-        assert str(err.value) == (f"term {term!r} is not a unit of a packet of the instance "
-                                  "with a coefficient in 0..255")
-
+    # would read another packet's payload, and a symbol that is not a
+    # tuple cannot be hashed.
     for term in ((("p1", 5), 1), (("zz", 0), 1), (("p1", "0"), 1), (("p1", 0), 256),
-                 (("p1", 0), -1), (("p1", -1), 1)):
-        rejects(fig1, TransmissionSchedule(GF256, 1, [], [
-            Transmission(((("p2", 0), 1),)), Transmission(((("p3", 0), 1), term))]), term)
+                 (("p1", 0), -1), (("p1", -1), 1), (["p1", 0], 1)):
+        _rejects(fig1, TransmissionSchedule(GF256, 1, [], [
+            ((("p2", 0), 1),), ((("p3", 0), 1), term)]), term)
     # An action of two rounds on a: a0 and a1 with coefficient 300 in both
     # are one batch, a0 and a "1" are none.
     inst = make_instance(["u1"], [("a", 2, "u1", ())])
     action = coding.CodingAction("direct", ("a",), 2)
     for first, second, term in (((("a", 0), 300), (("a", 1), 300), (("a", 0), 300)),
                                 ((("a", 0), 1), (("a", "1"), 1), (("a", "1"), 1))):
-        rejects(inst, TransmissionSchedule(GF256, 1, [action], [
-            Transmission((first,)), Transmission((second,))]), term)
+        _rejects(inst, TransmissionSchedule(GF256, 1, [action], [
+            (first,), (second,)]), term)
+
+
+@pytest.mark.parametrize("term", [
+    (("p1",), 1), (("p1", 0, 0), 1), ((["p1"], 0), 1), (("p1", 0),), ("p1", 1),
+    (("p1", 1), 1, 0),
+], ids=repr)
+def test_term_that_is_not_a_pair_of_pairs_is_a_schedule_error(fig1, term):
+    # A term must be ((packet, unit), coef): anything else is reported as
+    # given, whether it is sent outside every batch, in the first round of
+    # an action's batch or in a later one (fig1 at theta = 2, so each
+    # packet has units 0 and 1).
+    p1, p2 = (("p1", 0), 1), (("p2", 0), 1)
+    direct = coding.CodingAction("direct", ("p1",), 2)
+    _rejects(fig1, TransmissionSchedule(GF256, 2, [], [(p2,), (p1, term)]), term)
+    _rejects(fig1, TransmissionSchedule(GF256, 2, [direct], [(p1,), (term,)]), term)
+    _rejects(fig1, TransmissionSchedule(GF256, 2, [direct], [(term,), ((("p1", 1), 1),)]), term)
 
 
 def test_decode_failure_names_the_first_demand_in_instance_order():
@@ -294,7 +311,7 @@ def _full_system_outcome(inst, sched, size=4):
         rows = []
         for t in sched.transmissions:
             row, rhs = {}, 0
-            for sym, coef in t.coeffs:
+            for sym, coef in t:
                 if sym[0] not in known:
                     rhs ^= _scale(coef, truth[sym], size)
                     row[sym] = row.get(sym, 0) ^ coef
@@ -333,7 +350,7 @@ def _random_schedule(rng):
         actions[j] = replace(actions[j], count=actions[j].count + rng.randint(1, 2))
         sched = coding._expand(inst, actions, sched.theta, sched.field_name)
     symbols = [(p.id, i) for p in inst.packets for i in range(p.weight * sched.theta)]
-    txs = [list(t.coeffs) for t in sched.transmissions]
+    txs = [list(t) for t in sched.transmissions]
     for _ in range(rng.choice((0, 0, 1, 2, 3))):
         op = rng.choice(("drop", "corrupt", "repeat", "zero", "cancel"))
         if op == "drop" and txs:
@@ -354,7 +371,7 @@ def _random_schedule(rng):
             c = rng.randint(1, 255)
             sym = rng.choice(symbols)
             rng.choice(txs).extend([(sym, c), (sym, c)])
-    txs = [Transmission(tuple(terms)) for terms in txs]
+    txs = [tuple(terms) for terms in txs]
     return inst, TransmissionSchedule(sched.field_name, sched.theta, sched.actions, txs)
 
 
@@ -371,8 +388,8 @@ def test_chain_row_that_misses_the_demand_is_kept():
     inst = make_instance(["u1", "u2"], [("a", 1, "u1", ()), ("b", 1, "u2", ())])
     a, b = ("a", 0), ("b", 0)
     sched = TransmissionSchedule(GF256, 1, [], [
-        Transmission(((a, 1), (b, 1))),
-        Transmission(((b, 1),)),
+        ((a, 1), (b, 1)),
+        ((b, 1),),
     ])
     assert _outcome(inst, sched) == _full_system_outcome(inst, sched) \
         == ({"u1": True, "u2": True}, None)
@@ -426,12 +443,12 @@ def _break_inside_a_batch(rng, inst, sched):
     """The schedule with one or two transmissions broken after the first
     round of an action that has more than one: dropped, a coefficient or a
     unit corrupted, swapped with another transmission, or duplicated."""
-    txs = [list(t.coeffs) for t in sched.transmissions]
+    txs = [list(t) for t in sched.transmissions]
     ranges, at = [], 0
     for action in sched.actions:
-        stop = at + action.transmissions_per_round * action.count
+        stop = at + len(action.rows) * action.count
         if action.count > 1:
-            ranges.append((at + action.transmissions_per_round, stop))
+            ranges.append((at + len(action.rows), stop))
         at = stop
     units = {p.id: p.weight * sched.theta for p in inst.packets}
     ops = []
@@ -461,7 +478,7 @@ def _break_inside_a_batch(rng, inst, sched):
         else:
             txs.insert(rng.randrange(q, len(txs) + 1), list(terms))
     broken = TransmissionSchedule(sched.field_name, sched.theta, sched.actions,
-                                  [Transmission(tuple(terms)) for terms in txs])
+                                  [tuple(terms) for terms in txs])
     return broken, ops
 
 
@@ -524,8 +541,8 @@ def test_rounds_that_share_a_unit_are_not_a_batch():
         coding.CodingAction("cycle", ("a", "a"), 2),
         coding.CodingAction("direct", ("a",), 1),
     ], [
-        Transmission(((a[0], 1), (a[1], 1))),
-        Transmission(((a[1], 1), (a[2], 1))),
-        Transmission(((a[2], 1),)),
+        ((a[0], 1), (a[1], 1)),
+        ((a[1], 1), (a[2], 1)),
+        ((a[2], 1),),
     ])
     assert _outcome(inst, sched) == _full_system_outcome(inst, sched) == ({"u1": True}, None)
