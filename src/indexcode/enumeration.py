@@ -68,76 +68,29 @@ class PartialClique:
         return tuple(sorted(self.packets))
 
 
-def _normalize_cycle(packets, users):
-    """Rotate so the lexicographically smallest packet id comes first."""
-    i = packets.index(min(packets))
-    return Cycle(tuple(packets[i:] + packets[:i]), tuple(users[i:] + users[:i]))
-
-
-def _strong_components(succ, nodes):
-    """The strongly connected components, as vertex sets, of the subgraph of
-    the digraph `succ` (vertex -> successor list) induced by `nodes`:
-    Tarjan's algorithm, iterative."""
-    index, low, on_stack, stack, comps = {}, {}, set(), [], []
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, nbrs = work[-1]
-            for w in nbrs:
-                if w not in nodes:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = set()
-                    while v not in comp:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.add(w)
-                    comps.append(comp)
-    return comps
-
-
-def _circuits(succ):
+def _circuits(succ, starts):
     """Every elementary circuit of the digraph `succ` (vertex -> successor
-    list) once, as a vertex list: Johnson's algorithm (SIAM J. Comput. 4(1),
-    1975), iterative.  Each strongly connected component is searched for the
-    circuits through its least vertex, which is then removed and the rest
-    split into components again; a vertex from which no circuit closed stays
-    blocked until a vertex it leads to is unblocked."""
-    comps = [c for c in _strong_components(succ, range(len(succ))) if len(c) > 1]
-    while comps:
-        comp = comps.pop()
-        start = min(comp)
-        adj = {v: [w for w in succ[v] if w in comp] for v in comp}
-        path, blocked, closed = [start], {start}, [False]
-        waiting = {v: set() for v in comp}  # Johnson's B lists
-        stack = [iter(adj[start])]
+    list) whose least vertex is in `starts`, once, as a vertex list from
+    that vertex: Johnson's blocked search (SIAM J. Comput. 4(1), 1975),
+    iterative, run from each start s over the vertices above s only.  A
+    vertex from which no circuit closed stays blocked until a vertex it
+    leads to is unblocked, and one that cannot reach s stays blocked, so
+    each start costs O((n + e)(c_s + 1)) for its c_s circuits, as in
+    Johnson's proof, without splitting the graph into strong components."""
+    for s in starts:
+        path, blocked, closed = [s], {s}, [False]
+        waiting = {}  # Johnson's B lists
+        stack = [iter(succ[s])]
         while stack:
             for w in stack[-1]:
-                if w == start:
+                if w == s:
                     yield path[:]
                     closed[-1] = True
-                elif w not in blocked:
+                elif w > s and w not in blocked:
                     path.append(w)
                     blocked.add(w)
                     closed.append(False)
-                    stack.append(iter(adj[w]))
+                    stack.append(iter(succ[w]))
                     break
             else:
                 stack.pop()
@@ -150,37 +103,36 @@ def _circuits(succ):
                         u = todo.pop()
                         if u in blocked:
                             blocked.discard(u)
-                            todo.extend(waiting[u])
-                            waiting[u].clear()
+                            todo.extend(waiting.pop(u, ()))
                 else:
-                    for w in adj[v]:
-                        waiting[w].add(v)
-        comp.discard(start)
-        comps.extend(c for c in _strong_components(succ, comp) if len(c) > 1)
+                    for w in succ[v]:
+                        waiting.setdefault(w, set()).add(v)
 
 
 def enumerate_cycles(inst: Instance, max_cycles: int = DEFAULT_MAX_CYCLES) -> list[Cycle]:
     """All elementary cycles of the instance digraph, deterministically ordered.
 
-    Each cycle is reported once up to rotation, normalized to start at its
-    smallest packet id, and sorted by (length, packet ids, user ids).
-    Johnson's algorithm finds them on the bipartite digraph, whose arcs run
-    from each packet to its demander and from each user to the packets it
-    holds; more than max_cycles raises `CapExceeded`.
+    Each cycle is reported once up to rotation, starting at its smallest
+    packet id, and sorted by (length, packet ids, user ids).  The bipartite
+    digraph has arcs from each packet to its demander and from each user to
+    the packets it holds; its packets are numbered in id order and its users
+    after them, so a cycle's least vertex is its smallest-id packet and
+    `_circuits` from each packet finds the cycles in that form.  The search
+    takes O((n + e)(c + M)) time for c cycles, M packets and n vertices and
+    e arcs of the digraph; more than max_cycles raises `CapExceeded`.
     """
-    m = len(inst.packets)
+    packets = sorted(inst.packets, key=lambda p: p.id)
+    m = len(packets)
     user_at = {u: m + j for j, u in enumerate(inst.users)}
-    succ = [[user_at[p.demand]] for p in inst.packets] + [[] for _ in inst.users]
-    for i, p in enumerate(inst.packets):
+    succ = [[user_at[p.demand]] for p in packets] + [[] for _ in inst.users]
+    for i, p in enumerate(packets):
         for u in p.side:
             succ[user_at[u]].append(i)
-    ids = [p.id for p in inst.packets] + list(inst.users)
+    ids = [p.id for p in packets] + list(inst.users)
     cycles = []
-    for nodes in _circuits(succ):
-        if nodes[0] >= m:  # rotate so the sequence starts at a packet vertex
-            nodes = nodes[1:] + nodes[:1]
-        cycles.append(_normalize_cycle([ids[v] for v in nodes[0::2]],
-                                       [ids[v] for v in nodes[1::2]]))
+    for nodes in _circuits(succ, range(m)):
+        cycles.append(Cycle(tuple(ids[v] for v in nodes[0::2]),
+                            tuple(ids[v] for v in nodes[1::2])))
         if len(cycles) > max_cycles:
             raise CapExceeded(f"cycle enumeration: more than {max_cycles} found "
                               f"({len(cycles)} so far)", len(cycles))

@@ -127,7 +127,7 @@ def make_instance(users, packets) -> Instance:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse instance-file text (YAML mapping with `users` and `packets`)."""
+    """Parse instance-file text (a YAML mapping of `users` and `packets` only)."""
     try:
         doc = yaml.load(text, Loader=_LOADER)
     except yaml.MarkedYAMLError as exc:
@@ -143,6 +143,9 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError("instance file must be a mapping with 'users' and 'packets'")
     if "users" not in doc or "packets" not in doc:
         raise InstanceFormatError("missing required field 'users' or 'packets'")
+    unknown = set(doc) - {"users", "packets"}
+    if unknown:
+        raise InstanceFormatError(f"unknown top-level fields {sorted(unknown, key=str)}")
     users = doc["users"]
     if not isinstance(users, list) or not all(isinstance(u, str) for u in users):
         raise InstanceFormatError("'users' must be a list of id tokens")
@@ -155,7 +158,8 @@ def parse_instance(text: str) -> Instance:
             raise InstanceFormatError(f"packet record {i}: need at least 'id' and 'demand'")
         unknown = set(rec) - {"id", "weight", "demand", "side"}
         if unknown:
-            raise InstanceFormatError(f"packet record {i}: unknown fields {sorted(unknown)}")
+            raise InstanceFormatError(
+                f"packet record {i}: unknown fields {sorted(unknown, key=str)}")
         demand = rec["demand"]
         if isinstance(demand, list):
             if not demand:

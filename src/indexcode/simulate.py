@@ -32,7 +32,9 @@ transmissions, a round being one transmission per row of the action's
 its first round's, round after round, with every unit advanced by one,
 each packet holds one unit in that round, and the units stay within the
 packet; that is checked on the whole batch at once, as tuple equality over
-its flattened terms.  Rounds then share no symbol.  An accepted batch must
+its flattened terms, every symbol a tuple and every unit and coefficient
+an int, so a later round repeats the first in type as well as value.
+Rounds then share no symbol.  An accepted batch must
 also share no symbol, counting terms with a zero coefficient, with any
 other batch or any transmission outside the accepted batches; then it is a
 union of components, and so is each of its rounds.  Each accepted batch is
@@ -220,11 +222,14 @@ def _batch(txs, start, per_round, count, units):
     width = sum(lens[:per_round])  # terms per round
     if not width or lens[per_round:] != lens[:-per_round]:
         return None
-    # A term or symbol that is not a pair, a unit that is not a number or
-    # an unhashable packet is no batch; `_check` reports it.
+    # A term or symbol that is not a pair, a symbol that is not a tuple, a
+    # unit or coefficient that is not an int or an unhashable packet is no
+    # batch; `_check` reports it.
     try:
         syms, coefs = zip(*chain.from_iterable(batch), strict=True)
         pids, seq = zip(*syms, strict=True)
+        if {*map(type, syms)} != {tuple} or {*map(type, seq), *map(type, coefs)} != {int}:
+            return None
         if coefs[width:] != coefs[:-width] or pids[width:] != pids[:-width]:
             return None
         if set(map(sub, seq[width:], seq[:-width])) - {1}:
@@ -236,7 +241,7 @@ def _batch(txs, start, per_round, count, units):
     except (TypeError, ValueError):
         return None
     for pid, unit in first.items():
-        if type(unit) is not int or not 0 <= unit <= units.get(pid, 0) - count:
+        if not 0 <= unit <= units.get(pid, 0) - count:
             return None
     return batch[:per_round], first
 

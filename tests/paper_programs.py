@@ -5,8 +5,9 @@ P4* appear in the paper's proofs (criterion 8 of the acceptance suite),
 and so do the extraction of packet-disjoint cycles from a partial clique
 and the rewriting of a cyclic code as a partial-clique code (Theorem 4).
 No command reaches them, nor the determinant over GF(2^8) that checks the
-MDS minors, nor the writer of the instance files the tests read, so they
-live here, next to the tests that check them, with the instance's digraph
+MDS minors, nor the rotation of a cycle to its smallest packet id that the
+cycle oracles use, nor the writer of the instance files the tests read, so
+they live here, next to the tests that check them, with the instance's digraph
 and its undirected graph as networkx graphs for the tests' oracles.  P4 and P4* are built like P2 and P5, by
 `programs._incidence_program`; P3 and P3* are `lp.transpose(build_P4(...))`
 and `lp.transpose(build_P4_star(...))`.
@@ -16,9 +17,7 @@ import networkx as nx
 import yaml
 
 from indexcode.coding import GF256, CodingAction, TransmissionSchedule, _expand
-from indexcode.enumeration import (
-    Cycle, PartialClique, _core_mask, _held_masks, _normalize_cycle,
-)
+from indexcode.enumeration import Cycle, PartialClique, _core_mask, _held_masks
 from indexcode.gf256 import gf_inv, gf_mul
 from indexcode.instance import Instance, is_uniprior, total_weight
 from indexcode.lp import LinearProgram
@@ -106,6 +105,12 @@ def clique_core(inst: Instance) -> list[str]:
     return [pid for i, pid in enumerate(pids) if core >> i & 1]
 
 
+def normalize_cycle(packets, users) -> Cycle:
+    """Rotate so the lexicographically smallest packet id comes first."""
+    i = packets.index(min(packets))
+    return Cycle(tuple(packets[i:] + packets[:i]), tuple(users[i:] + users[:i]))
+
+
 def extract_cycles_from_clique(clique: PartialClique, inst: Instance) -> list[Cycle]:
     """Pull d packet-disjoint cycles out of a partial clique (uniprior only).
 
@@ -127,7 +132,7 @@ def extract_cycles_from_clique(clique: PartialClique, inst: Instance) -> list[Cy
         cyc = walk[walk.index(node):]
         if cyc[0][0] == "u":
             cyc = cyc[1:] + cyc[:1]
-        cycles.append(_normalize_cycle([x for _, x in cyc[::2]], [x for _, x in cyc[1::2]]))
+        cycles.append(normalize_cycle([x for _, x in cyc[::2]], [x for _, x in cyc[1::2]]))
         left -= {x for kind, x in cyc if kind == "p"}
     return cycles
 

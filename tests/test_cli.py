@@ -205,6 +205,11 @@ def test_mutated_instance_files_exit_0_or_2(fig1, tmp_path, capsys):
      "packet record 0: 'id' must hold id tokens"),
     ("users: [u1]\npackets: [{id: p1, demand: []}]\n",
      "packet record 0: 'demand' must name one user"),
+    # A packet's `side` indented to column 0 is a top-level key.
+    ("users: [u1, u2]\npackets:\n- id: p1\n  demand: u2\n- id: p2\n  demand: u1\nside: [u2]\n",
+     "unknown top-level fields ['side']"),
+    ("users: [u1]\npackets: [{id: p1, demand: u1, 1: x, y: 2}]\n",
+     "packet record 0: unknown fields [1, 'y']"),
 ])
 def test_instance_errors_exit_2(text, message, tmp_path, capsys):
     path = tmp_path / "bad.icp"
@@ -295,6 +300,36 @@ def test_help_is_written_to_out(argv, capsys):
     code, text = _run(argv)
     assert code == 0 and text.startswith("usage: indexcode")
     assert capsys.readouterr() == ("", "")
+
+
+def test_cycles_output_ignores_hash_seed(fig4_file, tmp_path):
+    # Sides are frozensets, whose order follows PYTHONHASHSEED: `cycles`
+    # prints the same bytes, and exits the same way, under every seed, in
+    # text and JSON and when its cap is exceeded (fig4 has 5 cycles, the
+    # dense draw 408).
+    dense = tmp_path / "dense.icp"
+    dense.write_text(serialize_instance(
+        random_unicast_instance(random.Random(0), 10, 8, 3, 0.6, exact=True)))
+    argvs = [[*head, *tail] for head in (["cycles", fig4_file, "--max-cycles", "3"],
+                                         ["cycles", str(dense), "--max-cycles", "200"])
+             for tail in ([], ["--format", "json"])]
+    argvs += [argv[:2] + argv[4:] for argv in argvs]
+    script = (
+        "import sys\n"
+        "from indexcode.cli import run\n"
+        "sys.stderr = sys.stdout\n"
+        f"for argv in {argvs!r}:\n"
+        "    print('exit', run(argv))\n"
+    )
+    src = str(Path(indexcode.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        outputs.add(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                   text=True, check=True, timeout=60).stdout)
+    (out,) = outputs
+    assert out.count("exit 2\n") == 4 and out.count("exit 0\n") == 4
+    assert "total: 408 cycles" in out and "more than 200 found (201 so far)" in out
 
 
 def test_cap_exceeded_is_error(fig4_file):

@@ -4,11 +4,13 @@ import networkx as nx
 import pytest
 
 from indexcode import enumerate_cycles, enumerate_partial_cliques, make_instance
-from indexcode.enumeration import CapExceeded, Cycle, PartialClique, _normalize_cycle
+from indexcode.enumeration import CapExceeded, Cycle, PartialClique
 
 from conftest import dfs_cycles, full_clique_family
 from generators import random_unicast_instance, random_uniprior_instance
-from paper_programs import clique_core, extract_cycles_from_clique, to_digraph, validate_cycle
+from paper_programs import (
+    clique_core, extract_cycles_from_clique, normalize_cycle, to_digraph, validate_cycle,
+)
 
 
 def test_fig1_cycles(fig1):
@@ -51,7 +53,7 @@ def _nx_cycles(inst):
     for nodes in nx.simple_cycles(to_digraph(inst)):
         i = next(j for j, n in enumerate(nodes) if n[0] == "p")
         nodes = nodes[i:] + nodes[:i]
-        cycles.append(_normalize_cycle([x for _, x in nodes[0::2]], [x for _, x in nodes[1::2]]))
+        cycles.append(normalize_cycle([x for _, x in nodes[0::2]], [x for _, x in nodes[1::2]]))
     return sorted(cycles, key=lambda c: (c.length, sorted(c.packets), c.packets, c.users))
 
 

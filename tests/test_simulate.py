@@ -276,6 +276,21 @@ def test_term_that_is_not_a_pair_of_pairs_is_a_schedule_error(fig1, term):
     _rejects(fig1, TransmissionSchedule(GF256, 2, [direct], [(term,), ((("p1", 1), 1),)]), term)
 
 
+@pytest.mark.parametrize("term", [
+    (("a", 1.0), 1), (("a", True), 1), (("a", 1), 1.0), (["a", 1], 1),
+], ids=repr)
+def test_term_of_the_wrong_type_in_a_later_round_is_a_schedule_error(term):
+    # Each term equals the second round's (("a", 1), 1) by value, but its
+    # unit or coefficient is not an int or its symbol is not a tuple: it
+    # is refused inside a two-round batch on a 2-unit packet as outside
+    # every batch.
+    inst = make_instance(["u1"], [("a", 2, "u1", ())])
+    action = coding.CodingAction("direct", ("a",), 2)
+    first = (("a", 0), 1)
+    _rejects(inst, TransmissionSchedule(GF256, 1, [], [(first,), (term,)]), term)
+    _rejects(inst, TransmissionSchedule(GF256, 1, [action], [(first,), (term,)]), term)
+
+
 def test_decode_failure_names_the_first_demand_in_instance_order():
     # u1 demands a, b, c, d and e, and an empty schedule decodes none of
     # them: the failure names a under every hash seed.
