@@ -1,11 +1,11 @@
 """A complete tour on a 3-user planar instance.
 
 A base station holds three packets; every user wants one packet and
-already knows some of the others.  We enumerate the cycles of the
-side-information digraph, solve the deletion and covering programs
+already knows some of the others.  We enumerate the chordless cycles of
+the side-information digraph, solve the deletion and covering programs
 exactly, observe that every bound collapses to the same value (the
-instance is planar), build the 2-transmission XOR schedule, and verify
-by simulation that all three users decode.
+instance is planar), build the 2-transmission schedule (one XOR and one
+direct send), and verify by simulation that all three users decode.
 """
 
 from indexcode import (
@@ -28,7 +28,7 @@ inst = make_instance(
     ],
 )
 
-print("Cycles of the side-information digraph:")
+print("Chordless cycles of the side-information digraph:")
 cycles = enumerate_cycles(inst)
 for c in cycles:
     print("  " + " -> ".join(f"{p}({u})" for p, u in zip(c.packets, c.users)))

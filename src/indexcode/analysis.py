@@ -294,8 +294,8 @@ class Analysis:
 
     @cached_property
     def cliques(self) -> list[PartialClique]:
-        """The clique family of P5: the singletons and every clique with
-        d >= 1."""
+        """The clique family of P5: the singletons and every critical
+        clique."""
         return enumerate_partial_cliques(self.inst)
 
     def _program(self, name: str) -> LinearProgram:

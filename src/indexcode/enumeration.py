@@ -3,9 +3,10 @@
 Two families matter: elementary directed cycles of the bipartite digraph
 (they alternate packet and user vertices) and partial cliques, i.e. packet
 subsets where every demanding user already holds at least d of the subset.
-Only the partial cliques that no others dominate are listed: the
-singletons and the subsets with d >= 1.  These all lie inside the largest
-one, the clique core, and only its subsets are searched.
+Only the members that no others dominate in the paper's programs are
+listed: the chordless cycles, and the singletons and critical cliques.
+The cliques with d >= 1 all lie inside the largest one, the clique core,
+and only its subsets are searched.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ DEFAULT_MAX_CYCLES = 100_000
 # Cap on the subsets of two or more packets, up to size max_k, of the
 # clique core that `enumerate_partial_cliques` may consider: the whole
 # lattice of a core of up to 16 packets (65,519 such subsets) passes, that
-# of a 17-packet core does not.  A family at the cap, a 16-packet core in
-# which all 65,519 have d >= 1, took 0.46-0.50 s on a 2-core x86-64 VM under
-# Python 3.11, mostly spent building the 65,535 `PartialClique` objects.
+# of a 17-packet core does not.  The largest family at the cap, 16 packets
+# whose every subset is critical (each user holds every packet it does not
+# demand), took 0.36-0.46 s on a 2-core x86-64 VM under Python 3.11.
 MAX_CLIQUE_SUBSETS = 2**16
 
 
@@ -68,71 +69,69 @@ class PartialClique:
         return tuple(sorted(self.packets))
 
 
-def _circuits(succ, starts):
-    """Every elementary circuit of the digraph `succ` (vertex -> successor
-    list) whose least vertex is in `starts`, once, as a vertex list from
-    that vertex: Johnson's blocked search (SIAM J. Comput. 4(1), 1975),
-    iterative, run from each start s over the vertices above s only.  A
-    vertex from which no circuit closed stays blocked until a vertex it
-    leads to is unblocked, and one that cannot reach s stays blocked, so
-    each start costs O((n + e)(c_s + 1)) for its c_s circuits, as in
-    Johnson's proof, without splitting the graph into strong components."""
-    for s in starts:
-        path, blocked, closed = [s], {s}, [False]
-        waiting = {}  # Johnson's B lists
-        stack = [iter(succ[s])]
+def _chordless(held: list[int]):
+    """Every chordless cycle of the packet digraph, where i -> j when bit j
+    of held[i] is set, once, as a list of packet indices from its least one.
+
+    From each packet s a depth-first search walks the packets above s along
+    chordless paths only: it steps from the path's end v to a packet w that
+    no earlier path packet points to and that points to no path packet but
+    s, and the cycle closes at the first such w that points to s.  Each
+    step costs a few operations on M-bit ints, and every chordless path
+    from each start is walked once, whether it closes or not.  That is the
+    worst case: the paths that never close are not bounded by the cycles
+    found and can be exponentially many in M (on a ring of M packets, one
+    cycle costs M(M-1)/2 steps).
+    """
+    for s, hs in enumerate(held):
+        sbit = 1 << s
+        above = -(sbit << 1)
+        path = [s]
+        # Per path packet: its untried steps, the packets that the path up
+        # to it points to, and the path's packets but s.
+        stack = [(hs & above, hs, 0)]
         while stack:
-            for w in stack[-1]:
-                if w == s:
-                    yield path[:]
-                    closed[-1] = True
-                elif w > s and w not in blocked:
-                    path.append(w)
-                    blocked.add(w)
-                    closed.append(False)
-                    stack.append(iter(succ[w]))
-                    break
-            else:
+            steps, before, inner = stack[-1]
+            if not steps:
                 stack.pop()
-                v = path.pop()
-                if closed.pop():
-                    if closed:
-                        closed[-1] = True
-                    todo = [v]
-                    while todo:
-                        u = todo.pop()
-                        if u in blocked:
-                            blocked.discard(u)
-                            todo.extend(waiting.pop(u, ()))
-                else:
-                    for w in succ[v]:
-                        waiting.setdefault(w, set()).add(v)
+                path.pop()
+                continue
+            wbit = steps & -steps
+            stack[-1] = (steps ^ wbit, before, inner)
+            w = wbit.bit_length() - 1
+            hw = held[w]
+            if hw & inner:
+                continue
+            if hw & sbit:
+                yield path + [w]
+                continue
+            path.append(w)
+            inner |= wbit
+            stack.append((hw & above & ~before & ~inner, before | hw, inner))
 
 
 def enumerate_cycles(inst: Instance, max_cycles: int = DEFAULT_MAX_CYCLES) -> list[Cycle]:
-    """All elementary cycles of the instance digraph, deterministically ordered.
+    """The chordless cycles of the instance, deterministically ordered.
 
-    Each cycle is reported once up to rotation, starting at its smallest
-    packet id, and sorted by (length, packet ids, user ids).  The bipartite
-    digraph has arcs from each packet to its demander and from each user to
-    the packets it holds; its packets are numbered in id order and its users
-    after them, so a cycle's least vertex is its smallest-id packet and
-    `_circuits` from each packet finds the cycles in that form.  The search
-    takes O((n + e)(c + M)) time for c cycles, M packets and n vertices and
-    e arcs of the digraph; more than max_cycles raises `CapExceeded`.
+    A cycle p1 -> u1 -> p2 -> ... -> p1 of the bipartite digraph (u_j
+    demands p_j and holds p_j+1) is chordless when no u_j holds a cycle
+    packet other than p_j+1.  Only these are listed, because a cycle with a
+    chord is dominated: a chord from p to q closes a shorter cycle A, from q
+    along the cycle back to p, and A's action plus direct sends of the
+    other packets clear the cycle's packets at its own cost.  A chordless
+    cycle never repeats a user, since two packets with one demander point
+    to the same packets, and no other cycle has its packet set.
+
+    Each cycle is reported once, starting at its smallest packet id, and
+    sorted by (length, packet ids, user ids).  `_chordless` finds them on
+    the bitmasks of `_held_masks`, whose packets are in id order; more than
+    max_cycles raises `CapExceeded`.
     """
-    packets = sorted(inst.packets, key=lambda p: p.id)
-    m = len(packets)
-    user_at = {u: m + j for j, u in enumerate(inst.users)}
-    succ = [[user_at[p.demand]] for p in packets] + [[] for _ in inst.users]
-    for i, p in enumerate(packets):
-        for u in p.side:
-            succ[user_at[u]].append(i)
-    ids = [p.id for p in packets] + list(inst.users)
+    pids, held = _held_masks(inst)
+    demand = [inst.packet(pid).demand for pid in pids]
     cycles = []
-    for nodes in _circuits(succ, range(m)):
-        cycles.append(Cycle(tuple(ids[v] for v in nodes[0::2]),
-                            tuple(ids[v] for v in nodes[1::2])))
+    for path in _chordless(held):
+        cycles.append(Cycle(tuple(pids[i] for i in path), tuple(demand[i] for i in path)))
         if len(cycles) > max_cycles:
             raise CapExceeded(f"cycle enumeration: more than {max_cycles} found "
                               f"({len(cycles)} so far)", len(cycles))
@@ -144,8 +143,10 @@ def _held_masks(inst: Instance) -> tuple[list[str], list[int]]:
     """The sorted packet ids, and for each packet i the bitmask over them of
     the packets held by i's demander."""
     pids = sorted(inst.packet_ids)
-    side = {u: sum(1 << i for i, pid in enumerate(pids) if u in inst.packet(pid).side)
-            for u in inst.users}
+    side = dict.fromkeys(inst.users, 0)
+    for i, pid in enumerate(pids):
+        for u in inst.packet(pid).side:
+            side[u] |= 1 << i
     return pids, [side[inst.packet(pid).demand] for pid in pids]
 
 
@@ -202,41 +203,40 @@ def _scan(hc: dict[int, int], top: int):
 
 
 def enumerate_partial_cliques(inst: Instance, max_k: int | None = None) -> list[PartialClique]:
-    """The non-dominated (k, d)-partial cliques, all of them or those of
-    size <= max_k: every singleton as a (1, 0)-clique, and every larger
-    packet subset whose d is at least 1, by size and then in lexicographic
-    order of packet ids.
+    """The critical (k, d)-partial cliques, all of them or those of size
+    <= max_k: every singleton as a (1, 0)-clique, and every larger packet
+    subset S with d >= 1 from which no packet can be dropped without
+    lowering d, by size and then in lexicographic order of packet ids.
 
     Only the maximal d per subset is reported: any (k, d') with d' < d
-    induces a dominated constraint.  A (k, 0)-clique with k > 1 is dominated
-    too: it is k uncoded sends, so its P5 column is the sum of its k
-    singleton columns, in cost and in every row, and it can be replaced by
-    them at equal cost.  So val(P5) and val(P5') are unchanged without these
-    columns, and so is val(P6'), since the dropped rows
-    sum_{p in S} x_p <= k follow from the singleton rows x_p <= 1.  The
-    root LP is solved identically: the column's reduced cost, in either
-    simplex phase, is the sum of its singletons', so whenever it is negative
-    a singleton's is too; as every singleton precedes every k >= 2 column,
-    Bland's rule never enters it, and the artificial drive-out (first
-    nonzero column of a row) picks a singleton first, so P5' has the same
-    pivots, primal and duals.  Inside branch-and-bound this no longer holds:
-    a node bound x_p <= 0 on a singleton forbids it but not a (k, 0) column
-    holding p.  Node LPs, the branch tree, its node count and the choice
-    among tied optima of P5 may therefore differ; val(P5) does not.
+    induces a dominated constraint.  A subset S that keeps its d without a
+    packet p is dominated too: the clique S - p and the singleton p cover S
+    at (k - 1 - d(S - p)) + 1 <= k - d(S), the cost of S's own column.  By
+    induction every column left out is covered at no more than its cost by
+    listed ones, so val(P5) and val(P5') are unchanged, and so is val(P6'),
+    whose dropped rows follow from the listed ones.  The optimal points, the
+    branch tree of P5 and the choice among tied optima may differ.
+
+    Call b in S tight when |hc[b] & S| = d(S), where hc[b] is the set of
+    packets that b's demander holds.  Dropping p leaves d no lower exactly
+    when p is in no hc[b] of a tight b, so S is critical exactly when S
+    lies in the union of hc[b] & S over its tight members b.  A
+    (k, 0)-clique with k > 1 is one case: its tight members hold nothing of
+    S.  This is tested in the loop that counts d, with one OR per tight
+    member.
 
     d is counted on int bitmasks over the clique core: the i-th of its c
-    packets in id order is bit c-1-i, hc[b] is the set of core packets held
-    by the demander of core packet b, and d(S) = min over b in S of
+    packets in id order is bit c-1-i, and d(S) = min over b in S of
     |hc[b] & S|.  Only the subsets of the core can have d >= 1: a union of
     subsets with d >= 1 has d >= 1 too.  More than `MAX_CLIQUE_SUBSETS` of
     them of sizes 2 to max_k raises `CapExceeded` before any is looked at.
     When the core's whole subset lattice is under the cap (c <= 16, so on
     every call without max_k), `_sieve` marks all subsets with d >= 1 at
     once in an int of 2^c bits, with c^2 big-int operations, and only those
-    are visited: the rest of the cost grows with the output.  A larger core,
-    reachable only with a small max_k, is scanned with `combinations` up to
-    size max_k.  As among subsets of one size descending numeric order is
-    lexicographic order of ids, both list the cliques in the same order.
+    are visited.  A larger core, reachable only with a small max_k, is
+    scanned with `combinations` up to size max_k.  As among subsets of one
+    size descending numeric order is lexicographic order of ids, both list
+    the cliques in the same order.
     """
     pids, held = _held_masks(inst)
     core = _core_mask(held)
@@ -256,12 +256,17 @@ def enumerate_partial_cliques(inst: Instance, max_k: int | None = None) -> list[
     members = [(bit[i], hc[bit[i]], pids[i]) for i in idx_core]
     fits = (1 << c) - c - 1 <= MAX_CLIQUE_SUBSETS
     for m in _sieve(hc, c, top) if fits else _scan(hc, top):
-        ids, d = [], c
-        for b, h, pid in members:
+        d, tight = c, 0  # tight: the union of hc[b] & S over the tight b so far
+        for b, h, _ in members:
             if b & m:
-                ids.append(pid)
-                held_in = (h & m).bit_count()
-                if held_in < d:
-                    d = held_in
+                held_in = h & m
+                n = held_in.bit_count()
+                if n < d:
+                    d, tight = n, held_in
+                elif n == d:
+                    tight |= held_in
+        if m & ~tight:
+            continue
+        ids = [pid for b, _, pid in members if b & m]
         out.append(PartialClique(frozenset(ids), len(ids), d))
     return out

@@ -16,8 +16,37 @@ from functools import cached_property
 
 import yaml
 
-# libyaml's parser when PyYAML was built with it; both build the same documents.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_MERGE = "tag:yaml.org,2002:merge"
+
+
+class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader (libyaml's parser when PyYAML was built with it; both
+    build the same documents), except that a scalar key written twice in
+    one mapping, with one tag and one value, is an error, where PyYAML keeps
+    the last value.  A key that a ``<<`` merge brings in may still be
+    overridden."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._checked = set()
+
+    def flatten_mapping(self, node):
+        # Merging rewrites a merged mapping in place, and one that is also
+        # used as a value is flattened again: check the keys as written.
+        if node not in self._checked:
+            self._checked.add(node)
+            seen = set()
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE:
+                    key = key_node.tag, key_node.value
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found repeated key {key_node.value!r}", key_node.start_mark)
+                    seen.add(key)
+        super().flatten_mapping(node)
+
+
 _ID_RE = re.compile(r"[A-Za-z0-9_]+")
 
 

@@ -11,12 +11,11 @@ optimum proves P5' and P6' optimal with one value (`Analysis.duality`), as
 it does P2' and P1'.  Each column is keyed (`var_keys`) by its `Cycle`,
 `PartialClique` or packet id; the names below are never parsed:
 
-* cycle columns carry the packet and user interleaving, ``C:p1|p3@u1|u3``;
-  only the first cycle of each packet set gets one (cycles with the same
-  packet set give identical columns);
+* cycle columns carry the packet and user interleaving, ``C:p1|p3@u1|u3``,
+  one per cycle of `enumerate_cycles`: the chordless cycles, no two of
+  which share a packet set;
 * partial-clique columns are ``T:p1|p2|p3``, one per clique of
-  `enumerate_partial_cliques`: the singletons and the cliques with d >= 1
-  (a (k, 0)-clique's column would be the sum of its singleton columns);
+  `enumerate_partial_cliques`: the singletons and the critical cliques;
 * per-packet covering rows are ``m:<pid>`` and direct-broadcast columns
   ``y:<pid>``, so P1 has the columns ``m:<pid>`` and the rows ``y:<pid>``
   (x_m <= 1).
@@ -49,15 +48,6 @@ def _incidence_program(sense, columns, rows) -> LinearProgram:
     return LinearProgram(sense, costs, constraints, var_names=names, var_keys=keys)
 
 
-def _cycle_columns(cycles):
-    """(name, cycle, packet set) of the first cycle of each packet set, in
-    enumeration order."""
-    first = {}
-    for c in cycles:
-        first.setdefault(c.packet_set, c)
-    return [(cycle_var_name(c), c, packets) for packets, c in first.items()]
-
-
 def _packet_rows(inst: Instance):
     return [(p.id, "m:" + p.id, p.weight) for p in inst.packets]
 
@@ -65,7 +55,7 @@ def _packet_rows(inst: Instance):
 def build_P2(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
     """Optimal cyclic code: cycle actions plus direct broadcasts, a scalar
     code at the integer optimum and a vector code at the LP optimum."""
-    columns = [(name, c, c.length - 1, packets) for name, c, packets in _cycle_columns(cycles)]
+    columns = [(cycle_var_name(c), c, c.length - 1, c.packets) for c in cycles]
     columns += [("y:" + pid, pid, 1, (pid,)) for pid in inst.packet_ids]
     return _incidence_program("min", columns, _packet_rows(inst))
 

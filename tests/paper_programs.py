@@ -21,7 +21,7 @@ from indexcode.enumeration import Cycle, PartialClique, _core_mask, _held_masks
 from indexcode.gf256 import gf_inv, gf_mul
 from indexcode.instance import Instance, is_uniprior, total_weight
 from indexcode.lp import LinearProgram
-from indexcode.programs import _cycle_columns, _incidence_program, _packet_rows
+from indexcode.programs import _incidence_program, _packet_rows, cycle_var_name
 
 
 def to_digraph(inst: Instance) -> nx.DiGraph:
@@ -45,7 +45,7 @@ def to_undirected(inst: Instance) -> nx.Graph:
 
 def build_P4(inst: Instance, cycles: list[Cycle]) -> LinearProgram:
     """Cycle packing: maximize saved transmissions (complement of P2)."""
-    columns = [(name, c, 1, packets) for name, c, packets in _cycle_columns(cycles)]
+    columns = [(cycle_var_name(c), c, 1, c.packets) for c in cycles]
     return _incidence_program("max", columns, _packet_rows(inst))
 
 

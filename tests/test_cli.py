@@ -65,13 +65,10 @@ def test_bounds_json_fig4(fig4_file):
 def test_cycles_output(fig1_file):
     code, text = _run(["cycles", fig1_file])
     assert code == 0
-    assert "total: 2 cycles" in text
+    assert text == "p1 -> u1 -> p3 -> u3\ntotal: 1 cycles\n"
     code, text = _run(["cycles", fig1_file, "--format", "json"])
     assert code == 0
-    doc = json.loads(text)
-    assert sorted(sorted(c["packets"]) for c in doc) == [
-        ["p1", "p2", "p3"], ["p1", "p3"]
-    ]
+    assert json.loads(text) == [{"packets": ["p1", "p3"], "users": ["u1", "u3"]}]
 
 
 def test_cliques_output(fig4_file):
@@ -305,13 +302,13 @@ def test_help_is_written_to_out(argv, capsys):
 def test_cycles_output_ignores_hash_seed(fig4_file, tmp_path):
     # Sides are frozensets, whose order follows PYTHONHASHSEED: `cycles`
     # prints the same bytes, and exits the same way, under every seed, in
-    # text and JSON and when its cap is exceeded (fig4 has 5 cycles, the
-    # dense draw 408).
+    # text and JSON and when its cap is exceeded (fig4 has 3 chordless
+    # cycles, the dense draw 15).
     dense = tmp_path / "dense.icp"
     dense.write_text(serialize_instance(
         random_unicast_instance(random.Random(0), 10, 8, 3, 0.6, exact=True)))
-    argvs = [[*head, *tail] for head in (["cycles", fig4_file, "--max-cycles", "3"],
-                                         ["cycles", str(dense), "--max-cycles", "200"])
+    argvs = [[*head, *tail] for head in (["cycles", fig4_file, "--max-cycles", "2"],
+                                         ["cycles", str(dense), "--max-cycles", "10"])
              for tail in ([], ["--format", "json"])]
     argvs += [argv[:2] + argv[4:] for argv in argvs]
     script = (
@@ -329,7 +326,17 @@ def test_cycles_output_ignores_hash_seed(fig4_file, tmp_path):
                                    text=True, check=True, timeout=60).stdout)
     (out,) = outputs
     assert out.count("exit 2\n") == 4 and out.count("exit 0\n") == 4
-    assert "total: 408 cycles" in out and "more than 200 found (201 so far)" in out
+    assert "total: 15 cycles" in out and "more than 10 found (11 so far)" in out
+
+
+@pytest.mark.parametrize("command", ["cycles", "bounds"])
+def test_repeated_key_is_error(tmp_path, capsys, command):
+    # Read with the last `side` kept, this file has no cycle.
+    path = tmp_path / "repeated.icp"
+    path.write_text("users: [u1, u2]\npackets:\n  - {id: p1, demand: u1, side: [u2], side: []}\n"
+                    "  - {id: p2, demand: u2, side: [u1]}\n", encoding="utf-8")
+    assert _run([command, str(path)]) == (2, "")
+    assert capsys.readouterr().err == "error: found repeated key 'side' (line 3, column 38)\n"
 
 
 def test_cap_exceeded_is_error(fig4_file):
@@ -419,15 +426,17 @@ def test_truncation_needs_the_clique_family(dense12_file):
 
 
 def test_cliques_lists_the_whole_family_unless_capped(tmp_path):
-    # A 13-packet clique core, the whole of which is a (13, 4)-clique.
+    # A 13-packet clique core, whose largest critical cliques have 10
+    # packets.
     inst = random_unicast_instance(random.Random(0), 13, 8, 3, 0.6, exact=True)
     path = tmp_path / "core13.icp"
     path.write_text(serialize_instance(inst), encoding="utf-8")
     code, text = _run(["cliques", str(path)])
-    full = "(13,4): " + " ".join(sorted(inst.packet_ids)) + "\n"
-    assert code == 0 and text.endswith(full + "total: 7065 partial cliques\n")
-    capped = _run(["cliques", str(path), "--max-k", "12"])
-    assert capped == (0, text.replace(full, "").replace("7065", "7064"))
+    largest = "(10,4): p10 p11 p12 p13 p3 p4 p6 p7 p8 p9\n"
+    assert code == 0 and text.endswith(largest + "total: 115 partial cliques\n")
+    assert text.count("(10,") == 1
+    capped = _run(["cliques", str(path), "--max-k", "9"])
+    assert capped == (0, text.replace(largest, "").replace("115", "114"))
 
 
 def test_small_core_needs_no_large_max_k(tmp_path):

@@ -13,24 +13,29 @@ from paper_programs import (
 )
 
 
+def _chordless(inst, packets, users):
+    """Whether no user of the cycle holds a cycle packet other than the
+    successor of the packet it demands."""
+    k = len(packets)
+    return all(q == packets[(j + 1) % k] or u not in inst.packet(q).side
+               for j, u in enumerate(users) for q in packets)
+
+
 def test_fig1_cycles(fig1):
+    # The 3-cycle p1 -> p3 -> p2 has the chord p3 -> p1 (u3 holds p1).
     cycles = enumerate_cycles(fig1)
-    assert {c.packet_set for c in cycles} == {
-        frozenset({"p1", "p3"}),
-        frozenset({"p1", "p2", "p3"}),
-    }
-    assert len(cycles) == 2
+    assert cycles == [Cycle(("p1", "p3"), ("u1", "u3"))]
+    assert not _chordless(fig1, ("p1", "p3", "p2"), ("u1", "u3", "u2"))
 
 
 def test_fig4_cycles(fig4):
+    # Every user holds both packets it does not demand, so both
+    # orientations of {p1, p2, p3} have chords.
     cycles = enumerate_cycles(fig4)
-    two = [c for c in cycles if c.length == 2]
-    three = [c for c in cycles if c.length == 3]
-    assert {c.packet_set for c in two} == {
+    assert {c.packet_set for c in cycles} == {
         frozenset({"p1", "p2"}), frozenset({"p1", "p3"}), frozenset({"p2", "p3"})
     }
-    assert len(three) == 2  # both orientations of {p1,p2,p3}
-    assert len(cycles) == 5
+    assert len(cycles) == 3
 
 
 def test_acyclic_instance_has_no_cycles():
@@ -43,17 +48,19 @@ def test_cycles_match_dfs_oracle(fig1, fig4):
     insts = [fig1, fig4] + [random_unicast_instance(rng) for _ in range(30)]
     for inst in insts:
         got = {(c.packets, c.users) for c in enumerate_cycles(inst)}
-        assert got == dfs_cycles(inst)
+        assert got == {c for c in dfs_cycles(inst) if _chordless(inst, *c)}
 
 
 def _nx_cycles(inst):
-    """The cycles networkx's `simple_cycles` finds in the instance digraph,
-    normalized and sorted as `enumerate_cycles` reports them."""
+    """The chordless ones of the cycles networkx's `simple_cycles` finds in
+    the instance digraph, normalized and sorted as `enumerate_cycles`
+    reports them."""
     cycles = []
     for nodes in nx.simple_cycles(to_digraph(inst)):
         i = next(j for j, n in enumerate(nodes) if n[0] == "p")
         nodes = nodes[i:] + nodes[:i]
         cycles.append(normalize_cycle([x for _, x in nodes[0::2]], [x for _, x in nodes[1::2]]))
+    cycles = [c for c in cycles if _chordless(inst, c.packets, c.users)]
     return sorted(cycles, key=lambda c: (c.length, sorted(c.packets), c.packets, c.users))
 
 
@@ -66,7 +73,7 @@ def test_cycles_match_networkx():
         cycles = enumerate_cycles(inst)
         assert cycles == _nx_cycles(inst), inst
         found += len(cycles)
-    assert found >= 2000
+    assert found >= 1000
 
 
 def test_cycles_validate_and_are_sorted(fig4):
@@ -103,8 +110,10 @@ def test_cycle_cap():
 
 
 def test_fig1_cliques(fig1):
+    # {p1, p2, p3} has d = 1 and keeps it without p2: it is not critical.
     cliques = {t.packets: t for t in enumerate_partial_cliques(fig1)}
-    assert cliques[frozenset({"p1", "p2", "p3"})].d == 1
+    assert set(cliques) == {frozenset({"p1", "p3"})} | {frozenset((p,)) for p in fig1.packet_ids}
+    assert cliques[frozenset({"p1", "p3"})].d == 1
     for pid in fig1.packet_ids:
         t = cliques[frozenset({pid})]
         assert (t.k, t.d) == (1, 0)
@@ -135,6 +144,13 @@ def test_max_k_cap():
     assert all(t.k <= 2 for t in cliques)
 
 
+def _critical(inst, t):
+    """Whether t is a singleton, or d drops when any one packet leaves it."""
+    def d(packets):
+        return min(len(inst.side_packets(inst.packet(p).demand) & packets) for p in packets)
+    return t.k == 1 or all(d(t.packets - {p}) < t.d for p in t.packets)
+
+
 def test_cliques_are_the_non_dominated_family():
     rng = Random(31)
     insts = [random_unicast_instance(rng, rng.randint(1, 8), rng.choice((3, 5, 8)), 3, 0.6,
@@ -152,13 +168,14 @@ def test_cliques_are_the_non_dominated_family():
         assert {t.packets for t in cliques if t.k == 1} == {
             frozenset((pid,)) for pid in inst.packet_ids}
         assert all(t.d >= 1 for t in cliques if t.k > 1)
-        # The brute-force family minus its (k, 0)-cliques, in the same
-        # order and with the same d.
-        kept = [t for t in full_clique_family(inst) if t.k == 1 or t.d >= 1]
+        # The critical cliques of the brute-force family, in the same order
+        # and with the same d.
+        full = full_clique_family(inst)
+        kept = [t for t in full if _critical(inst, t)]
         assert cliques == kept
         # The core is the largest d >= 1 clique of the full family, and
         # every other lies in it.
-        coded = [t.packets for t in kept if t.d >= 1]
+        coded = [t.packets for t in full if t.d >= 1]
         core = max(coded, key=len, default=frozenset())
         assert clique_core(inst) == sorted(core)
         assert all(t <= core for t in coded)
@@ -169,7 +186,7 @@ def test_cliques_are_the_non_dominated_family():
     inst = random_unicast_instance(rng, 22, 8, 3, 0.5, exact=True)
     assert len(clique_core(inst)) == 22
     for max_k in (2, 3):
-        kept = [t for t in full_clique_family(inst, max_k) if t.k == 1 or t.d >= 1]
+        kept = [t for t in full_clique_family(inst, max_k) if _critical(inst, t)]
         assert enumerate_partial_cliques(inst, max_k) == kept
 
 

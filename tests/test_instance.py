@@ -13,6 +13,7 @@ from indexcode import (
     InstanceFormatError,
     InstanceValidationError,
     is_uniprior,
+    PacketType,
     make_instance,
     parse_instance,
     total_weight,
@@ -73,6 +74,35 @@ def test_parse_syntax_error_reports_position():
     with pytest.raises(InstanceFormatError) as ei:
         parse_instance("users: [u1\npackets: []\n")
     assert ei.value.line is not None
+
+
+def test_parse_rejects_a_repeated_packets_key():
+    # PyYAML keeps the last of two equal keys: this file would answer for
+    # the second list alone.
+    text = ("users: [u1, u2]\npackets:\n  - {id: p1, demand: u1, side: [u2]}\n"
+            "  - {id: p2, demand: u2, side: [u1]}\npackets:\n  - {id: p3, demand: u1}\n")
+    with pytest.raises(InstanceFormatError,
+                       match=r"^found repeated key 'packets' \(line 5, column 1\)$"):
+        parse_instance(text)
+
+
+def test_parse_rejects_a_repeated_field():
+    # Keeping the second `side` would lose the 2-cycle p1, p2.
+    text = ("users: [u1, u2]\npackets:\n  - {id: p1, demand: u1, side: [u2], side: []}\n"
+            "  - {id: p2, demand: u2, side: [u1]}\n")
+    with pytest.raises(InstanceFormatError,
+                       match=r"^found repeated key 'side' \(line 3, column 38\)$"):
+        parse_instance(text)
+
+
+def test_parse_applies_merge_keys():
+    # A `<<` merge brings in the keys that the record does not write; the
+    # ones it writes override the merged ones and are not repeats.
+    text = ("users: [u1, u2]\npackets:\n  - &p1 {id: p1, weight: 3, demand: u1, side: [u2]}\n"
+            "  - {<<: *p1, id: p2, demand: u2, side: [u1]}\n")
+    inst = parse_instance(text)
+    assert inst.packets == (PacketType("p1", 3, "u1", frozenset({"u2"})),
+                            PacketType("p2", 3, "u2", frozenset({"u1"})))
 
 
 def test_parse_rejects_unknown_user():

@@ -3,6 +3,7 @@ from random import Random
 
 from indexcode import (
     Constraint,
+    Cycle,
     enumerate_cycles,
     enumerate_partial_cliques,
     LinearProgram,
@@ -16,7 +17,7 @@ from indexcode import (
 )
 from indexcode.programs import build_P2, build_P5
 
-from conftest import brute_max_acyclic, full_clique_family
+from conftest import brute_max_acyclic, dfs_cycles, full_clique_family
 from generators import random_unicast_instance, random_uniprior_instance
 from paper_programs import build_P4, build_P4_star, split_digraph, split_digraph_cycles
 
@@ -31,10 +32,11 @@ def test_p1_structure_fig1(fig1):
     assert lp.sense == "max"
     assert lp.var_names == ("m:p1", "m:p2", "m:p3")
     assert lp.objective == (F(1), F(1), F(1))
-    # Two distinct cycle packet sets, rhs |C|-1, named after P2's cycle columns.
+    # One chordless cycle, rhs |C|-1, named after P2's cycle column; the
+    # 3-cycle p1 -> p3 -> p2 has a chord and no row.
     rows = {c.name: c for c in lp.constraints}
+    assert set(rows) == {"C:p1|p3@u1|u3", "y:p1", "y:p2", "y:p3"}
     assert rows["C:p1|p3@u1|u3"].rhs == 1
-    assert rows["C:p1|p3|p2@u1|u3|u2"].rhs == 2
     assert all(c.rel == "<=" for c in lp.constraints)
     assert solve_ilp(lp).objective == 2
 
@@ -56,8 +58,7 @@ def test_p2_structure_fig1(fig1):
     assert lp.sense == "min"
     named = dict(zip(lp.var_names, lp.objective))
     # cycle costs |C|-1, uncoded costs 1 each
-    assert named["C:p1|p3@u1|u3"] == 1
-    assert named["C:p1|p3|p2@u1|u3|u2"] == 2
+    assert named == {"C:p1|p3@u1|u3": 1, "y:p1": 1, "y:p2": 1, "y:p3": 1}
     assert named["y:p1"] == named["y:p2"] == named["y:p3"] == 1
     rows = {c.name: c for c in lp.constraints}
     assert set(rows) == {"m:p1", "m:p2", "m:p3"}
@@ -74,33 +75,32 @@ def test_p4_structure_fig4(fig4):
     cycles = enumerate_cycles(fig4)
     lp = build_P4(fig4, cycles)
     assert lp.sense == "max"
-    # The two 3-cycles share a packet set: only the first gets a column.
-    assert lp.var_names == ("C:p1|p2@u1|u2", "C:p1|p3@u1|u3", "C:p2|p3@u2|u3",
-                            "C:p1|p2|p3@u1|u2|u3")
-    assert lp.var_keys == tuple(cycles[:4])
-    assert lp.objective == (1, 1, 1, 1)
+    # The three 2-cycles; both 3-cycles have chords.
+    assert lp.var_names == ("C:p1|p2@u1|u2", "C:p1|p3@u1|u3", "C:p2|p3@u2|u3")
+    assert lp.var_keys == tuple(cycles)
+    assert lp.objective == (1, 1, 1)
     assert _rows(lp) == [
-        ("m:p1", "<=", 1, (1, 1, 0, 1)),
-        ("m:p2", "<=", 1, (1, 0, 1, 1)),
-        ("m:p3", "<=", 1, (0, 1, 1, 1)),
+        ("m:p1", "<=", 1, (1, 1, 0)),
+        ("m:p2", "<=", 1, (1, 0, 1)),
+        ("m:p3", "<=", 1, (0, 1, 1)),
     ]
 
 
 def test_p5_structure_fig1(fig1):
     lp = build_P5(fig1, enumerate_partial_cliques(fig1))
     assert lp.sense == "min"
-    assert lp.var_names == ("T:p1", "T:p2", "T:p3", "T:p1|p3", "T:p1|p2|p3")
+    # {p1, p2, p3} keeps d = 1 without p2, so it is not critical.
+    assert lp.var_names == ("T:p1", "T:p2", "T:p3", "T:p1|p3")
     assert lp.var_keys == (
         PartialClique(frozenset({"p1"}), 1, 0), PartialClique(frozenset({"p2"}), 1, 0),
         PartialClique(frozenset({"p3"}), 1, 0), PartialClique(frozenset({"p1", "p3"}), 2, 1),
-        PartialClique(frozenset({"p1", "p2", "p3"}), 3, 1),
     )
     # Cost k - d.
-    assert lp.objective == (1, 1, 1, 1, 2)
+    assert lp.objective == (1, 1, 1, 1)
     assert _rows(lp) == [
-        ("m:p1", ">=", 1, (1, 0, 0, 1, 1)),
-        ("m:p2", ">=", 1, (0, 1, 0, 0, 1)),
-        ("m:p3", ">=", 1, (0, 0, 1, 1, 1)),
+        ("m:p1", ">=", 1, (1, 0, 0, 1)),
+        ("m:p2", ">=", 1, (0, 1, 0, 0)),
+        ("m:p3", ">=", 1, (0, 0, 1, 1)),
     ]
 
 
@@ -309,11 +309,13 @@ def test_p1_matches_bruteforce_deletion_oracle():
 
 
 def _dense_instances_with_repeated_cycle_sets(seed, count):
+    """Dense draws on which some packet set carries two elementary cycles,
+    with all their cycles by the DFS oracle."""
     rng = Random(seed)
     out = []
     while len(out) < count:
         inst = random_unicast_instance(rng, max_packets=5, max_users=4, side_prob=0.8)
-        cycles = enumerate_cycles(inst)
+        cycles = [Cycle(*c) for c in sorted(dfs_cycles(inst))]
         if len({c.packet_set for c in cycles}) < len(cycles):
             out.append((inst, cycles))
     return out
@@ -321,14 +323,13 @@ def _dense_instances_with_repeated_cycle_sets(seed, count):
 
 def test_p2_has_one_column_per_cycle_packet_set():
     for inst, cycles in _dense_instances_with_repeated_cycle_sets(40, 12):
-        p2 = build_P2(inst, cycles)
+        p2 = build_P2(inst, enumerate_cycles(inst))
         kept = [k for k in p2.var_keys if not isinstance(k, str)]
+        # One column per chordless cycle, no two on one packet set.
+        assert kept == enumerate_cycles(inst)
         sets = [c.packet_set for c in kept]
-        assert len(set(sets)) == len(sets) == len({c.packet_set for c in cycles})
-        # The first cycle of each packet set, in enumeration order.
-        assert kept == [c for i, c in enumerate(cycles)
-                        if c.packet_set not in {d.packet_set for d in cycles[:i]}]
-        # One column per cycle, duplicates included: same values.
+        assert len(set(sets)) == len(sets) < len({c.packet_set for c in cycles})
+        # One column per cycle of the oracle, duplicates included: same values.
         pids = list(inst.packet_ids)
         rows = [Constraint(tuple(F(pid in c.packet_set) for c in cycles)
                            + tuple(F(i == j) for i in range(len(pids))),
@@ -374,3 +375,23 @@ def test_pruned_clique_family_matches_full_family_oracle():
         assert p6_pruned.objective == p6_full.objective == lp_pruned.objective
         assert verify_certificate(lp_pruned.lp, lp_pruned)
         assert verify_certificate(p6_pruned.lp, p6_pruned)
+
+
+def _six_values(inst, cycles, cliques):
+    p2, p5 = build_P2(inst, cycles), build_P5(inst, cliques)
+    p1 = transpose(p2)
+    return [solve(p).objective for p in (p1, p2, p5) for solve in (solve_ilp, solve_lp)]
+
+
+def test_values_match_the_full_families(fig1, fig4):
+    # P1, P1', P2, P2', P5 and P5' over the chordless cycles and critical
+    # cliques equal their values over every elementary cycle (the DFS oracle)
+    # and every packet subset (the brute-force clique family).
+    rng = Random(41)
+    insts = [fig1, fig4] + [random_unicast_instance(rng) for _ in range(60)]
+    insts += [random_unicast_instance(Random(s), m, 8, 3, 0.6, exact=True)
+              for m in (8, 10, 12) for s in range(3)]
+    for inst in insts:
+        full = _six_values(inst, [Cycle(*c) for c in sorted(dfs_cycles(inst))],
+                           full_clique_family(inst))
+        assert _six_values(inst, enumerate_cycles(inst), enumerate_partial_cliques(inst)) == full
