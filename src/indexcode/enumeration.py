@@ -73,23 +73,42 @@ def _chordless(held: list[int]):
     """Every chordless cycle of the packet digraph, where i -> j when bit j
     of held[i] is set, once, as a list of packet indices from its least one.
 
-    From each packet s a depth-first search walks the packets above s along
-    chordless paths only: it steps from the path's end v to a packet w that
-    no earlier path packet points to and that points to no path packet but
-    s, and the cycle closes at the first such w that points to s.  Each
-    step costs a few operations on M-bit ints, and every chordless path
+    From each packet s, a backward search first keeps the packets above s
+    that have a path back to s through packets above s, with O(M)
+    operations on M-bit ints; a start that points to none of them is
+    skipped, and no packet that cannot lead back to s is walked.  A
+    depth-first search then walks those packets along chordless paths
+    only: it steps from the path's end v to a packet w that no earlier
+    path packet points to and that points to no path packet but s, and
+    the cycle closes at the first such w that points to s.  Each step
+    costs a few operations on M-bit ints, and every such chordless path
     from each start is walked once, whether it closes or not.  That is the
-    worst case: the paths that never close are not bounded by the cycles
-    found and can be exponentially many in M (on a ring of M packets, one
-    cycle costs M(M-1)/2 steps).
+    worst case: a path whose every way back to s has a chord to it never
+    closes, and those paths are not bounded by the cycles found.  A chain
+    of L diamonds from s to a packet z that points to s, with s's demander
+    also holding z, has 2^L of them and the one cycle s -> z -> s.
     """
+    into = [0] * len(held)  # into[j]: the packets that point to j
+    for i, h in enumerate(held):
+        while h:
+            jbit = h & -h
+            into[jbit.bit_length() - 1] |= 1 << i
+            h ^= jbit
     for s, hs in enumerate(held):
         sbit = 1 << s
-        above = -(sbit << 1)
+        back, todo = 0, sbit  # back: the packets above s that reach s
+        while todo:
+            vbit = todo & -todo
+            todo ^= vbit
+            new = into[vbit.bit_length() - 1] & ~back & -(sbit << 1)
+            back |= new
+            todo |= new
+        if not hs & back:
+            continue
         path = [s]
         # Per path packet: its untried steps, the packets that the path up
         # to it points to, and the path's packets but s.
-        stack = [(hs & above, hs, 0)]
+        stack = [(hs & back, hs, 0)]
         while stack:
             steps, before, inner = stack[-1]
             if not steps:
@@ -107,7 +126,7 @@ def _chordless(held: list[int]):
                 continue
             path.append(w)
             inner |= wbit
-            stack.append((hw & above & ~before & ~inner, before | hw, inner))
+            stack.append((hw & back & ~before & ~inner, before | hw, inner))
 
 
 def enumerate_cycles(inst: Instance, max_cycles: int = DEFAULT_MAX_CYCLES) -> list[Cycle]:

@@ -292,6 +292,34 @@ def test_long_ring_answers_planar_and_cycles(tmp_path):
     assert code == 0 and [len(c["users"]) for c in json.loads(text)] == [3000]
 
 
+def _diamond_chain(length, two_cycle):
+    """A chain of `length` diamonds from packet a, and a packet t: a's
+    demander holds b1 and c1, b_i's and c_i's hold d_i, d_i's hold b_i+1
+    and c_i+1, and with `two_cycle` a's and t's demanders hold each other's
+    packet.  It has 2^length chordless paths from a and no cycle but
+    a -> t -> a."""
+    arcs = {"a": ["b001", "c001"] + ["t"] * two_cycle, "t": ["a"] * two_cycle}
+    for i in range(1, length + 1):
+        arcs[f"b{i:03}"] = arcs[f"c{i:03}"] = [f"d{i:03}"]
+        arcs[f"d{i:03}"] = [f"b{i + 1:03}", f"c{i + 1:03}"] if i < length else []
+    sides = {p: {f"u_{q}" for q in arcs if p in arcs[q]} for p in arcs}
+    return make_instance([f"u_{p}" for p in arcs], [(p, 1, f"u_{p}", sides[p]) for p in arcs])
+
+
+@pytest.mark.parametrize("two_cycle", [False, True])
+def test_diamond_chain_answers_in_linear_time(two_cycle, tmp_path):
+    # A search that walked every chordless path from a would take 2^40 steps.
+    path = tmp_path / "diamonds.icp"
+    path.write_text(serialize_instance(_diamond_chain(40, two_cycle)), encoding="utf-8")
+    src = str(Path(indexcode.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, "-m", "indexcode", command, str(path)],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                           check=True, timeout=60).stdout
+            for command in ("cycles", "bounds")]
+    assert f"total: {int(two_cycle)} cycles" in outs[0]
+    assert f"valP1: {122 - two_cycle}" in outs[1]
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"], ["code", "-h"]])
 def test_help_is_written_to_out(argv, capsys):
     code, text = _run(argv)
