@@ -275,16 +275,17 @@ class Theorem2Report:
 
 
 class Analysis:
-    """One instance under fixed caps (None selects the default).  Each family
-    is enumerated, each program built or transposed, and each program or
-    relaxation solved, at most once, on first use; a program without an
-    optimum raises `SolveError`.  P5 ranges over the whole clique family,
-    which the instance fixes, so no cap selects it."""
+    """One instance under fixed caps.  Each family is enumerated, each
+    program built or transposed, and each program or relaxation solved, at
+    most once, on first use; a program without an optimum raises
+    `SolveError`.  P5 ranges over the whole clique family, which the
+    instance fixes, so no cap selects it."""
 
-    def __init__(self, inst: Instance, max_cycles=None, node_limit=None):
+    def __init__(self, inst: Instance, max_cycles=DEFAULT_MAX_CYCLES,
+                 node_limit=DEFAULT_NODE_LIMIT):
         self.inst = inst
-        self.max_cycles = DEFAULT_MAX_CYCLES if max_cycles is None else max_cycles
-        self.node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
+        self.max_cycles = max_cycles
+        self.node_limit = node_limit
         self._programs: dict[str, LinearProgram] = {}
         self._solved: dict[str, SolveResult] = {}
 
@@ -377,7 +378,8 @@ class Analysis:
         return v("P2") == v("P5") and v("P2'") == v("P5'")
 
 
-def bounds_report(inst: Instance, max_cycles=None, node_limit=None) -> BoundsReport:
+def bounds_report(inst: Instance, max_cycles=DEFAULT_MAX_CYCLES,
+                  node_limit=DEFAULT_NODE_LIMIT) -> BoundsReport:
     """Solve the six programs exactly and assemble the gap report."""
     return Analysis(inst, max_cycles, node_limit).bounds()
 

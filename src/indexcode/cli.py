@@ -3,12 +3,12 @@
 Subcommands: bounds, cycles, cliques, code, simulate, planar, check.
 Instance files use the YAML mapping format of `indexcode.instance`.
 A subcommand takes a flag only for each cap it reads, with its default in
-`build_parser`.  Only `cliques` reads a clique size cap, and it lists the
-whole clique family unless one is set: P5 always ranges over the whole
-family.  `check` proves each primal-dual pair from its covering optimum
-(`Analysis.duality`).  A subcommand's `_cmd_*` returns its one document
-and its exit code; `run` writes the document as JSON, or as the lines of
-its `_text_*`.
+`build_parser`.  `cliques` lists the whole clique family that P5 ranges
+over, and refuses a clique core over `enumeration.MAX_CLIQUE_SUBSETS`
+subsets as every command that reads P5 does.  `check` proves each
+primal-dual pair from its covering optimum (`Analysis.duality`).  A
+subcommand's `_cmd_*` returns its one document and its exit code; `run`
+writes the document as JSON, or as the lines of its `_text_*`.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _text_cycles(doc):
 
 
 def _cmd_cliques(args, inst):
-    cliques = enumeration.enumerate_partial_cliques(inst, max_k=args.max_k)
+    cliques = enumeration.enumerate_partial_cliques(inst)
     return [{"packets": sorted(t.packets), "k": t.k, "d": t.d} for t in cliques], 0
 
 
@@ -173,13 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact bounds and coding schedules for broadcast with side information",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    defaults = {"max_cycles": enumeration.DEFAULT_MAX_CYCLES, "max_k": None,
-                "node_limit": lp.DEFAULT_NODE_LIMIT}  # None is no cap
+    defaults = {"max_cycles": enumeration.DEFAULT_MAX_CYCLES,
+                "node_limit": lp.DEFAULT_NODE_LIMIT}
     solve_caps = ["max_cycles", "node_limit"]
     for name, fn, text, caps in [
         ("bounds", _cmd_bounds, _text_bounds, solve_caps),
         ("cycles", _cmd_cycles, _text_cycles, ["max_cycles"]),
-        ("cliques", _cmd_cliques, _text_cliques, ["max_k"]),
+        ("cliques", _cmd_cliques, _text_cliques, []),
         ("planar", _cmd_planar, _text_planar, []),
         ("check", _cmd_check, _text_check, solve_caps),
         ("code", _cmd_code, _text_code, solve_caps),

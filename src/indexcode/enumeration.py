@@ -12,17 +12,15 @@ and only its subsets are searched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 from .instance import Instance
 
 DEFAULT_MAX_CYCLES = 100_000
-# Cap on the subsets of two or more packets, up to size max_k, of the
-# clique core that `enumerate_partial_cliques` may consider: the whole
-# lattice of a core of up to 16 packets (65,519 such subsets) passes, that
-# of a 17-packet core does not.  The largest family at the cap, 16 packets
-# whose every subset is critical (each user holds every packet it does not
+# Cap on the subsets of two or more packets of the clique core that
+# `enumerate_partial_cliques` may consider: the whole lattice of a core of
+# up to 16 packets (65,519 such subsets) passes, that of a 17-packet core
+# (131,054) does not.  The largest family at the cap, 16 packets whose
+# every subset is critical (each user holds every packet it does not
 # demand), took 0.36-0.46 s on a 2-core x86-64 VM under Python 3.11.
 MAX_CLIQUE_SUBSETS = 2**16
 
@@ -139,11 +137,12 @@ def enumerate_cycles(inst: Instance, max_cycles: int = DEFAULT_MAX_CYCLES) -> li
     along the cycle back to p, and A's action plus direct sends of the
     other packets clear the cycle's packets at its own cost.  A chordless
     cycle never repeats a user, since two packets with one demander point
-    to the same packets, and no other cycle has its packet set.
+    to the same packets, and no other cycle has its packet set: each
+    packet's successor is the one cycle packet that its demander holds.
 
     Each cycle is reported once, starting at its smallest packet id, and
-    sorted by (length, packet ids, user ids).  `_chordless` finds them on
-    the bitmasks of `_held_masks`, whose packets are in id order; more than
+    sorted by (length, sorted packet ids).  `_chordless` finds them on the
+    bitmasks of `_held_masks`, whose packets are in id order; more than
     max_cycles raises `CapExceeded`.
     """
     pids, held = _held_masks(inst)
@@ -154,7 +153,7 @@ def enumerate_cycles(inst: Instance, max_cycles: int = DEFAULT_MAX_CYCLES) -> li
         if len(cycles) > max_cycles:
             raise CapExceeded(f"cycle enumeration: more than {max_cycles} found "
                               f"({len(cycles)} so far)", len(cycles))
-    cycles.sort(key=lambda c: (c.length, sorted(c.packets), c.packets, c.users))
+    cycles.sort(key=lambda c: (c.length, sorted(c.packets)))
     return cycles
 
 
@@ -180,9 +179,9 @@ def _core_mask(held: list[int]) -> int:
         core = kept
 
 
-def _sieve(hc: dict[int, int], c: int, top: int) -> list[int]:
-    """Every subset, as a bitmask over the c core bits, of 2 to top core
-    packets with d >= 1, by size and then in descending numeric order.
+def _sieve(hc: dict[int, int], c: int) -> list[int]:
+    """Every subset, as a bitmask over the c core bits, of two or more
+    core packets with d >= 1, by size and then in descending numeric order.
 
     Bit m of one int of 2^c bits stands for the subset m.  A subset is bad
     when it holds a packet b and none of hc[b], the core packets that b's
@@ -208,24 +207,14 @@ def _sieve(hc: dict[int, int], c: int, top: int) -> list[int]:
         m = last - i
         by_size[m.bit_count()].append(m)
         i = text.find("1", i + 1)
-    return [m for masks in by_size[2:top + 1] for m in masks]
+    return [m for masks in by_size[2:] for m in masks]
 
 
-def _scan(hc: dict[int, int], top: int):
-    """The subsets `_sieve` lists, found by testing each subset of 2 to top
-    core packets in turn."""
-    for k in range(2, top + 1):
-        for members in combinations(hc, k):
-            m = sum(members)
-            if all(hc[b] & m for b in members):
-                yield m
-
-
-def enumerate_partial_cliques(inst: Instance, max_k: int | None = None) -> list[PartialClique]:
-    """The critical (k, d)-partial cliques, all of them or those of size
-    <= max_k: every singleton as a (1, 0)-clique, and every larger packet
-    subset S with d >= 1 from which no packet can be dropped without
-    lowering d, by size and then in lexicographic order of packet ids.
+def enumerate_partial_cliques(inst: Instance) -> list[PartialClique]:
+    """The critical (k, d)-partial cliques: every singleton as a
+    (1, 0)-clique, and every larger packet subset S with d >= 1 from which
+    no packet can be dropped without lowering d, by size and then in
+    lexicographic order of packet ids.
 
     Only the maximal d per subset is reported: any (k, d') with d' < d
     induces a dominated constraint.  A subset S that keeps its d without a
@@ -247,34 +236,29 @@ def enumerate_partial_cliques(inst: Instance, max_k: int | None = None) -> list[
     d is counted on int bitmasks over the clique core: the i-th of its c
     packets in id order is bit c-1-i, and d(S) = min over b in S of
     |hc[b] & S|.  Only the subsets of the core can have d >= 1: a union of
-    subsets with d >= 1 has d >= 1 too.  More than `MAX_CLIQUE_SUBSETS` of
-    them of sizes 2 to max_k raises `CapExceeded` before any is looked at.
-    When the core's whole subset lattice is under the cap (c <= 16, so on
-    every call without max_k), `_sieve` marks all subsets with d >= 1 at
-    once in an int of 2^c bits, with c^2 big-int operations, and only those
-    are visited.  A larger core, reachable only with a small max_k, is
-    scanned with `combinations` up to size max_k.  As among subsets of one
-    size descending numeric order is lexicographic order of ids, both list
-    the cliques in the same order.
+    subsets with d >= 1 has d >= 1 too.  A core with more than
+    `MAX_CLIQUE_SUBSETS` subsets of two or more packets (c >= 17) raises
+    `CapExceeded` before any is looked at.  Otherwise `_sieve` marks all
+    subsets with d >= 1 at once in an int of 2^c bits, with c^2 big-int
+    operations, and only those are visited, by size and then in descending
+    numeric order, which among subsets of one size is lexicographic order
+    of ids.
     """
     pids, held = _held_masks(inst)
     core = _core_mask(held)
-    max_k = len(pids) if max_k is None else max_k
-    out = [PartialClique(frozenset((pid,)), 1, 0) for pid in pids] if max_k >= 1 else []
+    out = [PartialClique(frozenset((pid,)), 1, 0) for pid in pids]
     idx_core = [i for i in range(len(pids)) if core >> i & 1]
     c = len(idx_core)
-    top = min(c, max_k)
-    subsets = sum(comb(c, k) for k in range(2, top + 1))
+    subsets = (1 << c) - c - 1
     if subsets > MAX_CLIQUE_SUBSETS:
         raise CapExceeded(
             f"partial-clique enumeration: {subsets} subsets of the {c}-packet "
-            f"clique core up to size {top}, more than the cap of {MAX_CLIQUE_SUBSETS}",
+            f"clique core up to size {c}, more than the cap of {MAX_CLIQUE_SUBSETS}",
             subsets)
     bit = {i: 1 << (c - 1 - t) for t, i in enumerate(idx_core)}
     hc = {bit[i]: sum(bit[j] for j in idx_core if held[i] >> j & 1) for i in idx_core}
     members = [(bit[i], hc[bit[i]], pids[i]) for i in idx_core]
-    fits = (1 << c) - c - 1 <= MAX_CLIQUE_SUBSETS
-    for m in _sieve(hc, c, top) if fits else _scan(hc, top):
+    for m in _sieve(hc, c):
         d, tight = c, 0  # tight: the union of hc[b] & S over the tight b so far
         for b, h, _ in members:
             if b & m:

@@ -49,7 +49,7 @@ def mds_rows(k: int, r: int) -> tuple[tuple[int, ...], ...]:
 
     For r = 1 this is the all-ones row.  For r >= 2 it is the Cauchy matrix
     1/(x_i + y_j) with x_i = i and y_j = k + j (0 <= i < r, 0 <= j < k),
-    which needs 2k <= 256.  Any r received combinations plus any k-r known
+    which needs 2k <= 256.  Any r received coded rows plus any k-r known
     packets then determine all k packets.
     """
     if not 1 <= r <= k:

@@ -68,14 +68,13 @@ def dfs_cycles(inst):
     return found
 
 
-def full_clique_family(inst, max_k=None):
-    """Every non-empty packet subset of size <= max_k (all sizes if None)
-    with its maximal d, (k, 0)-cliques included, by size and then in
-    lexicographic order of packet ids."""
+def full_clique_family(inst):
+    """Every non-empty packet subset with its maximal d, (k, 0)-cliques
+    included, by size and then in lexicographic order of packet ids."""
     pids = sorted(inst.packet_ids)
     held = {pid: inst.side_packets(inst.packet(pid).demand) for pid in pids}
     out = []
-    for k in range(1, len(pids) + 1 if max_k is None else max_k + 1):
+    for k in range(1, len(pids) + 1):
         for subset in combinations(pids, k):
             sset = frozenset(subset)
             d = min(len(held[pid] & sset) for pid in subset)

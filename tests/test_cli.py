@@ -386,7 +386,7 @@ def test_env_caps(fig1_file, fig4_file, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["cliques", "--max-k", "12"], ["code", "--strategy", "partial-clique"],
+    ["cliques"], ["code", "--strategy", "partial-clique"],
 ])
 def test_clique_subset_cap_is_error(argv, tmp_path, capsys):
     # 30 packets, each held by every user but its demander: the clique core
@@ -433,9 +433,10 @@ def dense12_file(tmp_path):
     ["code", "--strategy", "partial-clique", "--mode", "vector"],
     ["simulate", "--strategy", "partial-clique"],
     ["simulate", "--strategy", "partial-clique", "--mode", "vector"],
+    ["cliques"],
 ])
 def test_truncated_clique_family_is_error(dense12_file, capsys, argv):
-    # Only `cliques` takes a clique size cap.
+    # No subcommand takes a clique size cap.
     code, text = _run(argv + [dense12_file, "--max-k", "2"])
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == (
@@ -448,9 +449,6 @@ def test_truncation_needs_the_clique_family(dense12_file):
     for command in ("code", "simulate"):
         code, text = _run([command, dense12_file, "--strategy", "partial-clique"])
         assert code == 0 and "clearance=4\n" in text
-    # The clique listing alone is truncated.
-    code, text = _run(["cliques", dense12_file, "--max-k", "2", "--format", "json"])
-    assert code == 0 and {t["k"] for t in json.loads(text)} == {1, 2}
 
 
 def test_cliques_lists_the_whole_family_unless_capped(tmp_path):
@@ -463,8 +461,6 @@ def test_cliques_lists_the_whole_family_unless_capped(tmp_path):
     largest = "(10,4): p10 p11 p12 p13 p3 p4 p6 p7 p8 p9\n"
     assert code == 0 and text.endswith(largest + "total: 115 partial cliques\n")
     assert text.count("(10,") == 1
-    capped = _run(["cliques", str(path), "--max-k", "9"])
-    assert capped == (0, text.replace(largest, "").replace("115", "114"))
 
 
 def test_small_core_needs_no_large_max_k(tmp_path):
@@ -532,6 +528,32 @@ def test_clique_cap_is_reached_before_any_cycle(command, tmp_path, monkeypatch, 
     assert calls == Counter()
 
 
+def _ring_file(tmp_path, n):
+    """An n-packet ring whose packets are each held by the two users after
+    their demander: its clique core is all n packets."""
+    users = [f"u{i}" for i in range(n)]
+    ring = make_instance(users, [(f"p{i}", 1, u, {users[(i + 1) % n], users[(i + 2) % n]})
+                                 for i, u in enumerate(users)])
+    path = tmp_path / f"ring{n}.icp"
+    path.write_text(serialize_instance(ring), encoding="utf-8")
+    return str(path)
+
+
+def test_clique_cap_boundary(tmp_path, capsys):
+    # A 16-packet core is listed whole; a 17-packet core is refused by
+    # `cliques` and by every command that reads P5, with one message.
+    code, text = _run(["cliques", _ring_file(tmp_path, 16)])
+    assert code == 0 and text.endswith("\ntotal: 107 partial cliques\n")
+    ring17 = _ring_file(tmp_path, 17)
+    for argv in (["cliques"], ["bounds"], ["check"], ["code", "--strategy", "partial-clique"]):
+        assert _run(argv + [ring17]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: partial-clique enumeration: 131054 subsets of the 17-packet clique core "
+            f"up to size 17, more than the cap of {enumeration.MAX_CLIQUE_SUBSETS}\n")
+    assert _run(["code", ring17])[0] == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv, code, last_err", [
     (["bounds", "{fig1}", "--format", "json"], 0, None),
     (["bounds", "{missing}"], 2, "error: [Errno 2] No such file or directory: "),
@@ -575,14 +597,13 @@ def test_bad_env_cap_is_ignored(fig4_file, monkeypatch, capsys, var, value):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("flag", ["--max-cycles", "--max-k", "--node-limit"])
+@pytest.mark.parametrize("flag", ["--max-cycles", "--node-limit"])
 @pytest.mark.parametrize("value", ["abc", "-1", _HUGE])
 def test_bad_cap_flag_is_error(fig4_file, capsys, flag, value):
-    command = "cliques" if flag == "--max-k" else "bounds"
-    code, text = _run([command, fig4_file, flag, value])
+    code, text = _run(["bounds", fig4_file, flag, value])
     assert (code, text) == (2, "")
     err = capsys.readouterr().err
-    assert err.startswith(f"indexcode {command}: error: argument {flag}: expected a non-negative "
+    assert err.startswith(f"indexcode bounds: error: argument {flag}: expected a non-negative "
                           "integer, got ")
     assert err.count("\n") == 1 and len(err) < 200
     # A subcommand takes no flag for a cap it does not read.

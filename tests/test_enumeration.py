@@ -137,13 +137,6 @@ def test_clique_d_is_maximal():
             assert 0 <= t.d <= t.k - 1
 
 
-def test_max_k_cap():
-    rng = Random(3)
-    inst = random_unicast_instance(rng, max_packets=6)
-    cliques = enumerate_partial_cliques(inst, max_k=2)
-    assert all(t.k <= 2 for t in cliques)
-
-
 def _critical(inst, t):
     """Whether t is a singleton, or d drops when any one packet leaves it."""
     def d(packets):
@@ -179,15 +172,6 @@ def test_cliques_are_the_non_dominated_family():
         core = max(coded, key=len, default=frozenset())
         assert clique_core(inst) == sorted(core)
         assert all(t <= core for t in coded)
-        for max_k in range(len(inst.packet_ids) + 2):
-            assert enumerate_partial_cliques(inst, max_k) == [t for t in kept if t.k <= max_k]
-    # A 22-packet core, too large for every subset to be examined, listed up
-    # to size 2 and 3.
-    inst = random_unicast_instance(rng, 22, 8, 3, 0.5, exact=True)
-    assert len(clique_core(inst)) == 22
-    for max_k in (2, 3):
-        kept = [t for t in full_clique_family(inst, max_k) if _critical(inst, t)]
-        assert enumerate_partial_cliques(inst, max_k) == kept
 
 
 def _ring(n, offsets=(1,)):
