@@ -78,13 +78,16 @@ def _chordless(held: list[int]):
     depth-first search then walks those packets along chordless paths
     only: it steps from the path's end v to a packet w that no earlier
     path packet points to and that points to no path packet but s, and
-    the cycle closes at the first such w that points to s.  Each step
-    costs a few operations on M-bit ints, and every such chordless path
-    from each start is walked once, whether it closes or not.  That is the
-    worst case: a path whose every way back to s has a chord to it never
-    closes, and those paths are not bounded by the cycles found.  A chain
-    of L diamonds from s to a packet z that points to s, with s's demander
-    also holding z, has 2^L of them and the one cycle s -> z -> s.
+    the cycle closes at the first such w that points to s.  A path whose
+    every packet that points to s is already on it or pointed to by it can
+    never close, and is not extended.  Each step costs a few operations on
+    M-bit ints, and every other chordless path from each start is walked
+    once, whether it closes or not.  That is the worst case left: a packet
+    that points to s but that the path can reach only through a chord, or
+    not at all, keeps a dead end open.  A chain of L diamonds from s to a
+    packet z that points to s, with s's demander also holding z, is cut at
+    once; with one more packet that points to s and that nothing points to,
+    its 2^L dead ends are walked again for the one cycle s -> z -> s.
     """
     into = [0] * len(held)  # into[j]: the packets that point to j
     for i, h in enumerate(held):
@@ -103,6 +106,7 @@ def _chordless(held: list[int]):
             todo |= new
         if not hs & back:
             continue
+        closers = into[s] & back
         path = [s]
         # Per path packet: its untried steps, the packets that the path up
         # to it points to, and the path's packets but s.
@@ -122,6 +126,8 @@ def _chordless(held: list[int]):
             if hw & sbit:
                 yield path + [w]
                 continue
+            if not closers & ~before & ~inner:
+                continue  # every packet that points to s is cut off already
             path.append(w)
             inner |= wbit
             stack.append((hw & back & ~before & ~inner, before | hw, inner))

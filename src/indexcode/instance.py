@@ -166,8 +166,13 @@ def parse_instance(text: str) -> Instance:
             line=None if mark is None else mark.line + 1,
             column=None if mark is None else mark.column + 1,
         ) from exc
-    except yaml.YAMLError as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    except yaml.reader.ReaderError as exc:
+        # The first character that the reader refuses; its own position
+        # counts characters or UTF-8 bytes, as the parser in use does.
+        before = text[:text.index(chr(exc.character))]
+        raise InstanceFormatError(
+            f"unacceptable character #x{exc.character:04x}: {exc.reason}",
+            line=before.count("\n") + 1, column=len(before) - before.rfind("\n")) from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance file must be a mapping with 'users' and 'packets'")
     if "users" not in doc or "packets" not in doc:

@@ -20,14 +20,15 @@ only the rows with a nonzero in the pivot column, subtracts only at the
 pivot row's nonzero columns (the whole row is rescaled only when the pivot
 does not divide its entry), and divides each updated row by one gcd.  The
 ratio test cross-multiplies integers.  Fractions are built only when the
-primal, the duals and the reduced costs are read out, and only for nonzero
+primal and the constraint rows' duals are read out, and only for nonzero
 values, so the pivot sequence and every reported value are those of a plain
 rational tableau.  `verify_certificate`, the package's one certificate
 checker, reads the dense `coeffs` on purpose, so a certificate does not
 rest on the conversion it certifies; it too compares integers, each vector
 of the certificate over one common denominator.
 
-Sign conventions for the reported certificate (see `verify_certificate`):
+A certificate is the optimal point x and its row duals y; the reduced
+costs c - yA follow from them, and the verifier derives them itself.  The
 duals are shadow prices in the problem's own sense, i.e. the derivative of
 the optimal value with respect to the row's right-hand side.
 """
@@ -161,8 +162,6 @@ class SolveResult:
     objective: Fraction | None
     primal: tuple[Fraction, ...] = ()
     row_duals: tuple[Fraction, ...] = ()
-    upper_bound_duals: tuple[Fraction | None, ...] = ()
-    reduced_costs: tuple[Fraction, ...] = ()
     branch_count: int = 0
     lp: LinearProgram | None = None
 
@@ -255,9 +254,8 @@ def _simplex(tab, dens, basis, cost, banned):
 def solve_lp(lp: LinearProgram) -> SolveResult:
     """Exact optimum of the LP relaxation.
 
-    Returns primal values, the objective, and a full dual certificate: one
-    shadow price per constraint row, one per finite upper bound, and the
-    reduced cost of every variable (the lower-bound multiplier).
+    Returns the objective, the primal point x and its certificate, the row
+    duals y: one shadow price per constraint row (see `verify_certificate`).
     """
     n = lp.num_vars
     lower, upper = lp.lower, lp.upper
@@ -268,29 +266,29 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
 
     # Rows: original constraints (shifted by lower bounds), then one
     # upper-bound row x_j <= hi_j - lo_j per finite upper bound.
-    rows = []  # (int_row, rel, rhs, kind, key)
-    for i, con in enumerate(lp.constraints):
+    rows = []  # (int_row, rel, rhs)
+    for con in lp.constraints:
         rhs = con.rhs
         if shifts:
             rhs -= sum(con.coeffs[j] * lo for j, lo in shifts)
-        rows.append((con.int_row, con.rel, rhs, "row", i))
+        rows.append((con.int_row, con.rel, rhs))
     for j in range(n):
         if upper[j] is not None:
-            rows.append(((1, ((j, 1),)), "<=", upper[j] - lower[j], "ub", j))
+            rows.append(((1, ((j, 1),)), "<=", upper[j] - lower[j]))
 
     m = len(rows)
     # Column layout: structural 0..n-1, then one aux (slack/surplus) per
     # inequality row, then one artificial per row that needs it.
     aux_col = {}
     ncols = n
-    for i, (_, rel, _, _, _) in enumerate(rows):
+    for i, (_, rel, _) in enumerate(rows):
         if rel in ("<=", ">="):
             aux_col[i] = ncols
             ncols += 1
     art_col = {}
     flipped = [False] * m
     need_art = []
-    for i, (_, rel, rhs, _, _) in enumerate(rows):
+    for i, (_, rel, rhs) in enumerate(rows):
         neg = rhs < 0
         flipped[i] = neg
         eff_rel = rel
@@ -306,7 +304,7 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     tab = []
     dens = []
     basis = [-1] * m
-    for i, ((row_den, nz), rel, rhs, _, _) in enumerate(rows):
+    for i, ((row_den, nz), rel, rhs) in enumerate(rows):
         sign = -1 if flipped[i] else 1
         den = lcm(rhs.denominator, row_den)
         scale = sign * (den // row_den)
@@ -356,33 +354,20 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     obj_min = const - Fraction(nums[-1], den)  # internal minimized objective
     objective = obj_min if minimize else -obj_min
 
-    # Internal duals y_i (for the minimized problem) read off aux/artificial
-    # reduced-cost entries, then converted to shadow prices in lp.sense.
+    # Internal duals y_i (for the minimized problem) of the constraint rows,
+    # the first rows, read off aux/artificial reduced-cost entries, then
+    # converted to shadow prices in lp.sense.
     sense_flip = 1 if minimize else -1
-    row_duals = [_ZERO] * len(lp.constraints)
-    ub_duals: list[Fraction | None] = [None] * n
-    for i, (_, rel, _, kind, key) in enumerate(rows):
+    row_duals = []
+    for i, con in enumerate(lp.constraints):
         if i in aux_col:
             # Row negation and slack orientation flip together, so the
             # original-row dual depends only on the relation.
-            y = -nums[aux_col[i]] if rel == "<=" else nums[aux_col[i]]
+            y = -nums[aux_col[i]] if con.rel == "<=" else nums[aux_col[i]]
         else:
             y = nums[art_col[i]] if flipped[i] else -nums[art_col[i]]
-        y = Fraction(y * sense_flip, den) if y else _ZERO
-        if kind == "row":
-            row_duals[key] = y
-        else:
-            ub_duals[key] = y
-    reduced = tuple(Fraction(v * sense_flip, den) if v else _ZERO for v in nums[:n])
-    return SolveResult(
-        OPTIMAL,
-        objective,
-        primal,
-        tuple(row_duals),
-        tuple(ub_duals),
-        reduced,
-        lp=lp,
-    )
+        row_duals.append(Fraction(y * sense_flip, den) if y else _ZERO)
+    return SolveResult(OPTIMAL, objective, primal, tuple(row_duals), lp=lp)
 
 
 def _as_integers(values) -> tuple[int, list[int]]:
@@ -393,20 +378,25 @@ def _as_integers(values) -> tuple[int, list[int]]:
 
 
 def verify_certificate(lp: LinearProgram, res: SolveResult) -> bool:
-    """Check the primal/dual pair exactly: feasibility, complementary
-    slackness, dual stationarity, and strong duality.  No tolerances.
+    """Check that the point x and the row duals y of `res` prove its
+    objective optimal, exactly and with no tolerance.
 
-    The check reads the dense `coeffs` and skips their zeros (the shared 0
-    and 1 by identity), never `Constraint.int_row`.  x, y, each vector of
-    bound multipliers and each vector of the program's own values are
-    brought over one common denominator, so every comparison
-    cross-multiplies integers and the stationarity sums sum_i y_i a_ij add
-    up integers; a certificate of the wrong length is rejected.
+    x must be feasible, every row with y_i != 0 tight, and every y_i of its
+    shadow-price sign.  The reduced cost s_j = sgn (c_j - sum_i y_i a_ij),
+    sgn = 1 for min and -1 for max, is derived here: s_j > 0 needs x_j at
+    lo_j and s_j < 0 needs x_j at a finite hi_j, so s_j splits into bound
+    multipliers that make y dual feasible with value c.x, and the objective
+    must be c.x.  The check thus accepts exactly the optimal primal-dual
+    pairs; a certificate of the wrong length is rejected.
+
+    It reads the dense `coeffs` and skips their zeros (the shared 0 and 1 by
+    identity), never `Constraint.int_row`.  x, y and each vector of the
+    program's own values are brought over one common denominator, so every
+    comparison cross-multiplies integers and the sums sum_i y_i a_ij add up
+    integers.
     """
     n, rows = lp.num_vars, lp.constraints
-    u = [_ZERO if v is None else v for v in res.upper_bound_duals]
-    if (res.status != OPTIMAL or len(res.row_duals) != len(rows)
-            or not len(res.primal) == len(u) == len(res.reduced_costs) == n):
+    if res.status != OPTIMAL or len(res.primal) != n or len(res.row_duals) != len(rows):
         return False
     sgn = 1 if lp.sense == "min" else -1  # internal minimization sign
     dx, X = _as_integers(res.primal)
@@ -435,31 +425,20 @@ def verify_certificate(lp: LinearProgram, res: SolveResult) -> bool:
             k = Yi * (D // den)
             for j, a in A:
                 S[j] += k * a
-    du, U = _as_integers(u)
-    dr, R = _as_integers(res.reduced_costs)
     dc, C = _as_integers(lp.objective)
     dl, L = _as_integers(lp.lower)
     dh, H = _as_integers([_ZERO if hi is None else hi for hi in lp.upper])
-    ds = dy * D
-    E = lcm(dc, ds, du, dr)
-    fc, fs, fu, fr = E // dc, E // ds, E // du, E // dr
+    E = lcm(dc, dy * D)
+    fc, fs = E // dc, E // (dy * D)
     for j, hi in enumerate(lp.upper):
         xl, lx = X[j] * dl, L[j] * dx  # x_j and lo_j over dx * dl
-        if xl < lx or (hi is not None and X[j] * dh > H[j] * dx):
+        xh, hx = X[j] * dh, H[j] * dx  # x_j and hi_j over dx * dh
+        if xl < lx or (hi is not None and xh > hx):
             return False
-        Uj, Rj = U[j], R[j]
-        if Uj and (hi is None or X[j] * dh != H[j] * dx) or sgn * Uj > 0:
+        s = sgn * (C[j] * fc - S[j] * fs)  # the reduced cost s_j over E
+        if (s > 0 and xl != lx) or (s < 0 and (hi is None or xh != hx)):
             return False
-        # Stationarity: c_j = sum_i y_i a_ij + u_j + r_j, with r_j the
-        # lower-bound multiplier, complementary to x_j > lo_j.
-        if C[j] * fc != S[j] * fs + Uj * fu + Rj * fr:
-            return False
-        if Rj and xl != lx or sgn * Rj < 0:
-            return False
-    dual_obj = (Fraction(sum(y * b for y, b in zip(Y, B)), dy * db)
-                + Fraction(sum(v * hi for v, hi in zip(U, H)), du * dh)
-                + Fraction(sum(r * lo for r, lo in zip(R, L)), dr * dl))
-    return dual_obj == res.objective
+    return Fraction(sum(c * x for c, x in zip(C, X)), dc * dx) == res.objective
 
 
 def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveResult:

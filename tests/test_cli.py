@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import yaml
 
 import indexcode
 from indexcode import (
@@ -207,6 +208,12 @@ def test_mutated_instance_files_exit_0_or_2(fig1, tmp_path, capsys):
      "unknown top-level fields ['side']"),
     ("users: [u1]\npackets: [{id: p1, demand: u1, 1: x, y: 2}]\n",
      "packet record 0: unknown fields [1, 'y']"),
+    ("users: [u1]\npackets: [{id: p1, demand: ''}]\n", "packet p1: demand set is empty"),
+    # libyaml calls the character a control character, PyYAML's own
+    # reader a special one.
+    ("users: [u1]\x07\npackets: []\n",
+     f"unacceptable character #x0007: {'control' if hasattr(yaml, 'CSafeLoader') else 'special'}"
+     " characters are not allowed (line 1, column 12)"),
 ])
 def test_instance_errors_exit_2(text, message, tmp_path, capsys):
     path = tmp_path / "bad.icp"
@@ -292,32 +299,39 @@ def test_long_ring_answers_planar_and_cycles(tmp_path):
     assert code == 0 and [len(c["users"]) for c in json.loads(text)] == [3000]
 
 
-def _diamond_chain(length, two_cycle):
+def _diamond_chain(length, two_cycle, closed=False):
     """A chain of `length` diamonds from packet a, and a packet t: a's
     demander holds b1 and c1, b_i's and c_i's hold d_i, d_i's hold b_i+1
     and c_i+1, and with `two_cycle` a's and t's demanders hold each other's
     packet.  It has 2^length chordless paths from a and no cycle but
-    a -> t -> a."""
+    a -> t -> a.  With `closed` the last d's demander holds t as well, so
+    each of those paths runs on to t, which a points to: a dead end."""
     arcs = {"a": ["b001", "c001"] + ["t"] * two_cycle, "t": ["a"] * two_cycle}
     for i in range(1, length + 1):
         arcs[f"b{i:03}"] = arcs[f"c{i:03}"] = [f"d{i:03}"]
-        arcs[f"d{i:03}"] = [f"b{i + 1:03}", f"c{i + 1:03}"] if i < length else []
+        arcs[f"d{i:03}"] = [f"b{i + 1:03}", f"c{i + 1:03}"] if i < length else ["t"] * closed
     sides = {p: {f"u_{q}" for q in arcs if p in arcs[q]} for p in arcs}
     return make_instance([f"u_{p}" for p in arcs], [(p, 1, f"u_{p}", sides[p]) for p in arcs])
 
 
-@pytest.mark.parametrize("two_cycle", [False, True])
-def test_diamond_chain_answers_in_linear_time(two_cycle, tmp_path):
+@pytest.mark.parametrize("two_cycle, closed", [pytest.param(False, False, id="False"),
+                                               pytest.param(True, False, id="True"),
+                                               pytest.param(True, True, id="closed")])
+def test_diamond_chain_answers_in_linear_time(two_cycle, closed, tmp_path):
     # A search that walked every chordless path from a would take 2^40 steps.
     path = tmp_path / "diamonds.icp"
-    path.write_text(serialize_instance(_diamond_chain(40, two_cycle)), encoding="utf-8")
+    path.write_text(serialize_instance(_diamond_chain(40, two_cycle, closed)), encoding="utf-8")
     src = str(Path(indexcode.__file__).resolve().parents[1])
-    outs = [subprocess.run([sys.executable, "-m", "indexcode", command, str(path)],
-                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-                           check=True, timeout=60).stdout
-            for command in ("cycles", "bounds")]
-    assert f"total: {int(two_cycle)} cycles" in outs[0]
-    assert f"valP1: {122 - two_cycle}" in outs[1]
+    cycles, bounds = (subprocess.run([sys.executable, "-m", "indexcode", command, str(path)],
+                                     env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                                     text=True, timeout=60)
+                      for command in ("cycles", "bounds"))
+    assert cycles.returncode == 0 and f"total: {int(two_cycle)} cycles" in cycles.stdout
+    if closed:  # every packet then reaches a, so all 122 form the clique core
+        assert bounds.returncode == 2 and bounds.stderr.startswith(
+            "error: partial-clique enumeration: ") and bounds.stderr.count("\n") == 1
+    else:
+        assert bounds.returncode == 0 and f"valP1: {122 - two_cycle}" in bounds.stdout
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"], ["code", "-h"]])

@@ -1,6 +1,8 @@
 """Smoke test: every script under demos/ and the README's quick start run
-to completion."""
+to completion, and every source file parses under the oldest Python the
+package supports."""
 
+import ast
 import os
 import re
 import subprocess
@@ -38,3 +40,14 @@ def test_readme_quick_start_runs():
     done = _run(["-c", code])
     assert done.returncode == 0, done.stderr
     assert done.stdout == "2 2 True\n"
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; a 3.11 construct
+    # such as `except*` fails here under any newer interpreter.
+    paths = [p for d in ("src/indexcode", "tests", "demos") for p in sorted((ROOT / d).glob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

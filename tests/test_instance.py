@@ -74,6 +74,12 @@ def test_parse_syntax_error_reports_position():
     with pytest.raises(InstanceFormatError) as ei:
         parse_instance("users: [u1\npackets: []\n")
     assert ei.value.line is not None
+    # A character that YAML refuses is placed by its line and column in
+    # characters; the reason's wording comes from the parser in use.
+    with pytest.raises(InstanceFormatError, match=r"^unacceptable character #x0001: "
+                                                  r"[^\n]* \(line 2, column 18\)$") as ei:
+        parse_instance("users: [u1]\npackets: [{id: p\u00e9\x01}]\n")
+    assert (ei.value.line, ei.value.column) == (2, 18)
 
 
 def test_parse_rejects_a_repeated_packets_key():

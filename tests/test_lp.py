@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import indexcode.lp as lp_module
 from indexcode.lp import (
     Constraint,
     DimensionError,
@@ -173,10 +174,9 @@ def _oracle_value(lp, lower, upper, cap):
 
 
 def _tampered(rng, res):
-    """`res` with one entry of its objective, point or multipliers moved by
-    a small rational (possibly 0)."""
-    field = rng.choice(("objective", "primal", "row_duals", "upper_bound_duals",
-                        "reduced_costs"))
+    """`res` with one entry of its objective, point or row duals moved by a
+    small rational (possibly 0)."""
+    field = rng.choice(("objective", "primal", "row_duals"))
     step = F(rng.randint(-2, 2), rng.randint(1, 3))
     if field == "objective":
         return replace(res, objective=res.objective + step)
@@ -220,7 +220,7 @@ def test_integer_tableau_exact_on_mixed_random_lps():
             assert (further > capped) if lp.sense == "max" else (further < capped)
         else:
             assert res.objective == capped
-            assert all(type(v) is F for v in res.primal + res.row_duals + res.reduced_costs)
+            assert all(type(v) is F for v in res.primal + res.row_duals)
             assert verify_certificate(lp, res)
     assert min(seen.values()) >= 10, seen
 
@@ -228,10 +228,8 @@ def test_integer_tableau_exact_on_mixed_random_lps():
 def test_certificate_rejects_tampering():
     lp = _lp("max", [1, 1], [([2, 1], "<=", 2), ([1, 2], "<=", 2)])
     res = solve_lp(lp)
-    bad = type(res)(
-        res.status, res.objective + 1, res.primal, res.row_duals,
-        res.upper_bound_duals, res.reduced_costs, res.branch_count, res.lp,
-    )
+    bad = type(res)(res.status, res.objective + 1, res.primal, res.row_duals,
+                    res.branch_count, res.lp)
     assert not verify_certificate(lp, bad)
 
 
@@ -242,7 +240,7 @@ def test_certificate_of_the_wrong_length_is_rejected():
     res = solve_lp(lp)
     assert verify_certificate(lp, res)
     assert certificate_oracle(lp, replace(res, row_duals=res.row_duals + (F(0),)))
-    for field in ("primal", "row_duals", "upper_bound_duals", "reduced_costs"):
+    for field in ("primal", "row_duals"):
         values = getattr(res, field)
         for wrong in (values[:-1], values + values[-1:]):
             assert not verify_certificate(lp, replace(res, **{field: wrong})), field
@@ -255,43 +253,68 @@ def _at(values, j, v):
 def test_certificate_rejects_each_broken_condition():
     # a sits at its lower bound 1, b at its upper bound 2, k1 and k2 are
     # fixed at 1; c meets a <=, a >= and an = row, all tight; e, f and g
-    # have slack rows of each kind, and h a tight <= row.
+    # have slack rows of each kind, h a tight <= row, and a and b a tight
+    # row each at their bound.
     names = ("a", "b", "c", "e", "f", "g", "h", "k1", "k2")
     rows = [_row([coef if n == var else 0 for n in names], rel, rhs)
             for var, coef, rel, rhs in [("c", 1, "<=", 3), ("c", 1, ">=", 3), ("c", 1, "=", 3),
                                         ("e", 1, "<=", 1), ("f", -1, ">=", -1), ("g", 1, "=", 1),
-                                        ("h", 1, "<=", 2)]]
-    lp = LinearProgram("max", (-1, 1, 1, 0, 0, 0, 1, -2, 2), rows,
-                       lower=(1, 0, 0, 0, 0, 0, 0, 1, 1),
+                                        ("h", 1, "<=", 2), ("a", 1, ">=", 1), ("b", 1, "<=", 2)]]
+    c = (-1, 1, 1, 0, 0, 0, 1, -2, 2)
+    lp = LinearProgram("max", c, rows, lower=(1, 0, 0, 0, 0, 0, 0, 1, 1),
                        upper=(None, 2, None, None, None, None, None, 1, 1), var_names=names)
     res = solve_lp(lp)
-    x, y, u, r = res.primal, res.row_duals, res.upper_bound_duals, res.reduced_costs
+    x, y = res.primal, res.row_duals
     assert (res.objective, x) == (6, (1, 2, 3, 0, 0, 1, 2, 1, 1))
-    assert (y, u, r) == ((0, 0, 1, 0, 0, 0, 1), (None, 1, None, None, None, None, None, 0, 2),
-                         (-1, 0, 0, 0, 0, 0, 0, -2, 0))
+    assert y == (0, 0, 1, 0, 0, 0, 1, -1, 1)
     assert verify_certificate(lp, res)
+
+    def moved(j, v):  # x_j moved to v, with the objective kept at c.x
+        point = _at(x, j, v)
+        return {"primal": point, "objective": sum(cj * xj for cj, xj in zip(c, point))}
+
     # Each tampered certificate breaks one condition and keeps the others.
-    # The rows on c share their duals' sum, and a fixed variable its u + r.
+    # The rows on c share their duals' sum.  Row 7 (a >= 1) and row 8
+    # (b <= 2) take duals of the right sign that turn the derived reduced
+    # cost of a, at its lower bound, and of b, at its upper bound, around;
+    # a or b moved off its bound takes its row's dual to 0.
     broken = {
         "status": {"status": "infeasible"},
-        "<= row infeasible": {"primal": _at(x, 3, 2)},
-        ">= row infeasible": {"primal": _at(x, 4, 2)},
-        "= row infeasible": {"primal": _at(x, 5, F(1, 2))},
-        "row complementary slackness": {"primal": _at(x, 6, 1)},
+        "<= row infeasible": moved(3, 2),
+        ">= row infeasible": moved(4, 2),
+        "= row infeasible": moved(5, F(1, 2)),
+        "row complementary slackness": moved(6, 1),
         "<= row dual sign": {"row_duals": _at(_at(y, 0, -1), 2, 2)},
         ">= row dual sign": {"row_duals": _at(_at(y, 1, 1), 2, 0)},
-        "below a lower bound": {"primal": _at(x, 3, -1)},
-        "upper-bound complementary slackness": {"primal": _at(x, 1, F(3, 2))},
-        "upper-bound dual sign": {"upper_bound_duals": _at(u, 7, -1),
-                                  "reduced_costs": _at(r, 7, -1)},
-        "stationarity": {"reduced_costs": _at(r, 3, -1)},
-        "reduced-cost complementary slackness": {"primal": _at(x, 0, 2)},
-        "reduced-cost sign": {"upper_bound_duals": _at(u, 8, 1), "reduced_costs": _at(r, 8, 1)},
-        "strong duality": {"objective": res.objective + 1},
+        "below a lower bound": moved(3, -1),
+        "reduced-cost sign at a lower bound": {"row_duals": _at(y, 7, -2)},
+        "reduced-cost sign at an upper bound": {"row_duals": _at(y, 8, 2)},
+        "off the upper bound": {**moved(1, F(3, 2)), "row_duals": _at(y, 8, 0)},
+        "off the lower bound": {**moved(0, 2), "row_duals": _at(y, 7, 0)},
+        "objective": {"objective": res.objective + 1},
     }
     for condition, fields in broken.items():
         assert not verify_certificate(lp, replace(res, **fields)), condition
         assert not certificate_oracle(lp, replace(res, **fields)), condition
+    # Any y_7 in [-1, 0] and y_8 in [0, 1] leaves both signs right.
+    for y78 in ((0, 0), (F(-1, 2), F(1, 2)), (-1, 1)):
+        ok = replace(res, row_duals=y[:7] + tuple(map(F, y78)))
+        assert verify_certificate(lp, ok) and certificate_oracle(lp, ok), y78
+
+
+def test_alternative_optimal_row_duals_are_accepted():
+    # max x1 + x2 over x1 <= 1, x2 <= 1, x1 + x2 <= 2: the optimum (1, 1)
+    # is degenerate, and every convex combination of the row duals
+    # (1, 1, 0) and (0, 0, 1) proves it.
+    lp = _lp("max", [1, 1], [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([1, 1], "<=", 2)])
+    res = solve_lp(lp)
+    assert (res.objective, res.primal) == (2, (1, 1))
+    for t in (0, F(1, 3), F(1, 2), 1):
+        alt = replace(res, row_duals=(1 - t, 1 - t, t))
+        assert verify_certificate(lp, alt) and certificate_oracle(lp, alt), t
+    for bad in ((1, 0, 0), (0, 0, 2), (1, 1, 1)):
+        wrong = replace(res, row_duals=tuple(map(F, bad)))
+        assert not verify_certificate(lp, wrong) and not certificate_oracle(lp, wrong), bad
 
 
 def test_ilp_knapsack():
@@ -381,6 +404,24 @@ def test_ilp_node_limit():
         solve_ilp(lp, node_limit=1)
 
 
+@pytest.mark.parametrize("sense, lower, upper, best", [
+    ("max", 0, F(5, 2), 2),  # the ceil child's bounds 3 > 5/2 cross
+    ("min", F(1, 2), None, 1),  # the floor child's bounds 1/2 > 0 cross
+])
+def test_ilp_counts_a_crossing_child_but_never_solves_it(monkeypatch, sense, lower, upper, best):
+    solved = []
+    monkeypatch.setattr(lp_module, "solve_lp", lambda node: solved.append(node) or solve_lp(node))
+    res = solve_ilp(_lp(sense, [1], [], lower=(lower,), upper=(upper,)))
+    assert (res.status, res.objective, res.primal) == ("optimal", best, (best,))
+    # The root, the child that is solved and the crossing one are counted.
+    assert (res.branch_count, len(solved)) == (3, 2)
+
+
+def test_ilp_unbounded_relaxation():
+    res = solve_ilp(_lp("max", [1, 1], [([1, -1], "<=", F(1, 2))]))
+    assert (res.status, res.objective, res.branch_count) == ("unbounded", None, 1)
+
+
 def test_dimension_errors():
     with pytest.raises(DimensionError, match="has 2 coefficients, expected 1"):
         LinearProgram("max", (F(1),), [Constraint((F(1), F(2)), "<=", F(1))])
@@ -388,6 +429,10 @@ def test_dimension_errors():
         LinearProgram("max", (F(1),), lower=(F(2),), upper=(F(1),))
     with pytest.raises(DimensionError, match="unknown relation '<<'"):
         LinearProgram("max", (F(1),), [Constraint((F(1),), "<<", F(1))])
+    for wrong in ({"lower": (0, 0)}, {"upper": (None, 1)}, {"var_names": ("x", "y")},
+                  {"var_keys": ("k", "l")}):
+        with pytest.raises(DimensionError, match="must match the variable count"):
+            LinearProgram("max", (F(1),), **wrong)
 
 
 def test_int_row_is_the_dense_row_over_one_denominator():
@@ -416,8 +461,7 @@ def test_a_solved_constraint_compares_hashes_and_prints_as_before():
 
 
 def _result_fields(res):
-    return (res.status, res.objective, res.primal, res.row_duals,
-            res.upper_bound_duals, res.reduced_costs, res.branch_count)
+    return res.status, res.objective, res.primal, res.row_duals, res.branch_count
 
 
 def test_a_replaced_program_solves_the_same_over_shared_rows():

@@ -251,11 +251,13 @@ def test_term_outside_the_instance_is_a_schedule_error(fig1):
         _rejects(fig1, TransmissionSchedule(GF256, 1, [], [
             ((("p2", 0), 1),), ((("p3", 0), 1), term)]), term)
     # An action of two rounds on a: a0 and a1 with coefficient 300 in both
-    # are one batch, a0 and a "1" are none.
+    # are one batch, a0 and a "1" are none, and neither are a1 and a2,
+    # which run past a's last unit.
     inst = make_instance(["u1"], [("a", 2, "u1", ())])
     action = coding.CodingAction("direct", ("a",), 2)
     for first, second, term in (((("a", 0), 300), (("a", 1), 300), (("a", 0), 300)),
-                                ((("a", 0), 1), (("a", "1"), 1), (("a", "1"), 1))):
+                                ((("a", 0), 1), (("a", "1"), 1), (("a", "1"), 1)),
+                                ((("a", 1), 1), (("a", 2), 1), (("a", 2), 1))):
         _rejects(inst, TransmissionSchedule(GF256, 1, [action], [
             (first,), (second,)]), term)
 
