@@ -278,8 +278,10 @@ class Analysis:
     """One instance under fixed caps.  Each family is enumerated, each
     program built or transposed, and each program or relaxation solved, at
     most once, on first use; a program without an optimum raises
-    `SolveError`.  P5 ranges over the whole clique family, which the
-    instance fixes, so no cap selects it."""
+    `SolveError`.  A program and its relaxation are one object, so the
+    integer program's root reuses the relaxation's optimum, and P1 and P2
+    share one simplex solve (`lp.solve_lp`).  P5 ranges over the whole
+    clique family, which the instance fixes, so no cap selects it."""
 
     def __init__(self, inst: Instance, max_cycles=DEFAULT_MAX_CYCLES,
                  node_limit=DEFAULT_NODE_LIMIT):

@@ -166,12 +166,16 @@ def parse_instance(text: str) -> Instance:
             line=None if mark is None else mark.line + 1,
             column=None if mark is None else mark.column + 1,
         ) from exc
-    except yaml.reader.ReaderError as exc:
-        # The first character that the reader refuses; its own position
-        # counts characters or UTF-8 bytes, as the parser in use does.
-        before = text[:text.index(chr(exc.character))]
+    except (yaml.reader.ReaderError, UnicodeEncodeError) as exc:
+        # The first character that the reader refuses; libyaml's parser
+        # cannot even encode a lone surrogate to UTF-8.  The error's own
+        # position counts characters or UTF-8 bytes, as the parser in use
+        # does, so the character is placed by its first occurrence.
+        char = (exc.object[exc.start] if isinstance(exc, UnicodeEncodeError)
+                else chr(exc.character))
+        before = text[:text.index(char)]
         raise InstanceFormatError(
-            f"unacceptable character #x{exc.character:04x}: {exc.reason}",
+            f"unacceptable character #x{ord(char):04x}: {exc.reason}",
             line=before.count("\n") + 1, column=len(before) - before.rfind("\n")) from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance file must be a mapping with 'users' and 'packets'")

@@ -8,6 +8,15 @@ is exact: optimal values, primal solutions, and dual certificates are
 rational numbers with no tolerance anywhere.  A branch-and-bound node is
 a program too: its parent with one variable bound tightened.
 
+The simplex runs at most once per program and once per transposed pair.
+A program is frozen and keeps its relaxation's result, so the root of
+`solve_ilp` is free once `solve_lp` has run on the same object; and an
+optimum of either program of a pair made by `transpose` answers the
+other, its point being the other's row duals and its row duals the
+other's point.  The kept result lives and dies with its program object;
+a program made by `replace`, a branch-and-bound node included, starts
+without one.
+
 The tableau is fraction-free (in the spirit of Bareiss elimination): each
 row, and the reduced-cost row, is a list of integer numerators over one
 positive integer denominator.  Each `Constraint` is converted to integers
@@ -37,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
 from math import ceil, floor, gcd, lcm
 
@@ -91,29 +100,35 @@ class Constraint:
                           for j, a in nz)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearProgram:
-    """max/min c.x subject to linear rows and per-variable bounds."""
+    """max/min c.x subject to linear rows and per-variable bounds.
+
+    Frozen, so the relaxation's result that `solve_lp` keeps on it cannot
+    go stale.  Neither that result nor the program `transpose` made it from
+    is an argument: `replace`, and so every branch-and-bound node, starts
+    without them."""
 
     sense: str  # "max" or "min"
     objective: tuple[Fraction, ...]
-    constraints: list[Constraint] = field(default_factory=list)
+    constraints: tuple[Constraint, ...] = ()
     lower: tuple[Fraction, ...] = ()
     upper: tuple[Fraction | None, ...] = ()  # None = unbounded above
     var_names: tuple[str, ...] = ()
     var_keys: tuple = ()  # per column: Cycle, PartialClique or packet id; () if unset
+    _result: SolveResult | None = field(default=None, init=False, compare=False, repr=False)
+    _source: LinearProgram | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.objective)
-        self.objective = tuple(map(_frac, self.objective))
-        if not self.lower:
-            self.lower = (_ZERO,) * n
-        if not self.upper:
-            self.upper = (None,) * n
+        put = partial(object.__setattr__, self)
+        put("objective", tuple(map(_frac, self.objective)))
+        put("constraints", tuple(self.constraints))
+        put("lower", tuple(map(_frac, self.lower)) if self.lower else (_ZERO,) * n)
+        put("upper", tuple(None if b is None else _frac(b) for b in self.upper)
+            if self.upper else (None,) * n)
         if not self.var_names:
-            self.var_names = tuple(f"x{j}" for j in range(n))
-        self.lower = tuple(map(_frac, self.lower))
-        self.upper = tuple(None if b is None else _frac(b) for b in self.upper)
+            put("var_names", tuple(f"x{j}" for j in range(n)))
         if not (n == len(self.lower) == len(self.upper) == len(self.var_names)
                 and len(self.var_keys) in (0, n)):
             raise DimensionError("bounds/names/keys must match the variable count")
@@ -137,7 +152,8 @@ def transpose(lp: LinearProgram) -> LinearProgram:
     packing program (max, every row <=) over x >= 0.
 
     Row i becomes column i and column j becomes row j, each under its own
-    name.  Any other program raises ValueError.
+    name.  The dual records `lp` as its source, so that `solve_lp` solves
+    the pair once.  Any other program raises ValueError.
     """
     rel = {"min": ">=", "max": "<="}.get(lp.sense)
     if rel is None or any(c.rel != rel for c in lp.constraints):
@@ -147,13 +163,15 @@ def transpose(lp: LinearProgram) -> LinearProgram:
     m, n = len(lp.constraints), lp.num_vars
     columns = zip(*(c.coeffs for c in lp.constraints)) if m else [()] * n
     dual_rel = "<=" if rel == ">=" else ">="
-    return LinearProgram(
+    dual = LinearProgram(
         "max" if lp.sense == "min" else "min",
         tuple(c.rhs for c in lp.constraints),
         [Constraint(col, dual_rel, cj, name)
          for col, cj, name in zip(columns, lp.objective, lp.var_names)],
         var_names=tuple(c.name for c in lp.constraints),
     )
+    object.__setattr__(dual, "_source", lp)
+    return dual
 
 
 @dataclass
@@ -256,7 +274,34 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
 
     Returns the objective, the primal point x and its certificate, the row
     duals y: one shadow price per constraint row (see `verify_certificate`).
+    The result is kept on `lp` and returned by every later call.  A
+    transposed pair shares one solve: an optimum of either program, solved
+    first, answers the other with its point and row duals swapped, which
+    is LP duality read off one tableau.  A result that is not optimal
+    answers only its own program.
     """
+    res = lp._result
+    if res is None:
+        src = lp._source
+        known = None if src is None else src._result
+        if known is not None and known.status == OPTIMAL:
+            res = _read_off(known, lp)
+        else:
+            res = _solve(lp)
+            if known is None and src is not None and res.status == OPTIMAL:
+                object.__setattr__(src, "_result", _read_off(res, src))
+        object.__setattr__(lp, "_result", res)
+    return res
+
+
+def _read_off(res: SolveResult, dual: LinearProgram) -> SolveResult:
+    """The optimum of `dual`, the LP dual of the program `res` solves: its
+    point is res's row duals and its row duals are res's point."""
+    return SolveResult(OPTIMAL, res.objective, res.row_duals, res.primal, lp=dual)
+
+
+def _solve(lp: LinearProgram) -> SolveResult:
+    """`solve_lp` by the simplex: build the tableau and pivot it."""
     n = lp.num_vars
     lower, upper = lp.lower, lp.upper
     minimize = lp.sense == "min"

@@ -20,6 +20,7 @@ from indexcode import (
 )
 from indexcode.cli import run
 
+from conftest import brute_max_acyclic
 from generators import random_unicast_instance
 from paper_programs import serialize_instance
 
@@ -691,3 +692,30 @@ def test_check_solves_each_program_once(tmp_path, monkeypatch):
         {"build_P2": 1, "build_P5": 1, "transpose": 1, "enumerate_cycles": 1,
          "enumerate_partial_cliques": 1, "solve_ilp": 3, "solve_lp": 3, "verify_certificate": 2}
     )
+
+
+@pytest.mark.parametrize("command, solves", [("bounds", 6), ("check", 5)])
+def test_solves_of_three_programs_build_two_tableaux(fig1_file, monkeypatch, command, solves):
+    # P1 and P2 share one simplex solve, P5 has the other, and each integer
+    # program's root is its kept relaxation.  On fig1 `check` solves P5'
+    # but not P5, since theorem 4 needs a uniprior instance.
+    built, calls = [], Counter()
+    solve, solve_lp = lp._solve, lp.solve_lp
+    monkeypatch.setattr(lp, "_solve", lambda prog: built.append(prog) or solve(prog))
+    monkeypatch.setattr(lp, "solve_lp", lambda prog: calls.update([id(prog)]) or solve_lp(prog))
+    monkeypatch.setattr(analysis, "solve_lp", lp.solve_lp)
+    code, _ = _run([command, fig1_file])
+    assert code == 0
+    assert len(built) == 2 and sum(calls.values()) == solves and len(calls) == 3
+
+
+def test_branching_P1_read_off_P2_matches_brute_force(fig4, fig4_file):
+    # fig4's P1 relaxation is fractional (3/2), so its integer program
+    # branches below a root that, with P2' solved first, is read off P2'.
+    a = analysis.Analysis(fig4)
+    assert a.value("P2'") == Fraction(3, 2)
+    res = a.solve("P1")
+    assert res.branch_count > 1
+    assert res.objective == brute_max_acyclic(fig4) == 1
+    code, text = _run(["bounds", fig4_file, "--format", "json"])
+    assert code == 0 and json.loads(text)["valP1"] == "1"

@@ -94,7 +94,7 @@ def test_fig1_scalar_cycle_schedule(fig1):
     # the 2-cycle {p1,p3} plus p2 uncoded, i.e. transmissions q1^q3 and q2.
     lp = build_P2(fig1, enumerate_cycles(fig1))
     pin = tuple(F(n.startswith("C:p1|p3|p2")) for n in lp.var_names)
-    lp = replace(lp, constraints=lp.constraints + [Constraint(pin, "<=", F(0), "pin")])
+    lp = replace(lp, constraints=(*lp.constraints, Constraint(pin, "<=", F(0), "pin")))
     res = solve_ilp(lp)
     assert res.objective == 2
     sched = cyclic_schedule(fig1, res)
@@ -168,7 +168,7 @@ def test_cyclic_schedule_reads_theta_off_the_solution(fig4):
 def test_schedule_rejects_infeasible(fig1):
     lp = build_P2(fig1, enumerate_cycles(fig1))
     absurd = Constraint((F(0),) * lp.num_vars, "<=", F(-1), "absurd")
-    lp = replace(lp, constraints=lp.constraints + [absurd])
+    lp = replace(lp, constraints=(*lp.constraints, absurd))
     res = solve_ilp(lp)
     with pytest.raises(ScheduleError):
         cyclic_schedule(fig1, res)

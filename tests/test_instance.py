@@ -82,6 +82,15 @@ def test_parse_syntax_error_reports_position():
     assert (ei.value.line, ei.value.column) == (2, 18)
 
 
+def test_parse_reports_a_lone_surrogate_in_one_line():
+    # libyaml's parser encodes the text to UTF-8 first, which a lone
+    # surrogate fails; the pure-Python reader refuses it as a character.
+    with pytest.raises(InstanceFormatError, match=r"^unacceptable character #xd800: "
+                                                  r"[^\n]* \(line 2, column 17\)$") as ei:
+        parse_instance("users: [u1]\npackets: [{id: p\ud800, demand: u1}]\n")
+    assert (ei.value.line, ei.value.column) == (2, 17)
+
+
 def test_parse_rejects_a_repeated_packets_key():
     # PyYAML keeps the last of two equal keys: this file would answer for
     # the second list alone.

@@ -1,4 +1,5 @@
-from dataclasses import fields, replace
+import operator
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as F
 from itertools import product
 from math import lcm
@@ -493,8 +494,8 @@ def test_transpose_is_an_involution():
     rng = Random(41)
     for sense in ("min", "max") * 10:
         lp = _random_standard_lp(rng, sense)
-        for i, con in enumerate(lp.constraints):
-            lp.constraints[i] = Constraint(con.coeffs, con.rel, con.rhs, f"r{i}")
+        lp = replace(lp, constraints=tuple(replace(con, name=f"r{i}")
+                                           for i, con in enumerate(lp.constraints)))
         dual = transpose(lp)
         assert dual.sense != lp.sense
         assert dual.var_names == tuple(f"r{i}" for i in range(len(lp.constraints)))
@@ -514,6 +515,89 @@ def test_transpose_keeps_the_optimum():
         assert res.objective == dual.objective
         # The dual's optimum is the primal's row shadow prices, up to sign.
         assert verify_certificate(dual.lp, dual)
+
+
+def _same(programs, expected):
+    return len(programs) == len(expected) and all(map(operator.is_, programs, expected))
+
+
+@pytest.fixture
+def tableaux(monkeypatch):
+    """The programs the simplex builds a tableau for, in order."""
+    built = []
+    solve = lp_module._solve
+    monkeypatch.setattr(lp_module, "_solve", lambda lp: built.append(lp) or solve(lp))
+    return built
+
+
+def test_a_program_is_frozen_and_its_rows_are_a_tuple():
+    lp = _lp("max", [1, 1], [([2, 1], "<=", 2), ([1, 2], "<=", 2)])
+    assert type(lp.constraints) is tuple
+    with pytest.raises(FrozenInstanceError):
+        lp.constraints = ()
+    solved = replace(lp)
+    solve_lp(solved)
+    # The kept result takes no part in equality, hashing or printing.
+    assert solved == lp and hash(solved) == hash(lp) and repr(solved) == repr(lp)
+
+
+def test_a_second_solve_runs_no_tableau(tableaux):
+    rng = Random(24)
+    for _ in range(50):
+        lp, _ = _random_mixed_lp(rng)
+        first = solve_lp(lp)
+        assert solve_lp(lp) is first
+        assert _same(tableaux, [lp])
+        tableaux.clear()
+
+
+def test_a_replaced_program_and_every_node_solve_afresh(tableaux):
+    # Odd-cycle packing: the root sits at the all-1/2 vertex, so the
+    # integer program branches.
+    lp = _lp("max", [1, 1, 1],
+             [([1, 1, 0], "<=", 1), ([0, 1, 1], "<=", 1), ([1, 0, 1], "<=", 1)],
+             upper=(F(1),) * 3)
+    root = solve_lp(lp)
+    copy = replace(lp)
+    assert _result_fields(solve_lp(copy)) == _result_fields(root)
+    assert _same(tableaux, [lp, copy])
+    res = solve_ilp(lp)
+    assert (res.objective, res.branch_count) == (1, 3)
+    # The root is the kept relaxation; each node below it is a program of its
+    # own, x0's floor and then its ceil branch, solved from scratch.
+    assert [(node.lower[0], node.upper[0]) for node in tableaux[2:]] == [(0, 0), (1, 1)]
+
+
+def test_a_transposed_pair_shares_one_solve(tableaux):
+    rng = Random(42)  # the programs of test_transpose_keeps_the_optimum
+    for sense in ("min", "max") * 15:
+        lp = _random_standard_lp(rng, sense)
+        for first_dual in (False, True):
+            pair = [lp := replace(lp), transpose(lp)]
+            first, second = pair[::-1] if first_dual else pair
+            tableaux.clear()
+            solved, read = solve_lp(first), solve_lp(second)
+            assert _same(tableaux, [first])
+            assert read.lp is second and read.status == "optimal"
+            assert (read.objective, read.primal, read.row_duals) == (
+                solved.objective, solved.row_duals, solved.primal)
+            assert verify_certificate(second, read)
+            assert solve_lp(second) is read and _same(tableaux, [first])
+
+
+def test_a_partner_without_an_optimum_is_never_read(tableaux):
+    # An all-zero row with a positive right-hand side: the covering program
+    # is infeasible, and its transpose, whose column of that row is all
+    # zero with a positive cost, is unbounded.
+    cover = _lp("min", [1, 2], [([1, 1], ">=", 1), ([0, 0], ">=", 1)])
+    for first_dual in (False, True):
+        pair = [cover := replace(cover), transpose(cover)]
+        first, second = pair[::-1] if first_dual else pair
+        tableaux.clear()
+        statuses = solve_lp(first).status, solve_lp(second).status
+        assert _same(tableaux, [first, second])
+        assert statuses == (("unbounded", "infeasible") if first_dual
+                            else ("infeasible", "unbounded"))
 
 
 @pytest.mark.parametrize("lp", [
