@@ -319,7 +319,9 @@ class Analysis:
         return prog
 
     def solve(self, name: str) -> SolveResult:
-        """The optimum of P1, P2 or P5, or of a primed LP relaxation."""
+        """The optimum of P1, P2 or P5, or of a primed LP relaxation.  A
+        relaxation's entry is the result its program keeps (`solve_lp`);
+        the entry makes each name cost one `solve_lp` call per analysis."""
         res = self._solved.get(name)
         if res is None:
             prog = self._program(name.rstrip("'"))

@@ -12,8 +12,9 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+import yaml
 
-from indexcode import make_instance
+from indexcode import Instance, PacketType, make_instance
 from indexcode.enumeration import PartialClique
 
 from paper_programs import to_digraph
@@ -43,6 +44,20 @@ def fig4():
             ("p3", 1, "u3", {"u1", "u2"}),
         ],
     )
+
+
+def pyyaml_instance(text):
+    """The unvalidated Instance that `yaml.safe_load` reads from instance
+    text that `parse_instance` accepts: a weight defaults to 1, and a
+    one-element demand list names its user."""
+    doc = yaml.safe_load(text)
+    packets = []
+    for rec in doc["packets"]:
+        demand = rec["demand"]
+        packets.append(PacketType(rec["id"], rec.get("weight", 1),
+                                  demand[0] if isinstance(demand, list) else demand,
+                                  frozenset(rec.get("side", []))))
+    return Instance(tuple(doc["users"]), tuple(packets))
 
 
 def dfs_cycles(inst):

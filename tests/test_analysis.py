@@ -219,6 +219,13 @@ def test_ilp_without_root_optimum_is_named_as_the_ilp(fig4, monkeypatch):
         a.solve("P5'")
 
 
+def test_a_relaxation_is_the_result_its_program_keeps(fig4):
+    a = Analysis(fig4)
+    for cover in ("P2", "P5"):
+        res = a.solve(cover + "'")
+        assert a.solve(cover + "'") is res is lp.solve_lp(a._program(cover))
+
+
 def test_truncated_clique_family_is_an_error():
     # A dense draw whose P5 over cliques of at most 2 packets is 5, not 4:
     # P5 ranges over the whole family, which no cap truncates.

@@ -20,7 +20,7 @@ from indexcode import (
 )
 from indexcode.cli import run
 
-from conftest import brute_max_acyclic
+from conftest import brute_max_acyclic, pyyaml_instance
 from generators import random_unicast_instance
 from paper_programs import serialize_instance
 
@@ -163,14 +163,11 @@ def test_non_utf8_file_is_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
 
 
-def test_mutated_instance_files_exit_0_or_2(fig1, tmp_path, capsys):
-    # Seeded byte mutations of a valid file: every outcome is a result or a
-    # one-line error, never a traceback.
-    rng = random.Random(0)
-    base = serialize_instance(fig1).encode()
-    alphabet = b"\xff\n\t :-,[]{}#&*!'\"019upwd"
-    path = tmp_path / "mutant.icp"
-    for _ in range(150):
+def _mutants(base: bytes, count: int, seed: int, alphabet=b"\xff\n\t :-,[]{}#&*!'\"019upwd"):
+    """Seeded byte mutations of `base`: one to four deletions, replacements
+    or insertions each."""
+    rng = random.Random(seed)
+    for _ in range(count):
         data = bytearray(base)
         for _ in range(rng.randint(1, 4)):
             i = rng.randrange(len(data) + 1)
@@ -181,12 +178,38 @@ def test_mutated_instance_files_exit_0_or_2(fig1, tmp_path, capsys):
                 data[i] = rng.choice(alphabet)
             else:
                 data.insert(i, rng.choice(alphabet))
-        path.write_bytes(bytes(data))
+        yield bytes(data)
+
+
+def test_mutated_instance_files_exit_0_or_2(fig1, tmp_path, capsys):
+    # Seeded byte mutations of a valid file: every outcome is a result or a
+    # one-line error, never a traceback.
+    path = tmp_path / "mutant.icp"
+    for data in _mutants(serialize_instance(fig1).encode(), 150, 0):
+        path.write_bytes(data)
         for argv in (["bounds", str(path)], ["simulate", str(path), "--mode", "vector"]):
             code, _ = _run(argv)
             err = capsys.readouterr().err
-            assert code in (0, 2), (bytes(data), argv)
-            assert err.count("\n") <= 1, (bytes(data), err)
+            assert code in (0, 2), (data, argv)
+            assert err.count("\n") <= 1, (data, err)
+
+
+def test_accepted_mutants_build_what_pyyaml_builds(fig1):
+    # Whatever text the reader accepts, PyYAML's safe loader reads the same
+    # users and packets from it.
+    flow = ("users: [u1, u2, u3]\npackets:\n"
+            "  - &a {id: p1, weight: 1, demand: u1, side: [u2, u3]}\n"
+            "  - {<<: *a, id: p2, demand: u2, side: [u3]}\n  - {id: p3, demand: u3, side: [u1]}\n")
+    accepted = 0
+    for base in (serialize_instance(fig1), flow):
+        for data in _mutants(base.encode(), 2000, 1, b" \n'\"0123456789<:&*{}[]"):
+            try:
+                parsed = indexcode.parse_instance(data.decode())
+            except indexcode.InstanceError:
+                continue
+            assert parsed == pyyaml_instance(data.decode()), data
+            accepted += 1
+    assert accepted >= 25
 
 
 @pytest.mark.parametrize("text, message", [

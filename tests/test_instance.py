@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,11 @@ from types import ModuleType
 
 import networkx as nx
 import pytest
+import yaml
 
 import indexcode
 from indexcode import (
+    InstanceError,
     InstanceFormatError,
     InstanceValidationError,
     is_uniprior,
@@ -18,6 +21,7 @@ from indexcode import (
     parse_instance,
     total_weight,
 )
+from indexcode import instance
 
 from generators import random_unicast_instance
 from paper_programs import serialize_instance, split_digraph, to_digraph
@@ -118,6 +122,119 @@ def test_parse_applies_merge_keys():
     inst = parse_instance(text)
     assert inst.packets == (PacketType("p1", 3, "u1", frozenset({"u2"})),
                             PacketType("p2", 3, "u2", frozenset({"u1"})))
+
+
+_ONE = "users: [u1]\npackets: [{id: p1, demand: u1%s}]\n"
+_WEIGHT_ERROR = (InstanceValidationError, r"packet p1: weight must be a positive integer")
+
+# Texts that PyYAML's safe loader reads in an unusual way, and what
+# `parse_instance` makes of them: the total weight W of an Instance, or an
+# error class and a pattern its whole message matches.  A message that the
+# composer writes names the alias under the pure-Python parser only.
+READER_CASES = {
+    "self-merge": ("users: [u1]\npackets: [&a {<<: *a, id: p1, demand: u1}]\n", 1),
+    "list merge": (_ONE % ", <<: [{weight: 2}, {weight: 3}]", 2),
+    "merge written over": (_ONE % ", <<: {weight: 5, id: p9}", 5),
+    "scalar merge": ("users: [u1]\npackets: [{<<: 3, id: p1, demand: u1}]\n", (
+        InstanceFormatError, r"expected a mapping or list of mappings for merging, "
+                             r"but found scalar \(line 2, column 16\)")),
+    "scalar in a merge list": (_ONE % ", <<: [{weight: 2}, 3]", (
+        InstanceFormatError, r"expected a mapping for merging, but found scalar "
+                             r"\(line 2, column 50\)")),
+    "repeated merged key": (
+        "users: [u1]\npackets: [{<<: {id: p0, id: p2}, id: p1, demand: u1}]\n",
+        (InstanceFormatError, r"found repeated key 'id' \(line 2, column 25\)")),
+    "unhashable key": ("users: [u1]\npackets: [{? [a] : b, id: p1, demand: u1}]\n",
+                       (InstanceFormatError, r"found unhashable key \(line 2, column 14\)")),
+    "unknown root tag": ("!foo\nusers: [u1]\npackets: [{id: p1, demand: u1}]\n", (
+        InstanceFormatError, r"could not determine a constructor for the tag '!foo' "
+                             r"\(line 1, column 1\)")),
+    # A mapping's values come before the items of any list in it.
+    "first unknown tag by level": ("users: [!foo u1]\npackets: 5\nfoo: !bar x\n", (
+        InstanceFormatError, r"could not determine a constructor for the tag '!bar' "
+                             r"\(line 3, column 6\)")),
+    "str tag on a list": ("users: !!str [u1]\npackets: []\n", (
+        InstanceFormatError, r"expected a scalar node, but found sequence \(line 1, column 8\)")),
+    "value key": (_ONE % ", =: 3",
+                  (InstanceFormatError, r"packet record 0: unknown fields \['='\]")),
+    "int keys": (_ONE % ", 1: x, 0x1: y", (InstanceFormatError,
+                                          r"packet record 0: unknown fields \[1\]")),
+    "hex weight": (_ONE % ", weight: 0x10", 16),
+    "underscored weight": (_ONE % ", weight: 1_000", 1000),
+    "sexagesimal weight": (_ONE % ", weight: 1:30", 90),
+    "float weight": (_ONE % ", weight: 2.0", _WEIGHT_ERROR),
+    "quoted weight": (_ONE % ', weight: "3"', _WEIGHT_ERROR),
+    "boolean weight": (_ONE % ", weight: true", _WEIGHT_ERROR),
+    "binary weight": (_ONE % ", weight: !!binary Zm9v", _WEIGHT_ERROR),
+    "ordered-map packets": ("users: [u1]\npackets: !!omap [{id: p1}, {demand: u1}]\n", (
+        InstanceFormatError, r"packet record 0: need at least 'id' and 'demand'")),
+    "set side": ("users: [u1, u2]\npackets: [{id: p1, demand: u1, side: !!set {u2}}]\n",
+                 (InstanceFormatError, r"packet record 0: 'side' must be a list")),
+    "self-referencing users": ("users: &u [u1, *u]\npackets: [{id: p1, demand: u1}]\n",
+                               (InstanceFormatError, r"'users' must be a list of id tokens")),
+    "undefined root alias": ("x: *r\n", (InstanceFormatError,
+                                          r"found undefined alias( 'r')? \(line 1, column 4\)")),
+    "undefined alias": ("users: [u1]\npackets: [{id: p1, demand: *nope}]\n", (
+        InstanceFormatError, r"found undefined alias( 'nope')? \(line 2, column 28\)")),
+    "two documents": ("users: [u1]\npackets: [{id: p1, demand: u1}]\n---\nusers: [u1]\n", (
+        InstanceFormatError, r"but found another document \(line 3, column 1\)")),
+}
+
+
+@pytest.mark.parametrize("text, expected", READER_CASES.values(), ids=READER_CASES)
+def test_parse_reads_yaml_as_pyyaml_builds_it(text, expected):
+    if isinstance(expected, int):
+        assert total_weight(parse_instance(text)) == expected
+    else:
+        error, pattern = expected
+        with pytest.raises(error) as ei:
+            parse_instance(text)
+        assert re.fullmatch(pattern, str(ei.value)), str(ei.value)
+
+
+@pytest.mark.parametrize("scalar, tag", [
+    ("!!float abc", "float"), ("!!int abc", "int"), ("!!int 0b_", "int"),
+    ("!!bool maybe", "bool"), ("!!timestamp nope", "timestamp"),
+])
+def test_parse_reports_an_unreadable_scalar_in_one_line(scalar, tag):
+    # PyYAML's own constructors raise ValueError, KeyError or AttributeError here.
+    with pytest.raises(InstanceFormatError, match=(
+            rf"^could not construct a scalar for the tag 'tag:yaml.org,2002:{tag}' "
+            r"\(line 2, column 40\)$")):
+        parse_instance(_ONE % f", weight: {scalar}")
+
+
+def _outcome(text):
+    try:
+        return parse_instance(text)
+    except InstanceError as exc:
+        return type(exc), str(exc)
+
+
+def test_both_yaml_parsers_give_one_outcome(fig1, fig4, monkeypatch):
+    # libyaml's parser and the pure-Python one compose the same node graph;
+    # only what the parser itself reports (a syntax error, an undefined
+    # alias) may differ in wording and position.
+    texts = [FIG1_TEXT, serialize_instance(fig1), serialize_instance(fig4)]
+    texts += [text for text, _ in READER_CASES.values()]
+    texts += [_ONE % f", weight: {scalar}" for scalar in ("!!float abc", "!!bool maybe")]
+    rng = Random(3)
+    texts += [serialize_instance(random_unicast_instance(rng)) for _ in range(20)]
+    loaders = [instance._LOADER, yaml.SafeLoader]
+    outcomes = []
+    for loader in loaders:
+        monkeypatch.setattr(instance, "_LOADER", loader)
+        outcomes.append([_outcome(text) for text in texts])
+    for text, default, pure in zip(texts, *outcomes):
+        try:
+            for loader in loaders:
+                yaml.compose(text, Loader=loader)
+        except yaml.YAMLError:
+            for message in (default, pure):
+                assert message[0] is InstanceFormatError
+                assert re.fullmatch(r"[^\n]* \(line \d+, column \d+\)", message[1]), message
+        else:
+            assert default == pure, text
 
 
 def test_parse_rejects_unknown_user():
