@@ -7,13 +7,15 @@ and is held as side information by a set of other users.  Demands and side
 information are the arcs of a bipartite digraph: a packet-to-user arc means
 "demands", a user-to-packet arc means "already has".
 
-Instance files are YAML.  `parse_instance` composes the text into a node
-graph with libyaml's parser (PyYAML's own parser where libyaml is missing)
-and walks that graph once, as PyYAML's safe constructor would build it: it
-applies `<<` merges, refuses a key written twice in one mapping, a non-scalar
-key and a tag the safe constructor cannot build, each with its line and
-column, and reads ids only from str-tagged scalars and a weight only from an
-int-tagged one.
+Instance files are YAML of one fixed shape.  `parse_instance` composes the
+text into a node graph with libyaml's parser (PyYAML's own parser where
+libyaml is missing, or where the text could nest too deeply for libyaml)
+and reads each field by its position: the root and each packet record only
+as a plain mapping, `users`, `packets` and `side` only as a plain list, an
+id only as a str scalar and a weight only as an int one.  Any other key,
+a `<<` merge key among them, is an unknown field, and a key written twice
+in one mapping is refused with its line and column.  An alias is read as
+the node it names.
 """
 
 from __future__ import annotations
@@ -135,173 +137,72 @@ def make_instance(users, packets) -> Instance:
 
 
 _TAG = "tag:yaml.org,2002:"
-_STR, _SEQ, _MAP = (_TAG + name for name in ("str", "seq", "map"))
-_SET, _OMAP, _PAIRS, _MERGE, _VALUE = (_TAG + name
-                                       for name in ("set", "omap", "pairs", "merge", "value"))
-_CONTAINERS = frozenset({_SEQ, _MAP, _SET, _OMAP, _PAIRS})
-# The safe constructor builds every other tag it knows as one scalar value.
-_SCALARS = {tag: build for tag, build in yaml.constructor.SafeConstructor.yaml_constructors.items()
-            if tag is not None and tag not in _CONTAINERS}
-_CONSTRUCTOR = yaml.constructor.SafeConstructor()  # its scalar builders keep no state
+_STR, _INT, _SEQ, _MAP = (_TAG + name for name in ("str", "int", "seq", "map"))
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()  # construct_yaml_int keeps no state
+
+# libyaml's composer recurses on the C stack once per level of nesting: with
+# an 8 MB stack it composes 20,000 nested lists and segfaults at 25,000.
+# Each collection needs an indicator of its own ('[', '{', '-', '?' or ':'),
+# so a text with more of them than this bound, which no instance of a few
+# hundred packets reaches, is composed by PyYAML's own composer, whose
+# recursion Python bounds.
+_MAX_INDICATORS = 2_000
 
 
-def _node_error(problem, node):
-    return yaml.constructor.ConstructorError(None, None, problem, node.start_mark)
+def _at(message, node):
+    mark = node.start_mark
+    return InstanceFormatError(message, line=mark.line + 1, column=mark.column + 1)
 
 
-class _Graph:
-    """One composed YAML document, walked once as PyYAML's safe constructor
-    would build it: in its order (a container's items after every node met
-    before it), with its merges and its errors, but building only the
-    scalars whose tag is not `str`.  A scalar key written twice in one
-    mapping, with one tag, is an error, where PyYAML keeps the last value;
-    a key that a `<<` merge brings in may still be overridden."""
-
-    def __init__(self, root):
-        self.pairs = {}  # mapping node -> its (key, value) nodes, merges applied
-        self.built = {}  # node -> the value of its scalar tag other than a str scalar's
-        self._met = set()
-        self._queue = []
-        self._flattening = set()
-        if root is not None:
-            self._visit(root)
-            for node in self._queue:  # grows while it is read
-                self._fill(node)
-
-    def _visit(self, node):
-        """Construct `node` as `construct_object` does: a str scalar is its
-        own value, any other scalar is built now, and a container is queued,
-        since PyYAML fills it after every node met before it."""
-        tag = node.tag
-        if tag == _STR and isinstance(node, yaml.ScalarNode):
-            return
-        if tag in _CONTAINERS:
-            if node not in self._met:
-                self._met.add(node)
-                self._queue.append(node)
-        elif tag in _SCALARS:
-            if node not in self.built:
-                try:
-                    self.built[node] = _SCALARS[tag](_CONSTRUCTOR, node)
-                except (ValueError, LookupError, AttributeError, TypeError, RecursionError) as exc:
-                    raise _node_error(
-                        f"could not construct a scalar for the tag {tag!r}", node) from exc
-        else:
-            raise _node_error(f"could not determine a constructor for the tag {tag!r}", node)
-
-    def _fill(self, node):
-        """Construct a queued container's items, with PyYAML's checks."""
-        tag = node.tag
-        if tag == _SEQ:
-            if not isinstance(node, yaml.SequenceNode):
-                raise _node_error(f"expected a sequence node, but found {node.id}", node)
-            for item in node.value:
-                self._visit(item)
-        elif tag == _MAP or tag == _SET:
-            if not isinstance(node, yaml.MappingNode):
-                raise _node_error(f"expected a mapping node, but found {node.id}", node)
-            for key, value in self._flatten(node):
-                if key.tag in _CONTAINERS:
-                    raise _node_error("found unhashable key", key)
-                self._visit(key)
-                self._visit(value)
-        else:  # an ordered map or pairs: a list of one-entry mappings
-            if not isinstance(node, yaml.SequenceNode):
-                raise _node_error(f"expected a sequence, but found {node.id}", node)
-            for item in node.value:
-                if not isinstance(item, yaml.MappingNode):
-                    raise _node_error(f"expected a mapping of length 1, but found {item.id}", item)
-                if len(item.value) != 1:
-                    raise _node_error(
-                        f"expected a single mapping item, but found {len(item.value)} items", item)
-                key, value = item.value[0]
-                self._visit(key)
-                self._visit(value)
-
-    def _flatten(self, node):
-        """The mapping's pairs with each `<<` merge applied, as PyYAML's
-        `flatten_mapping` orders them: merged pairs first, the first of
-        several merged mappings last, so later pairs win."""
-        pairs = self.pairs.get(node)
-        if pairs is not None:
-            return pairs
-        written, merges, values = set(), False, []
-        for key, _ in node.value:
-            if key.tag == _MERGE:
-                merges = True
+def _fields(node, text):
+    """A plain mapping's value nodes by field name, and the names of its
+    other keys (any key but a str scalar, named by its source text); a pair
+    of Nones for any other node.  A scalar key written twice is an error."""
+    if not isinstance(node, yaml.MappingNode) or node.tag != _MAP:
+        return None, None
+    fields, others, written = {}, set(), set()
+    for key, value in node.value:
+        if isinstance(key, yaml.ScalarNode):
+            if (key.tag, key.value) in written:
+                raise _at(f"found repeated key {key.value!r}", key)
+            written.add((key.tag, key.value))
+            if key.tag == _STR:
+                fields[key.value] = value
                 continue
-            if key.tag == _VALUE:
-                values.append(key)
-            if isinstance(key, yaml.ScalarNode):
-                if (key.tag, key.value) in written:
-                    raise _node_error(f"found repeated key {key.value!r}", key)
-                written.add((key.tag, key.value))
-        for key in values:  # a `=` key is the string "=", as PyYAML retags it
-            key.tag = _STR
-        pairs = node.value
-        if merges:
-            self._flattening.add(node)
-            merged = []
-            for key, value in node.value:
-                if key.tag != _MERGE:
-                    continue
-                if isinstance(value, yaml.MappingNode):
-                    merged += self._merged(value)
-                elif isinstance(value, yaml.SequenceNode):
-                    sources = []
-                    for source in value.value:
-                        if not isinstance(source, yaml.MappingNode):
-                            raise _node_error(
-                                f"expected a mapping for merging, but found {source.id}", source)
-                        sources.append(self._merged(source))
-                    for source in reversed(sources):
-                        merged += source
-                else:
-                    raise _node_error("expected a mapping or list of mappings for merging, "
-                                      f"but found {value.id}", value)
-            self._flattening.discard(node)
-            pairs = merged + [(key, value) for key, value in node.value if key.tag != _MERGE]
-        self.pairs[node] = pairs
-        return pairs
+        others.add(text[key.start_mark.index:key.end_mark.index].strip())
+    return fields, others
 
-    def _merged(self, source):
-        # A mapping merged into itself brings its own pairs.
-        if source in self._flattening:
-            return [(key, value) for key, value in source.value if key.tag != _MERGE]
-        return self._flatten(source)
 
-    def fields(self, node):
-        """The dict a plain mapping builds, with its values as nodes; None
-        for any other node."""
-        if not isinstance(node, yaml.MappingNode) or node.tag != _MAP:
-            return None
-        built = self.built
-        return {key.value if key.tag == _STR and isinstance(key, yaml.ScalarNode)
-                else built[key]: value for key, value in self.pairs[node]}
+def _items(node):
+    """A plain list's item nodes, or None."""
+    return node.value if isinstance(node, yaml.SequenceNode) and node.tag == _SEQ else None
 
-    def items(self, node):
-        """The list a sequence builds, as nodes (an ordered-map entry, a
-        tuple, as None); None for any other node."""
-        if isinstance(node, yaml.SequenceNode):
-            if node.tag == _SEQ:
-                return node.value
-            if node.tag in (_OMAP, _PAIRS):
-                return [None] * len(node.value)
+
+def _id(node):
+    """A str scalar's text, or None."""
+    return node.value if isinstance(node, yaml.ScalarNode) and node.tag == _STR else None
+
+
+def _weight(node):
+    """An int scalar's value as PyYAML reads it (`0x10`, `1_000`, `1:30`),
+    or None, which validation refuses."""
+    if not isinstance(node, yaml.ScalarNode) or node.tag != _INT:
         return None
-
-    def text(self, node):
-        """The str a node builds, or None."""
-        if isinstance(node, yaml.ScalarNode) and node.tag == _STR:
-            return node.value
-        value = self.built.get(node)
-        return value if isinstance(value, str) else None
+    try:
+        return _CONSTRUCTOR.construct_yaml_int(node)
+    except (ValueError, LookupError) as exc:
+        raise _at(f"could not construct a scalar for the tag {_INT!r}", node) from exc
 
 
 def parse_instance(text: str) -> Instance:
     """Parse instance-file text (a YAML mapping of `users` and `packets` only)."""
+    # A byte-order mark: libyaml's marks skip it, PyYAML's count it.
+    text = text.removeprefix("\ufeff")
+    shallow = sum(map(text.count, "[{-?:")) <= _MAX_INDICATORS
     try:
-        root = yaml.compose(text, Loader=_LOADER)
-        graph = _Graph(root)
+        root = yaml.compose(text, Loader=_LOADER if shallow else yaml.SafeLoader)
+    except RecursionError:
+        raise InstanceFormatError("instance file nests too deeply") from None
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         raise InstanceFormatError(
@@ -320,32 +221,31 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError(
             f"unacceptable character #x{ord(char):04x}: {exc.reason}",
             line=before.count("\n") + 1, column=len(before) - before.rfind("\n")) from exc
-    doc = graph.fields(root)
+    doc, others = _fields(root, text)
     if doc is None:
         raise InstanceFormatError("instance file must be a mapping with 'users' and 'packets'")
     if "users" not in doc or "packets" not in doc:
         raise InstanceFormatError("missing required field 'users' or 'packets'")
-    unknown = set(doc) - {"users", "packets"}
+    unknown = (set(doc) - {"users", "packets"}) | others
     if unknown:
-        raise InstanceFormatError(f"unknown top-level fields {sorted(unknown, key=str)}")
-    users = graph.items(doc["users"])
-    users = None if users is None else [graph.text(u) for u in users]
+        raise InstanceFormatError(f"unknown top-level fields {sorted(unknown)}")
+    users = _items(doc["users"])
+    users = None if users is None else [_id(u) for u in users]
     if users is None or None in users:
         raise InstanceFormatError("'users' must be a list of id tokens")
-    records = graph.items(doc["packets"])
+    records = _items(doc["packets"])
     if records is None:
         raise InstanceFormatError("'packets' must be a list of packet records")
     packets = []
     for i, node in enumerate(records):
-        rec = graph.fields(node)
+        rec, others = _fields(node, text)
         if rec is None or "id" not in rec or "demand" not in rec:
             raise InstanceFormatError(f"packet record {i}: need at least 'id' and 'demand'")
-        unknown = set(rec) - {"id", "weight", "demand", "side"}
+        unknown = (set(rec) - {"id", "weight", "demand", "side"}) | others
         if unknown:
-            raise InstanceFormatError(
-                f"packet record {i}: unknown fields {sorted(unknown, key=str)}")
+            raise InstanceFormatError(f"packet record {i}: unknown fields {sorted(unknown)}")
         demand = rec["demand"]
-        demands = graph.items(demand)
+        demands = _items(demand)
         if demands is not None:
             if not demands:
                 raise InstanceFormatError(f"packet record {i}: 'demand' must name one user")
@@ -354,17 +254,16 @@ def parse_instance(text: str) -> Instance:
                     f"packet record {i}: multicast demand sets are not supported"
                 )
             demand = demands[0]
-        side = graph.items(rec["side"]) if "side" in rec else []
+        side = _items(rec["side"]) if "side" in rec else []
         if side is None:
             raise InstanceFormatError(f"packet record {i}: 'side' must be a list")
         # YAML reads null, true or 010 as a non-string: refuse it, never rename it.
-        ident, demand = graph.text(rec["id"]), graph.text(demand)
-        side = [graph.text(u) for u in side]
+        ident, demand = _id(rec["id"]), _id(demand)
+        side = [_id(u) for u in side]
         for field, ids in (("id", [ident]), ("demand", [demand]), ("side", side)):
             if None in ids:
                 raise InstanceFormatError(f"packet record {i}: '{field}' must hold id tokens")
-        # A weight is what its scalar's tag builds; all but an int fail validation.
-        weight = graph.built.get(rec["weight"]) if "weight" in rec else 1
+        weight = _weight(rec["weight"]) if "weight" in rec else 1
         packets.append(PacketType(ident, weight, demand, frozenset(side)))
     return validate_instance(Instance(tuple(users), tuple(packets)))
 

@@ -16,7 +16,7 @@ import yaml
 
 import indexcode
 from indexcode import (
-    analysis, cli, coding, enumeration, lp, make_instance, programs,
+    analysis, cli, coding, enumeration, instance, lp, make_instance, programs,
 )
 from indexcode.cli import run
 
@@ -198,8 +198,8 @@ def test_accepted_mutants_build_what_pyyaml_builds(fig1):
     # Whatever text the reader accepts, PyYAML's safe loader reads the same
     # users and packets from it.
     flow = ("users: [u1, u2, u3]\npackets:\n"
-            "  - &a {id: p1, weight: 1, demand: u1, side: [u2, u3]}\n"
-            "  - {<<: *a, id: p2, demand: u2, side: [u3]}\n  - {id: p3, demand: u3, side: [u1]}\n")
+            "  - {id: p1, weight: 1, demand: u1, side: &s [u2, u3]}\n"
+            "  - {id: p2, demand: u2, side: [u3]}\n  - {id: p3, demand: u3, side: [u1]}\n")
     accepted = 0
     for base in (serialize_instance(fig1), flow):
         for data in _mutants(base.encode(), 2000, 1, b" \n'\"0123456789<:&*{}[]"):
@@ -210,6 +210,36 @@ def test_accepted_mutants_build_what_pyyaml_builds(fig1):
             assert parsed == pyyaml_instance(data.decode()), data
             accepted += 1
     assert accepted >= 25
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["default", "pure-python"])
+@pytest.mark.parametrize("text", [
+    "users: [u1]\npackets: [" + "{id: p1, demand: u1, <<: " * 1000 + "{}" + "}" * 1000 + "]\n",
+    "users: " + "[" * 2000 + "\n",
+], ids=["merge-chain-1000", "lists-2000"])
+def test_deep_nesting_is_one_line_error(text, pure, tmp_path, monkeypatch, capsys):
+    # The first `<<` is an unknown field, and the pure-Python composer's
+    # RecursionError is a format error: neither is a traceback.
+    if pure:
+        monkeypatch.setattr(instance, "_LOADER", yaml.SafeLoader)
+    path = tmp_path / "deep.icp"
+    path.write_text(text, encoding="utf-8")
+    assert _run(["bounds", str(path)]) == (2, "")
+    assert capsys.readouterr().err in ("error: packet record 0: unknown fields ['<<']\n",
+                                       "error: instance file nests too deeply\n")
+
+
+def test_nesting_too_deep_for_libyaml_is_one_line_error(tmp_path):
+    # libyaml's composer would overflow the C stack here (a segfault).
+    path = tmp_path / "deep.icp"
+    path.write_text("users: " + "[" * 100_000 + "u1" + "]" * 100_000 + "\npackets: []\n",
+                    encoding="utf-8")
+    src = str(Path(indexcode.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "indexcode", "bounds", str(path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: instance file nests too deeply\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -231,7 +261,7 @@ def test_accepted_mutants_build_what_pyyaml_builds(fig1):
     ("users: [u1, u2]\npackets:\n- id: p1\n  demand: u2\n- id: p2\n  demand: u1\nside: [u2]\n",
      "unknown top-level fields ['side']"),
     ("users: [u1]\npackets: [{id: p1, demand: u1, 1: x, y: 2}]\n",
-     "packet record 0: unknown fields [1, 'y']"),
+     "packet record 0: unknown fields ['1', 'y']"),
     ("users: [u1]\npackets: [{id: p1, demand: ''}]\n", "packet p1: demand set is empty"),
     # libyaml calls the character a control character, PyYAML's own
     # reader a special one.
