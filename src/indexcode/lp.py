@@ -1,10 +1,16 @@
 """Exact-arithmetic linear programming with `fractions.Fraction` results.
 
 A two-phase primal simplex with Bland's rule (guaranteed termination) plus
-a deterministic branch-and-bound layer for integer programs.  Integrality
-is the solver's choice: `solve_lp` solves a program's LP relaxation and
-`solve_ilp` the same program with every variable integer.  Everything
-is exact: optimal values, primal solutions, and dual certificates are
+a deterministic branch-and-bound layer for integer programs.  A row with a
+unit column (a column with no other nonzero, of the row's sign and with no
+upper bound) starts basic in it, and phase 1 runs only for the rows left
+with an artificial.  So the covering programs P2 and P5 start phase 2 at
+once from their direct-send and singleton-clique columns.  In a
+branch-and-bound node, a bound row on such a column leaves its row to
+phase 1 unless the row has another unit column.  Integrality is the
+solver's choice: `solve_lp` solves a program's LP relaxation and
+`solve_ilp` the same program with every variable integer.  Everything is
+exact: optimal values, primal solutions, and dual certificates are
 rational numbers with no tolerance anywhere.  A branch-and-bound node is
 a program too: its parent with one variable bound tightened.
 
@@ -29,12 +35,13 @@ only the rows with a nonzero in the pivot column, subtracts only at the
 pivot row's nonzero columns (the whole row is rescaled only when the pivot
 does not divide its entry), and divides each updated row by one gcd.  The
 ratio test cross-multiplies integers.  Fractions are built only when the
-primal and the constraint rows' duals are read out, and only for nonzero
-values, so the pivot sequence and every reported value are those of a plain
-rational tableau.  `verify_certificate`, the package's one certificate
-checker, reads the dense `coeffs` on purpose, so a certificate does not
-rest on the conversion it certifies; it too compares integers, each vector
-of the certificate over one common denominator.
+primal and the constraint rows' duals are read out, only for nonzero
+values and once per distinct numerator and denominator, so the pivot
+sequence and every reported value are those of a plain rational tableau.
+`verify_certificate`, the package's one certificate checker, reads the
+dense `coeffs` on purpose, so a certificate does not rest on the
+conversion it certifies; it too compares integers, each vector of the
+certificate over one common denominator.
 
 A certificate is the optimal point x and its row duals y; the reduced
 costs c - yA follow from them, and the verifier derives them itself.  The
@@ -300,6 +307,14 @@ def _read_off(res: SolveResult, dual: LinearProgram) -> SolveResult:
     return SolveResult(OPTIMAL, res.objective, res.row_duals, res.primal, lp=dual)
 
 
+class _Fractions(dict):
+    """(numerator, denominator) -> the Fraction built for it, built once."""
+
+    def __missing__(self, key):
+        value = self[key] = Fraction(*key)
+        return value
+
+
 def _solve(lp: LinearProgram) -> SolveResult:
     """`solve_lp` by the simplex: build the tableau and pivot it."""
     n = lp.num_vars
@@ -323,29 +338,45 @@ def _solve(lp: LinearProgram) -> SolveResult:
 
     m = len(rows)
     # Column layout: structural 0..n-1, then one aux (slack/surplus) per
-    # inequality row, then one artificial per row that needs it.
+    # inequality row, then one artificial per row that needs it.  A row that
+    # reads >= once a negative rhs is flipped needs none when it has a unit
+    # column: a structural column with no other nonzero in any row,
+    # upper-bound rows included, and an entry of the row's sign.  The
+    # lowest such column starts basic at rhs / entry >= 0, and the row's
+    # surplus stays nonbasic.
     aux_col = {}
     ncols = n
     for i, (_, rel, _) in enumerate(rows):
         if rel in ("<=", ">="):
             aux_col[i] = ncols
             ncols += 1
-    art_col = {}
-    flipped = [False] * m
+    # The sign read off the numerator: a Fraction comparison costs more.
+    flipped = [rhs.numerator < 0 for _, _, rhs in rows]
+    unit = {}  # row -> its starting unit column
     need_art = []
-    for i, (_, rel, rhs) in enumerate(rows):
-        neg = rhs < 0
-        flipped[i] = neg
-        eff_rel = rel
-        if neg:
-            eff_rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        if eff_rel != "<=":
+    touched = None  # per structural column, the number of rows it is nonzero in
+    for i, ((_, nz), rel, _) in enumerate(rows):
+        if rel == "=":
             need_art.append(i)
+        elif (rel == ">=") != flipped[i]:
+            if touched is None:
+                touched = [0] * n
+                for (_, row_nz), _, _ in rows:
+                    for j, _ in row_nz:
+                        touched[j] += 1
+            for j, a in nz:
+                if touched[j] == 1 and (a > 0) != flipped[i]:
+                    unit[i] = j
+                    break
+            else:
+                need_art.append(i)
+    art_col = {}
     for i in need_art:
         art_col[i] = ncols
         ncols += 1
 
-    # Each row enters as integers over the lcm of its denominators.
+    # Each row enters as integers over the lcm of its denominators; a row
+    # with a unit column is divided by its entry there.
     tab = []
     dens = []
     basis = [-1] * m
@@ -362,6 +393,9 @@ def _solve(lp: LinearProgram) -> SolveResult:
         if i in art_col:
             row[art_col[i]] = den
             basis[i] = art_col[i]
+        elif i in unit:
+            basis[i] = j = unit[i]
+            row, den = _reduce(row, row[j])
         else:
             basis[i] = aux_col[i]
         tab.append(row)
@@ -389,12 +423,14 @@ def _solve(lp: LinearProgram) -> SolveResult:
     if status == UNBOUNDED:
         return SolveResult(UNBOUNDED, None, lp=lp)
 
-    # Readout: the only place Fractions are built from the integer tableau.
+    # Readout: the only place Fractions are built from the integer tableau,
+    # one per distinct numerator and denominator.
     nums, den = cost
+    made = _Fractions()
     shifted = [_ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            shifted[basis[i]] = Fraction(tab[i][-1], dens[i])
+    for i, b in enumerate(basis):
+        if b < n and tab[i][-1]:
+            shifted[b] = made[tab[i][-1], dens[i]]
     primal = tuple(x + lo for x, lo in zip(shifted, lower)) if shifts else tuple(shifted)
     obj_min = const - Fraction(nums[-1], den)  # internal minimized objective
     objective = obj_min if minimize else -obj_min
@@ -411,7 +447,7 @@ def _solve(lp: LinearProgram) -> SolveResult:
             y = -nums[aux_col[i]] if con.rel == "<=" else nums[aux_col[i]]
         else:
             y = nums[art_col[i]] if flipped[i] else -nums[art_col[i]]
-        row_duals.append(Fraction(y * sense_flip, den) if y else _ZERO)
+        row_duals.append(made[y * sense_flip, den] if y else _ZERO)
     return SolveResult(OPTIMAL, objective, primal, tuple(row_duals), lp=lp)
 
 

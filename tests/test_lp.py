@@ -4,10 +4,12 @@ from fractions import Fraction as F
 from itertools import product
 from math import lcm
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
 import indexcode.lp as lp_module
+from indexcode.enumeration import enumerate_partial_cliques
 from indexcode.lp import (
     Constraint,
     DimensionError,
@@ -18,6 +20,7 @@ from indexcode.lp import (
     transpose,
     verify_certificate,
 )
+from indexcode.programs import build_P5
 
 from conftest import certificate_oracle, lp_vertex_oracle
 
@@ -224,6 +227,156 @@ def test_integer_tableau_exact_on_mixed_random_lps():
             assert all(type(v) is F for v in res.primal + res.row_duals)
             assert verify_certificate(lp, res)
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.fixture
+def simplex_runs(monkeypatch):
+    """Each simplex run's starting basis, tableau width (columns, rhs
+    excluded) and banned columns, in order, and the pivots made."""
+    log = SimpleNamespace(runs=[], pivots=0)
+    simplex, pivot = lp_module._simplex, lp_module._pivot
+
+    def run(tab, dens, basis, cost, banned):
+        log.runs.append((list(basis), len(tab[0]) - 1, set(banned)))
+        return simplex(tab, dens, basis, cost, banned)
+
+    def counted(*args, **kwargs):
+        log.pivots += 1
+        return pivot(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "_simplex", run)
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+    return log
+
+
+def _random_unit_column_lp(rng):
+    """A small mixed LP in which many columns have one nonzero row.  Each
+    row owns up to two private columns, zero in every other row, and up to
+    one column is shared by all rows.  Relations, coefficient signs and
+    bounds are random.  Half the rows are built around a point x0 inside
+    the bounds, as in `_random_mixed_lp`, and half take a random rhs, so
+    some draws are infeasible.  A private column meets every case of the
+    simplex start: in a >= row, in a <= row flipped by its negative rhs,
+    of the wrong sign, in an = row, with an upper bound, over a shifted
+    lower bound, or beside a second one."""
+    def frac():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice((1, 2, 3)))
+
+    while True:
+        m = rng.randint(1, 3)
+        owners = [i for i in range(m) for _ in range(rng.randint(0, 2))]
+        owners += [None] * rng.randint(0, 1)
+        if 0 < len(owners) <= 4:
+            break
+    lower = [F(0) if rng.random() < 0.7 else frac() for _ in owners]
+    upper = [None if rng.random() < 0.7 else lo + rng.randint(1, 6) for lo in lower]
+    x0 = [lo + F(rng.randint(0, 4), 2) if hi is None else hi - F(rng.randint(0, 2), 2)
+          for lo, hi in zip(lower, upper)]
+    rows = []
+    for i in range(m):
+        coeffs = tuple(frac() if owner == i else rng.choice((F(0), frac())) if owner is None
+                       else F(0) for owner in owners)
+        rel = rng.choice(("<=", ">=", "="))
+        lhs = sum(a * x for a, x in zip(coeffs, x0))
+        slack = F(rng.randint(0, 3), rng.choice((1, 2)))
+        rhs = ({"<=": lhs + slack, ">=": lhs - slack, "=": lhs}[rel] if rng.random() < 0.5
+               else F(rng.randint(-6, 6), rng.choice((1, 2))))
+        rows.append(Constraint(coeffs, rel, rhs))
+    sense, c = rng.choice(("max", "min")), tuple(F(rng.randint(-3, 3)) for _ in owners)
+    return LinearProgram(sense, c, rows, tuple(lower), tuple(upper))
+
+
+def _start_rule(lp):
+    """Per constraint row, read off the dense rows: its relation once the
+    lower bounds are shifted out and a negative rhs is flipped, the
+    lowest column it may start basic in (a column nonzero in this row
+    alone, with no upper bound and an entry of the row's sign), or None,
+    and the cases its one-row columns meet."""
+    single = [sum(1 for con in lp.constraints if con.coeffs[j]) == 1
+              for j in range(lp.num_vars)]
+    out = []
+    for con in lp.constraints:
+        flipped = con.rhs - sum(a * lo for a, lo in zip(con.coeffs, lp.lower)) < 0
+        rel = {"<=": ">=", ">=": "<=", "=": "="}[con.rel] if flipped else con.rel
+        cases, starts = set(), []
+        for j, a in enumerate(con.coeffs):
+            if not (a and single[j]) or rel == "<=":
+                continue
+            if rel == "=":
+                cases.add("= row")
+            elif lp.upper[j] is not None:
+                cases.add("upper bound")
+            elif (a > 0) == flipped:
+                cases.add("wrong sign")
+            else:
+                starts.append(j)
+                cases.add("flipped <= row" if flipped else ">= row")
+                if lp.lower[j]:
+                    cases.add("shifted lower bound")
+        if len(starts) > 1:
+            cases.add("two unit columns")
+        out.append((rel, starts[0] if starts else None, cases))
+    return out
+
+
+def test_rows_with_a_unit_column_start_basic_in_it(simplex_runs):
+    rng = Random(31)
+    starts = {">= row": "crash", "flipped <= row": "crash", "shifted lower bound": "crash",
+              "two unit columns": "crash", "wrong sign": "artificial", "= row": "artificial",
+              "upper bound": "artificial"}
+    seen = {(case, start): 0 for case in starts for start in ("crash", "artificial")}
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(400):
+        lp = _random_unit_column_lp(rng)
+        simplex_runs.runs.clear()
+        res = solve_lp(lp)
+        statuses[res.status] += 1
+        # The first run starts from the tableau's basis: a unit column, a
+        # slack or surplus (the aux columns follow the structural ones), or
+        # an artificial (after the aux columns).
+        basis, width, _ = simplex_runs.runs[0]
+        n = lp.num_vars
+        aux_end = n + sum(con.rel != "=" for con in lp.constraints) + sum(
+            hi is not None for hi in lp.upper)
+        rule = _start_rule(lp)
+        assert width == aux_end + sum(col is None and rel != "<=" for rel, col, _ in rule)
+        for b, (rel, col, cases) in zip(basis, rule):
+            start = "crash" if b < n else "artificial" if b >= aux_end else "slack"
+            assert (start, b) == (("crash", col) if col is not None
+                                  else ("slack" if rel == "<=" else "artificial", b))
+            for case in cases:
+                seen[case, start] += 1
+        assert verify_certificate(lp, res) == certificate_oracle(lp, res)
+        capped = _oracle_value(lp, lp.lower, lp.upper, F(10**4))
+        if res.status == "infeasible":
+            assert capped is None
+        elif res.status == "unbounded":
+            further = _oracle_value(lp, lp.lower, lp.upper, F(10**5))
+            assert (further > capped) if lp.sense == "max" else (further < capped)
+        else:
+            assert res.objective == capped
+            assert verify_certificate(lp, res)
+    assert min(statuses.values()) >= 10, statuses
+    assert all(seen[case, start] >= 10 for case, start in starts.items()), seen
+
+
+@pytest.mark.parametrize("fixture, pivots, point, duals", [
+    ("fig1", 1, (0, 1, 0, 1), (0, 1, 1)),
+    ("fig4", 4, (0, 0, 0, 0, 0, 0, 1), (0, 0, 1)),
+])
+def test_p5_relaxation_starts_at_its_singleton_cliques(request, simplex_runs, fixture, pivots,
+                                                        point, duals):
+    inst = request.getfixturevalue(fixture)
+    p5 = build_P5(inst, enumerate_partial_cliques(inst))
+    res = solve_lp(p5)
+    # One run, phase 2, from T:p in packet p's row: no artificial column.
+    [(basis, width, banned)] = simplex_runs.runs
+    assert (width, banned) == (p5.num_vars + len(p5.constraints), set())
+    assert [p5.var_names[j] for j in basis] == ["T:" + pid for pid in inst.packet_ids]
+    # A start with phase 1 pivots 4 and 7 times and reaches the same optimum.
+    assert simplex_runs.pivots == pivots
+    assert (res.primal, res.row_duals) == (tuple(map(F, point)), tuple(map(F, duals)))
+    assert verify_certificate(p5, res)
 
 
 def test_certificate_rejects_tampering():
