@@ -1,4 +1,13 @@
-"""Exact-arithmetic linear programming with `fractions.Fraction` results.
+"""Exact linear programming over integer data, with `fractions.Fraction`
+results.
+
+A program's data are ints.  Each `Constraint` holds its row's nonzero
+`(column, coefficient)` terms in rising column order and an int right-hand
+side, and the objective and the bounds are ints.  Every program of the
+paper is such a program: 0/1 incidence rows with integer weights and
+costs, and branch-and-bound nodes with integer bounds.  A rational row is
+posed by scaling it by the lcm of its denominators, which divides its dual
+by that factor.
 
 A two-phase primal simplex with Bland's rule (guaranteed termination) plus
 a deterministic branch-and-bound layer for integer programs.  A row with a
@@ -25,12 +34,10 @@ without one.
 
 The tableau is fraction-free (in the spirit of Bareiss elimination): each
 row, and the reduced-cost row, is a list of integer numerators over one
-positive integer denominator.  Each `Constraint` is converted to integers
-once, on first use (`Constraint.int_row`: its nonzeros as numerators over
-the lcm of their denominators), and every solve of its program shares that
-conversion: the relaxation, the integer root and every branch-and-bound
-node hold the same `Constraint` objects.  A row enters the tableau scaled
-by the lcm of that denominator and its right-hand side's.  A pivot touches
+positive integer denominator.  A row enters the tableau as its own terms
+over the denominator 1.  A row is checked once, when its `Constraint` is
+made, and the relaxation, the integer root and every branch-and-bound
+node hold the same `Constraint` objects.  A pivot touches
 only the rows with a nonzero in the pivot column, subtracts only at the
 pivot row's nonzero columns (the whole row is rescaled only when the pivot
 does not divide its entry), and divides each updated row by one gcd.  The
@@ -39,9 +46,8 @@ primal and the constraint rows' duals are read out, only for nonzero
 values and once per distinct numerator and denominator, so the pivot
 sequence and every reported value are those of a plain rational tableau.
 `verify_certificate`, the package's one certificate checker, reads the
-dense `coeffs` on purpose, so a certificate does not rest on the
-conversion it certifies; it too compares integers, each vector of the
-certificate over one common denominator.
+program's own terms, never the tableau; it too compares integers, each
+vector of the certificate over one common denominator.
 
 A certificate is the optimal point x and its row duals y; the reduced
 costs c - yA follow from them, and the verifier derives them itself.  The
@@ -53,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import compress
 from math import ceil, floor, gcd, lcm
 
@@ -65,46 +71,47 @@ DEFAULT_NODE_LIMIT = 10**6
 
 
 class DimensionError(ValueError):
-    """Row length or bounds length disagrees with the variable count."""
+    """A program's data do not fit its shape: a row's terms out of order or
+    out of range, a value that is not an int, or bounds, names or keys of
+    the wrong length."""
 
 
 class NodeLimitExceeded(RuntimeError):
     """Branch-and-bound exhausted its node budget."""
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _frac(x) -> Fraction:
-    """x as a Fraction; the int coefficients 0 and 1 map to shared objects."""
-    t = type(x)
-    if t is Fraction:
-        return x
-    if t is int and 0 <= x <= 1:
-        return _ONE if x else _ZERO
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _bad_term(name, j, a, prev) -> str:
+    """Why the term (j, a) cannot follow column `prev` in row `name`."""
+    what = (f"column {j!r} is not an int" if type(j) is not int
+            else f"coefficient {a!r} of column {j} is not an int" if type(a) is not int
+            else f"column {j} is negative" if j < 0
+            else f"column {j} is repeated" if j == prev
+            else f"column {j} follows column {prev}" if j < prev
+            else f"column {j} has a zero coefficient")
+    return f"row {name!r}: {what}"
 
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    """sum a * x_j over `terms` `rel` `rhs`: `terms` holds the row's nonzero
+    (column j, int a) pairs in rising column order.  Checked once, here."""
+
+    terms: tuple[tuple[int, int], ...]
     rel: str  # "<=", ">=" or "="
-    rhs: Fraction
+    rhs: int
     name: str = ""
 
-    @cached_property
-    def int_row(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(den, ((j, a_j * den), ...)): the nonzero coefficients as integer
-        numerators over den, the lcm of their denominators.  Computed on
-        first use and kept, so every solve of a program, and of each program
-        made from it by `replace`, shares one conversion per row.  The
-        shared 0 and 1 are told apart by identity, which spares the 0/1
-        rows of the paper's programs a Fraction method call per entry."""
-        nz = [(j, a) for j, a in enumerate(self.coeffs) if a is not _ZERO and a]
-        den = lcm(*{a.denominator for _, a in nz if a is not _ONE})
-        return den, tuple((j, den if a is _ONE else a.numerator * (den // a.denominator))
-                          for j, a in nz)
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+        if self.rel not in ("<=", ">=", "="):
+            raise DimensionError(f"row {self.name!r}: unknown relation {self.rel!r}")
+        if type(self.rhs) is not int:
+            raise DimensionError(f"row {self.name!r}: rhs {self.rhs!r} is not an int")
+        prev = -1
+        for j, a in self.terms:
+            if not (type(j) is int and type(a) is int and j > prev and a):
+                raise DimensionError(_bad_term(self.name, j, a, prev))
+            prev = j
 
 
 @dataclass(frozen=True)
@@ -117,10 +124,10 @@ class LinearProgram:
     without them."""
 
     sense: str  # "max" or "min"
-    objective: tuple[Fraction, ...]
+    objective: tuple[int, ...]
     constraints: tuple[Constraint, ...] = ()
-    lower: tuple[Fraction, ...] = ()
-    upper: tuple[Fraction | None, ...] = ()  # None = unbounded above
+    lower: tuple[int, ...] = ()
+    upper: tuple[int | None, ...] = ()  # None = unbounded above
     var_names: tuple[str, ...] = ()
     var_keys: tuple = ()  # per column: Cycle, PartialClique or packet id; () if unset
     _result: SolveResult | None = field(default=None, init=False, compare=False, repr=False)
@@ -129,25 +136,27 @@ class LinearProgram:
     def __post_init__(self):
         n = len(self.objective)
         put = partial(object.__setattr__, self)
-        put("objective", tuple(map(_frac, self.objective)))
+        put("objective", tuple(self.objective))
         put("constraints", tuple(self.constraints))
-        put("lower", tuple(map(_frac, self.lower)) if self.lower else (_ZERO,) * n)
-        put("upper", tuple(None if b is None else _frac(b) for b in self.upper)
-            if self.upper else (None,) * n)
+        put("lower", tuple(self.lower) or (0,) * n)
+        put("upper", tuple(self.upper) or (None,) * n)
         if not self.var_names:
             put("var_names", tuple(f"x{j}" for j in range(n)))
         if not (n == len(self.lower) == len(self.upper) == len(self.var_names)
                 and len(self.var_keys) in (0, n)):
             raise DimensionError("bounds/names/keys must match the variable count")
+        for what, values in (("objective entry", self.objective), ("lower bound", self.lower),
+                             ("upper bound", self.upper)):
+            for j, v in enumerate(values):
+                if type(v) is not int and not (v is None and what == "upper bound"):
+                    raise DimensionError(f"{what} {v!r} of column {j} is not an int")
         for lo, hi in zip(self.lower, self.upper):
             if hi is not None and lo > hi:
                 raise DimensionError(f"inconsistent bounds: {lo} > {hi}")
         for c in self.constraints:
-            if len(c.coeffs) != n:
+            if c.terms and c.terms[-1][0] >= n:
                 raise DimensionError(
-                    f"row {c.name!r} has {len(c.coeffs)} coefficients, expected {n}")
-            if c.rel not in ("<=", ">=", "="):
-                raise DimensionError(f"unknown relation {c.rel!r}")
+                    f"row {c.name!r}: column {c.terms[-1][0]} is out of range for {n} variables")
 
     @property
     def num_vars(self) -> int:
@@ -167,8 +176,10 @@ def transpose(lp: LinearProgram) -> LinearProgram:
         raise ValueError("transpose needs a min program with >= rows or a max program with <= rows")
     if any(lp.lower) or any(hi is not None for hi in lp.upper):
         raise ValueError("transpose needs x >= 0 with no other bounds")
-    m, n = len(lp.constraints), lp.num_vars
-    columns = zip(*(c.coeffs for c in lp.constraints)) if m else [()] * n
+    columns = [[] for _ in lp.objective]
+    for i, con in enumerate(lp.constraints):
+        for j, a in con.terms:
+            columns[j].append((i, a))
     dual_rel = "<=" if rel == ">=" else ">="
     dual = LinearProgram(
         "max" if lp.sense == "min" else "min",
@@ -234,16 +245,15 @@ def _pivot(tab, dens, basis, r, c, cost=None):
 
 
 def _cost_row(obj, tab, dens, basis, width):
-    """[nums, den] of the reduced costs of `obj` ({column: value}) against
+    """[nums, den] of the reduced costs of `obj` ({column: int}) against
     the current basis: the objective row with every basic column eliminated."""
     terms = [(obj[b], tab[i], dens[i]) for i, b in enumerate(basis) if b in obj]
-    den = lcm(*(v.denominator for v in obj.values()),
-              *(cb.denominator * d for cb, _, d in terms))
+    den = lcm(*(d for _, _, d in terms))
     nums = [0] * width
     for j, v in obj.items():
-        nums[j] = v.numerator * (den // v.denominator)
+        nums[j] = v * den
     for cb, row, d in terms:
-        k = cb.numerator * (den // (cb.denominator * d))
+        k = cb * (den // d)
         for j in compress(range(width), row):
             nums[j] -= k * row[j]
     return list(_reduce(nums, den))
@@ -321,20 +331,14 @@ def _solve(lp: LinearProgram) -> SolveResult:
     lower, upper = lp.lower, lp.upper
     minimize = lp.sense == "min"
     c = [cj if minimize else -cj for cj in lp.objective]
-    shifts = [(j, lo) for j, lo in enumerate(lower) if lo]
-    const = sum(c[j] * lo for j, lo in shifts)
+    shifted = any(lower)
 
     # Rows: original constraints (shifted by lower bounds), then one
     # upper-bound row x_j <= hi_j - lo_j per finite upper bound.
-    rows = []  # (int_row, rel, rhs)
-    for con in lp.constraints:
-        rhs = con.rhs
-        if shifts:
-            rhs -= sum(con.coeffs[j] * lo for j, lo in shifts)
-        rows.append((con.int_row, con.rel, rhs))
-    for j in range(n):
-        if upper[j] is not None:
-            rows.append(((1, ((j, 1),)), "<=", upper[j] - lower[j]))
+    rows = [(con.terms, con.rel,
+             con.rhs - sum(a * lower[j] for j, a in con.terms) if shifted else con.rhs)
+            for con in lp.constraints]
+    rows += [(((j, 1),), "<=", hi - lower[j]) for j, hi in enumerate(upper) if hi is not None]
 
     m = len(rows)
     # Column layout: structural 0..n-1, then one aux (slack/surplus) per
@@ -350,21 +354,20 @@ def _solve(lp: LinearProgram) -> SolveResult:
         if rel in ("<=", ">="):
             aux_col[i] = ncols
             ncols += 1
-    # The sign read off the numerator: a Fraction comparison costs more.
-    flipped = [rhs.numerator < 0 for _, _, rhs in rows]
+    flipped = [rhs < 0 for _, _, rhs in rows]
     unit = {}  # row -> its starting unit column
     need_art = []
     touched = None  # per structural column, the number of rows it is nonzero in
-    for i, ((_, nz), rel, _) in enumerate(rows):
+    for i, (terms, rel, _) in enumerate(rows):
         if rel == "=":
             need_art.append(i)
         elif (rel == ">=") != flipped[i]:
             if touched is None:
                 touched = [0] * n
-                for (_, row_nz), _, _ in rows:
-                    for j, _ in row_nz:
+                for row_terms, _, _ in rows:
+                    for j, _ in row_terms:
                         touched[j] += 1
-            for j, a in nz:
+            for j, a in terms:
                 if touched[j] == 1 and (a > 0) != flipped[i]:
                     unit[i] = j
                     break
@@ -375,23 +378,22 @@ def _solve(lp: LinearProgram) -> SolveResult:
         art_col[i] = ncols
         ncols += 1
 
-    # Each row enters as integers over the lcm of its denominators; a row
+    # Each row enters as its own integers over 1, negated if flipped; a row
     # with a unit column is divided by its entry there.
     tab = []
     dens = []
     basis = [-1] * m
-    for i, ((row_den, nz), rel, rhs) in enumerate(rows):
+    for i, (terms, rel, rhs) in enumerate(rows):
         sign = -1 if flipped[i] else 1
-        den = lcm(rhs.denominator, row_den)
-        scale = sign * (den // row_den)
         row = [0] * (ncols + 1)
-        for j, a in nz:
-            row[j] = scale * a
-        row[-1] = sign * rhs.numerator * (den // rhs.denominator)
+        for j, a in terms:
+            row[j] = sign * a
+        row[-1] = sign * rhs
+        den = 1
         if i in aux_col:
-            row[aux_col[i]] = den * (sign if rel == "<=" else -sign)
+            row[aux_col[i]] = sign if rel == "<=" else -sign
         if i in art_col:
-            row[art_col[i]] = den
+            row[art_col[i]] = 1
             basis[i] = art_col[i]
         elif i in unit:
             basis[i] = j = unit[i]
@@ -424,15 +426,16 @@ def _solve(lp: LinearProgram) -> SolveResult:
         return SolveResult(UNBOUNDED, None, lp=lp)
 
     # Readout: the only place Fractions are built from the integer tableau,
-    # one per distinct numerator and denominator.
+    # one per distinct numerator and denominator; x_j is lo_j plus its
+    # shifted value.
     nums, den = cost
     made = _Fractions()
-    shifted = [_ZERO] * n
+    primal = [made[lo, 1] for lo in lower]
     for i, b in enumerate(basis):
         if b < n and tab[i][-1]:
-            shifted[b] = made[tab[i][-1], dens[i]]
-    primal = tuple(x + lo for x, lo in zip(shifted, lower)) if shifts else tuple(shifted)
-    obj_min = const - Fraction(nums[-1], den)  # internal minimized objective
+            primal[b] = made[tab[i][-1] + lower[b] * dens[i], dens[i]]
+    # The internal minimized objective, c.lo plus the shifted program's.
+    obj_min = sum(cj * lo for cj, lo in zip(c, lower)) - Fraction(nums[-1], den)
     objective = obj_min if minimize else -obj_min
 
     # Internal duals y_i (for the minimized problem) of the constraint rows,
@@ -447,8 +450,8 @@ def _solve(lp: LinearProgram) -> SolveResult:
             y = -nums[aux_col[i]] if con.rel == "<=" else nums[aux_col[i]]
         else:
             y = nums[art_col[i]] if flipped[i] else -nums[art_col[i]]
-        row_duals.append(made[y * sense_flip, den] if y else _ZERO)
-    return SolveResult(OPTIMAL, objective, primal, tuple(row_duals), lp=lp)
+        row_duals.append(made[y * sense_flip, den])
+    return SolveResult(OPTIMAL, objective, tuple(primal), tuple(row_duals), lp=lp)
 
 
 def _as_integers(values) -> tuple[int, list[int]]:
@@ -468,34 +471,26 @@ def verify_certificate(lp: LinearProgram, res: SolveResult) -> bool:
     lo_j and s_j < 0 needs x_j at a finite hi_j, so s_j splits into bound
     multipliers that make y dual feasible with value c.x, and the objective
     must be c.x.  The check thus accepts exactly the optimal primal-dual
-    pairs; a certificate of the wrong length is rejected.
+    pairs.  A certificate of the wrong length is rejected, and so is one
+    with an entry or objective that is not an int or a Fraction.
 
-    It reads the dense `coeffs` and skips their zeros (the shared 0 and 1 by
-    identity), never `Constraint.int_row`.  x, y and each vector of the
-    program's own values are brought over one common denominator, so every
-    comparison cross-multiplies integers and the sums sum_i y_i a_ij add up
-    integers.
+    It reads the program's own terms, rhs, costs and bounds, which are
+    ints, and brings x and y each over one common denominator, so every
+    comparison and the sums sum_i y_i a_ij are integer arithmetic.
     """
     n, rows = lp.num_vars, lp.constraints
-    if res.status != OPTIMAL or len(res.primal) != n or len(res.row_duals) != len(rows):
+    x, y = res.primal, res.row_duals
+    if (res.status != OPTIMAL or len(x) != n or len(y) != len(rows)
+            or any(type(v) not in (int, Fraction) for v in (res.objective, *x, *y))):
         return False
     sgn = 1 if lp.sense == "min" else -1  # internal minimization sign
-    dx, X = _as_integers(res.primal)
-    dy, Y = _as_integers(res.row_duals)
-    db, B = _as_integers([con.rhs for con in rows])
-    # Row i as integers A_ij = a_ij * den_i over its nonzero columns j.
-    int_rows = []
-    for con in rows:
-        nz = [(j, a) for j, a in enumerate(con.coeffs) if a is not _ZERO and a]
-        den = lcm(*{a.denominator for _, a in nz if a is not _ONE})
-        int_rows.append((den, [(j, den if a is _ONE else a.numerator * (den // a.denominator))
-                               for j, a in nz]))
+    dx, X = _as_integers(x)
+    dy, Y = _as_integers(y)
     # Primal feasibility, complementary slackness and the dual sign on rows;
-    # S[j] / (dy * D) is sum_i y_i a_ij, D the lcm of the row denominators.
-    D = lcm(*(den for den, _ in int_rows))
+    # S[j] / dy is sum_i y_i a_ij.
     S = [0] * n
-    for con, (den, A), Yi, Bi in zip(rows, int_rows, Y, B):
-        gap = sum(a * X[j] for j, a in A) * db - Bi * den * dx  # the sign of lhs - rhs
+    for con, Yi in zip(rows, Y):
+        gap = sum(a * X[j] for j, a in con.terms) - con.rhs * dx  # the sign of lhs - rhs
         rel = con.rel
         if (gap > 0 and rel != ">=") or (gap < 0 and rel != "<=") or (Yi and gap):
             return False
@@ -503,23 +498,16 @@ def verify_certificate(lp: LinearProgram, res: SolveResult) -> bool:
         if (rel == "<=" and sgn * Yi > 0) or (rel == ">=" and sgn * Yi < 0):
             return False
         if Yi:
-            k = Yi * (D // den)
-            for j, a in A:
-                S[j] += k * a
-    dc, C = _as_integers(lp.objective)
-    dl, L = _as_integers(lp.lower)
-    dh, H = _as_integers([_ZERO if hi is None else hi for hi in lp.upper])
-    E = lcm(dc, dy * D)
-    fc, fs = E // dc, E // (dy * D)
-    for j, hi in enumerate(lp.upper):
-        xl, lx = X[j] * dl, L[j] * dx  # x_j and lo_j over dx * dl
-        xh, hx = X[j] * dh, H[j] * dx  # x_j and hi_j over dx * dh
-        if xl < lx or (hi is not None and xh > hx):
+            for j, a in con.terms:
+                S[j] += Yi * a
+    for Xj, Sj, cj, lo, hi in zip(X, S, lp.objective, lp.lower, lp.upper):
+        lx = lo * dx  # lo_j and hi_j over dx
+        if Xj < lx or (hi is not None and Xj > hi * dx):
             return False
-        s = sgn * (C[j] * fc - S[j] * fs)  # the reduced cost s_j over E
-        if (s > 0 and xl != lx) or (s < 0 and (hi is None or xh != hx)):
+        s = sgn * (cj * dy - Sj)  # the reduced cost s_j over dy
+        if (s > 0 and Xj != lx) or (s < 0 and (hi is None or Xj != hi * dx)):
             return False
-    return Fraction(sum(c * x for c, x in zip(C, X)), dc * dx) == res.objective
+    return Fraction(sum(c * Xj for c, Xj in zip(lp.objective, X)), dx) == res.objective
 
 
 def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveResult:
@@ -528,48 +516,40 @@ def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveR
 
     Deterministic: branch on the lowest-index fractional variable, explore
     the floor branch first (depth-first).  Each node is `lp` with tightened
-    bounds; a branch whose bounds would cross is an infeasible leaf, counted
-    as a node but never built.  When every objective coefficient is
-    integral, so is the value of every integer point, and node bounds are
-    rounded (floor for max, ceil for min) before they are compared with the
-    incumbent.
+    bounds.  A child's bounds never cross: the bounds are ints, so lo <= v
+    <= hi with v fractional gives lo <= floor(v) < floor(v) + 1 <= hi.  The
+    costs are ints, so the value of every integer point is an int, and node
+    bounds are rounded (floor for max, ceil for min) before they are
+    compared with the incumbent.
     """
     best: SolveResult | None = None
     nodes = 0
     maximize = lp.sense == "max"
-    integral = all(cj.denominator == 1 for cj in lp.objective)
-    stack: list[LinearProgram | None] = [lp]
+    stack = [lp]
     while stack:
         node = stack.pop()
         nodes += 1
         if nodes > node_limit:
             raise NodeLimitExceeded(f"branch-and-bound exceeded {node_limit} nodes")
-        if node is None:
-            continue
         res = solve_lp(node)
         if res.status == UNBOUNDED:
             return SolveResult(UNBOUNDED, None, branch_count=nodes, lp=lp)
         if res.status != OPTIMAL:
             continue
         if best is not None:
-            bound = res.objective
-            if integral:
-                bound = floor(bound) if maximize else ceil(bound)
-            if maximize and bound <= best.objective:
+            if maximize and floor(res.objective) <= best.objective:
                 continue
-            if not maximize and bound >= best.objective:
+            if not maximize and ceil(res.objective) >= best.objective:
                 continue
         frac_j = next((j for j, v in enumerate(res.primal) if v.denominator != 1), None)
         if frac_j is None:
             best = res
             continue
-        v = res.primal[frac_j]
-        down = Fraction(v.numerator // v.denominator)
-        lo, hi = node.lower[frac_j], node.upper[frac_j]
+        down = floor(res.primal[frac_j])
         # LIFO stack: push ceil first so the floor branch is explored first.
-        stack.append(None if hi is not None and down + 1 > hi else replace(
+        stack.append(replace(
             node, lower=node.lower[:frac_j] + (down + 1,) + node.lower[frac_j + 1:]))
-        stack.append(None if down < lo else replace(
+        stack.append(replace(
             node, upper=node.upper[:frac_j] + (down,) + node.upper[frac_j + 1:]))
     if best is None:
         return SolveResult(INFEASIBLE, None, branch_count=nodes, lp=lp)

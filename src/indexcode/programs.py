@@ -3,7 +3,9 @@
 Each program has one builder, and `lp.solve_ilp` solves it as an integer
 program while `lp.solve_lp` solves its LP relaxation (a primed name, P2'
 for P2).  Only the covering programs P2 and P5 are written out, each a 0/1
-incidence matrix of columns against per-packet rows.  The deletion
+incidence matrix of columns against per-packet rows, held as integer data:
+a packet's row lists the columns whose members hold it, in rising order,
+and its rhs is the packet's weight.  The deletion
 programs P1 and P6 are their exact LP duals.  P1 is built as
 `lp.transpose(build_P2(...))`, so row i of one is column i of the other
 under the same name; P6 is never built: `lp.verify_certificate` on P5's LP
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from .enumeration import Cycle, PartialClique
 from .instance import Instance
-from .lp import _ONE, _ZERO, Constraint, LinearProgram, _frac
+from .lp import Constraint, LinearProgram
 
 __all__ = ["build_P2", "build_P5", "cycle_var_name"]
 
@@ -38,13 +40,15 @@ def _incidence_program(sense, columns, rows) -> LinearProgram:
     """The 0/1 program over x >= 0 with one column per `(name, key, cost,
     members)` and one row per `(element, name, rhs)`: the row has a 1 in
     each column whose members hold its element, and reads >= in a "min"
-    program and <= in a "max" one."""
+    program and <= in a "max" one.  Each column adds its term to its
+    members' rows, so the rows come out sparse, in rising column order."""
     rel = ">=" if sense == "min" else "<="
     names, keys, costs, members = tuple(zip(*columns)) or ((),) * 4
-    constraints = [
-        Constraint(tuple(_ONE if element in m else _ZERO for m in members), rel, _frac(rhs), name)
-        for element, name, rhs in rows
-    ]
+    terms = {element: [] for element, _, _ in rows}
+    for j, m in enumerate(members):
+        for element in m:
+            terms[element].append((j, 1))
+    constraints = [Constraint(terms[element], rel, rhs, name) for element, name, rhs in rows]
     return LinearProgram(sense, costs, constraints, var_names=names, var_keys=keys)
 
 

@@ -165,7 +165,7 @@ def lp_vertex_oracle(objective, rows, rhss, lowers, uppers, sense="max"):
 
 def certificate_oracle(lp, res):
     """`lp.verify_certificate`'s verdict, in Fraction arithmetic over every
-    dense coefficient: feasibility, row complementary slackness and dual
+    term of every row: feasibility, row complementary slackness and dual
     signs, the sign of each derived reduced cost against the bound its
     variable sits at, and the objective as c.x, exactly."""
     if res.status != "optimal":
@@ -175,7 +175,7 @@ def certificate_oracle(lp, res):
     sgn = 1 if lp.sense == "min" else -1  # internal minimization sign
     # Primal feasibility + complementary slackness on rows.
     for con, yi in zip(lp.constraints, y):
-        lhs = sum(a * xj for a, xj in zip(con.coeffs, x))
+        lhs = sum(a * x[j] for j, a in con.terms)
         if con.rel == "<=" and lhs > con.rhs:
             return False
         if con.rel == ">=" and lhs < con.rhs:
@@ -195,7 +195,8 @@ def certificate_oracle(lp, res):
             return False
         # The reduced cost s_j: positive only at the lower bound, negative
         # only at a finite upper bound.
-        s = sgn * (lp.objective[j] - sum(yi * con.coeffs[j] for con, yi in zip(lp.constraints, y)))
+        s = sgn * (lp.objective[j] - sum(yi * a for con, yi in zip(lp.constraints, y)
+                                         for k, a in con.terms if k == j))
         if s > 0 and x[j] != lo:
             return False
         if s < 0 and (hi is None or x[j] != hi):

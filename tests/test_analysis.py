@@ -209,7 +209,7 @@ def test_bounds_chain_on_randoms():
 
 def test_ilp_without_root_optimum_is_named_as_the_ilp(fig4, monkeypatch):
     def infeasible(inst, cliques):
-        return lp.LinearProgram("min", (1,), [lp.Constraint((F(0),), ">=", F(1))])
+        return lp.LinearProgram("min", (1,), [lp.Constraint((), ">=", 1)])
 
     monkeypatch.setattr(programs, "build_P5", infeasible)
     a = Analysis(fig4)

@@ -93,8 +93,8 @@ def test_fig1_scalar_cycle_schedule(fig1):
     # Pin the 3-cycle away to make the optimal solution unique: one round of
     # the 2-cycle {p1,p3} plus p2 uncoded, i.e. transmissions q1^q3 and q2.
     lp = build_P2(fig1, enumerate_cycles(fig1))
-    pin = tuple(F(n.startswith("C:p1|p3|p2")) for n in lp.var_names)
-    lp = replace(lp, constraints=(*lp.constraints, Constraint(pin, "<=", F(0), "pin")))
+    pin = tuple((j, 1) for j, n in enumerate(lp.var_names) if n.startswith("C:p1|p3|p2"))
+    lp = replace(lp, constraints=(*lp.constraints, Constraint(pin, "<=", 0, "pin")))
     res = solve_ilp(lp)
     assert res.objective == 2
     sched = cyclic_schedule(fig1, res)
@@ -167,7 +167,7 @@ def test_cyclic_schedule_reads_theta_off_the_solution(fig4):
 
 def test_schedule_rejects_infeasible(fig1):
     lp = build_P2(fig1, enumerate_cycles(fig1))
-    absurd = Constraint((F(0),) * lp.num_vars, "<=", F(-1), "absurd")
+    absurd = Constraint((), "<=", -1, "absurd")
     lp = replace(lp, constraints=(*lp.constraints, absurd))
     res = solve_ilp(lp)
     with pytest.raises(ScheduleError):

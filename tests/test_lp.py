@@ -2,7 +2,6 @@ import operator
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as F
 from itertools import product
-from math import lcm
 from random import Random
 from types import SimpleNamespace
 
@@ -26,7 +25,13 @@ from conftest import certificate_oracle, lp_vertex_oracle
 
 
 def _row(coeffs, rel, rhs):
-    return Constraint(tuple(map(F, coeffs)), rel, F(rhs))
+    """The row of the dense coefficient list `coeffs`."""
+    return Constraint(tuple((j, a) for j, a in enumerate(coeffs) if a), rel, rhs)
+
+
+def _dense(lp):
+    """Each row of `lp` as its dense coefficient list."""
+    return [[dict(con.terms).get(j, 0) for j in range(lp.num_vars)] for con in lp.constraints]
 
 
 def _lp(sense, c, rows, lower=(), upper=(), names=()):
@@ -79,14 +84,14 @@ def test_unbounded():
 
 
 def test_upper_bounds_and_their_duals():
-    lp = _lp("max", [1, 1], [([1, 1], "<=", 3)], upper=(F(1), None))
+    lp = _lp("max", [1, 1], [([1, 1], "<=", 3)], upper=(1, None))
     res = solve_lp(lp)
     assert res.objective == 3
     assert verify_certificate(lp, res)
 
 
 def test_nonzero_lower_bounds():
-    lp = _lp("min", [1, 1], [([1, 1], ">=", 3)], lower=(F(2), F(0)))
+    lp = _lp("min", [1, 1], [([1, 1], ">=", 3)], lower=(2, 0))
     res = solve_lp(lp)
     assert res.objective == 3
     assert res.primal in ((F(2), F(1)), (F(3), F(0)))
@@ -94,19 +99,22 @@ def test_nonzero_lower_bounds():
 
 
 def test_degenerate_no_cycling():
-    # Classic degeneracy stressor; Bland's rule must terminate.
+    # Classic degeneracy stressor; Bland's rule must terminate.  Beale's
+    # example with its objective and first two rows scaled by 100 to
+    # integers: scaling a row or the objective by a positive factor keeps
+    # every pivot of the rational example.
     lp = _lp(
         "max",
-        [F(3, 4), -150, F(1, 50), -6],
+        [75, -15000, 2, -600],
         [
-            ([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
-            ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
+            ([25, -6000, -4, 900], "<=", 0),
+            ([50, -9000, -2, 300], "<=", 0),
             ([0, 0, 1, 0], "<=", 1),
         ],
     )
     res = solve_lp(lp)
     assert res.status == "optimal"
-    assert res.objective == F(1, 20)
+    assert res.objective == 5  # 100 * 1/20
     assert verify_certificate(lp, res)
 
 
@@ -115,50 +123,52 @@ def test_matches_vertex_oracle_on_random_lps():
     for _ in range(60):
         n = rng.randint(1, 3)
         m = rng.randint(1, 3)
-        c = [F(rng.randint(-3, 3)) for _ in range(n)]
-        rows = [[F(rng.randint(-2, 3)) for _ in range(n)] for _ in range(m)]
-        rhss = [F(rng.randint(0, 4)) for _ in range(m)]
-        uppers = [F(rng.randint(1, 4)) for _ in range(n)]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        rows = [[rng.randint(-2, 3) for _ in range(n)] for _ in range(m)]
+        rhss = [rng.randint(0, 4) for _ in range(m)]
+        uppers = [rng.randint(1, 4) for _ in range(n)]
         lp = _lp(
             "max", c, [(r, "<=", b) for r, b in zip(rows, rhss)],
             upper=tuple(uppers),
         )
         res = solve_lp(lp)
-        expect = lp_vertex_oracle(c, rows, rhss, [F(0)] * n, uppers, "max")
+        expect = lp_vertex_oracle(c, rows, rhss, [0] * n, uppers, "max")
         assert res.status == "optimal"
         assert res.objective == expect
         assert verify_certificate(lp, res)
 
 
-def _random_mixed_lp(rng):
-    """A small LP with fractional data, mixed relations, nonzero lower
-    bounds and optional bound overrides.  Rows are built around a point x0
-    inside the bounds, so most draws are feasible; rows with negative
-    coefficients give negative right-hand sides, which the solver flips."""
-    def frac():
-        return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4)))
+def _coef(rng):
+    """A random integer coefficient: zero and negative ones included, and
+    one in five of two digits."""
+    if rng.random() < 0.2:
+        return rng.choice((-1, 1)) * rng.randint(10, 99)
+    return rng.randint(-6, 6)
 
+
+def _random_mixed_lp(rng):
+    """A small LP with integer data, mixed relations, nonzero lower bounds
+    and optional bound overrides.  Rows are built around an integer point
+    x0 inside the bounds, so most draws are feasible; rows with negative
+    coefficients give negative right-hand sides, which the solver flips."""
     n = rng.randint(1, 3)
-    lower = [rng.choice((F(0), frac())) for _ in range(n)]
-    upper = [None if rng.random() < 0.2 else lo + F(rng.randint(1, 8), rng.choice((1, 2)))
-             for lo in lower]
-    x0 = [lo + (F(rng.randint(0, 4), 2) if hi is None else (hi - lo) * F(rng.randint(0, 4), 4))
-          for lo, hi in zip(lower, upper)]
-    sense, c = rng.choice(("max", "min")), tuple(frac() for _ in range(n))
+    lower = [rng.choice((0, _coef(rng))) for _ in range(n)]
+    upper = [None if rng.random() < 0.2 else lo + rng.randint(1, 8) for lo in lower]
+    x0 = [lo + rng.randint(0, 4 if hi is None else hi - lo) for lo, hi in zip(lower, upper)]
+    sense, c = rng.choice(("max", "min")), tuple(_coef(rng) for _ in range(n))
     rows = []
     for _ in range(rng.randint(1, 3)):
-        coeffs = [rng.choice((F(0), frac())) for _ in range(n)]
+        coeffs = [rng.choice((0, _coef(rng))) for _ in range(n)]
         rel = rng.choice(("<=", ">=", "="))
         lhs = sum(a * x for a, x in zip(coeffs, x0))
-        slack = F(rng.randint(0, 3), rng.choice((1, 2)))
-        rows.append(Constraint(tuple(coeffs), rel,
-                               {"<=": lhs + slack, ">=": lhs - slack, "=": lhs}[rel]))
+        slack = rng.randint(0, 3)
+        rows.append(_row(coeffs, rel, {"<=": lhs + slack, ">=": lhs - slack, "=": lhs}[rel]))
     lp = LinearProgram(sense, c, rows, tuple(lower), tuple(upper))
     overrides = None
     if rng.random() < 0.3:
         j = rng.randrange(n)
-        overrides = {j: (rng.choice((None, F(rng.randint(-2, 3)))),
-                         rng.choice((None, F(rng.randint(0, 5)))))}
+        overrides = {j: (rng.choice((None, rng.randint(-2, 3))),
+                         rng.choice((None, rng.randint(0, 5))))}
     return lp, overrides
 
 
@@ -166,12 +176,12 @@ def _oracle_value(lp, lower, upper, cap):
     """Vertex-oracle optimum with >= and = rows rewritten as <= rows and
     every missing upper bound replaced by `cap`."""
     rows, rhss = [], []
-    for con in lp.constraints:
+    for con, dense in zip(lp.constraints, _dense(lp)):
         if con.rel in ("<=", "="):
-            rows.append(list(con.coeffs))
+            rows.append(dense)
             rhss.append(con.rhs)
         if con.rel in (">=", "="):
-            rows.append([-a for a in con.coeffs])
+            rows.append([-a for a in dense])
             rhss.append(-con.rhs)
     uppers = [cap if hi is None else hi for hi in upper]
     return lp_vertex_oracle(lp.objective, rows, rhss, lower, uppers, lp.sense)
@@ -259,8 +269,9 @@ def _random_unit_column_lp(rng):
     simplex start: in a >= row, in a <= row flipped by its negative rhs,
     of the wrong sign, in an = row, with an upper bound, over a shifted
     lower bound, or beside a second one."""
-    def frac():
-        return F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice((1, 2, 3)))
+    def nonzero():
+        return rng.choice((-1, 1)) * (rng.randint(1, 6) if rng.random() < 0.8
+                                      else rng.randint(10, 99))
 
     while True:
         m = rng.randint(1, 3)
@@ -268,21 +279,21 @@ def _random_unit_column_lp(rng):
         owners += [None] * rng.randint(0, 1)
         if 0 < len(owners) <= 4:
             break
-    lower = [F(0) if rng.random() < 0.7 else frac() for _ in owners]
+    lower = [0 if rng.random() < 0.7 else nonzero() for _ in owners]
     upper = [None if rng.random() < 0.7 else lo + rng.randint(1, 6) for lo in lower]
-    x0 = [lo + F(rng.randint(0, 4), 2) if hi is None else hi - F(rng.randint(0, 2), 2)
+    x0 = [lo + rng.randint(0, 4) if hi is None else hi - rng.randint(0, 1)
           for lo, hi in zip(lower, upper)]
     rows = []
     for i in range(m):
-        coeffs = tuple(frac() if owner == i else rng.choice((F(0), frac())) if owner is None
-                       else F(0) for owner in owners)
+        coeffs = [nonzero() if owner == i else rng.choice((0, nonzero())) if owner is None
+                  else 0 for owner in owners]
         rel = rng.choice(("<=", ">=", "="))
         lhs = sum(a * x for a, x in zip(coeffs, x0))
-        slack = F(rng.randint(0, 3), rng.choice((1, 2)))
+        slack = rng.randint(0, 3)
         rhs = ({"<=": lhs + slack, ">=": lhs - slack, "=": lhs}[rel] if rng.random() < 0.5
-               else F(rng.randint(-6, 6), rng.choice((1, 2))))
-        rows.append(Constraint(coeffs, rel, rhs))
-    sense, c = rng.choice(("max", "min")), tuple(F(rng.randint(-3, 3)) for _ in owners)
+               else rng.randint(-6, 6))
+        rows.append(_row(coeffs, rel, rhs))
+    sense, c = rng.choice(("max", "min")), tuple(rng.randint(-3, 3) for _ in owners)
     return LinearProgram(sense, c, rows, tuple(lower), tuple(upper))
 
 
@@ -292,14 +303,14 @@ def _start_rule(lp):
     lowest column it may start basic in (a column nonzero in this row
     alone, with no upper bound and an entry of the row's sign), or None,
     and the cases its one-row columns meet."""
-    single = [sum(1 for con in lp.constraints if con.coeffs[j]) == 1
-              for j in range(lp.num_vars)]
+    dense = _dense(lp)
+    single = [sum(1 for row in dense if row[j]) == 1 for j in range(lp.num_vars)]
     out = []
-    for con in lp.constraints:
-        flipped = con.rhs - sum(a * lo for a, lo in zip(con.coeffs, lp.lower)) < 0
+    for con, row in zip(lp.constraints, dense):
+        flipped = con.rhs - sum(a * lo for a, lo in zip(row, lp.lower)) < 0
         rel = {"<=": ">=", ">=": "<=", "=": "="}[con.rel] if flipped else con.rel
         cases, starts = set(), []
-        for j, a in enumerate(con.coeffs):
+        for j, a in enumerate(row):
             if not (a and single[j]) or rel == "<=":
                 continue
             if rel == "=":
@@ -400,6 +411,21 @@ def test_certificate_of_the_wrong_length_is_rejected():
             assert not verify_certificate(lp, replace(res, **{field: wrong})), field
 
 
+@pytest.mark.parametrize("bad", [1.0, None, "1", True], ids=["float", "None", "str", "bool"])
+@pytest.mark.parametrize("field", ["primal", "row_duals", "objective"])
+def test_certificate_with_an_entry_of_another_type_is_rejected(field, bad):
+    # max x, x <= 1: every bad value but None equals, or reads as, the true 1.
+    lp = _lp("max", [1], [([1], "<=", 1)])
+    res = solve_lp(lp)
+    assert (res.objective, res.primal, res.row_duals) == (1, (1,), (1,))
+
+    def entry(v):
+        return {field: v if field == "objective" else (v,)}
+
+    assert verify_certificate(lp, replace(res, **entry(1)))  # an int is a rational
+    assert verify_certificate(lp, replace(res, **entry(bad))) is False
+
+
 def _at(values, j, v):
     return values[:j] + (F(v),) + values[j + 1:]
 
@@ -475,7 +501,7 @@ def test_ilp_knapsack():
     lp = _lp(
         "max", [10, 6, 4],
         [([1, 1, 1], "<=", 2)],
-        upper=(F(1),) * 3,
+        upper=(1,) * 3,
     )
     res = solve_ilp(lp)
     assert res.objective == 16
@@ -488,12 +514,12 @@ def test_ilp_matches_bruteforce():
     for _ in range(40):
         n = rng.randint(1, 4)
         m = rng.randint(1, 3)
-        c = [F(rng.randint(0, 5)) for _ in range(n)]
-        rows = [[F(rng.randint(0, 3)) for _ in range(n)] for _ in range(m)]
-        rhss = [F(rng.randint(1, 5)) for _ in range(m)]
+        c = [rng.randint(0, 5) for _ in range(n)]
+        rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)]
+        rhss = [rng.randint(1, 5) for _ in range(m)]
         lp = _lp(
             "max", c, [(r, "<=", b) for r, b in zip(rows, rhss)],
-            upper=(F(1),) * n,
+            upper=(1,) * n,
         )
         res = solve_ilp(lp)
         best = max(
@@ -504,19 +530,26 @@ def test_ilp_matches_bruteforce():
         assert res.objective == best
 
 
-def _pruning_ilp(seed, halve):
-    """Five integer variables in [0, 3], three dense rows.  With `halve` the
-    objective is divided by 2, which keeps the search tree of the unrounded
-    bound but makes the objective non-integral, so no rounding applies."""
+_UNROUNDED = 10**6
+
+
+def _pruning_ilp(seed, unrounded):
+    """Five integer variables in [0, 3], three dense rows.  With `unrounded`
+    the objective is multiplied by K = 10**6, which keeps the search tree
+    of the unrounded bound: every LP value of this program is a fraction
+    with a denominator below 4,000 (Hadamard's bound 9^3 * 3^1.5 on its
+    3 x 3 minors), so a node's value v and the integer incumbent b differ
+    by at least 1/4,000 when they differ, and the rounded K v passes K b
+    exactly when v passes b."""
     rng = Random(seed)
     sense = rng.choice(("max", "min"))
     c = [rng.randint(1, 9) for _ in range(5)]
     rows = [[rng.randint(1, 9) for _ in range(5)] for _ in range(3)]
     rhss = [rng.randint(10, 30) for _ in range(3)]
     rel = "<=" if sense == "max" else ">="
-    obj = [F(x, 2) for x in c] if halve else c
+    obj = [x * _UNROUNDED for x in c] if unrounded else c
     lp = _lp(sense, obj, [(r, rel, b) for r, b in zip(rows, rhss)],
-             upper=(F(3),) * 5)
+             upper=(3,) * 5)
 
     def feasible(xs):
         lhss = [sum(a * x for a, x in zip(r, xs)) for r in rows]
@@ -531,17 +564,17 @@ def _pruning_ilp(seed, halve):
 
 def test_ilp_prunes_on_rounded_bound():
     for seed in (1564, 1931):  # one max and one min draw with large trees
-        lp, best = _pruning_ilp(seed, halve=False)
+        lp, best = _pruning_ilp(seed, unrounded=False)
         res = solve_ilp(lp)
         assert res.objective == best
         assert all(x.denominator == 1 for x in res.primal)
-        unrounded = solve_ilp(_pruning_ilp(seed, halve=True)[0])
-        assert unrounded.objective == F(best, 2)
+        unrounded = solve_ilp(_pruning_ilp(seed, unrounded=True)[0])
+        assert unrounded.objective == best * _UNROUNDED
         assert res.branch_count < unrounded.branch_count
 
 
 def test_ilp_infeasible():
-    lp = _lp("max", [1], [([2], "=", 1)], upper=(F(3),))
+    lp = _lp("max", [1], [([2], "=", 1)], upper=(3,))
     res = solve_ilp(lp)
     assert res.status == "infeasible"
 
@@ -552,66 +585,95 @@ def test_ilp_node_limit():
     lp = _lp(
         "max", [1, 1, 1],
         [([1, 1, 0], "<=", 1), ([0, 1, 1], "<=", 1), ([1, 0, 1], "<=", 1)],
-        upper=(F(1),) * 3,
+        upper=(1,) * 3,
     )
     with pytest.raises(NodeLimitExceeded):
         solve_ilp(lp, node_limit=1)
 
 
-@pytest.mark.parametrize("sense, lower, upper, best", [
-    ("max", 0, F(5, 2), 2),  # the ceil child's bounds 3 > 5/2 cross
-    ("min", F(1, 2), None, 1),  # the floor child's bounds 1/2 > 0 cross
-])
-def test_ilp_counts_a_crossing_child_but_never_solves_it(monkeypatch, sense, lower, upper, best):
+@pytest.mark.parametrize("sense, row, best, children", [
+    # max x, 2x <= 5, x in [0, 3]: x = 5/2; x <= 2 gives 2, x >= 3 is infeasible.
+    ("max", ([2], "<=", 5), 2, [(0, 2), (3, 3)]),
+    # min x, 2x >= 1, x >= 0: x = 1/2; x <= 0 is infeasible, x >= 1 gives 1.
+    ("min", ([2], ">=", 1), 1, [(0, 0), (1, None)]),
+], ids=["max", "min"])
+def test_ilp_solves_every_child_it_counts(monkeypatch, sense, row, best, children):
+    # Integer bounds never cross: lo <= floor(v) < floor(v) + 1 <= hi for
+    # a fractional v in [lo, hi], so each child is a program and is solved.
     solved = []
     monkeypatch.setattr(lp_module, "solve_lp", lambda node: solved.append(node) or solve_lp(node))
-    res = solve_ilp(_lp(sense, [1], [], lower=(lower,), upper=(upper,)))
+    res = solve_ilp(_lp(sense, [1], [row], upper=(3 if sense == "max" else None,)))
     assert (res.status, res.objective, res.primal) == ("optimal", best, (best,))
-    # The root, the child that is solved and the crossing one are counted.
-    assert (res.branch_count, len(solved)) == (3, 2)
+    assert (res.branch_count, len(solved)) == (3, 3)
+    assert [(node.lower[0], node.upper[0]) for node in solved[1:]] == children
 
 
 def test_ilp_unbounded_relaxation():
-    res = solve_ilp(_lp("max", [1, 1], [([1, -1], "<=", F(1, 2))]))
+    res = solve_ilp(_lp("max", [1, 1], [([2, -2], "<=", 1)]))
     assert (res.status, res.objective, res.branch_count) == ("unbounded", None, 1)
 
 
 def test_dimension_errors():
-    with pytest.raises(DimensionError, match="has 2 coefficients, expected 1"):
-        LinearProgram("max", (F(1),), [Constraint((F(1), F(2)), "<=", F(1))])
+    with pytest.raises(DimensionError, match="column 1 is out of range for 1 variables"):
+        LinearProgram("max", (1,), [Constraint(((0, 1), (1, 2)), "<=", 1)])
     with pytest.raises(DimensionError):
-        LinearProgram("max", (F(1),), lower=(F(2),), upper=(F(1),))
+        LinearProgram("max", (1,), lower=(2,), upper=(1,))
     with pytest.raises(DimensionError, match="unknown relation '<<'"):
-        LinearProgram("max", (F(1),), [Constraint((F(1),), "<<", F(1))])
+        LinearProgram("max", (1,), [Constraint(((0, 1),), "<<", 1)])
     for wrong in ({"lower": (0, 0)}, {"upper": (None, 1)}, {"var_names": ("x", "y")},
                   {"var_keys": ("k", "l")}):
         with pytest.raises(DimensionError, match="must match the variable count"):
-            LinearProgram("max", (F(1),), **wrong)
+            LinearProgram("max", (1,), **wrong)
 
 
-def test_int_row_is_the_dense_row_over_one_denominator():
-    zero = F(0, 7)  # a zero that is not the shared one
-    con = Constraint((3, 0, F(-3, 4), F(5, 6), zero, F(1), -1), "<=", F(1))
-    assert con.int_row == (12, ((0, 36), (2, -9), (3, 10), (5, 12), (6, -12)))
-    assert Constraint((0, zero), "=", F(0)).int_row == (1, ())
-    rng = Random(5)
-    for _ in range(200):
-        coeffs = tuple(rng.choice((0, 1, -2, F(0), F(1), zero)) if rng.random() < 0.5
-                       else F(rng.randint(-9, 9), rng.randint(1, 12))
-                       for _ in range(rng.randint(0, 8)))
-        den, nz = Constraint(coeffs, ">=", F(0)).int_row
-        assert den == lcm(*(F(a).denominator for a in coeffs if a))
-        assert [j for j, _ in nz] == [j for j, a in enumerate(coeffs) if a]
-        assert all(type(v) is int and F(v, den) == coeffs[j] for j, v in nz)
+def _program(terms=((0, 1),), rhs=1, objective=(1,), lower=(0,), upper=(None,)):
+    return LinearProgram("max", objective, [Constraint(terms, "<=", rhs, "r")], lower, upper)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _program(terms=((0, F(1)),)), "row 'r': coefficient Fraction(1, 1) of column 0 "
+                                           "is not an int"),
+    (lambda: _program(terms=((0, 1.0),)), "row 'r': coefficient 1.0 of column 0 is not an int"),
+    (lambda: _program(terms=((0, True),)), "row 'r': coefficient True of column 0 is not an int"),
+    (lambda: _program(terms=((0.0, 1),)), "row 'r': column 0.0 is not an int"),
+    (lambda: _program(terms=((0, 0),)), "row 'r': column 0 has a zero coefficient"),
+    (lambda: _program(rhs=F(1)), "row 'r': rhs Fraction(1, 1) is not an int"),
+    (lambda: _program(rhs=1.0), "row 'r': rhs 1.0 is not an int"),
+    (lambda: _program(rhs=True), "row 'r': rhs True is not an int"),
+    (lambda: _program(objective=(F(1),)), "objective entry Fraction(1, 1) of column 0 "
+                                          "is not an int"),
+    (lambda: _program(objective=(1.0,)), "objective entry 1.0 of column 0 is not an int"),
+    (lambda: _program(objective=(True,)), "objective entry True of column 0 is not an int"),
+    (lambda: _program(lower=(F(0),)), "lower bound Fraction(0, 1) of column 0 is not an int"),
+    (lambda: _program(lower=(0.0,)), "lower bound 0.0 of column 0 is not an int"),
+    (lambda: _program(lower=(False,)), "lower bound False of column 0 is not an int"),
+    (lambda: _program(lower=(None,)), "lower bound None of column 0 is not an int"),
+    (lambda: _program(upper=(F(2),)), "upper bound Fraction(2, 1) of column 0 is not an int"),
+    (lambda: _program(upper=(2.0,)), "upper bound 2.0 of column 0 is not an int"),
+    (lambda: _program(upper=(True,)), "upper bound True of column 0 is not an int"),
+    (lambda: _program(terms=((1, 1), (0, 1)), objective=(1, 1), lower=(0, 0), upper=(None,) * 2),
+     "row 'r': column 0 follows column 1"),
+    (lambda: _program(terms=((0, 1), (0, 2))), "row 'r': column 0 is repeated"),
+    (lambda: _program(terms=((-1, 1),)), "row 'r': column -1 is negative"),
+    (lambda: _program(terms=((0, 1), (1, 1))), "row 'r': column 1 is out of range for 1 variables"),
+], ids=["fraction coefficient", "float coefficient", "bool coefficient", "float column",
+        "zero coefficient", "fraction rhs", "float rhs", "bool rhs", "fraction objective",
+        "float objective", "bool objective", "fraction lower", "float lower", "bool lower",
+        "missing lower", "fraction upper", "float upper", "bool upper", "column out of order",
+        "repeated column", "negative column", "column out of range"])
+def test_bad_data_is_refused_when_the_program_is_made(build, message):
+    with pytest.raises(DimensionError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_a_solved_constraint_compares_hashes_and_prints_as_before():
-    a, b = (Constraint((F(1), F(1, 2)), "<=", F(3), "r") for _ in range(2))
+    a, b = (Constraint(((0, 2), (1, 1)), "<=", 6, "r") for _ in range(2))
     text = repr(b)
-    assert solve_lp(LinearProgram("max", (F(1), F(1)), [a])).objective == 6
-    assert "int_row" in vars(a) and "int_row" not in vars(b)
+    assert solve_lp(LinearProgram("max", (1, 1), [a])).objective == 6
+    # Solving keeps nothing on a row: it holds its fields and no more.
+    assert vars(a) == vars(b) and [f.name for f in fields(Constraint)] == list(vars(a))
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == text
-    assert "int_row" not in {f.name for f in fields(Constraint)}
 
 
 def _result_fields(res):
@@ -629,17 +691,18 @@ def test_a_replaced_program_solves_the_same_over_shared_rows():
 
 
 def _random_standard_lp(rng, sense):
-    """A covering (min, >=) or packing (max, <=) program with positive
-    fractional data, so it has an optimum."""
+    """A covering (min, >=) or packing (max, <=) program with nonnegative
+    integer data, zeros and two-digit entries included, in which every row
+    and column touches a positive entry, so it has an optimum."""
     n, m = rng.randint(1, 5), rng.randint(1, 5)
     rel = ">=" if sense == "min" else "<="
-    rows = [([F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)], rel,
-             F(rng.randint(1, 9), rng.randint(1, 3))) for _ in range(m)]
-    for coeffs, _, _ in rows:  # every row and column touches a positive entry
+    rows = [([rng.choice((0, rng.randint(1, 6), rng.randint(10, 60))) for _ in range(n)], rel,
+             rng.randint(1, 30)) for _ in range(m)]
+    for coeffs, _, _ in rows:
         coeffs[rng.randrange(n)] += 1
     for j in range(n):
-        rows[rng.randrange(m)][0][j] += F(1, 2)
-    c = [F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n)]
+        rows[rng.randrange(m)][0][j] += 1
+    c = [rng.randint(1, 30) for _ in range(n)]
     return _lp(sense, c, rows, names=tuple(f"v{j}" for j in range(n)))
 
 
@@ -653,7 +716,7 @@ def test_transpose_is_an_involution():
         assert dual.sense != lp.sense
         assert dual.var_names == tuple(f"r{i}" for i in range(len(lp.constraints)))
         assert [c.name for c in dual.constraints] == list(lp.var_names)
-        assert [c.coeffs for c in dual.constraints] == list(zip(*(c.coeffs for c in lp.constraints)))
+        assert _dense(dual) == [list(column) for column in zip(*_dense(lp))]
         back = transpose(dual)
         assert (back.sense, back.objective, back.var_names) == (lp.sense, lp.objective, lp.var_names)
         assert back.constraints == lp.constraints
@@ -704,12 +767,15 @@ def test_a_second_solve_runs_no_tableau(tableaux):
         tableaux.clear()
 
 
+def _odd_cycle_packing():
+    """The root sits at the all-1/2 vertex, so the integer program branches."""
+    return _lp("max", [1, 1, 1],
+               [([1, 1, 0], "<=", 1), ([0, 1, 1], "<=", 1), ([1, 0, 1], "<=", 1)],
+               upper=(1,) * 3)
+
+
 def test_a_replaced_program_and_every_node_solve_afresh(tableaux):
-    # Odd-cycle packing: the root sits at the all-1/2 vertex, so the
-    # integer program branches.
-    lp = _lp("max", [1, 1, 1],
-             [([1, 1, 0], "<=", 1), ([0, 1, 1], "<=", 1), ([1, 0, 1], "<=", 1)],
-             upper=(F(1),) * 3)
+    lp = _odd_cycle_packing()
     root = solve_lp(lp)
     copy = replace(lp)
     assert _result_fields(solve_lp(copy)) == _result_fields(root)
@@ -719,6 +785,20 @@ def test_a_replaced_program_and_every_node_solve_afresh(tableaux):
     # The root is the kept relaxation; each node below it is a program of its
     # own, x0's floor and then its ceil branch, solved from scratch.
     assert [(node.lower[0], node.upper[0]) for node in tableaux[2:]] == [(0, 0), (1, 1)]
+
+
+def test_a_node_holds_its_parents_rows(tableaux, monkeypatch):
+    lp = _odd_cycle_packing()
+    checked = []
+    check = Constraint.__post_init__
+    monkeypatch.setattr(Constraint, "__post_init__", lambda con: checked.append(con) or check(con))
+    res = solve_ilp(lp)
+    assert (res.objective, res.branch_count) == (1, 3)
+    # Each node holds the root's Constraint objects, so no row is made, or
+    # checked, again.
+    assert len(tableaux) == 3 and tableaux[0] is lp
+    assert all(map(operator.is_, node.constraints, lp.constraints) for node in tableaux)
+    assert checked == []
 
 
 def test_a_transposed_pair_shares_one_solve(tableaux):

@@ -48,7 +48,7 @@ def test_p1_caps_each_packet_by_its_y_row(fig1):
     rows = {c.name: c for c in lp.constraints}
     for j, pid in enumerate(("p1", "p2", "p3")):
         assert rows["y:" + pid].rhs == 1
-        assert rows["y:" + pid].coeffs == tuple(F(int(i == j)) for i in range(3))
+        assert rows["y:" + pid].terms == ((j, 1),)
     assert all(hi is None for hi in lp.upper)
 
 
@@ -67,8 +67,9 @@ def test_p2_structure_fig1(fig1):
 
 
 def _rows(lp):
-    """(name, relation, rhs, coefficients) of each row, in order."""
-    return [(c.name, c.rel, c.rhs, c.coeffs) for c in lp.constraints]
+    """(name, relation, rhs, dense coefficients) of each row, in order."""
+    return [(c.name, c.rel, c.rhs, tuple(dict(c.terms).get(j, 0) for j in range(lp.num_vars)))
+            for c in lp.constraints]
 
 
 def test_p4_structure_fig4(fig4):
@@ -162,7 +163,7 @@ def test_p6_structure_fig4(fig4):
     # (3,2)-clique row: x1+x2+x3 <= 1
     full = rows["T:p1|p2|p3"]
     assert full.rhs == 1
-    assert full.coeffs == (F(1), F(1), F(1))
+    assert full.terms == ((0, 1), (1, 1), (2, 1))
     # singleton rows act as x_m <= 1
     assert rows["T:p1"].rhs == 1
     assert solve_ilp(lp).objective == 1
@@ -331,9 +332,8 @@ def test_p2_has_one_column_per_cycle_packet_set():
         assert len(set(sets)) == len(sets) < len({c.packet_set for c in cycles})
         # One column per cycle of the oracle, duplicates included: same values.
         pids = list(inst.packet_ids)
-        rows = [Constraint(tuple(F(pid in c.packet_set) for c in cycles)
-                           + tuple(F(i == j) for i in range(len(pids))),
-                           ">=", F(inst.packet(pid).weight))
+        rows = [Constraint(tuple((k, 1) for k, c in enumerate(cycles) if pid in c.packet_set)
+                           + ((len(cycles) + j, 1),), ">=", inst.packet(pid).weight)
                 for j, pid in enumerate(pids)]
         full = LinearProgram("min", tuple(c.length - 1 for c in cycles) + (1,) * len(pids), rows)
         assert solve_ilp(p2).objective == solve_ilp(full).objective
@@ -347,6 +347,34 @@ def test_deletion_programs_are_transposes(fig4):
         assert (back.sense, back.objective, back.var_names) == (
             cover.sense, cover.objective, cover.var_names)
         assert back.constraints == cover.constraints
+
+
+def _members(key):
+    """The packets a P2 or P5 column covers, read off its key."""
+    return (key,) if isinstance(key, str) else key.packets
+
+
+def test_built_rows_are_sparse_integer_terms(fig1, fig4):
+    rng = Random(43)
+    for inst in [fig1, fig4] + [random_unicast_instance(rng, 7, 5) for _ in range(50)]:
+        cycles, cliques = _vals(inst)
+        p2 = build_P2(inst, cycles)
+        for name, p in (("P2", p2), ("P5", build_P5(inst, cliques)), ("P1", transpose(p2))):
+            assert all(type(c) is int for c in p.objective), name
+            for con in p.constraints:
+                columns = [j for j, _ in con.terms]
+                assert columns == sorted(set(columns)) and set(columns) <= set(range(p.num_vars))
+                assert all(type(j) is int and type(a) is int and a for j, a in con.terms)
+                assert type(con.rhs) is int, (name, con.name)
+            back = transpose(transpose(p))
+            assert (back.objective, back.var_names, back.constraints) == (
+                p.objective, p.var_names, p.constraints), name
+        # A covering row holds a 1 in each column that covers its packet.
+        for p in (p2, build_P5(inst, cliques)):
+            for con, pkt in zip(p.constraints, inst.packets):
+                assert con.terms == tuple((j, 1) for j, key in enumerate(p.var_keys)
+                                          if pkt.id in _members(key))
+                assert con.rhs == pkt.weight
 
 
 def test_pruned_clique_family_matches_full_family_oracle():
