@@ -17,7 +17,8 @@ from functools import cached_property
 
 from . import programs
 from .enumeration import (
-    DEFAULT_MAX_CYCLES, Cycle, PartialClique, enumerate_cycles, enumerate_partial_cliques,
+    DEFAULT_MAX_CYCLES, Cycle, PartialClique, _lone_packets, enumerate_cycles,
+    enumerate_partial_cliques,
 )
 from .instance import Instance, is_uniprior, total_weight
 from .lp import (
@@ -281,7 +282,17 @@ class Analysis:
     `SolveError`.  A program and its relaxation are one object, so the
     integer program's root reuses the relaxation's optimum, and P1 and P2
     share one simplex solve (`lp.solve_lp`).  P5 ranges over the whole
-    clique family, which the instance fixes, so no cap selects it."""
+    clique family, which the instance fixes, so no cap selects it.
+
+    The split by strong component is made here.  The packet digraph's
+    strong components are made once per instance (`Instance._packet_graph`)
+    and read by both enumerators.  A packet alone in its component lies on
+    no cycle and in no clique but its singleton, so every program sends it
+    directly at its full weight: P2 and P5, and so P1, are built over the
+    other packets only (`_split`), each value adds the lone packets'
+    weight, and the schedules send them directly (`coding`).  The
+    programs stay one each, over all the components of two or more
+    packets: one simplex tableau per component ran slower."""
 
     def __init__(self, inst: Instance, max_cycles=DEFAULT_MAX_CYCLES,
                  node_limit=DEFAULT_NODE_LIMIT):
@@ -297,20 +308,36 @@ class Analysis:
 
     @cached_property
     def cliques(self) -> list[PartialClique]:
-        """The clique family of P5: the singletons and every critical
-        clique."""
+        """The clique family of P5 over the whole instance: the singletons
+        and every critical clique of one strong component."""
         return enumerate_partial_cliques(self.inst)
 
+    @cached_property
+    def _split(self) -> tuple[Instance, frozenset[str], int]:
+        """The instance without the packets alone in their strong component
+        (`enumeration._lone_packets`), in its own order, over which P2 and
+        P5 are built; their ids; and their weight, which each value adds."""
+        lone = _lone_packets(self.inst)
+        if not lone:
+            return self.inst, lone, 0
+        coded = Instance(self.inst.users, tuple(p for p in self.inst.packets if p.id not in lone))
+        return coded, lone, total_weight(self.inst) - total_weight(coded)
+
     def _program(self, name: str) -> LinearProgram:
-        """The integer program P2 or P5, or P1, the transpose of P2, made once
-        on first use (`solve` reads a primed name as its LP relaxation)."""
+        """The integer program P2 or P5 over `_split`'s instance, or P1, the
+        transpose of P2, made once on first use (`solve` reads a primed name
+        as its LP relaxation)."""
         prog = self._programs.get(name)
         if prog is None:
             # Builders are looked up in `programs` at call time, so wrappers apply.
+            coded, lone, _ = self._split
             if name == "P2":
-                prog = programs.build_P2(self.inst, self.cycles)
+                prog = programs.build_P2(coded, self.cycles)
             elif name == "P5":
-                prog = programs.build_P5(self.inst, self.cliques)
+                cliques = self.cliques
+                if lone:
+                    cliques = [t for t in cliques if t.packets.isdisjoint(lone)]
+                prog = programs.build_P5(coded, cliques)
             elif name == "P1":
                 prog = transpose(self._program("P2"))
             else:
@@ -319,9 +346,10 @@ class Analysis:
         return prog
 
     def solve(self, name: str) -> SolveResult:
-        """The optimum of P1, P2 or P5, or of a primed LP relaxation.  A
-        relaxation's entry is the result its program keeps (`solve_lp`);
-        the entry makes each name cost one `solve_lp` call per analysis."""
+        """The optimum of P1, P2 or P5, or of a primed LP relaxation, over
+        the packets of `_split`'s instance.  A relaxation's entry is the
+        result its program keeps (`solve_lp`); the entry makes each name
+        cost one `solve_lp` call per analysis."""
         res = self._solved.get(name)
         if res is None:
             prog = self._program(name.rstrip("'"))
@@ -332,7 +360,9 @@ class Analysis:
         return res
 
     def value(self, name: str) -> Fraction:
-        return self.solve(name).objective
+        """The value of P1, P2 or P5, or of a primed relaxation, over the
+        whole instance: `solve`'s objective plus the lone packets' weight."""
+        return self.solve(name).objective + self._split[2]
 
     def duality(self, cover: str) -> bool:
         """`verify_certificate` on the LP optimum of the covering program

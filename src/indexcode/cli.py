@@ -4,11 +4,15 @@ Subcommands: bounds, cycles, cliques, code, simulate, planar, check.
 Instance files use the YAML mapping format of `indexcode.instance`.
 A subcommand takes a flag only for each cap it reads, with its default in
 `build_parser`.  `cliques` lists the whole clique family that P5 ranges
-over, and refuses a clique core over `enumeration.MAX_CLIQUE_SUBSETS`
-subsets as every command that reads P5 does.  `check` proves each
-primal-dual pair from its covering optimum (`Analysis.duality`).  A
-subcommand's `_cmd_*` returns its one document and its exit code; `run`
-writes the document as JSON, or as the lines of its `_text_*`.
+over, the singletons and the critical cliques inside one strong component,
+and refuses a component over `enumeration.MAX_CLIQUE_SUBSETS` subsets as
+every command that reads P5 does.  The packets alone in their strong
+component are left out of every program and added to every value, and
+`code` and `simulate` send them directly (`analysis.Analysis`).  `check`
+proves each primal-dual pair from its covering optimum
+(`Analysis.duality`).  A subcommand's `_cmd_*` returns its one document
+and its exit code; `run` writes the document as JSON, or as the lines of
+its `_text_*`.
 """
 
 from __future__ import annotations

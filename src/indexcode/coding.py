@@ -13,8 +13,10 @@ Each code family has one expander, `cyclic_schedule` for P2 and
 `clique_schedule` for P5, and it takes an integer optimum and an LP
 relaxation's optimum alike: theta is the lcm of the solution's
 denominators, so it is 1 for a scalar code and splits each packet into
-theta subpackets for a vector code.  `TransmissionSchedule.to_doc` is the
-schedule as the JSON document that ``indexcode code`` writes.
+theta subpackets for a vector code.  A packet alone in its strong
+component that no column of the program names is sent whole and
+directly.  `TransmissionSchedule.to_doc` is the schedule as the JSON
+document that ``indexcode code`` writes.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat, zip_longest
 
-from .enumeration import Cycle, PartialClique
+from .enumeration import Cycle, PartialClique, _lone_packets
 from .gf256 import mds_rows
 from .instance import Instance, total_weight
 from .lp import OPTIMAL, SolveResult
+from .programs import _clique_name, _direct_name
 
 GF2 = "gf2"
 GF256 = "gf256"
@@ -99,15 +102,27 @@ class TransmissionSchedule:
         }
 
 
-def _counts(res: SolveResult, family, label):
+def _counts(inst: Instance, res: SolveResult, family, label, column):
     """theta, the lcm of the solution's denominators (1 for an integral
     optimum), and (key, count * theta) per positive column in name order;
-    every positive column must be keyed by an instance of `family`."""
+    every positive column must be keyed by an instance of `family`.
+
+    `Analysis` leaves the packets alone in their strong component out of P2
+    and P5 (`enumeration._lone_packets`).  Each such packet that no column
+    names is sent whole and directly, by the column that the program over
+    every packet gives it, `column(pid)` -> (name, key), in that column's
+    place in name order.  Any other packet that no column names is left
+    uncovered, and `_expand` refuses the solution."""
     if res.status != OPTIMAL:
         raise ScheduleError(f"solution status is {res.status}, not optimal")
     theta = math.lcm(*(v.denominator for v in res.primal))
+    columns = list(zip_longest(res.lp.var_names, res.lp.var_keys, res.primal))
+    lone = _lone_packets(inst)
+    if lone:
+        unnamed = lone.difference(*((k,) if isinstance(k, str) else k.packets
+                                    for k in res.lp.var_keys))
+        columns += [(*column(p.id), p.weight) for p in inst.packets if p.id in unnamed]
     counts = []
-    columns = zip_longest(res.lp.var_names, res.lp.var_keys, res.primal)
     for name, key, v in sorted(columns, key=lambda col: col[0]):
         if v < 0:
             raise ScheduleError(f"{name}: negative count")
@@ -154,7 +169,8 @@ def cyclic_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
     common multiple of the solution's denominators, so that every scaled
     action count is integral; an integral optimum has theta = 1.
     """
-    theta, counts = _counts(res, (Cycle, str), "cyclic")
+    theta, counts = _counts(inst, res, (Cycle, str), "cyclic",
+                            lambda pid: (_direct_name(pid), pid))
     actions = [CodingAction("cycle", key.packets, n) for key, n in counts if isinstance(key, Cycle)]
     actions += [CodingAction("direct", (key,), n) for key, n in counts if isinstance(key, str)]
     return _expand(inst, actions, theta, GF2)
@@ -163,6 +179,7 @@ def cyclic_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
 def clique_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
     """Expand an optimum of the partial-clique program P5 or its relaxation
     P5', with theta read off the solution as in `cyclic_schedule`."""
-    theta, counts = _counts(res, PartialClique, "clique")
+    theta, counts = _counts(inst, res, PartialClique, "clique", lambda pid: (
+        _clique_name((pid,)), PartialClique(frozenset((pid,)), 1, 0)))
     actions = [CodingAction("clique", key.sorted_packets, n, d=key.d) for key, n in counts]
     return _expand(inst, actions, theta, GF256)

@@ -5,8 +5,17 @@ Two families matter: elementary directed cycles of the bipartite digraph
 subsets where every demanding user already holds at least d of the subset.
 Only the members that no others dominate in the paper's programs are
 listed: the chordless cycles, and the singletons and critical cliques.
-The cliques with d >= 1 all lie inside the largest one, the clique core,
-and only its subsets are searched.
+
+Both families live inside the strong components of the packet digraph,
+where p -> q when p's demander holds q; `_packet_graph` finds them, once
+per instance (`Instance._packet_graph`).  A cycle is strongly connected.
+A clique S that spans two components is dominated: the subgraph S
+induces has a sink component B, whose members hold nothing of S - B, so
+d(B) >= d(S); with d(S - B) >= 0, B and S - B cover S at
+(|B| - d(B)) + (|S - B| - d(S - B)) <= |S| - d(S), the cost of S's own
+column.  So only the subsets of one component are searched, and a packet
+alone in its component lies on no cycle and in no clique but its
+singleton: every program sends it directly at its full weight.
 """
 
 from __future__ import annotations
@@ -16,9 +25,9 @@ from dataclasses import dataclass
 from .instance import Instance
 
 DEFAULT_MAX_CYCLES = 100_000
-# Cap on the subsets of two or more packets of the clique core that
-# `enumerate_partial_cliques` may consider: the whole lattice of a core of
-# up to 16 packets (65,519 such subsets) passes, that of a 17-packet core
+# Cap on the subsets of two or more packets of one component's clique core
+# that `enumerate_partial_cliques` may consider: the whole lattice of a core
+# of up to 16 packets (65,519 such subsets) passes, that of a 17-packet core
 # (131,054) does not.  The largest family at the cap, 16 packets whose
 # every subset is critical (each user holds every packet it does not
 # demand), took 0.36-0.46 s on a 2-core x86-64 VM under Python 3.11.
@@ -67,6 +76,32 @@ class PartialClique:
         return tuple(sorted(self.packets))
 
 
+def _into(held: list[int]) -> list[int]:
+    """The reverse of the packet digraph: into[j] is the bitmask of the
+    packets i with bit j of held[i] set."""
+    into = [0] * len(held)
+    for i, h in enumerate(held):
+        while h:
+            jbit = h & -h
+            into[jbit.bit_length() - 1] |= 1 << i
+            h ^= jbit
+    return into
+
+
+def _reach(step: list[int], start: int, within: int = -1) -> int:
+    """The bitmask of the packets in `within` that a path of one or more
+    arcs i -> j (bit j of step[i]) from a packet of `start` reaches
+    through packets in `within`."""
+    seen, todo = 0, start
+    while todo:
+        vbit = todo & -todo
+        todo ^= vbit
+        new = step[vbit.bit_length() - 1] & within & ~seen
+        seen |= new
+        todo |= new
+    return seen
+
+
 def _chordless(held: list[int]):
     """Every chordless cycle of the packet digraph, where i -> j when bit j
     of held[i] is set, once, as a list of packet indices from its least one.
@@ -89,21 +124,10 @@ def _chordless(held: list[int]):
     once; with one more packet that points to s and that nothing points to,
     its 2^L dead ends are walked again for the one cycle s -> z -> s.
     """
-    into = [0] * len(held)  # into[j]: the packets that point to j
-    for i, h in enumerate(held):
-        while h:
-            jbit = h & -h
-            into[jbit.bit_length() - 1] |= 1 << i
-            h ^= jbit
+    into = _into(held)
     for s, hs in enumerate(held):
         sbit = 1 << s
-        back, todo = 0, sbit  # back: the packets above s that reach s
-        while todo:
-            vbit = todo & -todo
-            todo ^= vbit
-            new = into[vbit.bit_length() - 1] & ~back & -(sbit << 1)
-            back |= new
-            todo |= new
+        back = _reach(into, sbit, -(sbit << 1))  # the packets above s that reach s
         if not hs & back:
             continue
         closers = into[s] & back
@@ -148,10 +172,10 @@ def enumerate_cycles(inst: Instance, max_cycles: int = DEFAULT_MAX_CYCLES) -> li
 
     Each cycle is reported once, starting at its smallest packet id, and
     sorted by (length, sorted packet ids).  `_chordless` finds them on the
-    bitmasks of `_held_masks`, whose packets are in id order; more than
-    max_cycles raises `CapExceeded`.
+    bitmasks of the instance's `_packet_graph`, whose packets are in id
+    order; more than max_cycles raises `CapExceeded`.
     """
-    pids, held = _held_masks(inst)
+    pids, held, _ = inst._packet_graph
     demand = [inst.packet(pid).demand for pid in pids]
     cycles = []
     for path in _chordless(held):
@@ -166,23 +190,46 @@ def enumerate_cycles(inst: Instance, max_cycles: int = DEFAULT_MAX_CYCLES) -> li
 def _held_masks(inst: Instance) -> tuple[list[str], list[int]]:
     """The sorted packet ids, and for each packet i the bitmask over them of
     the packets held by i's demander."""
-    pids = sorted(inst.packet_ids)
+    packets = sorted(inst.packets, key=lambda p: p.id)
     side = dict.fromkeys(inst.users, 0)
-    for i, pid in enumerate(pids):
-        for u in inst.packet(pid).side:
+    for i, p in enumerate(packets):
+        for u in p.side:
             side[u] |= 1 << i
-    return pids, [side[inst.packet(pid).demand] for pid in pids]
+    return [p.id for p in packets], [side[p.demand] for p in packets]
 
 
-def _core_mask(held: list[int]) -> int:
-    """Bitmask of the largest packet subset with d >= 1 (0 if none): drop,
-    while there is one, a packet whose demander holds no packet still in."""
-    core = (1 << len(held)) - 1
-    while True:
-        kept = sum(1 << i for i, h in enumerate(held) if core >> i & 1 and h & core)
-        if kept == core:
-            return core
-        core = kept
+def _blocks(held: list[int]) -> list[int]:
+    """The strong components of two or more packets of the packet digraph,
+    i -> j when bit j of held[i] is set, as bitmasks in the order of their
+    least packets.  A packet s lies on a cycle when it reaches itself, and
+    then its component is the packets that s reaches and that reach s,
+    which reach s through such packets only."""
+    into = _into(held)
+    blocks, seen = [], 0
+    for s in range(len(held)):
+        sbit = 1 << s
+        if not seen & sbit:
+            ahead = _reach(held, sbit)
+            if ahead & sbit:
+                block = _reach(into, sbit, ahead)
+                blocks.append(block)
+                seen |= block
+    return blocks
+
+
+def _packet_graph(inst: Instance) -> tuple[list[str], list[int], list[int]]:
+    """`_held_masks` and the `_blocks` of its digraph, which both
+    enumerators read; `Instance._packet_graph` keeps them, made once."""
+    pids, held = _held_masks(inst)
+    return pids, held, _blocks(held)
+
+
+def _lone_packets(inst: Instance) -> frozenset[str]:
+    """The ids of the packets alone in their strong component of the packet
+    digraph: on no cycle and in no clique but their singletons."""
+    pids, _, blocks = inst._packet_graph
+    on_cycle = sum(blocks)  # the components are disjoint
+    return frozenset(pid for i, pid in enumerate(pids) if not on_cycle >> i & 1)
 
 
 def _sieve(hc: dict[int, int], c: int) -> list[int]:
@@ -217,19 +264,21 @@ def _sieve(hc: dict[int, int], c: int) -> list[int]:
 
 
 def enumerate_partial_cliques(inst: Instance) -> list[PartialClique]:
-    """The critical (k, d)-partial cliques: every singleton as a
-    (1, 0)-clique, and every larger packet subset S with d >= 1 from which
-    no packet can be dropped without lowering d, by size and then in
-    lexicographic order of packet ids.
+    """The critical (k, d)-partial cliques inside one strong component:
+    every singleton as a (1, 0)-clique, and every larger packet subset S of
+    one component with d >= 1 from which no packet can be dropped without
+    lowering d, by size and then in lexicographic order of packet ids.
 
     Only the maximal d per subset is reported: any (k, d') with d' < d
     induces a dominated constraint.  A subset S that keeps its d without a
     packet p is dominated too: the clique S - p and the singleton p cover S
-    at (k - 1 - d(S - p)) + 1 <= k - d(S), the cost of S's own column.  By
+    at (k - 1 - d(S - p)) + 1 <= k - d(S), the cost of S's own column.  So
+    is a clique that spans two strong components: its sink component's
+    clique and the rest cover it (the module docstring has the proof).  By
     induction every column left out is covered at no more than its cost by
     listed ones, so val(P5) and val(P5') are unchanged, and so is val(P6'),
-    whose dropped rows follow from the listed ones.  The optimal points, the
-    branch tree of P5 and the choice among tied optima may differ.
+    whose dropped rows follow from the listed ones.  The optimal points,
+    the branch tree of P5 and the choice among tied optima may differ.
 
     Call b in S tight when |hc[b] & S| = d(S), where hc[b] is the set of
     packets that b's demander holds.  Dropping p leaves d no lower exactly
@@ -239,43 +288,49 @@ def enumerate_partial_cliques(inst: Instance) -> list[PartialClique]:
     S.  This is tested in the loop that counts d, with one OR per tight
     member.
 
-    d is counted on int bitmasks over the clique core: the i-th of its c
-    packets in id order is bit c-1-i, and d(S) = min over b in S of
-    |hc[b] & S|.  Only the subsets of the core can have d >= 1: a union of
-    subsets with d >= 1 has d >= 1 too.  A core with more than
+    A strong component of two or more packets is its own clique core, the
+    largest of its subsets with d >= 1, since each of its packets holds
+    another of it.  d is counted on int bitmasks over each such component:
+    the i-th of its c packets in id order is bit c-1-i, and d(S) = min
+    over b in S of |hc[b] & S|.  A component with more than
     `MAX_CLIQUE_SUBSETS` subsets of two or more packets (c >= 17) raises
-    `CapExceeded` before any is looked at.  Otherwise `_sieve` marks all
-    subsets with d >= 1 at once in an int of 2^c bits, with c^2 big-int
-    operations, and only those are visited, by size and then in descending
-    numeric order, which among subsets of one size is lexicographic order
-    of ids.
+    `CapExceeded` before any subset is looked at.  Otherwise `_sieve`
+    marks all subsets with d >= 1 of each component at once in an int of
+    2^c bits, with c^2 big-int operations, and only those are visited, by
+    size and then in descending numeric order, which among subsets of one
+    size is lexicographic order of ids; the components' lists are then
+    merged in that order.  The components are the instance's
+    `_packet_graph`.
     """
-    pids, held = _held_masks(inst)
-    core = _core_mask(held)
-    out = [PartialClique(frozenset((pid,)), 1, 0) for pid in pids]
-    idx_core = [i for i in range(len(pids)) if core >> i & 1]
-    c = len(idx_core)
+    pids, held, blocks = inst._packet_graph
+    c = max((block.bit_count() for block in blocks), default=0)
     subsets = (1 << c) - c - 1
     if subsets > MAX_CLIQUE_SUBSETS:
         raise CapExceeded(
             f"partial-clique enumeration: {subsets} subsets of the {c}-packet "
             f"clique core up to size {c}, more than the cap of {MAX_CLIQUE_SUBSETS}",
             subsets)
-    bit = {i: 1 << (c - 1 - t) for t, i in enumerate(idx_core)}
-    hc = {bit[i]: sum(bit[j] for j in idx_core if held[i] >> j & 1) for i in idx_core}
-    members = [(bit[i], hc[bit[i]], pids[i]) for i in idx_core]
-    for m in _sieve(hc, c):
-        d, tight = c, 0  # tight: the union of hc[b] & S over the tight b so far
-        for b, h, _ in members:
-            if b & m:
-                held_in = h & m
-                n = held_in.bit_count()
-                if n < d:
-                    d, tight = n, held_in
-                elif n == d:
-                    tight |= held_in
-        if m & ~tight:
-            continue
-        ids = [pid for b, _, pid in members if b & m]
-        out.append(PartialClique(frozenset(ids), len(ids), d))
-    return out
+    found = []  # (k, ids, d) per critical clique of two or more packets
+    for block in blocks:
+        idx = [i for i in range(len(pids)) if block >> i & 1]
+        c = len(idx)
+        bit = {i: 1 << (c - 1 - t) for t, i in enumerate(idx)}
+        hc = {bit[i]: sum(bit[j] for j in idx if held[i] >> j & 1) for i in idx}
+        members = [(bit[i], hc[bit[i]], pids[i]) for i in idx]
+        for m in _sieve(hc, c):
+            d, tight = c, 0  # tight: the union of hc[b] & S over the tight b so far
+            for b, h, _ in members:
+                if b & m:
+                    held_in = h & m
+                    n = held_in.bit_count()
+                    if n < d:
+                        d, tight = n, held_in
+                    elif n == d:
+                        tight |= held_in
+            if m & ~tight:
+                continue
+            ids = [pid for b, _, pid in members if b & m]
+            found.append((len(ids), ids, d))
+    found.sort()
+    return [PartialClique(frozenset((pid,)), 1, 0) for pid in pids] + [
+        PartialClique(frozenset(ids), k, d) for k, ids, d in found]

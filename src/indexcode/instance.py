@@ -74,6 +74,14 @@ class Instance:
     def _packet_by_id(self) -> dict[str, PacketType]:
         return {p.id: p for p in self.packets}
 
+    @cached_property
+    def _packet_graph(self) -> tuple[list[str], list[int], list[int]]:
+        """The packet digraph as bitmasks and its strong components of two
+        or more packets (`enumeration._packet_graph`), made once for the
+        enumerators, `analysis` and `coding` to share."""
+        from .enumeration import _packet_graph  # enumeration imports this module
+        return _packet_graph(self)
+
     def packet(self, pid: str) -> PacketType:
         return self._packet_by_id[pid]
 

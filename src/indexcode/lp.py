@@ -57,6 +57,7 @@ the optimal value with respect to the row's right-hand side.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -471,8 +472,9 @@ def verify_certificate(lp: LinearProgram, res: SolveResult) -> bool:
     lo_j and s_j < 0 needs x_j at a finite hi_j, so s_j splits into bound
     multipliers that make y dual feasible with value c.x, and the objective
     must be c.x.  The check thus accepts exactly the optimal primal-dual
-    pairs.  A certificate of the wrong length is rejected, and so is one
-    with an entry or objective that is not an int or a Fraction.
+    pairs.  A point or duals that are not a sequence, or a sequence of the
+    wrong length, are rejected, and so is a certificate with an entry or
+    objective that is not an int or a Fraction.
 
     It reads the program's own terms, rhs, costs and bounds, which are
     ints, and brings x and y each over one common denominator, so every
@@ -480,7 +482,8 @@ def verify_certificate(lp: LinearProgram, res: SolveResult) -> bool:
     """
     n, rows = lp.num_vars, lp.constraints
     x, y = res.primal, res.row_duals
-    if (res.status != OPTIMAL or len(x) != n or len(y) != len(rows)
+    if (res.status != OPTIMAL or not isinstance(x, Sequence) or not isinstance(y, Sequence)
+            or len(x) != n or len(y) != len(rows)
             or any(type(v) not in (int, Fraction) for v in (res.objective, *x, *y))):
         return False
     sgn = 1 if lp.sense == "min" else -1  # internal minimization sign

@@ -17,7 +17,7 @@ import networkx as nx
 import yaml
 
 from indexcode.coding import GF256, CodingAction, TransmissionSchedule, _expand
-from indexcode.enumeration import Cycle, PartialClique, _core_mask, _held_masks
+from indexcode.enumeration import Cycle, PartialClique
 from indexcode.gf256 import gf_inv, gf_mul
 from indexcode.instance import Instance, is_uniprior, total_weight
 from indexcode.lp import LinearProgram
@@ -95,14 +95,6 @@ def validate_cycle(inst: Instance, c: Cycle) -> None:
             raise ValueError(f"cycle: {user} does not demand {pid}")
         if user not in inst.packet(nxt).side:
             raise ValueError(f"cycle: {user} does not hold {nxt}")
-
-
-def clique_core(inst: Instance) -> list[str]:
-    """The packets, sorted, of the largest partial clique with d >= 1, as
-    `enumerate_partial_cliques` finds it, or [] if there is none."""
-    pids, held = _held_masks(inst)
-    core = _core_mask(held)
-    return [pid for i, pid in enumerate(pids) if core >> i & 1]
 
 
 def normalize_cycle(packets, users) -> Cycle:

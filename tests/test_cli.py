@@ -772,3 +772,82 @@ def test_branching_P1_read_off_P2_matches_brute_force(fig4, fig4_file):
     assert res.objective == brute_max_acyclic(fig4) == 1
     code, text = _run(["bounds", fig4_file, "--format", "json"])
     assert code == 0 and json.loads(text)["valP1"] == "1"
+
+
+# A packet that no user holds is alone in its strong component: P2 and P5
+# leave it out, and the schedules send it whole and directly, in the place
+# that its column's name takes among the other columns.
+@pytest.mark.parametrize("lone, cyclic, clique", [
+    ("p0", ["p1/0 + p3/0", "p0/0", "p0/1", "p2/0"], ["p0/0", "p0/1", "p1/0 + p3/0", "p2/0"]),
+    ("p25", ["p1/0 + p3/0", "p2/0", "p25/0", "p25/1"], ["p1/0 + p3/0", "p2/0", "p25/0", "p25/1"]),
+    ("p4", ["p1/0 + p3/0", "p2/0", "p4/0", "p4/1"], ["p1/0 + p3/0", "p2/0", "p4/0", "p4/1"]),
+])
+def test_a_lone_packet_is_sent_in_its_name_order(fig1, tmp_path, lone, cyclic, clique):
+    inst = make_instance(fig1.users, list(fig1.packets) + [(lone, 2, "u2", set())])
+    path = tmp_path / "fig1_lone.icp"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    for strategy, field, lines in (("cyclic", "gf2", cyclic), ("partial-clique", "gf256", clique)):
+        for mode in ("scalar", "vector"):
+            assert _run(["code", str(path), "--strategy", strategy, "--mode", mode]) == (0, "".join(
+                line + "\n" for line in [f"field={field} theta=1 transmissions=4 clearance=4"]
+                + ["  " + t for t in lines]))
+
+
+def test_acyclic_side_information_sends_every_packet_directly(tmp_path):
+    # u_i holds p_j for j > i: the packet digraph is acyclic, so every
+    # packet is alone in its strong component, and every program is empty.
+    users = [f"u{i}" for i in range(5)]
+    inst = make_instance(users, [(f"p{i}", i + 1, users[i], set(users[:i])) for i in range(5)])
+    path = tmp_path / "acyclic.icp"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    a = analysis.Analysis(inst)
+    assert a._split[0].packets == ()
+    code, text = _run(["bounds", str(path), "--format", "json"])
+    doc = json.loads(text)
+    assert code == 0 and doc["W"] == 15 and doc["chain_ok"]
+    assert [doc[k] for k in ("valP1", "valP1_relaxed", "valP2", "valP2_relaxed",
+                             "valP5", "valP5_relaxed")] == ["15"] * 6
+    assert _run(["check", str(path)]) == (0, "cyclic_duality: pass\nclique_duality: pass\n"
+                                             "theorem2: pass\n")
+    for strategy, name, kind in (("cyclic", "P2", "direct"), ("partial-clique", "P5", "clique")):
+        expand = coding.cyclic_schedule if strategy == "cyclic" else coding.clique_schedule
+        for mode, solved in (("scalar", name), ("vector", name + "'")):
+            actions = expand(inst, a.solve(solved)).actions
+            assert [(x.kind, x.packets, x.count, x.d) for x in actions] == [
+                (kind, (p.id,), p.weight, 0) for p in inst.packets]
+            code, text = _run(["simulate", str(path), "--strategy", strategy, "--mode", mode])
+            assert code == 0 and text.endswith("success: 15 transmissions, theta=1, clearance=15\n")
+
+
+def _two_blocks():
+    """Two dense 9-packet draws, each one strong component, side by side;
+    the first's users also hold every packet of the second, so the whole
+    instance's clique core has all 18 packets, but no cycle crosses."""
+    a = random_unicast_instance(random.Random(0), 9, 6, 2, 0.6, exact=True)
+    b = random_unicast_instance(random.Random(8), 9, 6, 2, 0.6, exact=True)
+    b = make_instance([f"v{u[1:]}" for u in b.users],
+                      [(f"q{p.id[1:]}", p.weight, f"v{p.demand[1:]}", {f"v{u[1:]}" for u in p.side})
+                       for p in b.packets])
+    both = make_instance(a.users + b.users, [*a.packets, *(
+        (p.id, p.weight, p.demand, p.side | set(a.users)) for p in b.packets)])
+    return a, b, both
+
+
+def test_two_blocks_are_solved_as_their_sum(tmp_path):
+    a, b, both = _two_blocks()
+    _, _, blocks = enumeration._packet_graph(both)
+    assert sorted(x.bit_count() for x in blocks) == [9, 9]
+    every = frozenset(both.packet_ids)  # d >= 1 over all 18: a core over the cap
+    assert min(len(both.side_packets(p.demand) & every) for p in both.packets) >= 1
+    assert (1 << 18) - 19 > enumeration.MAX_CLIQUE_SUBSETS
+    path = tmp_path / "two_blocks.icp"
+    path.write_text(serialize_instance(both), encoding="utf-8")
+    code, text = _run(["bounds", str(path), "--format", "json"])
+    assert code == 0
+    doc, ra, rb = json.loads(text), analysis.bounds_report(a), analysis.bounds_report(b)
+    for k in ("W", "valP1", "valP1_relaxed", "valP2", "valP2_relaxed", "valP5", "valP5_relaxed"):
+        assert Fraction(doc[k]) == getattr(ra, k) + getattr(rb, k), k
+    assert doc["valP1_relaxed"] == "27/2" and doc["chain_ok"]
+    # The certificates of P2' and P5' over both blocks.
+    assert _run(["check", str(path)]) == (0, "cyclic_duality: pass\nclique_duality: pass\n"
+                                             "theorem2: pass\n")

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from indexcode import (
+    Instance,
     enumerate_cycles,
     enumerate_partial_cliques,
     make_instance,
@@ -218,6 +219,28 @@ def test_schedules_refuse_columns_without_keys(fig1):
     assert res.lp.var_keys == ()
     assert _refused(cyclic_schedule, fig1, res, "cyclic").startswith("m:")
     assert _refused(clique_schedule, fig1, res, "clique").startswith("m:")
+
+
+@pytest.mark.parametrize("build, family, expand, kind", [
+    (build_P2, enumerate_cycles, cyclic_schedule, "direct"),
+    (build_P5, enumerate_partial_cliques, clique_schedule, "clique"),
+])
+def test_schedules_send_only_the_lone_packets_a_program_leaves_out(fig1, build, family, expand,
+                                                                   kind):
+    # No user holds p4, so it is alone in its strong component; p2 lies on
+    # a cycle of fig1.  A program without p4 has p4 sent whole and
+    # directly; a program without p2 as well leaves p2 uncovered.
+    inst = make_instance(fig1.users, list(fig1.packets) + [("p4", 2, "u2", set())])
+
+    def optimum(*left_out):
+        sub = Instance(inst.users, tuple(p for p in inst.packets if p.id not in left_out))
+        return solve_lp(build(sub, family(sub)))
+
+    sched = expand(inst, optimum("p4"))
+    assert [a for a in sched.actions if "p4" in a.packets] == [
+        CodingAction(kind, ("p4",), 2 * sched.theta)]
+    with pytest.raises(ScheduleError, match=r"^solution does not cover packets \['p2'\]$"):
+        expand(inst, optimum("p2", "p4"))
 
 
 def _expand_by_rounds(inst, actions, theta):

@@ -1,15 +1,16 @@
+from collections import Counter
 from random import Random
 
 import networkx as nx
 import pytest
 
 from indexcode import enumerate_cycles, enumerate_partial_cliques, make_instance
-from indexcode.enumeration import CapExceeded, Cycle, PartialClique
+from indexcode.enumeration import CapExceeded, Cycle, PartialClique, _packet_graph
 
 from conftest import dfs_cycles, full_clique_family
 from generators import random_unicast_instance, random_uniprior_instance
 from paper_programs import (
-    clique_core, extract_cycles_from_clique, normalize_cycle, to_digraph, validate_cycle,
+    extract_cycles_from_clique, normalize_cycle, to_digraph, validate_cycle,
 )
 
 
@@ -144,34 +145,68 @@ def _critical(inst, t):
     return t.k == 1 or all(d(t.packets - {p}) < t.d for p in t.packets)
 
 
+def _blocks(inst):
+    """The packet sets of the strong components of the bipartite digraph
+    (networkx) that hold two or more packets."""
+    comps = (frozenset(x for kind, x in comp if kind == "p")
+             for comp in nx.strongly_connected_components(to_digraph(inst)))
+    return [c for c in comps if len(c) > 1]
+
+
+def test_blocks_are_the_strong_components_of_two_or_more_packets():
+    # One packet per user, so user i holding packet j is the arc p_i -> p_j
+    # of a random digraph: packets in up to three groups, with arcs inside
+    # a group and from a group to a later one only.
+    rng = Random(5)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        users = [f"u{i:02}" for i in range(n)]
+        group = [rng.randrange(3) for _ in range(n)]
+        inside, later = rng.uniform(0.1, 0.6), rng.uniform(0, 0.3)
+
+        def holds(i, j):
+            return i != j and rng.random() < (
+                inside if group[i] == group[j] else later if group[i] < group[j] else 0)
+
+        inst = make_instance(users, [(f"p{j:02}", 1, users[j], {
+            u for i, u in enumerate(users) if holds(i, j)}) for j in range(n)])
+        pids, _, blocks = _packet_graph(inst)
+        got = [frozenset(p for i, p in enumerate(pids) if b >> i & 1) for b in blocks]
+        assert len(got) == len(set(got)) and set(got) == set(_blocks(inst))
+        seen[min(len(got), 2)] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_cliques_are_the_non_dominated_family():
     rng = Random(31)
     insts = [random_unicast_instance(rng, rng.randint(1, 8), rng.choice((3, 5, 8)), 3, 0.6,
                                      exact=True) for _ in range(40)]
     insts += [random_unicast_instance(rng) for _ in range(20)]
-    # Dense draws with clique cores of 9 to 14 packets, and a 16-packet ring
-    # whose packets are each held by the two users after their demander: the
-    # largest core whose every subset is examined.
+    # Dense draws of 9 to 14 packets whose largest strong components hold 8
+    # to 14, and a 16-packet ring whose packets are each held by the two
+    # users after their demander: the largest component whose every subset
+    # is examined.
     insts += [random_unicast_instance(rng, m, 6, 3, 0.5, exact=True) for m in range(9, 15)]
     insts.append(_ring(16, (1, 2)))
-    assert [len(clique_core(inst)) for inst in insts[-7:]] == [9, 10, 11, 12, 13, 14, 16]
+    assert [max(map(len, _blocks(inst))) for inst in insts[-7:]] == [8, 8, 11, 11, 12, 14, 16]
     for inst in insts:
         cliques = enumerate_partial_cliques(inst)
         # Every singleton, and no (k, 0)-clique with k > 1.
         assert {t.packets for t in cliques if t.k == 1} == {
             frozenset((pid,)) for pid in inst.packet_ids}
         assert all(t.d >= 1 for t in cliques if t.k > 1)
-        # The critical cliques of the brute-force family, in the same order
-        # and with the same d.
+        # The critical cliques of the brute-force family that lie inside
+        # one strong component, in the same order and with the same d.
         full = full_clique_family(inst)
-        kept = [t for t in full if _critical(inst, t)]
+        blocks = _blocks(inst)
+        kept = [t for t in full if _critical(inst, t)
+                and (t.k == 1 or any(t.packets <= b for b in blocks))]
         assert cliques == kept
-        # The core is the largest d >= 1 clique of the full family, and
-        # every other lies in it.
-        coded = [t.packets for t in full if t.d >= 1]
-        core = max(coded, key=len, default=frozenset())
-        assert clique_core(inst) == sorted(core)
-        assert all(t <= core for t in coded)
+        # Each component of two or more packets is a clique with d >= 1,
+        # so the largest inside it: its own clique core.
+        for b in blocks:
+            assert max((t.packets for t in full if t.d >= 1 and t.packets <= b), key=len) == b
 
 
 def _ring(n, offsets=(1,)):
@@ -200,7 +235,9 @@ def test_extract_cycles_d0():
 
 
 def test_extract_cycles_two_components():
-    # Two disjoint 2-cycles unioned: d = 1 over the whole packet set.
+    # Two disjoint 2-cycles unioned: d = 1 over the whole packet set.  The
+    # union spans two strong components, so `enumerate_partial_cliques`
+    # does not list it, and it is built here.
     inst = make_instance(
         ["u1", "u2", "u3", "u4"],
         [
@@ -208,9 +245,8 @@ def test_extract_cycles_two_components():
             ("p3", 1, "u3", {"u4"}), ("p4", 1, "u4", {"u3"}),
         ],
     )
-    cliques = {t.packets: t for t in enumerate_partial_cliques(inst)}
-    full = cliques[frozenset(inst.packet_ids)]
-    assert full.d == 1
+    full = PartialClique(frozenset(inst.packet_ids), 4, 1)
+    assert full not in enumerate_partial_cliques(inst)
     cycles = extract_cycles_from_clique(full, inst)
     assert len(cycles) == 1
     seen = set().union(*(c.packet_set for c in cycles))

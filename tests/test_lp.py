@@ -411,6 +411,16 @@ def test_certificate_of_the_wrong_length_is_rejected():
             assert not verify_certificate(lp, replace(res, **{field: wrong})), field
 
 
+@pytest.mark.parametrize("field", ["primal", "row_duals"])
+@pytest.mark.parametrize("bad", [None, 5], ids=["None", "int"])
+def test_certificate_that_is_not_a_sequence_is_rejected(field, bad):
+    # len() of either would raise TypeError.
+    lp = _lp("max", [1], [([1], "<=", 1)])
+    res = solve_lp(lp)
+    assert verify_certificate(lp, res)
+    assert verify_certificate(lp, replace(res, **{field: bad})) is False
+
+
 @pytest.mark.parametrize("bad", [1.0, None, "1", True], ids=["float", "None", "str", "bool"])
 @pytest.mark.parametrize("field", ["primal", "row_duals", "objective"])
 def test_certificate_with_an_entry_of_another_type_is_rejected(field, bad):

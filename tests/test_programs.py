@@ -15,6 +15,7 @@ from indexcode import (
     transpose,
     verify_certificate,
 )
+from indexcode.analysis import Analysis
 from indexcode.programs import build_P2, build_P5
 
 from conftest import brute_max_acyclic, dfs_cycles, full_clique_family
@@ -414,7 +415,9 @@ def _six_values(inst, cycles, cliques):
 def test_values_match_the_full_families(fig1, fig4):
     # P1, P1', P2, P2', P5 and P5' over the chordless cycles and critical
     # cliques equal their values over every elementary cycle (the DFS oracle)
-    # and every packet subset (the brute-force clique family).
+    # and every packet subset (the brute-force clique family), and so do
+    # `Analysis`'s, whose programs leave out the packets alone in their
+    # strong component and add their weight.
     rng = Random(41)
     insts = [fig1, fig4] + [random_unicast_instance(rng) for _ in range(60)]
     insts += [random_unicast_instance(Random(s), m, 8, 3, 0.6, exact=True)
@@ -423,3 +426,5 @@ def test_values_match_the_full_families(fig1, fig4):
         full = _six_values(inst, [Cycle(*c) for c in sorted(dfs_cycles(inst))],
                            full_clique_family(inst))
         assert _six_values(inst, enumerate_cycles(inst), enumerate_partial_cliques(inst)) == full
+        a = Analysis(inst)
+        assert [a.value(n) for n in ("P1", "P1'", "P2", "P2'", "P5", "P5'")] == full
