@@ -7,7 +7,10 @@ side, and the objective and the bounds are ints.  Every program of the
 paper is such a program: 0/1 incidence rows with integer weights and
 costs, and branch-and-bound nodes with integer bounds.  A rational row is
 posed by scaling it by the lcm of its denominators, which divides its dual
-by that factor.
+by that factor.  Every row is an inequality, `<=` or `>=`: an equality is
+posed as its `<=` and `>=` pair, and no program of the paper has one.  So
+row i of a tableau has its slack or surplus in column n + i, and its dual
+is read off that column.
 
 A two-phase primal simplex with Bland's rule (guaranteed termination) plus
 a deterministic branch-and-bound layer for integer programs.  A row with a
@@ -98,13 +101,13 @@ class Constraint:
     (column j, int a) pairs in rising column order.  Checked once, here."""
 
     terms: tuple[tuple[int, int], ...]
-    rel: str  # "<=", ">=" or "="
+    rel: str  # "<=" or ">=": an equality is posed as its "<=" and ">=" pair
     rhs: int
     name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.rel not in ("<=", ">=", "="):
+        if self.rel not in ("<=", ">="):
             raise DimensionError(f"row {self.name!r}: unknown relation {self.rel!r}")
         if type(self.rhs) is not int:
             raise DimensionError(f"row {self.name!r}: rhs {self.rhs!r} is not an int")
@@ -342,69 +345,49 @@ def _solve(lp: LinearProgram) -> SolveResult:
     rows += [(((j, 1),), "<=", hi - lower[j]) for j, hi in enumerate(upper) if hi is not None]
 
     m = len(rows)
-    # Column layout: structural 0..n-1, then one aux (slack/surplus) per
-    # inequality row, then one artificial per row that needs it.  A row that
-    # reads >= once a negative rhs is flipped needs none when it has a unit
-    # column: a structural column with no other nonzero in any row,
-    # upper-bound rows included, and an entry of the row's sign.  The
-    # lowest such column starts basic at rhs / entry >= 0, and the row's
-    # surplus stays nonbasic.
-    aux_col = {}
-    ncols = n
-    for i, (_, rel, _) in enumerate(rows):
-        if rel in ("<=", ">="):
-            aux_col[i] = ncols
-            ncols += 1
+    # Column layout: structural 0..n-1, then row i's slack or surplus n + i,
+    # then one artificial per row that needs it.  Row i starts basic in its
+    # slack unless it reads >= once a negative rhs is flipped.  Such a row
+    # needs no artificial when it has a unit column: a structural column
+    # with no other nonzero in any row, upper-bound rows included, and an
+    # entry of the row's sign.  The lowest such column starts basic at
+    # rhs / entry >= 0, and the row's surplus stays nonbasic.
     flipped = [rhs < 0 for _, _, rhs in rows]
-    unit = {}  # row -> its starting unit column
-    need_art = []
+    basis = list(range(n, n + m))
+    ncols = n + m
     touched = None  # per structural column, the number of rows it is nonzero in
     for i, (terms, rel, _) in enumerate(rows):
-        if rel == "=":
-            need_art.append(i)
-        elif (rel == ">=") != flipped[i]:
+        if (rel == ">=") != flipped[i]:
             if touched is None:
                 touched = [0] * n
                 for row_terms, _, _ in rows:
                     for j, _ in row_terms:
                         touched[j] += 1
-            for j, a in terms:
-                if touched[j] == 1 and (a > 0) != flipped[i]:
-                    unit[i] = j
-                    break
-            else:
-                need_art.append(i)
-    art_col = {}
-    for i in need_art:
-        art_col[i] = ncols
-        ncols += 1
+            basis[i] = next((j for j, a in terms if touched[j] == 1 and (a > 0) != flipped[i]),
+                            ncols)
+            if basis[i] == ncols:
+                ncols += 1
 
     # Each row enters as its own integers over 1, negated if flipped; a row
     # with a unit column is divided by its entry there.
     tab = []
     dens = []
-    basis = [-1] * m
     for i, (terms, rel, rhs) in enumerate(rows):
         sign = -1 if flipped[i] else 1
         row = [0] * (ncols + 1)
         for j, a in terms:
             row[j] = sign * a
         row[-1] = sign * rhs
+        row[n + i] = sign if rel == "<=" else -sign
         den = 1
-        if i in aux_col:
-            row[aux_col[i]] = sign if rel == "<=" else -sign
-        if i in art_col:
-            row[art_col[i]] = 1
-            basis[i] = art_col[i]
-        elif i in unit:
-            basis[i] = j = unit[i]
-            row, den = _reduce(row, row[j])
-        else:
-            basis[i] = aux_col[i]
+        if basis[i] < n:
+            row, den = _reduce(row, row[basis[i]])
+        elif basis[i] >= n + m:
+            row[basis[i]] = 1
         tab.append(row)
         dens.append(den)
 
-    arts = set(art_col.values())
+    arts = range(n + m, ncols)
     if arts:
         # Phase 1: minimize the sum of artificials.
         cost = _cost_row(dict.fromkeys(arts, 1), tab, dens, basis, ncols + 1)
@@ -415,8 +398,7 @@ def _solve(lp: LinearProgram) -> SolveResult:
         # Drive artificials out of the basis where possible.
         for i in range(m):
             if basis[i] in arts:
-                enter = next((j for j in range(ncols) if j not in arts and tab[i][j] != 0),
-                             None)
+                enter = next((j for j in range(n + m) if tab[i][j] != 0), None)
                 if enter is not None:
                     _pivot(tab, dens, basis, i, enter)
 
@@ -440,18 +422,12 @@ def _solve(lp: LinearProgram) -> SolveResult:
     objective = obj_min if minimize else -obj_min
 
     # Internal duals y_i (for the minimized problem) of the constraint rows,
-    # the first rows, read off aux/artificial reduced-cost entries, then
-    # converted to shadow prices in lp.sense.
+    # the first rows, read off their slack columns, then converted to shadow
+    # prices in lp.sense.  Row negation and slack orientation flip together,
+    # so the original row's dual depends only on its relation.
     sense_flip = 1 if minimize else -1
-    row_duals = []
-    for i, con in enumerate(lp.constraints):
-        if i in aux_col:
-            # Row negation and slack orientation flip together, so the
-            # original-row dual depends only on the relation.
-            y = -nums[aux_col[i]] if con.rel == "<=" else nums[aux_col[i]]
-        else:
-            y = nums[art_col[i]] if flipped[i] else -nums[art_col[i]]
-        row_duals.append(made[y * sense_flip, den])
+    row_duals = [made[(-nums[n + i] if con.rel == "<=" else nums[n + i]) * sense_flip, den]
+                 for i, con in enumerate(lp.constraints)]
     return SolveResult(OPTIMAL, objective, tuple(primal), tuple(row_duals), lp=lp)
 
 
@@ -493,12 +469,10 @@ def verify_certificate(lp: LinearProgram, res: SolveResult) -> bool:
     # S[j] / dy is sum_i y_i a_ij.
     S = [0] * n
     for con, Yi in zip(rows, Y):
-        gap = sum(a * X[j] for j, a in con.terms) - con.rhs * dx  # the sign of lhs - rhs
-        rel = con.rel
-        if (gap > 0 and rel != ">=") or (gap < 0 and rel != "<=") or (Yi and gap):
-            return False
+        sign = 1 if con.rel == "<=" else -1  # the row reads sign (lhs - rhs) <= 0
+        gap = sign * (sum(a * X[j] for j, a in con.terms) - con.rhs * dx)
         # Dual sign: for a max problem, <= rows have y >= 0, >= rows y <= 0.
-        if (rel == "<=" and sgn * Yi > 0) or (rel == ">=" and sgn * Yi < 0):
+        if gap > 0 or (Yi and gap) or sgn * sign * Yi > 0:
             return False
         if Yi:
             for j, a in con.terms:

@@ -282,7 +282,11 @@ def simulate(
     seed: int = 0,
     payload_size: int = DEFAULT_PAYLOAD_SIZE,
 ) -> DecodeReport:
-    """Run the schedule and check that every user decodes its demands."""
+    """Run the schedule and check that every user decodes its demands.
+
+    Each unit of a packet is a payload of `payload_size` >= 1 bytes."""
+    if payload_size < 1:
+        raise ValueError(f"payload_size must be at least 1, not {payload_size}")
     theta = schedule.theta
     size = payload_size
     stream = hashlib.shake_256(b"%d" % seed).digest(

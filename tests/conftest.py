@@ -180,8 +180,6 @@ def certificate_oracle(lp, res):
             return False
         if con.rel == ">=" and lhs < con.rhs:
             return False
-        if con.rel == "=" and lhs != con.rhs:
-            return False
         if yi != 0 and lhs != con.rhs:
             return False
         # Dual sign: for a max problem, <= rows have y >= 0, >= rows y <= 0.

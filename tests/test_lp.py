@@ -55,12 +55,15 @@ def test_min_with_surplus():
 
 
 def test_equality_row_duals():
-    res = solve_lp(_lp("max", [2, 1], [([1, 1], "=", 3), ([1, 0], "<=", 2)]))
+    # x + y = 3, posed as its <= and >= pair.
+    res = solve_lp(_lp("max", [2, 1], [([1, 1], "<=", 3), ([1, 1], ">=", 3), ([1, 0], "<=", 2)]))
     assert res.objective == 5  # x=(2,1)
     assert res.primal == (F(2), F(1))
     assert verify_certificate(res.lp, res)
-    # y_eq = 1 (marginal value of relaxing the equality), y_box = 1
-    assert res.row_duals == (F(1), F(1))
+    # The pair's duals add up to the equality's dual 1 (the marginal value
+    # of relaxing it), and y_box = 1.
+    y_le, y_ge, y_box = res.row_duals
+    assert (y_le + y_ge, y_box) == (1, 1)
 
 
 def test_fractional_vertex():
@@ -150,7 +153,8 @@ def _random_mixed_lp(rng):
     """A small LP with integer data, mixed relations, nonzero lower bounds
     and optional bound overrides.  Rows are built around an integer point
     x0 inside the bounds, so most draws are feasible; rows with negative
-    coefficients give negative right-hand sides, which the solver flips."""
+    coefficients give negative right-hand sides, which the solver flips.
+    An equality is posed as its <= and >= pair."""
     n = rng.randint(1, 3)
     lower = [rng.choice((0, _coef(rng))) for _ in range(n)]
     upper = [None if rng.random() < 0.2 else lo + rng.randint(1, 8) for lo in lower]
@@ -162,7 +166,10 @@ def _random_mixed_lp(rng):
         rel = rng.choice(("<=", ">=", "="))
         lhs = sum(a * x for a, x in zip(coeffs, x0))
         slack = rng.randint(0, 3)
-        rows.append(_row(coeffs, rel, {"<=": lhs + slack, ">=": lhs - slack, "=": lhs}[rel]))
+        if rel == "=":
+            rows += [_row(coeffs, "<=", lhs), _row(coeffs, ">=", lhs)]
+        else:
+            rows.append(_row(coeffs, rel, lhs + slack if rel == "<=" else lhs - slack))
     lp = LinearProgram(sense, c, rows, tuple(lower), tuple(upper))
     overrides = None
     if rng.random() < 0.3:
@@ -173,14 +180,14 @@ def _random_mixed_lp(rng):
 
 
 def _oracle_value(lp, lower, upper, cap):
-    """Vertex-oracle optimum with >= and = rows rewritten as <= rows and
-    every missing upper bound replaced by `cap`."""
+    """Vertex-oracle optimum with >= rows rewritten as <= rows and every
+    missing upper bound replaced by `cap`."""
     rows, rhss = [], []
     for con, dense in zip(lp.constraints, _dense(lp)):
-        if con.rel in ("<=", "="):
+        if con.rel == "<=":
             rows.append(dense)
             rhss.append(con.rhs)
-        if con.rel in (">=", "="):
+        else:
             rows.append([-a for a in dense])
             rhss.append(-con.rhs)
     uppers = [cap if hi is None else hi for hi in upper]
@@ -265,10 +272,11 @@ def _random_unit_column_lp(rng):
     one column is shared by all rows.  Relations, coefficient signs and
     bounds are random.  Half the rows are built around a point x0 inside
     the bounds, as in `_random_mixed_lp`, and half take a random rhs, so
-    some draws are infeasible.  A private column meets every case of the
-    simplex start: in a >= row, in a <= row flipped by its negative rhs,
-    of the wrong sign, in an = row, with an upper bound, over a shifted
-    lower bound, or beside a second one."""
+    some draws are infeasible.  An equality is posed as its <= and >=
+    pair, so the pair's private columns have two nonzero rows.  A private
+    column meets every case of the simplex start: in a >= row, in a <= row
+    flipped by its negative rhs, of the wrong sign, with an upper bound,
+    over a shifted lower bound, or beside a second one."""
     def nonzero():
         return rng.choice((-1, 1)) * (rng.randint(1, 6) if rng.random() < 0.8
                                       else rng.randint(10, 99))
@@ -292,7 +300,10 @@ def _random_unit_column_lp(rng):
         slack = rng.randint(0, 3)
         rhs = ({"<=": lhs + slack, ">=": lhs - slack, "=": lhs}[rel] if rng.random() < 0.5
                else rng.randint(-6, 6))
-        rows.append(_row(coeffs, rel, rhs))
+        if rel == "=":
+            rows += [_row(coeffs, "<=", rhs), _row(coeffs, ">=", rhs)]
+        else:
+            rows.append(_row(coeffs, rel, rhs))
     sense, c = rng.choice(("max", "min")), tuple(rng.randint(-3, 3) for _ in owners)
     return LinearProgram(sense, c, rows, tuple(lower), tuple(upper))
 
@@ -308,14 +319,12 @@ def _start_rule(lp):
     out = []
     for con, row in zip(lp.constraints, dense):
         flipped = con.rhs - sum(a * lo for a, lo in zip(row, lp.lower)) < 0
-        rel = {"<=": ">=", ">=": "<=", "=": "="}[con.rel] if flipped else con.rel
+        rel = {"<=": ">=", ">=": "<="}[con.rel] if flipped else con.rel
         cases, starts = set(), []
         for j, a in enumerate(row):
             if not (a and single[j]) or rel == "<=":
                 continue
-            if rel == "=":
-                cases.add("= row")
-            elif lp.upper[j] is not None:
+            if lp.upper[j] is not None:
                 cases.add("upper bound")
             elif (a > 0) == flipped:
                 cases.add("wrong sign")
@@ -333,8 +342,7 @@ def _start_rule(lp):
 def test_rows_with_a_unit_column_start_basic_in_it(simplex_runs):
     rng = Random(31)
     starts = {">= row": "crash", "flipped <= row": "crash", "shifted lower bound": "crash",
-              "two unit columns": "crash", "wrong sign": "artificial", "= row": "artificial",
-              "upper bound": "artificial"}
+              "two unit columns": "crash", "wrong sign": "artificial", "upper bound": "artificial"}
     seen = {(case, start): 0 for case in starts for start in ("crash", "artificial")}
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(400):
@@ -343,18 +351,17 @@ def test_rows_with_a_unit_column_start_basic_in_it(simplex_runs):
         res = solve_lp(lp)
         statuses[res.status] += 1
         # The first run starts from the tableau's basis: a unit column, a
-        # slack or surplus (the aux columns follow the structural ones), or
-        # an artificial (after the aux columns).
+        # slack or surplus (row i's in column n + i), or an artificial
+        # (after the slack columns).
         basis, width, _ = simplex_runs.runs[0]
         n = lp.num_vars
-        aux_end = n + sum(con.rel != "=" for con in lp.constraints) + sum(
-            hi is not None for hi in lp.upper)
+        aux_end = n + len(lp.constraints) + sum(hi is not None for hi in lp.upper)
         rule = _start_rule(lp)
         assert width == aux_end + sum(col is None and rel != "<=" for rel, col, _ in rule)
-        for b, (rel, col, cases) in zip(basis, rule):
+        for i, (b, (rel, col, cases)) in enumerate(zip(basis, rule)):
             start = "crash" if b < n else "artificial" if b >= aux_end else "slack"
             assert (start, b) == (("crash", col) if col is not None
-                                  else ("slack" if rel == "<=" else "artificial", b))
+                                  else ("slack", n + i) if rel == "<=" else ("artificial", b))
             for case in cases:
                 seen[case, start] += 1
         assert verify_certificate(lp, res) == certificate_oracle(lp, res)
@@ -442,21 +449,22 @@ def _at(values, j, v):
 
 def test_certificate_rejects_each_broken_condition():
     # a sits at its lower bound 1, b at its upper bound 2, k1 and k2 are
-    # fixed at 1; c meets a <=, a >= and an = row, all tight; e, f and g
-    # have slack rows of each kind, h a tight <= row, and a and b a tight
-    # row each at their bound.
+    # fixed at 1; c meets a <= row, a >= row and the pair of c = 3, all
+    # tight; e and f have a slack row of each kind, g the pair of g = 1, h
+    # a tight <= row, and a and b a tight row each at their bound.
     names = ("a", "b", "c", "e", "f", "g", "h", "k1", "k2")
     rows = [_row([coef if n == var else 0 for n in names], rel, rhs)
-            for var, coef, rel, rhs in [("c", 1, "<=", 3), ("c", 1, ">=", 3), ("c", 1, "=", 3),
-                                        ("e", 1, "<=", 1), ("f", -1, ">=", -1), ("g", 1, "=", 1),
-                                        ("h", 1, "<=", 2), ("a", 1, ">=", 1), ("b", 1, "<=", 2)]]
+            for var, coef, rel, rhs in [("c", 1, "<=", 3), ("c", 1, ">=", 3), ("c", 1, "<=", 3),
+                                        ("c", 1, ">=", 3), ("e", 1, "<=", 1), ("f", -1, ">=", -1),
+                                        ("g", 1, "<=", 1), ("g", 1, ">=", 1), ("h", 1, "<=", 2),
+                                        ("a", 1, ">=", 1), ("b", 1, "<=", 2)]]
     c = (-1, 1, 1, 0, 0, 0, 1, -2, 2)
     lp = LinearProgram("max", c, rows, lower=(1, 0, 0, 0, 0, 0, 0, 1, 1),
                        upper=(None, 2, None, None, None, None, None, 1, 1), var_names=names)
     res = solve_lp(lp)
     x, y = res.primal, res.row_duals
     assert (res.objective, x) == (6, (1, 2, 3, 0, 0, 1, 2, 1, 1))
-    assert y == (0, 0, 1, 0, 0, 0, 1, -1, 1)
+    assert y == (1, 0, 0, 0, 0, 0, 0, 0, 1, -1, 1)
     assert verify_certificate(lp, res)
 
     def moved(j, v):  # x_j moved to v, with the objective kept at c.x
@@ -464,7 +472,7 @@ def test_certificate_rejects_each_broken_condition():
         return {"primal": point, "objective": sum(cj * xj for cj, xj in zip(c, point))}
 
     # Each tampered certificate breaks one condition and keeps the others.
-    # The rows on c share their duals' sum.  Row 7 (a >= 1) and row 8
+    # The rows on c share their duals' sum.  Row 9 (a >= 1) and row 10
     # (b <= 2) take duals of the right sign that turn the derived reduced
     # cost of a, at its lower bound, and of b, at its upper bound, around;
     # a or b moved off its bound takes its row's dual to 0.
@@ -472,24 +480,24 @@ def test_certificate_rejects_each_broken_condition():
         "status": {"status": "infeasible"},
         "<= row infeasible": moved(3, 2),
         ">= row infeasible": moved(4, 2),
-        "= row infeasible": moved(5, F(1, 2)),
+        "equality pair infeasible": moved(5, F(1, 2)),
         "row complementary slackness": moved(6, 1),
         "<= row dual sign": {"row_duals": _at(_at(y, 0, -1), 2, 2)},
-        ">= row dual sign": {"row_duals": _at(_at(y, 1, 1), 2, 0)},
+        ">= row dual sign": {"row_duals": _at(_at(y, 1, 1), 0, 0)},
         "below a lower bound": moved(3, -1),
-        "reduced-cost sign at a lower bound": {"row_duals": _at(y, 7, -2)},
-        "reduced-cost sign at an upper bound": {"row_duals": _at(y, 8, 2)},
-        "off the upper bound": {**moved(1, F(3, 2)), "row_duals": _at(y, 8, 0)},
-        "off the lower bound": {**moved(0, 2), "row_duals": _at(y, 7, 0)},
+        "reduced-cost sign at a lower bound": {"row_duals": _at(y, 9, -2)},
+        "reduced-cost sign at an upper bound": {"row_duals": _at(y, 10, 2)},
+        "off the upper bound": {**moved(1, F(3, 2)), "row_duals": _at(y, 10, 0)},
+        "off the lower bound": {**moved(0, 2), "row_duals": _at(y, 9, 0)},
         "objective": {"objective": res.objective + 1},
     }
     for condition, fields in broken.items():
         assert not verify_certificate(lp, replace(res, **fields)), condition
         assert not certificate_oracle(lp, replace(res, **fields)), condition
-    # Any y_7 in [-1, 0] and y_8 in [0, 1] leaves both signs right.
-    for y78 in ((0, 0), (F(-1, 2), F(1, 2)), (-1, 1)):
-        ok = replace(res, row_duals=y[:7] + tuple(map(F, y78)))
-        assert verify_certificate(lp, ok) and certificate_oracle(lp, ok), y78
+    # Any y_9 in [-1, 0] and y_10 in [0, 1] leaves both signs right.
+    for y9_10 in ((0, 0), (F(-1, 2), F(1, 2)), (-1, 1)):
+        ok = replace(res, row_duals=y[:9] + tuple(map(F, y9_10)))
+        assert verify_certificate(lp, ok) and certificate_oracle(lp, ok), y9_10
 
 
 def test_alternative_optimal_row_duals_are_accepted():
@@ -584,7 +592,8 @@ def test_ilp_prunes_on_rounded_bound():
 
 
 def test_ilp_infeasible():
-    lp = _lp("max", [1], [([2], "=", 1)], upper=(3,))
+    # 2x = 1, posed as its <= and >= pair.
+    lp = _lp("max", [1], [([2], "<=", 1), ([2], ">=", 1)], upper=(3,))
     res = solve_ilp(lp)
     assert res.status == "infeasible"
 
@@ -636,8 +645,8 @@ def test_dimension_errors():
             LinearProgram("max", (1,), **wrong)
 
 
-def _program(terms=((0, 1),), rhs=1, objective=(1,), lower=(0,), upper=(None,)):
-    return LinearProgram("max", objective, [Constraint(terms, "<=", rhs, "r")], lower, upper)
+def _program(terms=((0, 1),), rel="<=", rhs=1, objective=(1,), lower=(0,), upper=(None,)):
+    return LinearProgram("max", objective, [Constraint(terms, rel, rhs, "r")], lower, upper)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -647,6 +656,7 @@ def _program(terms=((0, 1),), rhs=1, objective=(1,), lower=(0,), upper=(None,)):
     (lambda: _program(terms=((0, True),)), "row 'r': coefficient True of column 0 is not an int"),
     (lambda: _program(terms=((0.0, 1),)), "row 'r': column 0.0 is not an int"),
     (lambda: _program(terms=((0, 0),)), "row 'r': column 0 has a zero coefficient"),
+    (lambda: _program(rel="="), "row 'r': unknown relation '='"),
     (lambda: _program(rhs=F(1)), "row 'r': rhs Fraction(1, 1) is not an int"),
     (lambda: _program(rhs=1.0), "row 'r': rhs 1.0 is not an int"),
     (lambda: _program(rhs=True), "row 'r': rhs True is not an int"),
@@ -667,10 +677,11 @@ def _program(terms=((0, 1),), rhs=1, objective=(1,), lower=(0,), upper=(None,)):
     (lambda: _program(terms=((-1, 1),)), "row 'r': column -1 is negative"),
     (lambda: _program(terms=((0, 1), (1, 1))), "row 'r': column 1 is out of range for 1 variables"),
 ], ids=["fraction coefficient", "float coefficient", "bool coefficient", "float column",
-        "zero coefficient", "fraction rhs", "float rhs", "bool rhs", "fraction objective",
-        "float objective", "bool objective", "fraction lower", "float lower", "bool lower",
-        "missing lower", "fraction upper", "float upper", "bool upper", "column out of order",
-        "repeated column", "negative column", "column out of range"])
+        "zero coefficient", "equality", "fraction rhs", "float rhs", "bool rhs",
+        "fraction objective", "float objective", "bool objective", "fraction lower",
+        "float lower", "bool lower", "missing lower", "fraction upper", "float upper",
+        "bool upper", "column out of order", "repeated column", "negative column",
+        "column out of range"])
 def test_bad_data_is_refused_when_the_program_is_made(build, message):
     with pytest.raises(DimensionError) as err:
         build()
@@ -847,7 +858,7 @@ def test_a_partner_without_an_optimum_is_never_read(tableaux):
     _lp("max", [1, 1], [([1, 1], "<=", 3)], upper=(1, None)),
     _lp("max", [1, 1], [([1, 1], "<=", 3)], lower=(0, 1)),
     _lp("max", [1, 1], [([1, 1], "<=", 3), ([1, 0], ">=", 1)]),
-    _lp("min", [1, 1], [([1, 1], ">=", 3), ([1, 0], "=", 1)]),
+    _lp("min", [1, 1], [([1, 1], ">=", 3), ([1, 0], "<=", 1)]),
     _lp("min", [1, 1], [([1, 1], "<=", 3)]),
     _lp("either", [1, 1], [([1, 1], "<=", 3)]),
 ])

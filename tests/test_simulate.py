@@ -131,6 +131,15 @@ def test_payload_size_variants(fig1):
         assert simulate(fig1, sched, payload_size=size).all_decoded
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_payload_size_below_one_is_refused(fig1, size):
+    # An empty payload would reduce the bit-exact check to a rank check, and
+    # a negative one would escape from hashlib as a SystemError.
+    with pytest.raises(ValueError) as err:
+        simulate(fig1, _scalar_cyclic(fig1), payload_size=size)
+    assert str(err.value) == f"payload_size must be at least 1, not {size}"
+
+
 # ------------------------------------------------- sparse decoder vs dense
 
 def _scale(c, payload, size):
