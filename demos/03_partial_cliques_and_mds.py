@@ -3,13 +3,17 @@
 On the instance of demo 02, every user already holds the other two
 packets: the packet set is a (3,2)-partial clique, and a single XOR of
 all three packets lets everyone decode — one transmission against the
-cyclic code's two (scalar) or 3/2 (vector).  With a surplus of d >= 2
-the code switches from plain XOR to Cauchy-matrix MDS rows over
-GF(2^8); we show a 4-user example and verify both schedules decode.
+cyclic code's two (scalar) or 3/2 (vector).  The partial-clique program
+P5 is the cyclic program P2 (its chordless cycles, which are the (k,1)
+cliques worth a column, and its direct sends) plus one column per
+critical clique with d >= 2.  With k - d >= 2 the code switches from
+plain XOR to Cauchy-matrix MDS rows over GF(2^8); we show a 4-user
+example and verify both schedules decode.
 """
 
 from indexcode import (
     clique_schedule,
+    enumerate_cycles,
     enumerate_partial_cliques,
     make_instance,
     simulate,
@@ -26,11 +30,14 @@ fig = make_instance(
     ],
 )
 
-print("Partial cliques (k,d) of the 3-user instance:")
+print("Chordless cycles of the 3-user instance, the (k,1) cliques of P2:")
+for c in enumerate_cycles(fig):
+    print(f"  ({c.length},1): {list(c.packets)}")
+print("Partial cliques (k,d) with d >= 2, the columns P5 adds:")
 for t in enumerate_partial_cliques(fig):
     print(f"  ({t.k},{t.d}): {sorted(t.packets)}")
 
-res = solve_ilp(build_P5(fig, enumerate_partial_cliques(fig)))
+res = solve_ilp(build_P5(fig, enumerate_cycles(fig), enumerate_partial_cliques(fig)))
 sched = clique_schedule(fig, res)
 print(f"\noptimal clique cover cost = {res.objective}")
 print(f"schedule: {len(sched.transmissions)} transmission over {sched.field_name}")
@@ -46,10 +53,10 @@ big = make_instance(
         for i in range(1, 5)
     ],
 )
-# Two disjoint 2-cliques also cost 2, so restrict the cover to the full
-# clique to showcase the MDS construction.
+# Two disjoint 2-cycles also cost 2, so leave the cycles out and cover with
+# the direct sends and the full clique, to showcase the MDS construction.
 full = [t for t in enumerate_partial_cliques(big) if t.k == 4]
-res = solve_ilp(build_P5(big, full))
+res = solve_ilp(build_P5(big, [], full))
 sched = clique_schedule(big, res)
 print(f"\n4-user (4,2)-clique: {len(sched.transmissions)} transmissions "
       f"over {sched.field_name}")

@@ -1,12 +1,13 @@
 """Bounds, planarity, and the theorem-level consistency checkers.
 
 An `Analysis` solves the deletion/covering program family of one instance
-exactly, each program once: it builds the covering programs P2 and P5, and
-the deletion program P1 is the transpose of P2.  `bounds_report`
-assembles the bound chain val(P1) <= val(P1') = val(P2') <= val(P2) from
-it, `duality` certifies a covering relaxation's optimum, which proves its
-pair's LP duality, and the theorem checkers assert the equalities that
-hold for planar and unicast-uniprior instances.
+exactly, each program once: it builds the covering programs P2 and P5,
+where P5 is P2 plus a column per critical clique with d >= 2 (P2 itself
+when there is none), and the deletion program P1 is the transpose of P2.
+`bounds_report` assembles the bound chain val(P1) <= val(P1') = val(P2')
+<= val(P2) from it, `duality` certifies a covering relaxation's optimum,
+which proves its pair's LP duality, and the theorem checkers assert the
+equalities that hold for planar and unicast-uniprior instances.
 """
 
 from __future__ import annotations
@@ -281,13 +282,15 @@ class Analysis:
     most once, on first use; a program without an optimum raises
     `SolveError`.  A program and its relaxation are one object, so the
     integer program's root reuses the relaxation's optimum, and P1 and P2
-    share one simplex solve (`lp.solve_lp`).  P5 ranges over the whole
-    clique family, which the instance fixes, so no cap selects it.
+    share one simplex solve (`lp.solve_lp`).  P5 is P2's columns plus the
+    critical cliques with d >= 2; where there is no such clique, P5 is P2's
+    object, and shares its relaxation's and its integer optimum.  The caps
+    refuse a family that they would cut short, and never select one.
 
     The split by strong component is made here.  The packet digraph's
     strong components are made once per instance (`Instance._packet_graph`)
     and read by both enumerators.  A packet alone in its component lies on
-    no cycle and in no clique but its singleton, so every program sends it
+    no cycle and in no clique, so every program sends it
     directly at its full weight: P2 and P5, and so P1, are built over the
     other packets only (`_split`), each value adds the lone packets'
     weight, and the schedules send them directly (`coding`).  The
@@ -308,20 +311,20 @@ class Analysis:
 
     @cached_property
     def cliques(self) -> list[PartialClique]:
-        """The clique family of P5 over the whole instance: the singletons
-        and every critical clique of one strong component."""
+        """The columns that P5 adds to P2's: the critical cliques with
+        d >= 2 of one strong component."""
         return enumerate_partial_cliques(self.inst)
 
     @cached_property
-    def _split(self) -> tuple[Instance, frozenset[str], int]:
+    def _split(self) -> tuple[Instance, int]:
         """The instance without the packets alone in their strong component
         (`enumeration._lone_packets`), in its own order, over which P2 and
-        P5 are built; their ids; and their weight, which each value adds."""
+        P5 are built, and those packets' weight, which each value adds."""
         lone = _lone_packets(self.inst)
         if not lone:
-            return self.inst, lone, 0
+            return self.inst, 0
         coded = Instance(self.inst.users, tuple(p for p in self.inst.packets if p.id not in lone))
-        return coded, lone, total_weight(self.inst) - total_weight(coded)
+        return coded, total_weight(self.inst) - total_weight(coded)
 
     def _program(self, name: str) -> LinearProgram:
         """The integer program P2 or P5 over `_split`'s instance, or P1, the
@@ -330,14 +333,13 @@ class Analysis:
         prog = self._programs.get(name)
         if prog is None:
             # Builders are looked up in `programs` at call time, so wrappers apply.
-            coded, lone, _ = self._split
+            coded = self._split[0]
             if name == "P2":
                 prog = programs.build_P2(coded, self.cycles)
             elif name == "P5":
-                cliques = self.cliques
-                if lone:
-                    cliques = [t for t in cliques if t.packets.isdisjoint(lone)]
-                prog = programs.build_P5(coded, cliques)
+                # The clique cap fires before the cycle cap.
+                prog = (programs.build_P5(coded, self.cycles, self.cliques) if self.cliques
+                        else self._program("P2"))
             elif name == "P1":
                 prog = transpose(self._program("P2"))
             else:
@@ -349,7 +351,10 @@ class Analysis:
         """The optimum of P1, P2 or P5, or of a primed LP relaxation, over
         the packets of `_split`'s instance.  A relaxation's entry is the
         result its program keeps (`solve_lp`); the entry makes each name
-        cost one `solve_lp` call per analysis."""
+        cost one `solve_lp` call per analysis.  P5 that is P2's object
+        takes P2's integer optimum."""
+        if name == "P5" and self._program("P5") is self._programs.get("P2"):
+            name = "P2"
         res = self._solved.get(name)
         if res is None:
             prog = self._program(name.rstrip("'"))
@@ -362,7 +367,7 @@ class Analysis:
     def value(self, name: str) -> Fraction:
         """The value of P1, P2 or P5, or of a primed relaxation, over the
         whole instance: `solve`'s objective plus the lone packets' weight."""
-        return self.solve(name).objective + self._split[2]
+        return self.solve(name).objective + self._split[1]
 
     def duality(self, cover: str) -> bool:
         """`verify_certificate` on the LP optimum of the covering program

@@ -3,10 +3,10 @@
 Subcommands: bounds, cycles, cliques, code, simulate, planar, check.
 Instance files use the YAML mapping format of `indexcode.instance`.
 A subcommand takes a flag only for each cap it reads, with its default in
-`build_parser`.  `cliques` lists the whole clique family that P5 ranges
-over, the singletons and the critical cliques inside one strong component,
-and refuses a component over `enumeration.MAX_CLIQUE_SUBSETS` subsets as
-every command that reads P5 does.  The packets alone in their strong
+`build_parser`.  `cliques` lists the columns that P5 adds to P2's, the
+critical cliques with d >= 2 inside one strong component, and refuses a
+component over `enumeration.MAX_CLIQUE_SUBSETS` subsets as every command
+that reads P5 does.  The packets alone in their strong
 component are left out of every program and added to every value, and
 `code` and `simulate` send them directly (`analysis.Analysis`).  `check`
 proves each primal-dual pair from its covering optimum

@@ -13,10 +13,13 @@ Each code family has one expander, `cyclic_schedule` for P2 and
 `clique_schedule` for P5, and it takes an integer optimum and an LP
 relaxation's optimum alike: theta is the lcm of the solution's
 denominators, so it is 1 for a scalar code and splits each packet into
-theta subpackets for a vector code.  A packet alone in its strong
-component that no column of the program names is sent whole and
-directly.  `TransmissionSchedule.to_doc` is the schedule as the JSON
-document that ``indexcode code`` writes.
+theta subpackets for a vector code.  P5 holds P2's columns, so one map
+from a column's key to its action (`_action`) serves both: a `Cycle` is
+a cycle action, a packet id a direct send, and a `PartialClique`, which
+has d >= 2, Cauchy rows.  A packet alone in its strong component that
+has no direct-send column in the program is sent whole and directly.
+`TransmissionSchedule.to_doc` is the schedule as the JSON document that
+``indexcode code`` writes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .enumeration import Cycle, PartialClique, _lone_packets
 from .gf256 import mds_rows
 from .instance import Instance, total_weight
 from .lp import OPTIMAL, SolveResult
-from .programs import _clique_name, _direct_name
+from .programs import _direct_name
 
 GF2 = "gf2"
 GF256 = "gf256"
@@ -71,6 +74,9 @@ class CodingAction:
             return tuple(((i, 1), (i + 1, 1)) for i in range(len(self.packets) - 1))
         if self.kind == "clique":
             k = len(self.packets)
+            if k - self.d >= 2 and 2 * k > 256:
+                raise ScheduleError(f"a ({k}, {self.d}) partial clique needs 2k <= 256 "
+                                    f"for its Cauchy rows over GF(2^8)")
             return tuple(tuple(enumerate(row)) for row in mds_rows(k, k - self.d))
         return (((0, 1),),)
 
@@ -102,26 +108,23 @@ class TransmissionSchedule:
         }
 
 
-def _counts(inst: Instance, res: SolveResult, family, label, column):
+def _counts(inst: Instance, res: SolveResult, family, label):
     """theta, the lcm of the solution's denominators (1 for an integral
     optimum), and (key, count * theta) per positive column in name order;
     every positive column must be keyed by an instance of `family`.
 
     `Analysis` leaves the packets alone in their strong component out of P2
-    and P5 (`enumeration._lone_packets`).  Each such packet that no column
-    names is sent whole and directly, by the column that the program over
-    every packet gives it, `column(pid)` -> (name, key), in that column's
-    place in name order.  Any other packet that no column names is left
-    uncovered, and `_expand` refuses the solution."""
+    and P5 (`enumeration._lone_packets`).  Each such packet without a
+    direct-send column in the program is sent whole and directly, by the
+    column it would have, in that column's place in name order.  Any other
+    packet that no positive column covers is left uncovered, and `_expand`
+    refuses the solution."""
     if res.status != OPTIMAL:
         raise ScheduleError(f"solution status is {res.status}, not optimal")
     theta = math.lcm(*(v.denominator for v in res.primal))
     columns = list(zip_longest(res.lp.var_names, res.lp.var_keys, res.primal))
-    lone = _lone_packets(inst)
-    if lone:
-        unnamed = lone.difference(*((k,) if isinstance(k, str) else k.packets
-                                    for k in res.lp.var_keys))
-        columns += [(*column(p.id), p.weight) for p in inst.packets if p.id in unnamed]
+    lone = _lone_packets(inst).difference(k for k in res.lp.var_keys if isinstance(k, str))
+    columns += [(_direct_name(p.id), p.id, p.weight) for p in inst.packets if p.id in lone]
     counts = []
     for name, key, v in sorted(columns, key=lambda col: col[0]):
         if v < 0:
@@ -131,6 +134,17 @@ def _counts(inst: Instance, res: SolveResult, family, label, column):
                 raise ScheduleError(f"unexpected variable {name!r} in {label} solution")
             counts.append((key, int(v * theta)))
     return theta, counts
+
+
+def _action(key, count: int) -> CodingAction:
+    """The action of a column's `count` rounds, by its key: a `Cycle`'s
+    XORs of neighbours, a packet id's direct send, or a `PartialClique`'s
+    k - d Cauchy rows (P5 lists only cliques with d >= 2)."""
+    if isinstance(key, Cycle):
+        return CodingAction("cycle", key.packets, count)
+    if isinstance(key, str):
+        return CodingAction("direct", (key,), count)
+    return CodingAction("clique", key.sorted_packets, count, d=key.d)
 
 
 def _expand(inst: Instance, actions, theta, field_name) -> TransmissionSchedule:
@@ -169,17 +183,14 @@ def cyclic_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
     common multiple of the solution's denominators, so that every scaled
     action count is integral; an integral optimum has theta = 1.
     """
-    theta, counts = _counts(inst, res, (Cycle, str), "cyclic",
-                            lambda pid: (_direct_name(pid), pid))
-    actions = [CodingAction("cycle", key.packets, n) for key, n in counts if isinstance(key, Cycle)]
-    actions += [CodingAction("direct", (key,), n) for key, n in counts if isinstance(key, str)]
-    return _expand(inst, actions, theta, GF2)
+    theta, counts = _counts(inst, res, (Cycle, str), "cyclic")
+    return _expand(inst, [_action(key, n) for key, n in counts], theta, GF2)
 
 
 def clique_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:
     """Expand an optimum of the partial-clique program P5 or its relaxation
-    P5', with theta read off the solution as in `cyclic_schedule`."""
-    theta, counts = _counts(inst, res, PartialClique, "clique", lambda pid: (
-        _clique_name((pid,)), PartialClique(frozenset((pid,)), 1, 0)))
-    actions = [CodingAction("clique", key.sorted_packets, n, d=key.d) for key, n in counts]
-    return _expand(inst, actions, theta, GF256)
+    P5', with theta read off the solution as in `cyclic_schedule`.  P5 has
+    P2's columns too, so its cycles and direct sends expand as in
+    `cyclic_schedule`."""
+    theta, counts = _counts(inst, res, (Cycle, str, PartialClique), "clique")
+    return _expand(inst, [_action(key, n) for key, n in counts], theta, GF256)

@@ -4,7 +4,9 @@ Two families matter: elementary directed cycles of the bipartite digraph
 (they alternate packet and user vertices) and partial cliques, i.e. packet
 subsets where every demanding user already holds at least d of the subset.
 Only the members that no others dominate in the paper's programs are
-listed: the chordless cycles, and the singletons and critical cliques.
+listed: the chordless cycles, which with the direct sends are P2's
+columns, and the critical cliques with d >= 2, which P5 adds to them
+(`enumerate_partial_cliques` has the proof that nothing else counts).
 
 Both families live inside the strong components of the packet digraph,
 where p -> q when p's demander holds q; `_packet_graph` finds them, once
@@ -264,35 +266,49 @@ def _sieve(hc: dict[int, int], c: int) -> list[int]:
 
 
 def enumerate_partial_cliques(inst: Instance) -> list[PartialClique]:
-    """The critical (k, d)-partial cliques inside one strong component:
-    every singleton as a (1, 0)-clique, and every larger packet subset S of
-    one component with d >= 1 from which no packet can be dropped without
-    lowering d, by size and then in lexicographic order of packet ids.
+    """The critical (k, d)-partial cliques with d >= 2 inside one strong
+    component: every packet subset S of one component with d >= 2 from
+    which no packet can be dropped without lowering d, by size and then in
+    lexicographic order of packet ids.  They are the columns that P5 adds
+    to P2's (`programs.build_P5`).
 
-    Only the maximal d per subset is reported: any (k, d') with d' < d
-    induces a dominated constraint.  A subset S that keeps its d without a
-    packet p is dominated too: the clique S - p and the singleton p cover S
-    at (k - 1 - d(S - p)) + 1 <= k - d(S), the cost of S's own column.  So
-    is a clique that spans two strong components: its sink component's
-    clique and the rest cover it (the module docstring has the proof).  By
-    induction every column left out is covered at no more than its cost by
-    listed ones, so val(P5) and val(P5') are unchanged, and so is val(P6'),
-    whose dropped rows follow from the listed ones.  The optimal points,
-    the branch tree of P5 and the choice among tied optima may differ.
+    Write hc[b] for the set of packets that b's demander holds, and call b
+    in S tight when |hc[b] & S| = d(S).  Dropping p leaves d no lower
+    exactly when p is in no hc[b] of a tight b, so S is critical exactly
+    when S lies in the union of hc[b] & S over its tight members b.
 
-    Call b in S tight when |hc[b] & S| = d(S), where hc[b] is the set of
-    packets that b's demander holds.  Dropping p leaves d no lower exactly
-    when p is in no hc[b] of a tight b, so S is critical exactly when S
-    lies in the union of hc[b] & S over its tight members b.  A
-    (k, 0)-clique with k > 1 is one case: its tight members hold nothing of
-    S.  This is tested in the loop that counts d, with one OR per tight
-    member.
+    Every clique S is covered at no more than its column's cost k - d(S)
+    by the columns of P5: the direct sends, the chordless cycles of
+    `enumerate_cycles` and the cliques listed here.  By induction on k:
+    - d(S) = 0: S's direct sends cost k.
+    - S keeps its d without a packet p: S - p and p's direct send cover
+      it at (k - 1 - d(S - p)) + 1 <= k - d(S).
+    - The digraph G[S] that S induces is not strongly connected, which
+      holds whenever S spans two strong components: G[S] has a sink
+      component B, whose members hold nothing of S - B, so d(B) >= d(S),
+      and with d(S - B) >= 0, B and S - B cover S at (|B| - d(B)) +
+      (|S - B| - d(S - B)) <= k - d(S) (the module docstring's argument,
+      applied to G[S]).
+    - S is critical, G[S] is strongly connected and d(S) = 1: S is a
+      chordless cycle.  Each tight member holds exactly one packet of S,
+      and the tight members' packets cover S, so there are k of them:
+      every member is tight.  Every packet of G[S] then has out-degree 1,
+      and a strongly connected digraph of out-degree 1 is one cycle with
+      no chord.  Its P2 column costs k - 1 = k - d(S).
+    - Otherwise S is critical, lies in one strong component and has
+      d(S) >= 2: it is listed.
+    Only the maximal d per subset is reported, since any (k, d') with
+    d' < d costs more.  So val(P5) and val(P5') are those of the full
+    family, and so is val(P6'), whose dropped rows follow from the kept
+    ones.  The optimal points, the branch tree of P5 and the choice among
+    tied optima may differ.
 
     A strong component of two or more packets is its own clique core, the
     largest of its subsets with d >= 1, since each of its packets holds
     another of it.  d is counted on int bitmasks over each such component:
     the i-th of its c packets in id order is bit c-1-i, and d(S) = min
-    over b in S of |hc[b] & S|.  A component with more than
+    over b in S of |hc[b] & S|; criticality is tested in the same loop,
+    with one OR per tight member.  A component with more than
     `MAX_CLIQUE_SUBSETS` subsets of two or more packets (c >= 17) raises
     `CapExceeded` before any subset is looked at.  Otherwise `_sieve`
     marks all subsets with d >= 1 of each component at once in an int of
@@ -310,7 +326,7 @@ def enumerate_partial_cliques(inst: Instance) -> list[PartialClique]:
             f"partial-clique enumeration: {subsets} subsets of the {c}-packet "
             f"clique core up to size {c}, more than the cap of {MAX_CLIQUE_SUBSETS}",
             subsets)
-    found = []  # (k, ids, d) per critical clique of two or more packets
+    found = []  # (k, ids, d) per critical clique with d >= 2
     for block in blocks:
         idx = [i for i in range(len(pids)) if block >> i & 1]
         c = len(idx)
@@ -327,10 +343,8 @@ def enumerate_partial_cliques(inst: Instance) -> list[PartialClique]:
                         d, tight = n, held_in
                     elif n == d:
                         tight |= held_in
-            if m & ~tight:
+            if d < 2 or m & ~tight:
                 continue
             ids = [pid for b, _, pid in members if b & m]
             found.append((len(ids), ids, d))
-    found.sort()
-    return [PartialClique(frozenset((pid,)), 1, 0) for pid in pids] + [
-        PartialClique(frozenset(ids), k, d) for k, ids, d in found]
+    return [PartialClique(frozenset(ids), k, d) for k, ids, d in sorted(found)]

@@ -17,7 +17,7 @@ a deterministic branch-and-bound layer for integer programs.  A row with a
 unit column (a column with no other nonzero, of the row's sign and with no
 upper bound) starts basic in it, and phase 1 runs only for the rows left
 with an artificial.  So the covering programs P2 and P5 start phase 2 at
-once from their direct-send and singleton-clique columns.  In a
+once from their direct-send columns.  In a
 branch-and-bound node, a bound row on such a column leaves its row to
 phase 1 unless the row has another unit column.  Integrality is the
 solver's choice: `solve_lp` solves a program's LP relaxation and

@@ -91,7 +91,7 @@ def test_criterion_2_fig4(fig4):
     assert rep.valP2 == 2
     assert rep.valP5 == rep.valP5_relaxed == 1
     cliq = clique_schedule(
-        fig4, solve_ilp(build_P5(fig4, enumerate_partial_cliques(fig4)))
+        fig4, solve_ilp(build_P5(fig4, enumerate_cycles(fig4), enumerate_partial_cliques(fig4)))
     )
     assert len(cliq.transmissions) == 1
     assert simulate(fig4, cliq).all_decoded
@@ -114,8 +114,8 @@ def test_criterion_3_duality_suite(suite3):
         b = solve_lp(build_P2(inst, cycles))
         assert a.objective == b.objective
         assert verify_certificate(a.lp, a) and verify_certificate(b.lp, b)
-        c = solve_lp(transpose(build_P5(inst, cliques)))
-        d = solve_lp(build_P5(inst, cliques))
+        c = solve_lp(transpose(build_P5(inst, cycles, cliques)))
+        d = solve_lp(build_P5(inst, cycles, cliques))
         assert c.objective == d.objective
         assert verify_certificate(c.lp, c) and verify_certificate(d.lp, d)
     elapsed = time.monotonic() - start
@@ -139,7 +139,7 @@ def test_criterion_5_p1_equals_p6(suite3):
         cliques = enumerate_partial_cliques(inst)
         assert (
             solve_ilp(transpose(build_P2(inst, cycles))).objective
-            == solve_ilp(transpose(build_P5(inst, cliques))).objective
+            == solve_ilp(transpose(build_P5(inst, cycles, cliques))).objective
         )
     _ok(5, f"valP1=valP6 on all {len(suite3)} instances of the duality suite")
 
@@ -162,11 +162,11 @@ def test_criterion_7_theorem4_suite(suite7):
         cliques = enumerate_partial_cliques(inst)
         assert (
             solve_ilp(build_P2(inst, cycles)).objective
-            == solve_ilp(build_P5(inst, cliques)).objective
+            == solve_ilp(build_P5(inst, cycles, cliques)).objective
         )
         assert (
             solve_lp(build_P2(inst, cycles)).objective
-            == solve_lp(build_P5(inst, cliques)).objective
+            == solve_lp(build_P5(inst, cycles, cliques)).objective
         )
     _ok(7, f"valP2=valP5 and valP2'=valP5' on {len(suite7)} uniprior instances")
 
@@ -213,7 +213,7 @@ def test_criterion_10_code_soundness(suite3, suite4, suite7):
         cycles = enumerate_cycles(inst)
         cliques = enumerate_partial_cliques(inst)
         v1 = solve_ilp(transpose(build_P2(inst, cycles))).objective
-        p2, p5 = build_P2(inst, cycles), build_P5(inst, cliques)
+        p2, p5 = build_P2(inst, cycles), build_P5(inst, cycles, cliques)
         schedules = [
             cyclic_schedule(inst, solve_ilp(p2)),
             cyclic_schedule(inst, solve_lp(p2)),

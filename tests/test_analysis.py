@@ -14,7 +14,7 @@ from indexcode.analysis import (
     bounds_report,
     is_planar,
 )
-from indexcode.enumeration import enumerate_partial_cliques
+from indexcode.enumeration import enumerate_cycles, enumerate_partial_cliques
 from indexcode.instance import Instance, PacketType
 
 from generators import (
@@ -208,7 +208,7 @@ def test_bounds_chain_on_randoms():
 
 
 def test_ilp_without_root_optimum_is_named_as_the_ilp(fig4, monkeypatch):
-    def infeasible(inst, cliques):
+    def infeasible(inst, cycles, cliques):
         return lp.LinearProgram("min", (1,), [lp.Constraint((), ">=", 1)])
 
     monkeypatch.setattr(programs, "build_P5", infeasible)
@@ -227,21 +227,35 @@ def test_a_relaxation_is_the_result_its_program_keeps(fig4):
 
 
 def test_truncated_clique_family_is_an_error():
-    # A dense draw whose P5 over cliques of at most 2 packets is 5, not 4:
-    # P5 ranges over the whole family, which no cap truncates.
+    # A dense draw whose P5 over cliques of at most 3 packets, its P2
+    # columns alone, is 5, not 4: P5 ranges over the whole family, which no
+    # cap truncates.
     inst = random_unicast_instance(Random(12), 8, 6, 1, 0.6, exact=True)
-    small = [t for t in enumerate_partial_cliques(inst) if t.k <= 2]
-    truncated = programs.build_P5(inst, small)
+    cycles, cliques = enumerate_cycles(inst), enumerate_partial_cliques(inst)
+    truncated = programs.build_P5(inst, cycles, [t for t in cliques if t.k <= 3])
     assert lp.solve_ilp(truncated).objective == 5
     a = Analysis(inst)
-    assert a.cliques == enumerate_partial_cliques(inst)
+    assert a.cliques == cliques
     assert a.value("P5") == bounds_report(inst).valP5 == 4
-    assert lp.solve_lp(lp.transpose(programs.build_P5(inst, a.cliques))).objective == a.value("P5'")
+    assert lp.solve_lp(lp.transpose(programs.build_P5(inst, cycles, cliques))).objective == \
+        a.value("P5'")
     with pytest.raises(TypeError):
         Analysis(inst, max_k=2)
-    # With no clique of d >= 1, P5 still has the singletons.
+    # With no clique of d >= 1, P5 is P2: the direct sends.
     lone = make_instance(["u1"], [("p1", 1, "u1", set())])
     assert Analysis(lone).value("P5") == 1
+
+
+def test_p5_is_p2_without_a_clique_of_d_2(fig1, fig4):
+    # fig1 has no clique with d >= 2: P5 is P2's object, with its relaxation
+    # and its integer optimum.  fig4's (3, 2) clique gives P5 its own.
+    a = Analysis(fig1)
+    assert a.cliques == []
+    assert a._program("P5") is a._program("P2")
+    assert a.solve("P5") is a.solve("P2") and a.solve("P5'") is a.solve("P2'")
+    b = Analysis(fig4)
+    assert len(b.cliques) == 1 and b._program("P5") is not b._program("P2")
+    assert b.solve("P5").objective == 1 < b.solve("P2").objective
 
 
 # ----------------------------------------------------------------- theorems

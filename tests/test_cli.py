@@ -487,8 +487,8 @@ def test_check_with_empty_clique_family_is_error(fig4_file, capsys):
 
 @pytest.fixture
 def dense12_file(tmp_path):
-    """An 8-packet dense draw with an 8-packet clique core, whose P5 over
-    cliques of at most 2 packets would be 5, where the full family gives 4."""
+    """An 8-packet dense draw with an 8-packet clique core, whose P5 without
+    its cliques with d >= 2 would be 5, where the full family gives 4."""
     inst = random_unicast_instance(random.Random(12), 8, 6, 1, 0.6, exact=True)
     path = tmp_path / "dense12.icp"
     path.write_text(serialize_instance(inst), encoding="utf-8")
@@ -521,13 +521,14 @@ def test_truncation_needs_the_clique_family(dense12_file):
 
 def test_cliques_lists_the_whole_family_unless_capped(tmp_path):
     # A 13-packet clique core, whose largest critical cliques have 10
-    # packets.
+    # packets; `cliques` lists those with d >= 2, the columns P5 adds to P2.
     inst = random_unicast_instance(random.Random(0), 13, 8, 3, 0.6, exact=True)
     path = tmp_path / "core13.icp"
     path.write_text(serialize_instance(inst), encoding="utf-8")
     code, text = _run(["cliques", str(path)])
     largest = "(10,4): p10 p11 p12 p13 p3 p4 p6 p7 p8 p9\n"
-    assert code == 0 and text.endswith(largest + "total: 115 partial cliques\n")
+    assert code == 0 and text.endswith(largest + "total: 77 partial cliques\n")
+    assert all(int(line.split(",")[1].split(")")[0]) >= 2 for line in text.splitlines()[:-1])
     assert text.count("(10,") == 1
 
 
@@ -561,8 +562,9 @@ def test_theta_beyond_the_symbol_cap_is_error(fig4, fig4_file, monkeypatch, caps
 
 def test_check_answers_on_a_13_packet_clique_core(tmp_path, capsys):
     # A 13-packet clique core with 7,539 cliques of d >= 1: P5' has a column
-    # for each, and its certificate proves the clique pair with no tableau
-    # of a row for each.
+    # for each of its 28 cycles, 13 direct sends and 257 critical cliques
+    # with d >= 2, and its certificate proves the clique pair with no
+    # tableau of a row for each.
     inst = random_unicast_instance(random.Random(0), 13, 6, 1, 0.6, exact=True)
     path = tmp_path / "core13.icp"
     path.write_text(serialize_instance(inst), encoding="utf-8")
@@ -608,10 +610,12 @@ def _ring_file(tmp_path, n):
 
 
 def test_clique_cap_boundary(tmp_path, capsys):
-    # A 16-packet core is listed whole; a 17-packet core is refused by
-    # `cliques` and by every command that reads P5, with one message.
+    # A 16-packet core is listed whole: its one critical clique with d >= 2
+    # is the ring itself.  A 17-packet core is refused by `cliques` and by
+    # every command that reads P5, with one message.
     code, text = _run(["cliques", _ring_file(tmp_path, 16)])
-    assert code == 0 and text.endswith("\ntotal: 107 partial cliques\n")
+    assert (code, text) == (0, "(16,2): " + " ".join(sorted(f"p{i}" for i in range(16)))
+                            + "\ntotal: 1 partial cliques\n")
     ring17 = _ring_file(tmp_path, 17)
     for argv in (["cliques"], ["bounds"], ["check"], ["code", "--strategy", "partial-clique"]):
         assert _run(argv + [ring17]) == (2, "")
@@ -741,17 +745,21 @@ def test_check_solves_each_program_once(tmp_path, monkeypatch):
     ]
     # P1 is the transpose of P2; the relaxations solve the same programs, and
     # one certificate of each covering relaxation proves its duality pair.
+    # No clique has d >= 2, so P5 is P2's object and takes its optimum.
     assert calls == Counter(
-        {"build_P2": 1, "build_P5": 1, "transpose": 1, "enumerate_cycles": 1,
-         "enumerate_partial_cliques": 1, "solve_ilp": 3, "solve_lp": 3, "verify_certificate": 2}
+        {"build_P2": 1, "transpose": 1, "enumerate_cycles": 1,
+         "enumerate_partial_cliques": 1, "solve_ilp": 2, "solve_lp": 3, "verify_certificate": 2}
     )
 
 
-@pytest.mark.parametrize("command, solves", [("bounds", 6), ("check", 5)])
-def test_solves_of_three_programs_build_two_tableaux(fig1_file, monkeypatch, command, solves):
-    # P1 and P2 share one simplex solve, P5 has the other, and each integer
-    # program's root is its kept relaxation.  On fig1 `check` solves P5'
-    # but not P5, since theorem 4 needs a uniprior instance.
+@pytest.mark.parametrize("command, solves", [("bounds", 5), ("check", 5)])
+def test_solves_of_three_programs_build_one_tableau_on_fig1(fig1_file, monkeypatch, command,
+                                                            solves):
+    # P1 and P2 share one simplex solve, and each integer program's root is
+    # its kept relaxation.  fig1 has no clique with d >= 2, so P5 is P2's
+    # object: P5' is P2's kept relaxation, and P5 takes P2's integer
+    # optimum.  On fig1 `check` solves P5' but not P5, since theorem 4
+    # needs a uniprior instance.
     built, calls = [], Counter()
     solve, solve_lp = lp._solve, lp.solve_lp
     monkeypatch.setattr(lp, "_solve", lambda prog: built.append(prog) or solve(prog))
@@ -759,7 +767,7 @@ def test_solves_of_three_programs_build_two_tableaux(fig1_file, monkeypatch, com
     monkeypatch.setattr(analysis, "solve_lp", lp.solve_lp)
     code, _ = _run([command, fig1_file])
     assert code == 0
-    assert len(built) == 2 and sum(calls.values()) == solves and len(calls) == 3
+    assert len(built) == 1 and sum(calls.values()) == solves and len(calls) == 2
 
 
 def test_branching_P1_read_off_P2_matches_brute_force(fig4, fig4_file):
@@ -776,9 +784,10 @@ def test_branching_P1_read_off_P2_matches_brute_force(fig4, fig4_file):
 
 # A packet that no user holds is alone in its strong component: P2 and P5
 # leave it out, and the schedules send it whole and directly, in the place
-# that its column's name takes among the other columns.
+# that its direct send's name takes among the other columns.  fig1 has no
+# clique with d >= 2, so its P5 is P2 and both schedules are one.
 @pytest.mark.parametrize("lone, cyclic, clique", [
-    ("p0", ["p1/0 + p3/0", "p0/0", "p0/1", "p2/0"], ["p0/0", "p0/1", "p1/0 + p3/0", "p2/0"]),
+    ("p0", ["p1/0 + p3/0", "p0/0", "p0/1", "p2/0"], ["p1/0 + p3/0", "p0/0", "p0/1", "p2/0"]),
     ("p25", ["p1/0 + p3/0", "p2/0", "p25/0", "p25/1"], ["p1/0 + p3/0", "p2/0", "p25/0", "p25/1"]),
     ("p4", ["p1/0 + p3/0", "p2/0", "p4/0", "p4/1"], ["p1/0 + p3/0", "p2/0", "p4/0", "p4/1"]),
 ])
@@ -809,12 +818,12 @@ def test_acyclic_side_information_sends_every_packet_directly(tmp_path):
                              "valP5", "valP5_relaxed")] == ["15"] * 6
     assert _run(["check", str(path)]) == (0, "cyclic_duality: pass\nclique_duality: pass\n"
                                              "theorem2: pass\n")
-    for strategy, name, kind in (("cyclic", "P2", "direct"), ("partial-clique", "P5", "clique")):
+    for strategy, name in (("cyclic", "P2"), ("partial-clique", "P5")):
         expand = coding.cyclic_schedule if strategy == "cyclic" else coding.clique_schedule
         for mode, solved in (("scalar", name), ("vector", name + "'")):
             actions = expand(inst, a.solve(solved)).actions
             assert [(x.kind, x.packets, x.count, x.d) for x in actions] == [
-                (kind, (p.id,), p.weight, 0) for p in inst.packets]
+                ("direct", (p.id,), p.weight, 0) for p in inst.packets]
             code, text = _run(["simulate", str(path), "--strategy", strategy, "--mode", mode])
             assert code == 0 and text.endswith("success: 15 transmissions, theta=1, clearance=15\n")
 

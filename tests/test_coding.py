@@ -8,6 +8,7 @@ import pytest
 
 from indexcode import (
     Instance,
+    PartialClique,
     enumerate_cycles,
     enumerate_partial_cliques,
     make_instance,
@@ -81,6 +82,8 @@ def test_mds_rows_all_minors_nonzero():
 def test_mds_rows_r1_is_plain_xor():
     [row] = mds_rows(5, 1)
     assert row == (1,) * 5
+    # The all-ones row needs no field size.
+    assert mds_rows(300, 1) == ((1,) * 300,)
 
 
 def test_mds_rows_size_limits():
@@ -118,7 +121,7 @@ def test_fig4_vector_cycle_schedule(fig4):
 
 
 def test_fig4_clique_schedule(fig4):
-    res = solve_ilp(build_P5(fig4, enumerate_partial_cliques(fig4)))
+    res = solve_ilp(build_P5(fig4, enumerate_cycles(fig4), enumerate_partial_cliques(fig4)))
     sched = clique_schedule(fig4, res)
     assert sched.total_count == 1
     [t] = sched.transmissions
@@ -136,7 +139,7 @@ def test_clique_schedule_uses_gf256_when_needed():
             for i in range(1, 5)
         ],
     )
-    res = solve_ilp(build_P5(inst, enumerate_partial_cliques(inst)))
+    res = solve_ilp(build_P5(inst, enumerate_cycles(inst), enumerate_partial_cliques(inst)))
     assert res.objective == 2
     sched = clique_schedule(inst, res)
     assert sched.field_name == "gf256"
@@ -195,9 +198,33 @@ def test_expansion_errors(fig1):
         cyclic_schedule(fig1, solution(1, 0, -1, 1))
     with pytest.raises(ScheduleError, match=r"^solution does not cover packets \['p2'\]$"):
         cyclic_schedule(fig1, solution(1, 0, 0, 0))
-    with pytest.raises(ScheduleError,
-                       match=r"^unexpected variable 'C:p1\|p3@u1\|u3' in clique solution$"):
-        clique_schedule(fig1, solution(1, 0, 1, 0))
+    with pytest.raises(ScheduleError, match=r"^solution does not cover packets \['p2'\]$"):
+        clique_schedule(fig1, solution(1, 0, 0, 0))
+    # P5 holds P2's columns, so the clique expander takes P2's cycles and
+    # direct sends as they are.
+    res = solution(1, 0, 1, 0)
+    cyc, cli = cyclic_schedule(fig1, res), clique_schedule(fig1, res)
+    assert (cyc.field_name, cli.field_name) == ("gf2", "gf256")
+    assert [a.kind for a in cli.actions] == ["cycle", "direct"]
+    assert (cli.actions, cli.transmissions) == (cyc.actions, cyc.transmissions)
+
+
+def test_clique_over_the_cauchy_bound_is_refused():
+    # A (129, 2) clique needs 127 Cauchy rows over 129 packets, and 2k > 256;
+    # a (129, 128) clique needs only the all-ones row.
+    users = [f"u{i:03}" for i in range(129)]
+    inst = make_instance(users, [(f"p{i:03}", 1, u, set(users) - {u}) for i, u in enumerate(users)])
+    for d, refused in ((2, True), (128, False)):
+        p5 = build_P5(inst, [], [PartialClique(frozenset(inst.packet_ids), 129, d)])
+        point = (F(0),) * 129 + (F(1),)
+        res = SolveResult(OPTIMAL, F(129 - d), point, lp=p5)
+        if refused:
+            with pytest.raises(ScheduleError) as err:
+                clique_schedule(inst, res)
+            assert str(err.value) == ("a (129, 2) partial clique needs 2k <= 256 "
+                                      "for its Cauchy rows over GF(2^8)")
+        else:
+            assert len(clique_schedule(inst, res).transmissions) == 1
 
 
 def _refused(expand, inst, res, label):
@@ -208,9 +235,9 @@ def _refused(expand, inst, res, label):
     return name
 
 
-def test_cyclic_schedule_refuses_clique_columns(fig1):
-    res = solve_lp(build_P5(fig1, enumerate_partial_cliques(fig1)))
-    assert _refused(cyclic_schedule, fig1, res, "cyclic").startswith("T:")
+def test_cyclic_schedule_refuses_clique_columns(fig4):
+    res = solve_lp(build_P5(fig4, enumerate_cycles(fig4), enumerate_partial_cliques(fig4)))
+    assert _refused(cyclic_schedule, fig4, res, "cyclic") == "T:p1|p2|p3"
 
 
 def test_schedules_refuse_columns_without_keys(fig1):
@@ -221,24 +248,22 @@ def test_schedules_refuse_columns_without_keys(fig1):
     assert _refused(clique_schedule, fig1, res, "clique").startswith("m:")
 
 
-@pytest.mark.parametrize("build, family, expand, kind", [
-    (build_P2, enumerate_cycles, cyclic_schedule, "direct"),
-    (build_P5, enumerate_partial_cliques, clique_schedule, "clique"),
-])
-def test_schedules_send_only_the_lone_packets_a_program_leaves_out(fig1, build, family, expand,
-                                                                   kind):
+@pytest.mark.parametrize("expand", [cyclic_schedule, clique_schedule])
+def test_schedules_send_only_the_lone_packets_a_program_leaves_out(fig4, expand):
     # No user holds p4, so it is alone in its strong component; p2 lies on
-    # a cycle of fig1.  A program without p4 has p4 sent whole and
+    # a cycle of fig4.  A program without p4 has p4 sent whole and
     # directly; a program without p2 as well leaves p2 uncovered.
-    inst = make_instance(fig1.users, list(fig1.packets) + [("p4", 2, "u2", set())])
+    inst = make_instance(fig4.users, list(fig4.packets) + [("p4", 2, "u2", set())])
 
     def optimum(*left_out):
         sub = Instance(inst.users, tuple(p for p in inst.packets if p.id not in left_out))
-        return solve_lp(build(sub, family(sub)))
+        cycles = enumerate_cycles(sub)
+        return solve_lp(build_P2(sub, cycles) if expand is cyclic_schedule
+                        else build_P5(sub, cycles, enumerate_partial_cliques(sub)))
 
     sched = expand(inst, optimum("p4"))
     assert [a for a in sched.actions if "p4" in a.packets] == [
-        CodingAction(kind, ("p4",), 2 * sched.theta)]
+        CodingAction("direct", ("p4",), 2 * sched.theta)]
     with pytest.raises(ScheduleError, match=r"^solution does not cover packets \['p2'\]$"):
         expand(inst, optimum("p2", "p4"))
 

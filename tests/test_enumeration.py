@@ -112,30 +112,34 @@ def test_cycle_cap():
 
 def test_fig1_cliques(fig1):
     # {p1, p2, p3} has d = 1 and keeps it without p2: it is not critical.
-    cliques = {t.packets: t for t in enumerate_partial_cliques(fig1)}
-    assert set(cliques) == {frozenset({"p1", "p3"})} | {frozenset((p,)) for p in fig1.packet_ids}
-    assert cliques[frozenset({"p1", "p3"})].d == 1
-    for pid in fig1.packet_ids:
-        t = cliques[frozenset({pid})]
-        assert (t.k, t.d) == (1, 0)
+    # The critical (2, 1) clique {p1, p3} is the chordless cycle of P2.
+    full = {t.packets: t for t in full_clique_family(fig1)}
+    assert full[frozenset(fig1.packet_ids)].d == 1
+    assert not _critical(fig1, full[frozenset(fig1.packet_ids)])
+    assert _critical(fig1, full[frozenset({"p1", "p3"})])
+    assert [c.packet_set for c in enumerate_cycles(fig1)] == [frozenset({"p1", "p3"})]
+    assert enumerate_partial_cliques(fig1) == []
 
 
 def test_fig4_cliques(fig4):
-    cliques = {t.packets: t for t in enumerate_partial_cliques(fig4)}
-    assert cliques[frozenset({"p1", "p2", "p3"})].d == 2
-    assert all(cliques[frozenset({p, q})].d == 1
-               for p, q in [("p1", "p2"), ("p1", "p3"), ("p2", "p3")])
+    # The (2, 1) cliques are the 2-cycles, and only the (3, 2) one is listed.
+    assert enumerate_partial_cliques(fig4) == [PartialClique(frozenset(fig4.packet_ids), 3, 2)]
+    assert [c.packet_set for c in enumerate_cycles(fig4)] == [
+        frozenset({p, q}) for p, q in [("p1", "p2"), ("p1", "p3"), ("p2", "p3")]]
 
 
 def test_clique_d_is_maximal():
     rng = Random(9)
+    checked = 0
     for _ in range(20):
-        inst = random_unicast_instance(rng)
+        inst = random_unicast_instance(rng, 7, 5, 3, 0.7, exact=True)
         for t in enumerate_partial_cliques(inst):
             demanders = {inst.packet(pid).demand for pid in t.packets}
             counts = [len(inst.side_packets(u) & t.packets) for u in demanders]
             assert min(counts) == t.d
-            assert 0 <= t.d <= t.k - 1
+            assert 2 <= t.d <= t.k - 1
+            checked += 1
+    assert checked >= 20
 
 
 def _critical(inst, t):
@@ -192,21 +196,37 @@ def test_cliques_are_the_non_dominated_family():
     assert [max(map(len, _blocks(inst))) for inst in insts[-7:]] == [8, 8, 11, 11, 12, 14, 16]
     for inst in insts:
         cliques = enumerate_partial_cliques(inst)
-        # Every singleton, and no (k, 0)-clique with k > 1.
-        assert {t.packets for t in cliques if t.k == 1} == {
-            frozenset((pid,)) for pid in inst.packet_ids}
-        assert all(t.d >= 1 for t in cliques if t.k > 1)
-        # The critical cliques of the brute-force family that lie inside
-        # one strong component, in the same order and with the same d.
+        # The critical cliques with d >= 2 of the brute-force family that
+        # lie inside one strong component, in the same order and with the
+        # same d.
         full = full_clique_family(inst)
         blocks = _blocks(inst)
-        kept = [t for t in full if _critical(inst, t)
-                and (t.k == 1 or any(t.packets <= b for b in blocks))]
+        kept = [t for t in full if t.d >= 2 and _critical(inst, t)
+                and any(t.packets <= b for b in blocks)]
         assert cliques == kept
         # Each component of two or more packets is a clique with d >= 1,
         # so the largest inside it: its own clique core.
         for b in blocks:
             assert max((t.packets for t in full if t.d >= 1 and t.packets <= b), key=len) == b
+
+
+def test_strongly_connected_critical_d1_cliques_are_the_chordless_cycles():
+    # A critical clique with d = 1 whose induced digraph G[S] is strongly
+    # connected is a chordless cycle, so P5 takes it from P2's columns.
+    # Conversely, every chordless cycle's packet set is such a clique.
+    rng = Random(12)
+    insts = [random_unicast_instance(rng, 7, 5, 3, rng.uniform(0.2, 0.7)) for _ in range(100)]
+    insts += [random_uniprior_instance(rng, 7, 4) for _ in range(100)]
+    seen = 0
+    for inst in insts:
+        g = nx.DiGraph((p.id, q) for p in inst.packets
+                       for q in inst.side_packets(p.demand))
+        g.add_nodes_from(inst.packet_ids)
+        d1 = {t.packets for t in full_clique_family(inst) if t.d == 1 and _critical(inst, t)
+              and nx.is_strongly_connected(g.subgraph(t.packets))}
+        assert d1 == {c.packet_set for c in enumerate_cycles(inst)}
+        seen += len(d1)
+    assert seen >= 100
 
 
 def _ring(n, offsets=(1,)):
@@ -219,7 +239,7 @@ def _ring(n, offsets=(1,)):
 
 def test_extract_cycles_ring():
     inst = _ring(3)
-    cliques = {t.packets: t for t in enumerate_partial_cliques(inst)}
+    cliques = {t.packets: t for t in full_clique_family(inst)}
     full = cliques[frozenset(inst.packet_ids)]
     assert full.d == 1
     cycles = extract_cycles_from_clique(full, inst)
@@ -258,8 +278,8 @@ def test_extract_cycles_disjoint_property():
     checked = 0
     for _ in range(60):
         inst = random_uniprior_instance(rng, max_weight=1)
-        for t in enumerate_partial_cliques(inst):
-            if t.d >= 1:
+        for t in full_clique_family(inst):
+            if t.d >= 1 and _critical(inst, t):
                 cycles = extract_cycles_from_clique(t, inst)
                 assert len(cycles) == t.d
                 packet_lists = [c.packet_set for c in cycles]

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import indexcode.lp as lp_module
-from indexcode.enumeration import enumerate_partial_cliques
+from indexcode.enumeration import enumerate_cycles, enumerate_partial_cliques
 from indexcode.lp import (
     Constraint,
     DimensionError,
@@ -379,19 +379,19 @@ def test_rows_with_a_unit_column_start_basic_in_it(simplex_runs):
 
 
 @pytest.mark.parametrize("fixture, pivots, point, duals", [
-    ("fig1", 1, (0, 1, 0, 1), (0, 1, 1)),
+    ("fig1", 1, (1, 0, 1, 0), (0, 1, 1)),
     ("fig4", 4, (0, 0, 0, 0, 0, 0, 1), (0, 0, 1)),
 ])
 def test_p5_relaxation_starts_at_its_singleton_cliques(request, simplex_runs, fixture, pivots,
                                                         point, duals):
     inst = request.getfixturevalue(fixture)
-    p5 = build_P5(inst, enumerate_partial_cliques(inst))
+    p5 = build_P5(inst, enumerate_cycles(inst), enumerate_partial_cliques(inst))
     res = solve_lp(p5)
-    # One run, phase 2, from T:p in packet p's row: no artificial column.
+    # One run, phase 2, from packet p's singleton clique, its direct send
+    # y:p, in p's row: no artificial column.
     [(basis, width, banned)] = simplex_runs.runs
     assert (width, banned) == (p5.num_vars + len(p5.constraints), set())
-    assert [p5.var_names[j] for j in basis] == ["T:" + pid for pid in inst.packet_ids]
-    # A start with phase 1 pivots 4 and 7 times and reaches the same optimum.
+    assert [p5.var_names[j] for j in basis] == ["y:" + pid for pid in inst.packet_ids]
     assert simplex_runs.pivots == pivots
     assert (res.primal, res.row_duals) == (tuple(map(F, point)), tuple(map(F, duals)))
     assert verify_certificate(p5, res)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from dataclasses import replace
 from random import Random
 
 from indexcode import (
@@ -89,21 +90,57 @@ def test_p4_structure_fig4(fig4):
 
 
 def test_p5_structure_fig1(fig1):
-    lp = build_P5(fig1, enumerate_partial_cliques(fig1))
+    # {p1, p2, p3} keeps d = 1 without p2, so it is not critical, and the
+    # critical (2, 1) clique {p1, p3} is P2's cycle: P5 has P2's columns only.
+    lp = build_P5(fig1, enumerate_cycles(fig1), enumerate_partial_cliques(fig1))
     assert lp.sense == "min"
-    # {p1, p2, p3} keeps d = 1 without p2, so it is not critical.
-    assert lp.var_names == ("T:p1", "T:p2", "T:p3", "T:p1|p3")
-    assert lp.var_keys == (
-        PartialClique(frozenset({"p1"}), 1, 0), PartialClique(frozenset({"p2"}), 1, 0),
-        PartialClique(frozenset({"p3"}), 1, 0), PartialClique(frozenset({"p1", "p3"}), 2, 1),
-    )
+    assert lp.var_names == ("C:p1|p3@u1|u3", "y:p1", "y:p2", "y:p3")
+    assert lp.var_keys == (Cycle(("p1", "p3"), ("u1", "u3")), "p1", "p2", "p3")
     # Cost k - d.
     assert lp.objective == (1, 1, 1, 1)
     assert _rows(lp) == [
-        ("m:p1", ">=", 1, (1, 0, 0, 1)),
-        ("m:p2", ">=", 1, (0, 1, 0, 0)),
-        ("m:p3", ">=", 1, (0, 0, 1, 1)),
+        ("m:p1", ">=", 1, (1, 1, 0, 0)),
+        ("m:p2", ">=", 1, (0, 0, 1, 0)),
+        ("m:p3", ">=", 1, (1, 0, 0, 1)),
     ]
+
+
+def test_p5_structure_fig4(fig4):
+    # P2's columns, in P2's order, then the (3, 2) clique at cost k - d.
+    cycles, cliques = _vals(fig4)
+    lp = build_P5(fig4, cycles, cliques)
+    assert lp.sense == "min"
+    assert lp.var_names == ("C:p1|p2@u1|u2", "C:p1|p3@u1|u3", "C:p2|p3@u2|u3",
+                            "y:p1", "y:p2", "y:p3", "T:p1|p2|p3")
+    assert lp.var_keys == (*cycles, "p1", "p2", "p3",
+                           PartialClique(frozenset({"p1", "p2", "p3"}), 3, 2))
+    assert lp.objective == (1, 1, 1, 1, 1, 1, 1)
+    assert _rows(lp) == [
+        ("m:p1", ">=", 1, (1, 1, 0, 1, 0, 0, 1)),
+        ("m:p2", ">=", 1, (1, 0, 1, 0, 1, 0, 1)),
+        ("m:p3", ">=", 1, (0, 1, 1, 0, 0, 1, 1)),
+    ]
+
+
+def test_p5_starts_with_p2s_columns_in_p2s_order():
+    # On fig1 no clique has d >= 2 ({p1, p2, p3} keeps d = 1 without p2), so
+    # P5 is P2; elsewhere P2's columns come first, and each clique's after.
+    rng = Random(44)
+    seen = {"no clique": 0, "cliques": 0}
+    for _ in range(60):
+        inst = random_unicast_instance(rng, 7, 5, 3, rng.uniform(0.3, 0.8), exact=True)
+        cycles, cliques = _vals(inst)
+        p2, p5 = build_P2(inst, cycles), build_P5(inst, cycles, cliques)
+        n = p2.num_vars
+        assert (p5.var_names[:n], p5.var_keys[:n], p5.objective[:n]) == (
+            p2.var_names, p2.var_keys, p2.objective)
+        assert p5.var_keys[n:] == tuple(cliques)
+        assert p5.objective[n:] == tuple(t.k - t.d for t in cliques)
+        assert [c.rhs for c in p5.constraints] == [c.rhs for c in p2.constraints]
+        for row2, row5 in zip(p2.constraints, p5.constraints):
+            assert row5.terms[:len(row2.terms)] == row2.terms
+        seen["cliques" if cliques else "no clique"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_p4_star_structure_fig1(fig1):
@@ -142,8 +179,8 @@ def test_fig1_all_bounds_equal_two(fig1):
     assert solve_lp(transpose(build_P2(fig1, cycles))).objective == 2
     assert solve_lp(build_P2(fig1, cycles)).objective == 2
     assert solve_ilp(build_P2(fig1, cycles)).objective == 2
-    assert solve_ilp(build_P5(fig1, cliques)).objective == 2
-    assert solve_lp(build_P5(fig1, cliques)).objective == 2
+    assert solve_ilp(build_P5(fig1, cycles, cliques)).objective == 2
+    assert solve_lp(build_P5(fig1, cycles, cliques)).objective == 2
 
 
 def test_fig4_bound_chain_with_gaps(fig4):
@@ -152,23 +189,24 @@ def test_fig4_bound_chain_with_gaps(fig4):
     assert solve_lp(transpose(build_P2(fig4, cycles))).objective == F(3, 2)
     assert solve_lp(build_P2(fig4, cycles)).objective == F(3, 2)
     assert solve_ilp(build_P2(fig4, cycles)).objective == 2
-    assert solve_ilp(build_P5(fig4, cliques)).objective == 1
-    assert solve_lp(build_P5(fig4, cliques)).objective == 1
+    assert solve_ilp(build_P5(fig4, cycles, cliques)).objective == 1
+    assert solve_lp(build_P5(fig4, cycles, cliques)).objective == 1
 
 
 def test_p6_structure_fig4(fig4):
-    _, cliques = _vals(fig4)
-    lp = transpose(build_P5(fig4, cliques))
+    cycles, cliques = _vals(fig4)
+    lp = transpose(build_P5(fig4, cycles, cliques))
     assert lp.sense == "max"
     rows = {c.name: c for c in lp.constraints}
     # (3,2)-clique row: x1+x2+x3 <= 1
     full = rows["T:p1|p2|p3"]
     assert full.rhs == 1
     assert full.terms == ((0, 1), (1, 1), (2, 1))
-    # singleton rows act as x_m <= 1
-    assert rows["T:p1"].rhs == 1
+    # a 2-cycle's row: x1+x2 <= 1; direct-send rows act as x_m <= 1
+    assert rows["C:p1|p2@u1|u2"].terms == ((0, 1), (1, 1))
+    assert rows["C:p1|p2@u1|u2"].rhs == rows["y:p1"].rhs == 1
     assert solve_ilp(lp).objective == 1
-    assert solve_lp(transpose(build_P5(fig4, cliques))).objective == 1
+    assert solve_lp(transpose(build_P5(fig4, cycles, cliques))).objective == 1
 
 
 def test_weighted_objective():
@@ -203,9 +241,9 @@ def test_p6p5_relaxations_are_dual():
     rng = Random(32)
     insts = [random_unicast_instance(rng, max_packets=5) for _ in range(25)]
     for inst in insts:
-        cliques = enumerate_partial_cliques(inst)
-        a = solve_lp(transpose(build_P5(inst, cliques)))
-        b = solve_lp(build_P5(inst, cliques))
+        cycles, cliques = _vals(inst)
+        a = solve_lp(transpose(build_P5(inst, cycles, cliques)))
+        b = solve_lp(build_P5(inst, cycles, cliques))
         assert a.objective == b.objective
         assert verify_certificate(a.lp, a) and verify_certificate(b.lp, b)
 
@@ -230,7 +268,7 @@ def test_p1_equals_p6():
         cliques = enumerate_partial_cliques(inst)
         assert (
             solve_ilp(transpose(build_P2(inst, cycles))).objective
-            == solve_ilp(transpose(build_P5(inst, cliques))).objective
+            == solve_ilp(transpose(build_P5(inst, cycles, cliques))).objective
         )
 
 
@@ -241,11 +279,11 @@ def test_p5_below_p2_on_uniprior():
         cycles = enumerate_cycles(inst)
         cliques = enumerate_partial_cliques(inst)
         assert (
-            solve_ilp(build_P5(inst, cliques)).objective
+            solve_ilp(build_P5(inst, cycles, cliques)).objective
             <= solve_ilp(build_P2(inst, cycles)).objective
         )
         assert (
-            solve_lp(build_P5(inst, cliques)).objective
+            solve_lp(build_P5(inst, cycles, cliques)).objective
             <= solve_lp(build_P2(inst, cycles)).objective
         )
 
@@ -343,7 +381,7 @@ def test_p2_has_one_column_per_cycle_packet_set():
 
 def test_deletion_programs_are_transposes(fig4):
     cycles, cliques = _vals(fig4)
-    for cover in (build_P2(fig4, cycles), build_P4(fig4, cycles), build_P5(fig4, cliques)):
+    for cover in (build_P2(fig4, cycles), build_P4(fig4, cycles), build_P5(fig4, cycles, cliques)):
         back = transpose(transpose(cover))
         assert (back.sense, back.objective, back.var_names) == (
             cover.sense, cover.objective, cover.var_names)
@@ -360,7 +398,7 @@ def test_built_rows_are_sparse_integer_terms(fig1, fig4):
     for inst in [fig1, fig4] + [random_unicast_instance(rng, 7, 5) for _ in range(50)]:
         cycles, cliques = _vals(inst)
         p2 = build_P2(inst, cycles)
-        for name, p in (("P2", p2), ("P5", build_P5(inst, cliques)), ("P1", transpose(p2))):
+        for name, p in (("P2", p2), ("P5", build_P5(inst, cycles, cliques)), ("P1", transpose(p2))):
             assert all(type(c) is int for c in p.objective), name
             for con in p.constraints:
                 columns = [j for j, _ in con.terms]
@@ -371,7 +409,7 @@ def test_built_rows_are_sparse_integer_terms(fig1, fig4):
             assert (back.objective, back.var_names, back.constraints) == (
                 p.objective, p.var_names, p.constraints), name
         # A covering row holds a 1 in each column that covers its packet.
-        for p in (p2, build_P5(inst, cliques)):
+        for p in (p2, build_P5(inst, cycles, cliques)):
             for con, pkt in zip(p.constraints, inst.packets):
                 assert con.terms == tuple((j, 1) for j, key in enumerate(p.var_keys)
                                           if pkt.id in _members(key))
@@ -386,30 +424,34 @@ def test_pruned_clique_family_matches_full_family_oracle():
     while checked < 50 or branched < 3:
         inst = random_unicast_instance(rng, rng.choice((7, 8)), 8, 1, 0.6, exact=True)
         checked += 1
-        full, pruned = full_clique_family(inst), enumerate_partial_cliques(inst)
-        assert len(pruned) < len(full)
-        lp_full = solve_lp(build_P5(inst, full))
-        lp_pruned = solve_lp(build_P5(inst, pruned))
-        # The same P5' primal by key (dropped columns at zero) and row duals.
-        by_key = dict(zip(lp_full.lp.var_keys, lp_full.primal))
-        assert by_key == {**dict.fromkeys(full, F(0)),
-                          **dict(zip(lp_pruned.lp.var_keys, lp_pruned.primal))}
-        assert lp_pruned.row_duals == lp_full.row_duals
-        ilp_full = solve_ilp(build_P5(inst, full))
-        ilp_pruned = solve_ilp(build_P5(inst, pruned))
+        cycles, pruned = _vals(inst)
+        full = build_P5(inst, [], full_clique_family(inst))
+        p5 = build_P5(inst, cycles, pruned)
+        assert p5.num_vars < full.num_vars
+        lp_full, lp_pruned = solve_lp(full), solve_lp(p5)
+        assert lp_pruned.objective == lp_full.objective
+        # The pruned P5' optimum, placed on the full family's columns (a
+        # cycle on its (k, 1) clique, a direct send on its own column, the
+        # rest at zero), with its own row duals is a certificate of the full
+        # P5': every dropped column prices out.
+        at = {key: j for j, key in enumerate(full.var_keys)}
+        point = [F(0)] * full.num_vars
+        for key, v in zip(p5.var_keys, lp_pruned.primal):
+            if isinstance(key, Cycle):
+                key = PartialClique(key.packet_set, key.length, 1)
+            point[at[key]] = v
+        assert verify_certificate(full, replace(lp_pruned, primal=tuple(point), lp=full))
+        ilp_full, ilp_pruned = solve_ilp(full), solve_ilp(p5)
         branched += ilp_pruned.branch_count > 1
         assert ilp_pruned.objective == ilp_full.objective
-        p6_full = solve_lp(transpose(build_P5(inst, full)))
-        p6_pruned = solve_lp(transpose(build_P5(inst, pruned)))
+        p6_full, p6_pruned = solve_lp(transpose(full)), solve_lp(transpose(p5))
         assert p6_pruned.objective == p6_full.objective == lp_pruned.objective
         assert verify_certificate(lp_pruned.lp, lp_pruned)
         assert verify_certificate(p6_pruned.lp, p6_pruned)
 
 
-def _six_values(inst, cycles, cliques):
-    p2, p5 = build_P2(inst, cycles), build_P5(inst, cliques)
-    p1 = transpose(p2)
-    return [solve(p).objective for p in (p1, p2, p5) for solve in (solve_ilp, solve_lp)]
+def _six_values(p2, p5):
+    return [solve(p).objective for p in (transpose(p2), p2, p5) for solve in (solve_ilp, solve_lp)]
 
 
 def test_values_match_the_full_families(fig1, fig4):
@@ -423,8 +465,9 @@ def test_values_match_the_full_families(fig1, fig4):
     insts += [random_unicast_instance(Random(s), m, 8, 3, 0.6, exact=True)
               for m in (8, 10, 12) for s in range(3)]
     for inst in insts:
-        full = _six_values(inst, [Cycle(*c) for c in sorted(dfs_cycles(inst))],
-                           full_clique_family(inst))
-        assert _six_values(inst, enumerate_cycles(inst), enumerate_partial_cliques(inst)) == full
+        full = _six_values(build_P2(inst, [Cycle(*c) for c in sorted(dfs_cycles(inst))]),
+                           build_P5(inst, [], full_clique_family(inst)))
+        cycles, cliques = _vals(inst)
+        assert _six_values(build_P2(inst, cycles), build_P5(inst, cycles, cliques)) == full
         a = Analysis(inst)
         assert [a.value(n) for n in ("P1", "P1'", "P2", "P2'", "P5", "P5'")] == full

@@ -37,6 +37,10 @@ def _scalar_cyclic(inst):
     return cyclic_schedule(inst, solve_ilp(build_P2(inst, enumerate_cycles(inst))))
 
 
+def _p5(inst):
+    return build_P5(inst, enumerate_cycles(inst), enumerate_partial_cliques(inst))
+
+
 def test_fig1_scalar_decodes(fig1):
     report = simulate(fig1, _scalar_cyclic(fig1))
     assert report.all_decoded
@@ -54,7 +58,7 @@ def test_fig4_vector_decodes(fig4):
 
 
 def test_fig4_clique_decodes(fig4):
-    res = solve_ilp(build_P5(fig4, enumerate_partial_cliques(fig4)))
+    res = solve_ilp(_p5(fig4))
     report = simulate(fig4, clique_schedule(fig4, res))
     assert report.all_decoded
     assert report.transmissions == 1
@@ -120,7 +124,7 @@ def test_random_clique_schedules_decode():
     rng = Random(73)
     for _ in range(20):
         inst = random_uniprior_instance(rng)
-        res = solve_ilp(build_P5(inst, enumerate_partial_cliques(inst)))
+        res = solve_ilp(_p5(inst))
         report = simulate(inst, clique_schedule(inst, res))
         assert report.all_decoded
 
@@ -362,7 +366,7 @@ def _random_schedule(rng):
     kind = rng.choice(("scalar", "vector", "clique"))
     if kind == "clique":
         inst = random_uniprior_instance(rng)
-        sched = clique_schedule(inst, solve_ilp(build_P5(inst, enumerate_partial_cliques(inst))))
+        sched = clique_schedule(inst, solve_ilp(_p5(inst)))
     else:
         inst = random_unicast_instance(rng, side_prob=0.5)
         if kind == "scalar":
@@ -454,7 +458,7 @@ def _batched_schedule(rng, fig4):
         inst = random_uniprior_instance(rng)
         inst = _scaled(inst, [rng.randint(2, 4)] * len(inst.packets))
     if kind == "uniprior" or rng.random() < 0.5:
-        sched = clique_schedule(inst, solve_lp(build_P5(inst, enumerate_partial_cliques(inst))))
+        sched = clique_schedule(inst, solve_lp(_p5(inst)))
     else:
         sched = cyclic_schedule(inst, solve_lp(build_P2(inst, enumerate_cycles(inst))))
     if rng.random() < 0.3:
@@ -543,7 +547,7 @@ def test_each_receiver_eliminates_each_batch_once(fig4, monkeypatch):
     demanding = [user for user in inst.users if any(p.demand == user for p in inst.packets)]
     for sched in (
         cyclic_schedule(inst, solve_lp(build_P2(inst, enumerate_cycles(inst)))),
-        clique_schedule(inst, solve_lp(build_P5(inst, enumerate_partial_cliques(inst)))),
+        clique_schedule(inst, solve_lp(_p5(inst))),
     ):
         batched = sorted(action.count * 64 for user in inst.users for action in sched.actions
                          if any(inst.packet(pid).demand == user for pid in action.packets))
