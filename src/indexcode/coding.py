@@ -1,13 +1,14 @@
 """Turning LP/ILP optima into executable transmission schedules.
 
-A schedule is an ordered list of coding actions (cycle XOR rounds over
-GF(2), partial-clique MDS rounds over GF(2^8), and uncoded broadcasts)
-expanded into concrete transmissions.  A symbol is one (sub)packet unit,
-``(packet_id, unit)`` with unit in ``range(weight * theta)``, and a
-transmission is its tuple of terms, ``(((packet_id, unit), coef), ...)``.
-An action repeats one round `count` times, each round on fresh units:
-`CodingAction.rows` is that round's code over the action's packets, and
-the units an action takes fix all its transmissions.
+A schedule is its field, its theta and an ordered list of coding actions
+(cycle XOR rounds over GF(2), partial-clique MDS rounds over GF(2^8), and
+uncoded broadcasts).  A symbol is one (sub)packet unit, ``(packet_id,
+unit)`` with unit in ``range(weight * theta)``, and a transmission is its
+tuple of terms, ``(((packet_id, unit), coef), ...)``.  An action repeats
+one round `count` times: `CodingAction.rows` is that round's code over the
+action's packets, and `CodingAction.units`, the units it takes of each
+packet, fix all its transmissions.  `TransmissionSchedule.transmissions`
+writes them out, action after action, only when something reads them.
 
 Each code family has one expander, `cyclic_schedule` for P2 and
 `clique_schedule` for P5, and it takes an integer optimum and an LP
@@ -25,7 +26,7 @@ has no direct-send column in the program is sent whole and directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat, zip_longest
@@ -48,7 +49,7 @@ MAX_SYMBOLS = 1 << 18
 class ScheduleError(ValueError):
     """Solution unfit for expansion (wrong status, negative counts, a
     column outside the code family, packets left uncovered, too many
-    symbols), or a term unfit for simulation."""
+    symbols), or an action unfit for simulation."""
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,16 @@ class CodingAction:
     of every packet of the action (its packets are distinct).
 
     kind "cycle": packets in cycle order.  kind "clique": packets plus the
-    surplus d.  kind "direct": a single packet, sent uncoded.
+    surplus d.  kind "direct": a single packet, sent uncoded.  `units`
+    holds, per packet, the first and the last unit the action takes:
+    round j takes unit min(first + j, last).  `_expand` sets them.
     """
 
     kind: str  # "cycle" | "clique" | "direct"
     packets: tuple[str, ...]
     count: int
     d: int = 0
+    units: tuple[tuple[int, int], ...] = ()
 
     @cached_property
     def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -80,19 +84,35 @@ class CodingAction:
             return tuple(tuple(enumerate(row)) for row in mds_rows(k, k - self.d))
         return (((0, 1),),)
 
+    def expand(self, rounds: int | None = None) -> list[tuple]:
+        """The transmissions of the first `rounds` rounds (all `count` by
+        default), round after round and a row's terms per transmission."""
+        n = self.count if rounds is None else rounds
+        taken = []  # per packet, its symbol in each round
+        for pid, (first, last) in zip(self.packets, self.units):
+            fresh = range(first, min(first + n, last + 1))
+            taken.append([*zip(repeat(pid), fresh)] + [(pid, last)] * (n - len(fresh)))
+        # Each row's transmissions over all rounds, then interleaved round by round.
+        by_row = [zip(*(zip(taken[i], repeat(coef)) for i, coef in row)) for row in self.rows]
+        return list(chain.from_iterable(zip(*by_row)))
+
 
 @dataclass
 class TransmissionSchedule:
     field_name: str  # GF2 or GF256
     theta: int
     actions: list[CodingAction]
-    # Each transmission is its terms, (((pid, unit), coef), ...).
-    transmissions: list[tuple] = field(default_factory=list)
+
+    @property
+    def transmissions(self) -> list[tuple]:
+        """Every action's transmissions, in action order; each is its
+        terms, (((pid, unit), coef), ...)."""
+        return [t for action in self.actions for t in action.expand()]
 
     @property
     def total_count(self) -> Fraction:
         """Clearance time in packet units (transmissions / theta)."""
-        return Fraction(len(self.transmissions), self.theta)
+        return Fraction(sum(len(a.rows) * max(a.count, 0) for a in self.actions), self.theta)
 
     def to_doc(self) -> dict:
         """The schedule as a JSON-ready dict; a term's key is "pid/unit"."""
@@ -148,10 +168,9 @@ def _action(key, count: int) -> CodingAction:
 
 
 def _expand(inst: Instance, actions, theta, field_name) -> TransmissionSchedule:
-    """Each action's `count` rounds of its `rows`, round j on the j-th of
-    the units the action takes of each packet: the packet's next `count`
-    units, then its last unit again once it is used up (a duplicate,
-    redundant for every receiver)."""
+    """The actions, each with the units it takes of each packet: the
+    packet's next `count` units, then its last unit again once it is used
+    up (a duplicate, redundant for every receiver)."""
     symbols = theta * total_weight(inst)
     if symbols > MAX_SYMBOLS:
         raise ScheduleError(
@@ -159,21 +178,20 @@ def _expand(inst: Instance, actions, theta, field_name) -> TransmissionSchedule:
         )
     units = {p.id: p.weight * theta for p in inst.packets}
     cursor = dict.fromkeys(units, 0)
-    transmissions = []
+    taken = []
     for action in actions:
-        taken = []  # per packet, its symbol in each round
+        spans = []
         for pid in action.packets:
             start, end = cursor[pid], units[pid]
-            fresh = range(start, min(start + action.count, end))
-            cursor[pid] = start + len(fresh)
-            taken.append([*zip(repeat(pid), fresh)] + [(pid, end - 1)] * (action.count - len(fresh)))
-        # Each row's transmissions over all rounds, then interleaved round by round.
-        by_row = [zip(*(zip(taken[i], repeat(coef)) for i, coef in row)) for row in action.rows]
-        transmissions.extend(chain.from_iterable(zip(*by_row)))
+            cursor[pid] = stop = min(start + max(action.count, 0), end)
+            first = min(start, end - 1)
+            spans.append((first, max(first, stop - 1)))
+        taken.append(replace(action, units=tuple(spans)))
+        taken[-1].rows  # a clique over the Cauchy bound is refused here
     missing = [pid for pid, n in units.items() if cursor[pid] < n]
     if missing:
         raise ScheduleError(f"solution does not cover packets {missing}")
-    return TransmissionSchedule(field_name, theta, list(actions), transmissions)
+    return TransmissionSchedule(field_name, theta, taken)
 
 
 def cyclic_schedule(inst: Instance, res: SolveResult) -> TransmissionSchedule:

@@ -25,33 +25,27 @@ only a block that decodes a unit it demands.  A block is the symbols it
 decodes, per packet, their truth, its payload width and its encoded rows,
 which a receiver that holds none of the block's packets shares.
 
-Batches.  A schedule's actions repeat one small code ``count`` times on
-fresh units, so each action proposes a batch: the next ``count`` rounds of
-transmissions, a round being one transmission per row of the action's
-`rows`.  The proposal is accepted only if the batch's transmissions are
-its first round's, round after round, with every unit advanced by one,
-each packet holds one unit in that round, and the units stay within the
-packet; that is checked on the whole batch at once, as tuple equality over
-its flattened terms, every symbol a tuple and every unit and coefficient
-an int, so a later round repeats the first in type as well as value.
-Rounds then share no symbol.  An accepted batch must
-also share no symbol, counting terms with a zero coefficient, with any
-other batch or any transmission outside the accepted batches; then it is a
-union of components, and so is each of its rounds.  Each accepted batch is
-one block.  The elimination's control flow depends only on the
-coefficients, which every round repeats, so its rows are the first round's
-and each payload carries all rounds as one int of ``count * size`` bytes,
-round j at bytes ``[j * size, (j + 1) * size)``.  A packet's truth over the
-batch is then one contiguous slice of the stream, and XOR and scaling act
-on all rounds at once.
+Blocks.  An action repeats one small code ``count`` times, round j on
+unit ``min(first + j, last)`` of each of its packets (`CodingAction.units`).
+Its rounds take fresh units when ``first + count - 1 <= last`` for every
+packet, and then they share no symbol.  Such an action over distinct
+packets that shares no unit with any other action is a union of
+components, and so is each of its rounds: it is one block.  The
+elimination's control flow depends only on the coefficients, which every
+round repeats, so the block's rows are its first round, built from `rows`
+and the first units, and each payload carries all rounds as one int of
+``count * size`` bytes, round j at bytes ``[j * size, (j + 1) * size)``.  A
+packet's truth over the block is then one contiguous slice of the stream,
+and XOR and scaling act on all rounds at once.
 
-The transmissions outside every accepted batch -- broken or dropped
-rounds, duplicated units, schedules without actions -- form one more block,
-over ``(packet, unit)`` symbols, which decodes each packet's units outside
-the batches; sharing no symbol with them, it is a union of components too.
-What is encoded is checked against the instance first: the terms of those
-transmissions and each proposed batch's first round, which its later
-rounds repeat.
+Every other action -- one whose units run past ``last`` or overlap
+another's, or one that names a packet twice -- is expanded on its own,
+and those transmissions form one more block, over ``(packet, unit)``
+symbols, which decodes each packet's units outside the blocks; sharing no
+symbol with them, it is a union of components too.  A schedule is given
+as actions, so each action is checked against the instance first: its
+count, its packets and its units.  No transmission is read from
+`TransmissionSchedule.transmissions`.
 """
 
 from __future__ import annotations
@@ -59,8 +53,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from operator import sub
 
 from .coding import ScheduleError, TransmissionSchedule
 from .gf256 import _EXP, _LOG, gf_scale_bytes
@@ -207,69 +199,35 @@ def _received(entries, payload, held):
     return (row, payload) if row else None
 
 
-def _batch(txs, start, per_round, count, units):
-    """When the `count` rounds of `per_round` transmissions from `start`
-    form a batch, the first round's terms, per transmission, and {packet:
-    its unit in the first round}; otherwise None.  They form one when each
-    round repeats the first with every unit advanced by one per round, the
-    first round holds one unit of each packet, and each packet has `count`
-    units from there on (`units`: packet -> its number of units)."""
-    stop = start + per_round * count
-    if per_round < 1 or count < 1 or stop > len(txs):
-        return None
-    batch = txs[start:stop]
-    lens = list(map(len, batch))
-    width = sum(lens[:per_round])  # terms per round
-    if not width or lens[per_round:] != lens[:-per_round]:
-        return None
-    # A term or symbol that is not a pair, a symbol that is not a tuple, a
-    # unit or coefficient that is not an int or an unhashable packet is no
-    # batch; `_check` reports it.
-    try:
-        syms, coefs = zip(*chain.from_iterable(batch), strict=True)
-        pids, seq = zip(*syms, strict=True)
-        if {*map(type, syms)} != {tuple} or {*map(type, seq), *map(type, coefs)} != {int}:
-            return None
-        if coefs[width:] != coefs[:-width] or pids[width:] != pids[:-width]:
-            return None
-        if set(map(sub, seq[width:], seq[:-width])) - {1}:
-            return None
-        first = {}
-        for pid, unit in syms[:width]:
-            if first.setdefault(pid, unit) != unit:
-                return None
-    except (TypeError, ValueError):
-        return None
-    for pid, unit in first.items():
-        if not 0 <= unit <= units.get(pid, 0) - count:
-            return None
-    return batch[:per_round], first
-
-
-def _check(terms, units):
-    """Raise ScheduleError, showing the term as given, at the first term
-    that is not ((packet, unit), coef), a pair whose symbol is a tuple,
-    with a packet of the instance, an int unit within the packet (`units`:
-    packet -> its number of units) and an int coef in 0..255."""
-    for term in terms:
-        try:
-            sym, coef = term
-            pid, unit = sym
-            ok = (type(sym) is tuple and type(unit) is int and 0 <= unit < units.get(pid, 0)
-                  and type(coef) is int and 0 <= coef <= 255)
-        except (TypeError, ValueError):  # not a pair, or an unhashable packet
-            ok = False
-        if not ok:
-            raise ScheduleError(f"term {term!r} is not a unit of a packet "
-                                f"of the instance with a coefficient in 0..255")
+def _check(action, units):
+    """Raise ScheduleError, naming the action, unless its count is an int
+    >= 0 and it takes, of each of its packets, a packet of the instance
+    (`units`: packet -> its number of units), the units from `first` to
+    `last`, ints with 0 <= first <= last < the packet's units."""
+    count = action.count
+    if type(count) is not int or count < 0:
+        raise ScheduleError(f"{action!r}: count {count!r} is not an int >= 0")
+    if len(action.units) != len(action.packets):
+        raise ScheduleError(f"{action!r}: units for {len(action.units)} "
+                            f"of its {len(action.packets)} packets")
+    for pid, span in zip(action.packets, action.units):
+        if type(pid) is not str or pid not in units:
+            raise ScheduleError(f"{action!r}: unknown packet {pid!r}")
+        first, last = span if type(span) is tuple and len(span) == 2 else (None, None)
+        if not (type(first) is int and type(last) is int and 0 <= first <= last):
+            raise ScheduleError(f"{action!r}: units {span!r} of {pid!r} are not "
+                                f"ints 0 <= first <= last")
+        if last >= units[pid]:
+            raise ScheduleError(f"{action!r}: unit {last} is past packet {pid!r}, "
+                                f"which has {units[pid]} units")
 
 
 def _outside(spans, n):
-    """The indices below n outside the (start, stop, ...) `spans`, which
-    are disjoint and in order."""
+    """The indices below n outside the (start, stop) `spans`, which are
+    disjoint and in order."""
     at = 0
     out = []
-    for start, stop, *_ in spans:
+    for start, stop in spans:
         out.extend(range(at, start))
         at = stop
     out.extend(range(at, n))
@@ -303,87 +261,94 @@ def simulate(
         at = base[pid] + unit * size
         return int.from_bytes(stream[at:at + width], "little")
 
-    # The batches the actions propose that repeat their first round, and
-    # the units each claims of each packet.
-    txs = schedule.transmissions
-    proposed = []  # (start, stop, first round's terms, {pid: unit}, count)
-    at = 0
-    for action in schedule.actions:
-        per_round = len(action.rows)
-        found = _batch(txs, at, per_round, action.count, units)
-        stop = at + per_round * action.count
-        if found is not None:
-            _check(chain.from_iterable(found[0]), units)
-            proposed.append((at, stop, *found, action.count))
-        at = max(at, stop)
-    outside = _outside(proposed, len(txs))
-    for i in outside:
-        _check(txs[i], units)
-    spans = {}  # packet id -> [(first unit, end unit, proposal index)]
-    for j, (_, _, _, first, count) in enumerate(proposed):
-        for pid, unit in first.items():
-            spans.setdefault(pid, []).append((unit, unit + count, j))
-    # A proposal that shares a symbol with another or with a transmission
-    # outside every proposal is declined.  Sharing is symmetric, so what
-    # declining moves out of the batches shares symbols with nothing that
-    # stays in one.
-    declined = set()
-    for claims in spans.values():
-        for i, (lo, hi, j) in enumerate(claims):
-            for lo2, hi2, k in claims[i + 1:]:
-                if lo < hi2 and lo2 < hi:
-                    declined.update((j, k))
-    for i in outside:
-        for (pid, unit), _ in txs[i]:
-            declined.update(j for lo, hi, j in spans.get(pid, ()) if lo <= unit < hi)
-    accepted = [proposal for j, proposal in enumerate(proposed) if j not in declined]
+    actions = schedule.actions
+    for action in actions:
+        _check(action, units)
+    # An action is a block when its rounds take fresh units of distinct
+    # packets and it shares no unit with another action.
+    block = []
+    taken = {}  # packet id -> the units each action takes, [(first, stop, action index)]
+    for j, action in enumerate(actions):
+        count = action.count
+        block.append(count > 0 and len(set(action.packets)) == len(action.packets)
+                     and all(first + count <= last + 1 for first, last in action.units))
+        if count:
+            for pid, (first, last) in zip(action.packets, action.units):
+                taken.setdefault(pid, []).append((first, min(first + count, last + 1), j))
+    # A span overlaps another exactly when it overlaps one that starts
+    # before it or the next one to start.
+    for spans in taken.values():
+        spans.sort()
+        reach = 0
+        for i, (lo, hi, j) in enumerate(spans):
+            if lo < reach or (i + 1 < len(spans) and spans[i + 1][0] < hi):
+                block[j] = False
+            reach = max(reach, hi)
 
     # The blocks, as ({pid: its symbols decoded}, {symbol: its truth},
-    # payload width, the terms sent): one per accepted batch, its first
-    # round, and one for the transmissions outside them.
+    # payload width, the terms sent): one per block action, its first
+    # round, and one for the transmissions of every other action.
     unencoded = []
-    covered = {}  # packet id -> [(first unit, end unit)] of accepted batches
-    for _, _, rounds, first, count in accepted:
-        width = count * size
-        decodes = {pid: [(pid, unit)] for pid, unit in first.items()}
-        truth = {(pid, unit): truth_of(pid, unit, width) for pid, unit in first.items()}
-        unencoded.append((decodes, truth, width, rounds))
-        for pid, unit in first.items():
-            covered.setdefault(pid, []).append((unit, unit + count))
-    rest = {}  # packet id -> its symbols outside every accepted batch
+    covered = {}  # packet id -> [(first unit, end unit)] of block actions
+    sent = []
+    for action, is_block in zip(actions, block):
+        if not is_block:
+            sent += action.expand()
+            continue
+        width = action.count * size
+        syms = [(pid, first) for pid, (first, _) in zip(action.packets, action.units)]
+        decodes = {sym[0]: [sym] for sym in syms}
+        truth = {sym: truth_of(*sym, width) for sym in syms}
+        unencoded.append((decodes, truth, width, action.expand(1)))
+        for pid, first in syms:
+            covered.setdefault(pid, []).append((first, first + action.count))
+    rest = {}  # packet id -> its symbols outside every block action
     for pid, n in units.items():
         gaps = _outside(sorted(covered.get(pid, ())), n)
         if gaps:
             rest[pid] = [(pid, unit) for unit in gaps]
     if rest:
         truth = {sym: truth_of(*sym, size) for syms in rest.values() for sym in syms}
-        sent = [txs[i] for i in _outside(accepted, len(txs))]
         unencoded.append((rest, truth, size, sent))
-    blocks = [(decodes, truth, width,
+    blocks = [(decodes, truth, width, frozenset(decodes),
                [e for e in (_encode(terms, truth, width) for terms in sent) if e])
               for decodes, truth, width, sent in unencoded]
+
+    # Per user, its side packets and its demands in instance order; per
+    # packet, the blocks that decode it.
+    known = {user: set() for user in inst.users}
+    demanded = {user: [] for user in inst.users}
+    for p in inst.packets:
+        demanded[p.demand].append(p.id)
+        for user in p.side:
+            known[user].add(p.id)
+    blocks_of = {}
+    for b, (decodes, *_) in enumerate(blocks):
+        for pid in decodes:
+            blocks_of.setdefault(pid, []).append(b)
 
     success = {}
     failure = None
     for user in inst.users:
-        known = inst.side_packets(user)
-        demanded = [p.id for p in inst.packets if p.demand == user]
+        mine = {}  # block index -> the packets it decodes that the user demands
+        for pid in demanded[user]:
+            for b in blocks_of.get(pid, ()):
+                mine.setdefault(b, []).append(pid)
         failed = set()
-        for decodes, truth, width, encoded in blocks:
-            mine = decodes.keys() & demanded
-            if not mine:
-                continue
-            held = known & decodes.keys()
+        for b, pids in mine.items():
+            decodes, truth, width, packets, encoded = blocks[b]
+            held = known[user] & packets
             if held:
                 rows = [got for got in (_received(entries, payload, held)
                                         for _, payload, entries in encoded) if got]
             else:
                 rows = [(row, payload) for row, payload, _ in encoded]
             solved = _eliminate(rows, width)
-            failed.update(pid for pid in mine
+            failed.update(pid for pid in pids
                           if any(solved.get(sym) != truth[sym] for sym in decodes[pid]))
-        first_failed = next((pid for pid in demanded if pid in failed), None)
+        first_failed = next((pid for pid in demanded[user] if pid in failed), None)
         success[user] = first_failed is None
         if first_failed is not None and failure is None:
             failure = (user, first_failed)
-    return DecodeReport(success, len(txs), theta, failure)
+    transmissions = sum(len(action.rows) * action.count for action in actions)
+    return DecodeReport(success, transmissions, theta, failure)

@@ -20,6 +20,7 @@ from indexcode import (
 from indexcode.coding import (
     CodingAction,
     ScheduleError,
+    TransmissionSchedule,
     _expand,
     clique_schedule,
     cyclic_schedule,
@@ -263,7 +264,7 @@ def test_schedules_send_only_the_lone_packets_a_program_leaves_out(fig4, expand)
 
     sched = expand(inst, optimum("p4"))
     assert [a for a in sched.actions if "p4" in a.packets] == [
-        CodingAction("direct", ("p4",), 2 * sched.theta)]
+        CodingAction("direct", ("p4",), 2 * sched.theta, units=((0, 2 * sched.theta - 1),))]
     with pytest.raises(ScheduleError, match=r"^solution does not cover packets \['p2'\]$"):
         expand(inst, optimum("p2", "p4"))
 
@@ -293,22 +294,29 @@ def _expand_by_rounds(inst, actions, theta):
     return txs, [pid for pid in end if taken[pid] < end[pid]], past
 
 
+def _random_actions(rng, inst, theta):
+    """One to five random actions, with counts of 0, -1 or 1-10, often
+    followed by a direct send of every unit of every packet."""
+    ids = inst.packet_ids
+    actions = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(("cycle", "clique", "direct") if len(ids) > 1 else ("clique", "direct"))
+        k = 1 if kind == "direct" else rng.randint(1 + (kind == "cycle"), len(ids))
+        count = rng.choice((0, -1, rng.randint(1, 10)))
+        d = rng.randrange(k) if kind == "clique" else 0
+        actions.append(CodingAction(kind, tuple(rng.sample(ids, k)), count, d))
+    if rng.random() < 0.7:  # cover every packet, with a direct send of all its units
+        actions += [CodingAction("direct", (p.id,), p.weight * theta) for p in inst.packets]
+    return actions
+
+
 def test_expansion_takes_one_unit_of_each_packet_per_round():
     rng = Random(77)
     seen = {"count < 1": 0, "past the end": 0, "shared": 0, "uncovered": 0, "covered": 0}
     for _ in range(400):
         inst = random_unicast_instance(rng, max_packets=5)
         theta = rng.randint(1, 3)
-        ids = inst.packet_ids
-        actions = []
-        for _ in range(rng.randint(1, 5)):
-            kind = rng.choice(("cycle", "clique", "direct") if len(ids) > 1 else ("clique", "direct"))
-            k = 1 if kind == "direct" else rng.randint(1 + (kind == "cycle"), len(ids))
-            count = rng.choice((0, -1, rng.randint(1, 10)))
-            d = rng.randrange(k) if kind == "clique" else 0
-            actions.append(CodingAction(kind, tuple(rng.sample(ids, k)), count, d))
-        if rng.random() < 0.7:  # cover every packet, with a direct send of all its units
-            actions += [CodingAction("direct", (p.id,), p.weight * theta) for p in inst.packets]
+        actions = _random_actions(rng, inst, theta)
         txs, uncovered, past = _expand_by_rounds(inst, actions, theta)
         if uncovered:
             with pytest.raises(ScheduleError) as err:
@@ -316,12 +324,52 @@ def test_expansion_takes_one_unit_of_each_packet_per_round():
             assert str(err.value) == f"solution does not cover packets {uncovered}"
         else:
             sched = _expand(inst, actions, theta, "gf256")
-            assert (sched.transmissions, sched.actions, sched.theta) == (txs, actions, theta)
+            assert (sched.transmissions, sched.theta) == (txs, theta)
+            assert [replace(a, units=()) for a in sched.actions] == actions
+            assert len(txs) == sched.total_count * theta
         seen["count < 1"] += any(a.count < 1 for a in actions)
         seen["past the end"] += past > 0
         seen["shared"] += len({pid for a in actions for pid in a.packets}) < sum(
             len(a.packets) for a in actions)
         seen["uncovered" if uncovered else "covered"] += 1
+    assert min(seen.values()) >= 80, seen
+
+
+def test_each_round_advances_the_first_by_one_unit():
+    # The view's round j is round 0 with every unit advanced by j, up to
+    # the last unit the action takes of its packet: on actions expanded by
+    # `_expand`, and on actions with random units, clamped or not.
+    rng = Random(79)
+    seen = {"expanded": 0, "random": 0, "clamped": 0, "fresh": 0}
+    for _ in range(300):
+        inst = random_unicast_instance(rng, max_packets=5)
+        theta = rng.randint(1, 3)
+        actions = _random_actions(rng, inst, theta)
+        if rng.random() < 0.5:
+            cover = [CodingAction("direct", (p.id,), p.weight * theta) for p in inst.packets]
+            actions = _expand(inst, actions + cover, theta, "gf256").actions
+            seen["expanded"] += 1
+        else:
+            units = []
+            for a in actions:
+                firsts = [rng.randrange(8) for _ in a.packets]
+                units.append(tuple((f, f + rng.randrange(12)) for f in firsts))
+            actions = [replace(a, units=u) for a, u in zip(actions, units)]
+            seen["random"] += 1
+        sched = TransmissionSchedule("gf256", theta, actions)
+        assert sched.transmissions == [t for a in actions for t in a.expand()]
+        for a in actions:
+            txs, per = a.expand(), len(a.rows)
+            assert len(txs) == per * max(a.count, 0)
+            if not txs:
+                continue
+            last = dict(zip(a.packets, (u[1] for u in a.units)))
+            for j in range(a.count):
+                assert txs[j * per:(j + 1) * per] == [
+                    tuple(((pid, min(unit + j, last[pid])), c) for (pid, unit), c in t)
+                    for t in txs[:per]]
+            clamped = any(first + a.count > last + 1 for first, last in a.units)
+            seen["clamped" if clamped else "fresh"] += 1
     assert min(seen.values()) >= 80, seen
 
 
