@@ -2,11 +2,12 @@
 
 Subcommands: bounds, cycles, cliques, code, simulate, planar, check.
 Instance files use the YAML mapping format of `indexcode.instance`.
-A subcommand takes a flag only for each cap it reads, with its default in
-`build_parser`.  `cliques` lists the columns that P5 adds to P2's, the
-critical cliques with d >= 2 inside one strong component, and refuses a
-component over `enumeration.MAX_CLIQUE_SUBSETS` subsets as every command
-that reads P5 does.  The packets alone in their strong
+A subcommand takes a flag only for what it reads: each cap it reads, with
+its default in `build_parser`, and `--seed` for `simulate`.  `cliques`
+lists the columns that P5 adds to P2's, the critical cliques with d >= 2
+inside one strong component, and refuses a component over
+`enumeration.MAX_CLIQUE_SUBSETS` subsets as every command that reads P5
+does.  The packets alone in their strong
 component are left out of every program and added to every value, and
 `code` and `simulate` send them directly (`analysis.Analysis`).  `check`
 proves each primal-dual pair from its covering optimum
@@ -197,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("code", "simulate"):
             sp.add_argument("--strategy", choices=["cyclic", "partial-clique"], default="cyclic")
             sp.add_argument("--mode", choices=["scalar", "vector"], default="scalar")
+        if name == "simulate":
             sp.add_argument("--seed", type=_seed, default=0)
         sp.set_defaults(fn=fn, text=text)
     return p

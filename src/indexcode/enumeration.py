@@ -31,8 +31,9 @@ DEFAULT_MAX_CYCLES = 100_000
 # that `enumerate_partial_cliques` may consider: the whole lattice of a core
 # of up to 16 packets (65,519 such subsets) passes, that of a 17-packet core
 # (131,054) does not.  The largest family at the cap, 16 packets whose
-# every subset is critical (each user holds every packet it does not
-# demand), took 0.36-0.46 s on a 2-core x86-64 VM under Python 3.11.
+# every subset of three or more is critical with d >= 2 (each user holds
+# every packet it does not demand), took 0.33-0.66 s (best of 5: 0.33-0.50
+# s) on a 2-core x86-64 VM under Python 3.11, the host's speed swinging.
 MAX_CLIQUE_SUBSETS = 2**16
 
 
@@ -235,25 +236,32 @@ def _lone_packets(inst: Instance) -> frozenset[str]:
 
 
 def _sieve(hc: dict[int, int], c: int) -> list[int]:
-    """Every subset, as a bitmask over the c core bits, of two or more
-    core packets with d >= 1, by size and then in descending numeric order.
+    """Every subset, as a bitmask over the c core bits, of core packets
+    with d >= 2, by size and then in descending numeric order.
 
     Bit m of one int of 2^c bits stands for the subset m.  A subset is bad
-    when it holds a packet b and none of hc[b], the core packets that b's
-    demander holds: the subsets of core - hc[b] - b, moved up by b.  Those
-    subsets are set by doubling (B = 1, then B |= B << x for each bit x of
-    the set), so c^2 shifts and ORs on ints of at most 2^c bits mark every
-    bad subset at once; the set bits of the complement are read in one pass.
+    when it holds a packet b and at most one of hc[b], the core packets
+    that b's demander holds: b, with none or one x of hc[b], plus a subset
+    of core - hc[b] - b, the free packets.  The subsets of the free packets
+    are set by doubling (B = 1, then B |= B << f for each free bit f), and
+    B moved up by b and by b + x for each bit x of hc[b] marks b's bad
+    subsets, so about c^2 shifts and ORs on ints of at most 2^c bits mark
+    every bad subset at once; the set bits of the complement are read in
+    one pass.
     """
     full = (1 << c) - 1
     bad = 0
     for b, h in hc.items():
         sub, free = 1, full & ~h & ~b
         while free:
-            x = free & -free
-            sub |= sub << x
-            free ^= x
+            f = free & -free
+            sub |= sub << f
+            free ^= f
         bad |= sub << b
+        while h:
+            x = h & -h
+            bad |= sub << (b + x)
+            h ^= x
     text = bin(~bad & ((1 << (1 << c)) - 1))  # "0b1...": subset m at index last - m
     last = len(text) - 1
     by_size = [[] for _ in range(c + 1)]
@@ -311,12 +319,12 @@ def enumerate_partial_cliques(inst: Instance) -> list[PartialClique]:
     with one OR per tight member.  A component with more than
     `MAX_CLIQUE_SUBSETS` subsets of two or more packets (c >= 17) raises
     `CapExceeded` before any subset is looked at.  Otherwise `_sieve`
-    marks all subsets with d >= 1 of each component at once in an int of
-    2^c bits, with c^2 big-int operations, and only those are visited, by
-    size and then in descending numeric order, which among subsets of one
-    size is lexicographic order of ids; the components' lists are then
-    merged in that order.  The components are the instance's
-    `_packet_graph`.
+    marks all subsets with d <= 1 of each component at once in an int of
+    2^c bits, with about c^2 big-int operations, and only the subsets with
+    d >= 2 are visited, by size and then in descending numeric order, which
+    among subsets of one size is lexicographic order of ids; the
+    components' lists are then merged in that order.  The components are
+    the instance's `_packet_graph`.
     """
     pids, held, blocks = inst._packet_graph
     c = max((block.bit_count() for block in blocks), default=0)
@@ -343,7 +351,7 @@ def enumerate_partial_cliques(inst: Instance) -> list[PartialClique]:
                         d, tight = n, held_in
                     elif n == d:
                         tight |= held_in
-            if d < 2 or m & ~tight:
+            if m & ~tight:
                 continue
             ids = [pid for b, _, pid in members if b & m]
             found.append((len(ids), ids, d))

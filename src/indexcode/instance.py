@@ -89,10 +89,6 @@ class Instance:
     def packet_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.packets)
 
-    def side_packets(self, user: str) -> frozenset[str]:
-        """Packet ids the given user holds as side information."""
-        return frozenset(p.id for p in self.packets if user in p.side)
-
     def demanded_packets(self, user: str) -> frozenset[str]:
         return frozenset(p.id for p in self.packets if p.demand == user)
 

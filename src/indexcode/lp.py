@@ -1,30 +1,29 @@
 """Exact linear programming over integer data, with `fractions.Fraction`
 results.
 
-A program's data are ints.  Each `Constraint` holds its row's nonzero
-`(column, coefficient)` terms in rising column order and an int right-hand
-side, and the objective and the bounds are ints.  Every program of the
-paper is such a program: 0/1 incidence rows with integer weights and
-costs, and branch-and-bound nodes with integer bounds.  A rational row is
-posed by scaling it by the lcm of its denominators, which divides its dual
-by that factor.  Every row is an inequality, `<=` or `>=`: an equality is
-posed as its `<=` and `>=` pair, and no program of the paper has one.  So
-row i of a tableau has its slack or surplus in column n + i, and its dual
-is read off that column.
+A program's data are ints, and every variable is x >= 0.  Each
+`Constraint` holds its row's nonzero `(column, coefficient)` terms in rising
+column order and an int right-hand side, and the objective is ints.  Every
+program of the paper is such a program: 0/1 incidence rows with integer
+weights and costs.  A rational row is posed by scaling it by the lcm of its
+denominators, which divides its dual by that factor.  Every row is an
+inequality, `<=` or `>=`: an equality is posed as its `<=` and `>=` pair,
+and no program of the paper has one.  A bound on a variable is a row too,
+x_j <= u or x_j >= l, and a branch-and-bound node is its parent plus one
+such row.  So row i of a tableau has its slack or surplus in column n + i,
+and its dual is read off that column.
 
 A two-phase primal simplex with Bland's rule (guaranteed termination) plus
 a deterministic branch-and-bound layer for integer programs.  A row with a
-unit column (a column with no other nonzero, of the row's sign and with no
-upper bound) starts basic in it, and phase 1 runs only for the rows left
-with an artificial.  So the covering programs P2 and P5 start phase 2 at
-once from their direct-send columns.  In a
-branch-and-bound node, a bound row on such a column leaves its row to
-phase 1 unless the row has another unit column.  Integrality is the
-solver's choice: `solve_lp` solves a program's LP relaxation and
-`solve_ilp` the same program with every variable integer.  Everything is
-exact: optimal values, primal solutions, and dual certificates are
-rational numbers with no tolerance anywhere.  A branch-and-bound node is
-a program too: its parent with one variable bound tightened.
+unit column (a column with no other nonzero in any row, of the row's sign)
+starts basic in it, and phase 1 runs only for the rows left with an
+artificial.  So the covering programs P2 and P5 start phase 2 at once from
+their direct-send columns.  In a branch-and-bound node, a bound row on
+such a column leaves its row to phase 1 unless the row has another unit
+column.  Integrality is the solver's choice: `solve_lp` solves a
+program's LP relaxation and `solve_ilp` the same program with every
+variable integer.  Everything is exact: optimal values, primal solutions,
+and dual certificates are rational numbers with no tolerance anywhere.
 
 The simplex runs at most once per program and once per transposed pair.
 A program is frozen and keeps its relaxation's result, so the root of
@@ -40,14 +39,15 @@ row, and the reduced-cost row, is a list of integer numerators over one
 positive integer denominator.  A row enters the tableau as its own terms
 over the denominator 1.  A row is checked once, when its `Constraint` is
 made, and the relaxation, the integer root and every branch-and-bound
-node hold the same `Constraint` objects.  A pivot touches
-only the rows with a nonzero in the pivot column, subtracts only at the
-pivot row's nonzero columns (the whole row is rescaled only when the pivot
-does not divide its entry), and divides each updated row by one gcd.  The
-ratio test cross-multiplies integers.  Fractions are built only when the
-primal and the constraint rows' duals are read out, only for nonzero
-values and once per distinct numerator and denominator, so the pivot
-sequence and every reported value are those of a plain rational tableau.
+node hold the same `Constraint` objects; a node makes only its bound
+rows.  A pivot touches only the rows with a nonzero in the pivot column,
+subtracts only at the pivot row's nonzero columns (the whole row is
+rescaled only when the pivot does not divide its entry), and divides each
+updated row by one gcd.  The ratio test cross-multiplies integers.
+Fractions are built only when the primal and the rows' duals are read
+out, only for nonzero values and once per distinct numerator and
+denominator, so the pivot sequence and every reported value are those of
+a plain rational tableau.
 `verify_certificate`, the package's one certificate checker, reads the
 program's own terms, never the tableau; it too compares integers, each
 vector of the certificate over one common denominator.
@@ -76,8 +76,8 @@ DEFAULT_NODE_LIMIT = 10**6
 
 class DimensionError(ValueError):
     """A program's data do not fit its shape: a row's terms out of order or
-    out of range, a value that is not an int, or bounds, names or keys of
-    the wrong length."""
+    out of range, a value that is not an int, or names or keys of the wrong
+    length."""
 
 
 class NodeLimitExceeded(RuntimeError):
@@ -120,7 +120,7 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max/min c.x subject to linear rows and per-variable bounds.
+    """max/min c.x subject to linear rows, over x >= 0.
 
     Frozen, so the relaxation's result that `solve_lp` keeps on it cannot
     go stale.  Neither that result nor the program `transpose` made it from
@@ -130,8 +130,6 @@ class LinearProgram:
     sense: str  # "max" or "min"
     objective: tuple[int, ...]
     constraints: tuple[Constraint, ...] = ()
-    lower: tuple[int, ...] = ()
-    upper: tuple[int | None, ...] = ()  # None = unbounded above
     var_names: tuple[str, ...] = ()
     var_keys: tuple = ()  # per column: Cycle, PartialClique or packet id; () if unset
     _result: SolveResult | None = field(default=None, init=False, compare=False, repr=False)
@@ -142,21 +140,13 @@ class LinearProgram:
         put = partial(object.__setattr__, self)
         put("objective", tuple(self.objective))
         put("constraints", tuple(self.constraints))
-        put("lower", tuple(self.lower) or (0,) * n)
-        put("upper", tuple(self.upper) or (None,) * n)
         if not self.var_names:
             put("var_names", tuple(f"x{j}" for j in range(n)))
-        if not (n == len(self.lower) == len(self.upper) == len(self.var_names)
-                and len(self.var_keys) in (0, n)):
-            raise DimensionError("bounds/names/keys must match the variable count")
-        for what, values in (("objective entry", self.objective), ("lower bound", self.lower),
-                             ("upper bound", self.upper)):
-            for j, v in enumerate(values):
-                if type(v) is not int and not (v is None and what == "upper bound"):
-                    raise DimensionError(f"{what} {v!r} of column {j} is not an int")
-        for lo, hi in zip(self.lower, self.upper):
-            if hi is not None and lo > hi:
-                raise DimensionError(f"inconsistent bounds: {lo} > {hi}")
+        if not (n == len(self.var_names) and len(self.var_keys) in (0, n)):
+            raise DimensionError("names/keys must match the variable count")
+        for j, v in enumerate(self.objective):
+            if type(v) is not int:
+                raise DimensionError(f"objective entry {v!r} of column {j} is not an int")
         for c in self.constraints:
             if c.terms and c.terms[-1][0] >= n:
                 raise DimensionError(
@@ -178,8 +168,6 @@ def transpose(lp: LinearProgram) -> LinearProgram:
     rel = {"min": ">=", "max": "<="}.get(lp.sense)
     if rel is None or any(c.rel != rel for c in lp.constraints):
         raise ValueError("transpose needs a min program with >= rows or a max program with <= rows")
-    if any(lp.lower) or any(hi is not None for hi in lp.upper):
-        raise ValueError("transpose needs x >= 0 with no other bounds")
     columns = [[] for _ in lp.objective]
     for i, con in enumerate(lp.constraints):
         for j, a in con.terms:
@@ -332,38 +320,30 @@ class _Fractions(dict):
 def _solve(lp: LinearProgram) -> SolveResult:
     """`solve_lp` by the simplex: build the tableau and pivot it."""
     n = lp.num_vars
-    lower, upper = lp.lower, lp.upper
+    rows = lp.constraints
     minimize = lp.sense == "min"
     c = [cj if minimize else -cj for cj in lp.objective]
-    shifted = any(lower)
-
-    # Rows: original constraints (shifted by lower bounds), then one
-    # upper-bound row x_j <= hi_j - lo_j per finite upper bound.
-    rows = [(con.terms, con.rel,
-             con.rhs - sum(a * lower[j] for j, a in con.terms) if shifted else con.rhs)
-            for con in lp.constraints]
-    rows += [(((j, 1),), "<=", hi - lower[j]) for j, hi in enumerate(upper) if hi is not None]
 
     m = len(rows)
     # Column layout: structural 0..n-1, then row i's slack or surplus n + i,
     # then one artificial per row that needs it.  Row i starts basic in its
     # slack unless it reads >= once a negative rhs is flipped.  Such a row
     # needs no artificial when it has a unit column: a structural column
-    # with no other nonzero in any row, upper-bound rows included, and an
-    # entry of the row's sign.  The lowest such column starts basic at
-    # rhs / entry >= 0, and the row's surplus stays nonbasic.
-    flipped = [rhs < 0 for _, _, rhs in rows]
+    # with no other nonzero in any row and an entry of the row's sign.  The
+    # lowest such column starts basic at rhs / entry >= 0, and the row's
+    # surplus stays nonbasic.
+    flipped = [con.rhs < 0 for con in rows]
     basis = list(range(n, n + m))
     ncols = n + m
     touched = None  # per structural column, the number of rows it is nonzero in
-    for i, (terms, rel, _) in enumerate(rows):
-        if (rel == ">=") != flipped[i]:
+    for i, con in enumerate(rows):
+        if (con.rel == ">=") != flipped[i]:
             if touched is None:
                 touched = [0] * n
-                for row_terms, _, _ in rows:
-                    for j, _ in row_terms:
+                for other in rows:
+                    for j, _ in other.terms:
                         touched[j] += 1
-            basis[i] = next((j for j, a in terms if touched[j] == 1 and (a > 0) != flipped[i]),
+            basis[i] = next((j for j, a in con.terms if touched[j] == 1 and (a > 0) != flipped[i]),
                             ncols)
             if basis[i] == ncols:
                 ncols += 1
@@ -372,13 +352,13 @@ def _solve(lp: LinearProgram) -> SolveResult:
     # with a unit column is divided by its entry there.
     tab = []
     dens = []
-    for i, (terms, rel, rhs) in enumerate(rows):
+    for i, con in enumerate(rows):
         sign = -1 if flipped[i] else 1
         row = [0] * (ncols + 1)
-        for j, a in terms:
+        for j, a in con.terms:
             row[j] = sign * a
-        row[-1] = sign * rhs
-        row[n + i] = sign if rel == "<=" else -sign
+        row[-1] = sign * con.rhs
+        row[n + i] = sign if con.rel == "<=" else -sign
         den = 1
         if basis[i] < n:
             row, den = _reduce(row, row[basis[i]])
@@ -409,25 +389,23 @@ def _solve(lp: LinearProgram) -> SolveResult:
         return SolveResult(UNBOUNDED, None, lp=lp)
 
     # Readout: the only place Fractions are built from the integer tableau,
-    # one per distinct numerator and denominator; x_j is lo_j plus its
-    # shifted value.
+    # one per distinct numerator and denominator; a nonbasic x_j is 0.
     nums, den = cost
     made = _Fractions()
-    primal = [made[lo, 1] for lo in lower]
+    primal = [made[0, 1]] * n
     for i, b in enumerate(basis):
         if b < n and tab[i][-1]:
-            primal[b] = made[tab[i][-1] + lower[b] * dens[i], dens[i]]
-    # The internal minimized objective, c.lo plus the shifted program's.
-    obj_min = sum(cj * lo for cj, lo in zip(c, lower)) - Fraction(nums[-1], den)
+            primal[b] = made[tab[i][-1], dens[i]]
+    obj_min = Fraction(-nums[-1], den)  # the internal minimized objective
     objective = obj_min if minimize else -obj_min
 
-    # Internal duals y_i (for the minimized problem) of the constraint rows,
-    # the first rows, read off their slack columns, then converted to shadow
-    # prices in lp.sense.  Row negation and slack orientation flip together,
-    # so the original row's dual depends only on its relation.
+    # Internal duals y_i (for the minimized problem), read off the slack
+    # columns, then converted to shadow prices in lp.sense.  Row negation
+    # and slack orientation flip together, so the original row's dual
+    # depends only on its relation.
     sense_flip = 1 if minimize else -1
     row_duals = [made[(-nums[n + i] if con.rel == "<=" else nums[n + i]) * sense_flip, den]
-                 for i, con in enumerate(lp.constraints)]
+                 for i, con in enumerate(rows)]
     return SolveResult(OPTIMAL, objective, tuple(primal), tuple(row_duals), lp=lp)
 
 
@@ -442,19 +420,19 @@ def verify_certificate(lp: LinearProgram, res: SolveResult) -> bool:
     """Check that the point x and the row duals y of `res` prove its
     objective optimal, exactly and with no tolerance.
 
-    x must be feasible, every row with y_i != 0 tight, and every y_i of its
-    shadow-price sign.  The reduced cost s_j = sgn (c_j - sum_i y_i a_ij),
-    sgn = 1 for min and -1 for max, is derived here: s_j > 0 needs x_j at
-    lo_j and s_j < 0 needs x_j at a finite hi_j, so s_j splits into bound
-    multipliers that make y dual feasible with value c.x, and the objective
-    must be c.x.  The check thus accepts exactly the optimal primal-dual
-    pairs.  A point or duals that are not a sequence, or a sequence of the
-    wrong length, are rejected, and so is a certificate with an entry or
-    objective that is not an int or a Fraction.
+    x must be feasible (every row holds and x >= 0), every row with y_i != 0
+    tight, and every y_i of its shadow-price sign.  The reduced cost s_j =
+    sgn (c_j - sum_i y_i a_ij), sgn = 1 for min and -1 for max, is derived
+    here: it must be >= 0, and 0 wherever x_j > 0, which makes y dual
+    feasible with value c.x, and the objective must be c.x.  The check thus
+    accepts exactly the optimal primal-dual pairs.  A point or duals that
+    are not a sequence, or a sequence of the wrong length, are rejected, and
+    so is a certificate with an entry or objective that is not an int or a
+    Fraction.
 
-    It reads the program's own terms, rhs, costs and bounds, which are
-    ints, and brings x and y each over one common denominator, so every
-    comparison and the sums sum_i y_i a_ij are integer arithmetic.
+    It reads the program's own terms, rhs and costs, which are ints, and
+    brings x and y each over one common denominator, so every comparison
+    and the sums sum_i y_i a_ij are integer arithmetic.
     """
     n, rows = lp.num_vars, lp.constraints
     x, y = res.primal, res.row_duals
@@ -477,12 +455,9 @@ def verify_certificate(lp: LinearProgram, res: SolveResult) -> bool:
         if Yi:
             for j, a in con.terms:
                 S[j] += Yi * a
-    for Xj, Sj, cj, lo, hi in zip(X, S, lp.objective, lp.lower, lp.upper):
-        lx = lo * dx  # lo_j and hi_j over dx
-        if Xj < lx or (hi is not None and Xj > hi * dx):
-            return False
+    for Xj, Sj, cj in zip(X, S, lp.objective):
         s = sgn * (cj * dy - Sj)  # the reduced cost s_j over dy
-        if (s > 0 and Xj != lx) or (s < 0 and (hi is None or Xj != hi * dx)):
+        if Xj < 0 or s < 0 or (s and Xj):
             return False
     return Fraction(sum(c * Xj for c, Xj in zip(lp.objective, X)), dx) == res.objective
 
@@ -491,13 +466,13 @@ def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveR
     """Exact optimum of `lp` with every variable integer, by branch-and-bound
     on the rational LP relaxation.
 
-    Deterministic: branch on the lowest-index fractional variable, explore
-    the floor branch first (depth-first).  Each node is `lp` with tightened
-    bounds.  A child's bounds never cross: the bounds are ints, so lo <= v
-    <= hi with v fractional gives lo <= floor(v) < floor(v) + 1 <= hi.  The
-    costs are ints, so the value of every integer point is an int, and node
-    bounds are rounded (floor for max, ceil for min) before they are
-    compared with the incumbent.
+    Deterministic: branch on the lowest-index fractional variable x_j = v,
+    explore the floor branch first (depth-first).  Each child is its parent
+    plus one bound row, x_j <= floor(v) or x_j >= floor(v) + 1, after Land
+    and Doig; it holds its parent's `Constraint` objects.  The costs are
+    ints, so the value of every integer point is an int, and node bounds
+    are rounded (floor for max, ceil for min) before they are compared with
+    the incumbent.
     """
     best: SolveResult | None = None
     nodes = 0
@@ -524,10 +499,9 @@ def solve_ilp(lp: LinearProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveR
             continue
         down = floor(res.primal[frac_j])
         # LIFO stack: push ceil first so the floor branch is explored first.
-        stack.append(replace(
-            node, lower=node.lower[:frac_j] + (down + 1,) + node.lower[frac_j + 1:]))
-        stack.append(replace(
-            node, upper=node.upper[:frac_j] + (down,) + node.upper[frac_j + 1:]))
+        for rel, bound in ((">=", down + 1), ("<=", down)):
+            stack.append(replace(
+                node, constraints=node.constraints + (Constraint(((frac_j, 1),), rel, bound),)))
     if best is None:
         return SolveResult(INFEASIBLE, None, branch_count=nodes, lp=lp)
     return SolveResult(

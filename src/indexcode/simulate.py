@@ -200,10 +200,19 @@ def _received(entries, payload, held):
 
 
 def _check(action, units):
-    """Raise ScheduleError, naming the action, unless its count is an int
-    >= 0 and it takes, of each of its packets, a packet of the instance
-    (`units`: packet -> its number of units), the units from `first` to
-    `last`, ints with 0 <= first <= last < the packet's units."""
+    """Raise ScheduleError, naming the action, unless it is a cycle, a
+    clique whose d is an int with 0 <= d < k or a direct send of one
+    packet, its count is an int >= 0 and it takes, of each of its packets,
+    a packet of the instance (`units`: packet -> its number of units), the
+    units from `first` to `last`, ints with 0 <= first <= last < the
+    packet's units."""
+    kind, k, d = action.kind, len(action.packets), action.d
+    if kind not in ("cycle", "clique", "direct"):
+        raise ScheduleError(f"{action!r}: unknown kind {kind!r}")
+    if kind == "clique" and not (type(d) is int and 0 <= d < k):
+        raise ScheduleError(f"{action!r}: d {d!r} is not an int with 0 <= d < k = {k}")
+    if kind == "direct" and k != 1:
+        raise ScheduleError(f"{action!r}: a direct send of {k} packets")
     count = action.count
     if type(count) is not int or count < 0:
         raise ScheduleError(f"{action!r}: count {count!r} is not an int >= 0")

@@ -60,6 +60,11 @@ def pyyaml_instance(text):
     return Instance(tuple(doc["users"]), tuple(packets))
 
 
+def side_packets(inst, user):
+    """The ids of the packets that `user` holds as side information."""
+    return frozenset(p.id for p in inst.packets if user in p.side)
+
+
 def dfs_cycles(inst):
     """All elementary cycles by exhaustive DFS; set of (packets, users)
     tuples rotated to start at the smallest packet id."""
@@ -87,7 +92,7 @@ def full_clique_family(inst):
     """Every non-empty packet subset with its maximal d, (k, 0)-cliques
     included, by size and then in lexicographic order of packet ids."""
     pids = sorted(inst.packet_ids)
-    held = {pid: inst.side_packets(inst.packet(pid).demand) for pid in pids}
+    held = {pid: side_packets(inst, inst.packet(pid).demand) for pid in pids}
     out = []
     for k in range(1, len(pids) + 1):
         for subset in combinations(pids, k):
@@ -165,9 +170,9 @@ def lp_vertex_oracle(objective, rows, rhss, lowers, uppers, sense="max"):
 
 def certificate_oracle(lp, res):
     """`lp.verify_certificate`'s verdict, in Fraction arithmetic over every
-    term of every row: feasibility, row complementary slackness and dual
-    signs, the sign of each derived reduced cost against the bound its
-    variable sits at, and the objective as c.x, exactly."""
+    term of every row: feasibility over x >= 0, row complementary
+    slackness and dual signs, the sign of each derived reduced cost and its
+    complementary slackness with x, and the objective as c.x, exactly."""
     if res.status != "optimal":
         return False
     x = res.primal
@@ -188,15 +193,11 @@ def certificate_oracle(lp, res):
         if con.rel == ">=" and sgn * yi < 0:
             return False
     for j in range(lp.num_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if x[j] < lo or (hi is not None and x[j] > hi):
+        if x[j] < 0:
             return False
-        # The reduced cost s_j: positive only at the lower bound, negative
-        # only at a finite upper bound.
+        # The reduced cost s_j: never negative, and positive only at x_j = 0.
         s = sgn * (lp.objective[j] - sum(yi * a for con, yi in zip(lp.constraints, y)
                                          for k, a in con.terms if k == j))
-        if s > 0 and x[j] != lo:
-            return False
-        if s < 0 and (hi is None or x[j] != hi):
+        if s < 0 or (s > 0 and x[j] != 0):
             return False
     return sum(c * xj for c, xj in zip(lp.objective, x)) == res.objective

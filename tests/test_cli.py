@@ -20,7 +20,7 @@ from indexcode import (
 )
 from indexcode.cli import run
 
-from conftest import brute_max_acyclic, pyyaml_instance
+from conftest import brute_max_acyclic, pyyaml_instance, side_packets
 from generators import random_unicast_instance
 from paper_programs import serialize_instance
 
@@ -690,6 +690,13 @@ def test_bad_seed_is_error(fig4_file, capsys, command, value):
     code, text = _run([command, fig4_file, "--seed", value])
     assert (code, text) == (2, "")
     err = capsys.readouterr().err
+    if command == "code":
+        # `code` reads no seed, so it takes no `--seed`, good or bad.
+        assert err.startswith("indexcode: error: unrecognized arguments: --seed")
+        assert err.count("\n") == 1
+        assert _run([command, fig4_file, "--seed", "7"]) == (2, "")
+        assert capsys.readouterr().err == "indexcode: error: unrecognized arguments: --seed 7\n"
+        return
     assert err.startswith(f"indexcode {command}: error: argument --seed: expected an integer, "
                           "got ")
     assert err.count("\n") == 1 and len(err) < 200
@@ -847,7 +854,7 @@ def test_two_blocks_are_solved_as_their_sum(tmp_path):
     _, _, blocks = enumeration._packet_graph(both)
     assert sorted(x.bit_count() for x in blocks) == [9, 9]
     every = frozenset(both.packet_ids)  # d >= 1 over all 18: a core over the cap
-    assert min(len(both.side_packets(p.demand) & every) for p in both.packets) >= 1
+    assert min(len(side_packets(both, p.demand) & every) for p in both.packets) >= 1
     assert (1 << 18) - 19 > enumeration.MAX_CLIQUE_SUBSETS
     path = tmp_path / "two_blocks.icp"
     path.write_text(serialize_instance(both), encoding="utf-8")

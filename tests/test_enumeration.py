@@ -5,9 +5,9 @@ import networkx as nx
 import pytest
 
 from indexcode import enumerate_cycles, enumerate_partial_cliques, make_instance
-from indexcode.enumeration import CapExceeded, Cycle, PartialClique, _packet_graph
+from indexcode.enumeration import CapExceeded, Cycle, PartialClique, _packet_graph, _sieve
 
-from conftest import dfs_cycles, full_clique_family
+from conftest import dfs_cycles, full_clique_family, side_packets
 from generators import random_unicast_instance, random_uniprior_instance
 from paper_programs import (
     extract_cycles_from_clique, normalize_cycle, to_digraph, validate_cycle,
@@ -135,7 +135,7 @@ def test_clique_d_is_maximal():
         inst = random_unicast_instance(rng, 7, 5, 3, 0.7, exact=True)
         for t in enumerate_partial_cliques(inst):
             demanders = {inst.packet(pid).demand for pid in t.packets}
-            counts = [len(inst.side_packets(u) & t.packets) for u in demanders]
+            counts = [len(side_packets(inst, u) & t.packets) for u in demanders]
             assert min(counts) == t.d
             assert 2 <= t.d <= t.k - 1
             checked += 1
@@ -145,7 +145,7 @@ def test_clique_d_is_maximal():
 def _critical(inst, t):
     """Whether t is a singleton, or d drops when any one packet leaves it."""
     def d(packets):
-        return min(len(inst.side_packets(inst.packet(p).demand) & packets) for p in packets)
+        return min(len(side_packets(inst, inst.packet(p).demand) & packets) for p in packets)
     return t.k == 1 or all(d(t.packets - {p}) < t.d for p in t.packets)
 
 
@@ -210,6 +210,34 @@ def test_cliques_are_the_non_dominated_family():
             assert max((t.packets for t in full if t.d >= 1 and t.packets <= b), key=len) == b
 
 
+def test_sieve_yields_exactly_the_subsets_with_d_at_least_2():
+    # Per component, the subsets are those of every size with d >= 2 and
+    # no other, by size and then in descending numeric order: none with
+    # d <= 1 is left for `enumerate_partial_cliques` to visit.
+    rng = Random(8)
+    insts = [random_unicast_instance(rng, 7, 5, 3, rng.uniform(0.3, 0.8)) for _ in range(60)]
+    insts += [random_uniprior_instance(rng, 7, 4) for _ in range(40)]
+    insts += [random_unicast_instance(rng, m, 6, 3, 0.5, exact=True) for m in range(9, 13)]
+    insts.append(_ring(10, (1, 2)))
+    seen = Counter()
+    for inst in insts:
+        pids, held, blocks = _packet_graph(inst)
+        for block in blocks:
+            idx = [i for i in range(len(pids)) if block >> i & 1]
+            c = len(idx)
+            bit = {i: 1 << (c - 1 - t) for t, i in enumerate(idx)}
+            hc = {bit[i]: sum(bit[j] for j in idx if held[i] >> j & 1) for i in idx}
+
+            def d(m):
+                return min((hc[b] & m).bit_count() for b in hc if b & m)
+
+            every = [m for m in range(1, 1 << c) if d(m) >= 2]
+            assert _sieve(hc, c) == sorted(every, key=lambda m: (m.bit_count(), -m))
+            for m in range(1, 1 << c):
+                seen[min(d(m), 2)] += 1
+    assert min(seen.values()) >= 500, seen
+
+
 def test_strongly_connected_critical_d1_cliques_are_the_chordless_cycles():
     # A critical clique with d = 1 whose induced digraph G[S] is strongly
     # connected is a chordless cycle, so P5 takes it from P2's columns.
@@ -220,7 +248,7 @@ def test_strongly_connected_critical_d1_cliques_are_the_chordless_cycles():
     seen = 0
     for inst in insts:
         g = nx.DiGraph((p.id, q) for p in inst.packets
-                       for q in inst.side_packets(p.demand))
+                       for q in side_packets(inst, p.demand))
         g.add_nodes_from(inst.packet_ids)
         d1 = {t.packets for t in full_clique_family(inst) if t.d == 1 and _critical(inst, t)
               and nx.is_strongly_connected(g.subgraph(t.packets))}

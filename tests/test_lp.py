@@ -35,7 +35,13 @@ def _dense(lp):
 
 
 def _lp(sense, c, rows, lower=(), upper=(), names=()):
-    return LinearProgram(sense, tuple(c), [_row(*r) for r in rows], lower, upper, names)
+    """The program over x >= 0 with the dense `rows`, then one row x_j >= lo
+    per positive lower bound and one row x_j <= hi per upper bound (None:
+    none), in column order."""
+    bounds = [(j, ">=", lo) for j, lo in enumerate(lower) if lo]
+    bounds += [(j, "<=", hi) for j, hi in enumerate(upper) if hi is not None]
+    return LinearProgram(sense, tuple(c), [_row(*r) for r in rows]
+                         + [Constraint(((j, 1),), rel, b) for j, rel, b in bounds], names)
 
 
 def test_single_variable_box():
@@ -149,12 +155,25 @@ def _coef(rng):
     return rng.randint(-6, 6)
 
 
+def _shifted(sense, c, rows, lower, upper):
+    """max/min c.x over the `Constraint` rows and lower <= x <= upper (an
+    upper bound None: none), posed over x' = x - lower >= 0: each rhs loses
+    a.lower, and each upper bound becomes the row x'_j <= upper_j -
+    lower_j, after the rows, in column order.  Its value plus c.lower is
+    the original's."""
+    rows = [replace(con, rhs=con.rhs - sum(a * lower[j] for j, a in con.terms)) for con in rows]
+    rows += [Constraint(((j, 1),), "<=", hi - lo)
+             for j, (lo, hi) in enumerate(zip(lower, upper)) if hi is not None]
+    return LinearProgram(sense, c, rows)
+
+
 def _random_mixed_lp(rng):
     """A small LP with integer data, mixed relations, nonzero lower bounds
-    and optional bound overrides.  Rows are built around an integer point
-    x0 inside the bounds, so most draws are feasible; rows with negative
-    coefficients give negative right-hand sides, which the solver flips.
-    An equality is posed as its <= and >= pair."""
+    and optional bound overrides, as (sense, c, rows, lower, upper) and the
+    overrides; `_shifted` poses it over x >= 0.  Rows are built around an
+    integer point x0 inside the bounds, so most draws are feasible; rows
+    with negative coefficients give negative right-hand sides, which the
+    solver flips.  An equality is posed as its <= and >= pair."""
     n = rng.randint(1, 3)
     lower = [rng.choice((0, _coef(rng))) for _ in range(n)]
     upper = [None if rng.random() < 0.2 else lo + rng.randint(1, 8) for lo in lower]
@@ -170,28 +189,25 @@ def _random_mixed_lp(rng):
             rows += [_row(coeffs, "<=", lhs), _row(coeffs, ">=", lhs)]
         else:
             rows.append(_row(coeffs, rel, lhs + slack if rel == "<=" else lhs - slack))
-    lp = LinearProgram(sense, c, rows, tuple(lower), tuple(upper))
     overrides = None
     if rng.random() < 0.3:
         j = rng.randrange(n)
         overrides = {j: (rng.choice((None, rng.randint(-2, 3))),
                          rng.choice((None, rng.randint(0, 5))))}
-    return lp, overrides
+    return (sense, c, rows, lower, upper), overrides
 
 
-def _oracle_value(lp, lower, upper, cap):
-    """Vertex-oracle optimum with >= rows rewritten as <= rows and every
+def _oracle_value(sense, c, rows, lower, upper, cap):
+    """Vertex-oracle optimum of max/min c.x over the `Constraint` rows and
+    lower <= x <= upper, with >= rows rewritten as <= rows and every
     missing upper bound replaced by `cap`."""
-    rows, rhss = [], []
-    for con, dense in zip(lp.constraints, _dense(lp)):
-        if con.rel == "<=":
-            rows.append(dense)
-            rhss.append(con.rhs)
-        else:
-            rows.append([-a for a in dense])
-            rhss.append(-con.rhs)
+    dense, rhss = [], []
+    for con in rows:
+        sign = 1 if con.rel == "<=" else -1
+        dense.append([sign * dict(con.terms).get(j, 0) for j in range(len(c))])
+        rhss.append(sign * con.rhs)
     uppers = [cap if hi is None else hi for hi in upper]
-    return lp_vertex_oracle(lp.objective, rows, rhss, lower, uppers, lp.sense)
+    return lp_vertex_oracle(c, dense, rhss, lower, uppers, sense)
 
 
 def _tampered(rng, res):
@@ -213,19 +229,18 @@ def test_integer_tableau_exact_on_mixed_random_lps():
     tamper = Random(24)
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(800):
-        lp, overrides = _random_mixed_lp(rng)
-        lower, upper = list(lp.lower), list(lp.upper)
+        (sense, c, rows, lower, upper), overrides = _random_mixed_lp(rng)
         for j, (lo, hi) in (overrides or {}).items():
             if lo is not None:
                 lower[j] = max(lower[j], lo)
             if hi is not None:
                 upper[j] = hi if upper[j] is None else min(upper[j], hi)
-        if any(hi is not None and lo > hi for lo, hi in zip(lower, upper)):
-            with pytest.raises(DimensionError):
-                replace(lp, lower=tuple(lower), upper=tuple(upper))
-            continue
-        lp = replace(lp, lower=tuple(lower), upper=tuple(upper))
+        lp = _shifted(sense, c, rows, lower, upper)
         res = solve_lp(lp)
+        if any(hi is not None and lo > hi for lo, hi in zip(lower, upper)):
+            # Crossed bounds: the row x'_j <= hi - lo < 0 has no x'_j >= 0.
+            assert res.status == "infeasible"
+            continue
         seen[res.status] += 1
         # The integer verifier and the Fraction oracle agree on every
         # certificate, valid or not.
@@ -233,14 +248,15 @@ def test_integer_tableau_exact_on_mixed_random_lps():
         if res.status == "optimal":
             bad = _tampered(tamper, res)
             assert verify_certificate(lp, bad) == certificate_oracle(lp, bad)
-        capped = _oracle_value(lp, lower, upper, F(10**4))
+        capped = _oracle_value(sense, c, rows, lower, upper, F(10**4))
         if res.status == "infeasible":
             assert capped is None
         elif res.status == "unbounded":
-            further = _oracle_value(lp, lower, upper, F(10**5))
-            assert (further > capped) if lp.sense == "max" else (further < capped)
+            further = _oracle_value(sense, c, rows, lower, upper, F(10**5))
+            assert (further > capped) if sense == "max" else (further < capped)
         else:
-            assert res.objective == capped
+            offset = sum(cj * lo for cj, lo in zip(c, lower))
+            assert res.objective + offset == capped
             assert all(type(v) is F for v in res.primal + res.row_duals)
             assert verify_certificate(lp, res)
     assert min(seen.values()) >= 10, seen
@@ -267,7 +283,8 @@ def simplex_runs(monkeypatch):
 
 
 def _random_unit_column_lp(rng):
-    """A small mixed LP in which many columns have one nonzero row.  Each
+    """A small mixed LP in which many columns have one nonzero row, as
+    (sense, c, rows, lower, upper); `_shifted` poses it over x >= 0.  Each
     row owns up to two private columns, zero in every other row, and up to
     one column is shared by all rows.  Relations, coefficient signs and
     bounds are random.  Half the rows are built around a point x0 inside
@@ -275,8 +292,9 @@ def _random_unit_column_lp(rng):
     some draws are infeasible.  An equality is posed as its <= and >=
     pair, so the pair's private columns have two nonzero rows.  A private
     column meets every case of the simplex start: in a >= row, in a <= row
-    flipped by its negative rhs, of the wrong sign, with an upper bound,
-    over a shifted lower bound, or beside a second one."""
+    flipped by its negative rhs, of the wrong sign, with an upper bound
+    (whose row makes it nonzero in two rows), under a shifted lower bound,
+    or beside a second one."""
     def nonzero():
         return rng.choice((-1, 1)) * (rng.randint(1, 6) if rng.random() < 0.8
                                       else rng.randint(10, 99))
@@ -305,33 +323,35 @@ def _random_unit_column_lp(rng):
         else:
             rows.append(_row(coeffs, rel, rhs))
     sense, c = rng.choice(("max", "min")), tuple(rng.randint(-3, 3) for _ in owners)
-    return LinearProgram(sense, c, rows, tuple(lower), tuple(upper))
+    return sense, c, rows, lower, upper
 
 
-def _start_rule(lp):
-    """Per constraint row, read off the dense rows: its relation once the
-    lower bounds are shifted out and a negative rhs is flipped, the
-    lowest column it may start basic in (a column nonzero in this row
-    alone, with no upper bound and an entry of the row's sign), or None,
-    and the cases its one-row columns meet."""
+def _start_rule(lp, lower, upper):
+    """Per row of `lp`, `_shifted`'s program, read off the dense rows: its
+    relation once a negative rhs is flipped, the lowest column it may
+    start basic in (a column nonzero in this row alone, upper-bound rows
+    included, with an entry of the row's sign), or None, and the cases its
+    columns that are nonzero in no other drawn row meet."""
     dense = _dense(lp)
     single = [sum(1 for row in dense if row[j]) == 1 for j in range(lp.num_vars)]
+    drawn = len(lp.constraints) - sum(hi is not None for hi in upper)
     out = []
-    for con, row in zip(lp.constraints, dense):
-        flipped = con.rhs - sum(a * lo for a, lo in zip(row, lp.lower)) < 0
+    for i, (con, row) in enumerate(zip(lp.constraints, dense)):
+        flipped = con.rhs < 0
         rel = {"<=": ">=", ">=": "<="}[con.rel] if flipped else con.rel
         cases, starts = set(), []
         for j, a in enumerate(row):
-            if not (a and single[j]) or rel == "<=":
+            if not a or rel == "<=" or i >= drawn:
                 continue
-            if lp.upper[j] is not None:
-                cases.add("upper bound")
+            if not single[j]:
+                if upper[j] is not None and sum(1 for r in dense[:drawn] if r[j]) == 1:
+                    cases.add("upper bound")
             elif (a > 0) == flipped:
                 cases.add("wrong sign")
             else:
                 starts.append(j)
                 cases.add("flipped <= row" if flipped else ">= row")
-                if lp.lower[j]:
+                if lower[j]:
                     cases.add("shifted lower bound")
         if len(starts) > 1:
             cases.add("two unit columns")
@@ -346,7 +366,8 @@ def test_rows_with_a_unit_column_start_basic_in_it(simplex_runs):
     seen = {(case, start): 0 for case in starts for start in ("crash", "artificial")}
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(400):
-        lp = _random_unit_column_lp(rng)
+        sense, c, rows, lower, upper = _random_unit_column_lp(rng)
+        lp = _shifted(sense, c, rows, lower, upper)
         simplex_runs.runs.clear()
         res = solve_lp(lp)
         statuses[res.status] += 1
@@ -355,8 +376,8 @@ def test_rows_with_a_unit_column_start_basic_in_it(simplex_runs):
         # (after the slack columns).
         basis, width, _ = simplex_runs.runs[0]
         n = lp.num_vars
-        aux_end = n + len(lp.constraints) + sum(hi is not None for hi in lp.upper)
-        rule = _start_rule(lp)
+        aux_end = n + len(lp.constraints)
+        rule = _start_rule(lp, lower, upper)
         assert width == aux_end + sum(col is None and rel != "<=" for rel, col, _ in rule)
         for i, (b, (rel, col, cases)) in enumerate(zip(basis, rule)):
             start = "crash" if b < n else "artificial" if b >= aux_end else "slack"
@@ -365,14 +386,14 @@ def test_rows_with_a_unit_column_start_basic_in_it(simplex_runs):
             for case in cases:
                 seen[case, start] += 1
         assert verify_certificate(lp, res) == certificate_oracle(lp, res)
-        capped = _oracle_value(lp, lp.lower, lp.upper, F(10**4))
+        capped = _oracle_value(sense, c, rows, lower, upper, F(10**4))
         if res.status == "infeasible":
             assert capped is None
         elif res.status == "unbounded":
-            further = _oracle_value(lp, lp.lower, lp.upper, F(10**5))
-            assert (further > capped) if lp.sense == "max" else (further < capped)
+            further = _oracle_value(sense, c, rows, lower, upper, F(10**5))
+            assert (further > capped) if sense == "max" else (further < capped)
         else:
-            assert res.objective == capped
+            assert res.objective + sum(cj * lo for cj, lo in zip(c, lower)) == capped
             assert verify_certificate(lp, res)
     assert min(statuses.values()) >= 10, statuses
     assert all(seen[case, start] >= 10 for case, start in starts.items()), seen
@@ -448,22 +469,21 @@ def _at(values, j, v):
 
 
 def test_certificate_rejects_each_broken_condition():
-    # a sits at its lower bound 1, b at its upper bound 2, k1 and k2 are
-    # fixed at 1; c meets a <= row, a >= row and the pair of c = 3, all
-    # tight; e and f have a slack row of each kind, g the pair of g = 1, h
-    # a tight <= row, and a and b a tight row each at their bound.
-    names = ("a", "b", "c", "e", "f", "g", "h", "k1", "k2")
+    # a sits on its tight row a >= 1 and b on its tight row b <= 2; c
+    # meets a <= row, a >= row and the pair of c = 3, all tight; e and f
+    # have a slack row of each kind, g the pair of g = 1, h a tight <= row,
+    # and z, in no row and of negative cost, sits at 0.
+    names = ("a", "b", "c", "e", "f", "g", "h", "z")
     rows = [_row([coef if n == var else 0 for n in names], rel, rhs)
             for var, coef, rel, rhs in [("c", 1, "<=", 3), ("c", 1, ">=", 3), ("c", 1, "<=", 3),
                                         ("c", 1, ">=", 3), ("e", 1, "<=", 1), ("f", -1, ">=", -1),
                                         ("g", 1, "<=", 1), ("g", 1, ">=", 1), ("h", 1, "<=", 2),
                                         ("a", 1, ">=", 1), ("b", 1, "<=", 2)]]
-    c = (-1, 1, 1, 0, 0, 0, 1, -2, 2)
-    lp = LinearProgram("max", c, rows, lower=(1, 0, 0, 0, 0, 0, 0, 1, 1),
-                       upper=(None, 2, None, None, None, None, None, 1, 1), var_names=names)
+    c = (-1, 1, 1, 0, 0, 0, 1, -2)
+    lp = LinearProgram("max", c, rows, var_names=names)
     res = solve_lp(lp)
     x, y = res.primal, res.row_duals
-    assert (res.objective, x) == (6, (1, 2, 3, 0, 0, 1, 2, 1, 1))
+    assert (res.objective, x) == (6, (1, 2, 3, 0, 0, 1, 2, 0))
     assert y == (1, 0, 0, 0, 0, 0, 0, 0, 1, -1, 1)
     assert verify_certificate(lp, res)
 
@@ -474,8 +494,9 @@ def test_certificate_rejects_each_broken_condition():
     # Each tampered certificate breaks one condition and keeps the others.
     # The rows on c share their duals' sum.  Row 9 (a >= 1) and row 10
     # (b <= 2) take duals of the right sign that turn the derived reduced
-    # cost of a, at its lower bound, and of b, at its upper bound, around;
-    # a or b moved off its bound takes its row's dual to 0.
+    # cost of a negative, or that of b, which is positive, positive; a or
+    # b moved off its row takes the row's dual to 0, which leaves its
+    # reduced cost nonzero.
     broken = {
         "status": {"status": "infeasible"},
         "<= row infeasible": moved(3, 2),
@@ -484,20 +505,24 @@ def test_certificate_rejects_each_broken_condition():
         "row complementary slackness": moved(6, 1),
         "<= row dual sign": {"row_duals": _at(_at(y, 0, -1), 2, 2)},
         ">= row dual sign": {"row_duals": _at(_at(y, 1, 1), 0, 0)},
-        "below a lower bound": moved(3, -1),
-        "reduced-cost sign at a lower bound": {"row_duals": _at(y, 9, -2)},
-        "reduced-cost sign at an upper bound": {"row_duals": _at(y, 10, 2)},
-        "off the upper bound": {**moved(1, F(3, 2)), "row_duals": _at(y, 10, 0)},
-        "off the lower bound": {**moved(0, 2), "row_duals": _at(y, 9, 0)},
+        "below zero": moved(3, -1),
+        "negative reduced cost": {"row_duals": _at(y, 9, -2)},
+        "positive reduced cost at a positive value": {"row_duals": _at(y, 10, 2)},
+        "off the upper row": {**moved(1, F(3, 2)), "row_duals": _at(y, 10, 0)},
+        "off the lower row": {**moved(0, 2), "row_duals": _at(y, 9, 0)},
+        "off zero": moved(7, 1),
         "objective": {"objective": res.objective + 1},
     }
     for condition, fields in broken.items():
         assert not verify_certificate(lp, replace(res, **fields)), condition
         assert not certificate_oracle(lp, replace(res, **fields)), condition
-    # Any y_9 in [-1, 0] and y_10 in [0, 1] leaves both signs right.
-    for y9_10 in ((0, 0), (F(-1, 2), F(1, 2)), (-1, 1)):
-        ok = replace(res, row_duals=y[:9] + tuple(map(F, y9_10)))
-        assert verify_certificate(lp, ok) and certificate_oracle(lp, ok), y9_10
+    # a and b are positive, so their reduced costs are 0, which fixes y_9
+    # at -1 and y_10 at 1; duals of the right signs that leave either
+    # nonzero are refused.
+    for y9_10 in ((0, 0), (F(-1, 2), F(1, 2)), (-1, F(1, 2)), (F(-1, 2), 1), (-1, 1)):
+        other = replace(res, row_duals=y[:9] + tuple(map(F, y9_10)))
+        assert verify_certificate(lp, other) == certificate_oracle(lp, other) == (
+            y9_10 == (-1, 1)), y9_10
 
 
 def test_alternative_optimal_row_duals_are_accepted():
@@ -611,20 +636,24 @@ def test_ilp_node_limit():
 
 
 @pytest.mark.parametrize("sense, row, best, children", [
-    # max x, 2x <= 5, x in [0, 3]: x = 5/2; x <= 2 gives 2, x >= 3 is infeasible.
-    ("max", ([2], "<=", 5), 2, [(0, 2), (3, 3)]),
-    # min x, 2x >= 1, x >= 0: x = 1/2; x <= 0 is infeasible, x >= 1 gives 1.
-    ("min", ([2], ">=", 1), 1, [(0, 0), (1, None)]),
+    # max x, 2x <= 5, x <= 3: x = 5/2; x <= 2 gives 2, x >= 3 is infeasible.
+    ("max", ([2], "<=", 5), 2, [("<=", 2), (">=", 3)]),
+    # min x, 2x >= 1: x = 1/2; x <= 0 is infeasible, x >= 1 gives 1.
+    ("min", ([2], ">=", 1), 1, [("<=", 0), (">=", 1)]),
 ], ids=["max", "min"])
 def test_ilp_solves_every_child_it_counts(monkeypatch, sense, row, best, children):
-    # Integer bounds never cross: lo <= floor(v) < floor(v) + 1 <= hi for
-    # a fractional v in [lo, hi], so each child is a program and is solved.
+    # Each child is the root plus one bound row on x, the floor child
+    # first, and is solved, feasible or not.
     solved = []
     monkeypatch.setattr(lp_module, "solve_lp", lambda node: solved.append(node) or solve_lp(node))
-    res = solve_ilp(_lp(sense, [1], [row], upper=(3 if sense == "max" else None,)))
+    lp = _lp(sense, [1], [row], upper=(3 if sense == "max" else None,))
+    res = solve_ilp(lp)
     assert (res.status, res.objective, res.primal) == ("optimal", best, (best,))
     assert (res.branch_count, len(solved)) == (3, 3)
-    assert [(node.lower[0], node.upper[0]) for node in solved[1:]] == children
+    for node, (rel, bound) in zip(solved[1:], children):
+        *parent, last = node.constraints
+        assert all(map(operator.is_, parent, lp.constraints)) and len(parent) == len(lp.constraints)
+        assert (last.terms, last.rel, last.rhs) == (((0, 1),), rel, bound)
 
 
 def test_ilp_unbounded_relaxation():
@@ -635,18 +664,23 @@ def test_ilp_unbounded_relaxation():
 def test_dimension_errors():
     with pytest.raises(DimensionError, match="column 1 is out of range for 1 variables"):
         LinearProgram("max", (1,), [Constraint(((0, 1), (1, 2)), "<=", 1)])
-    with pytest.raises(DimensionError):
-        LinearProgram("max", (1,), lower=(2,), upper=(1,))
     with pytest.raises(DimensionError, match="unknown relation '<<'"):
         LinearProgram("max", (1,), [Constraint(((0, 1),), "<<", 1)])
-    for wrong in ({"lower": (0, 0)}, {"upper": (None, 1)}, {"var_names": ("x", "y")},
-                  {"var_keys": ("k", "l")}):
+    for wrong in ({"var_names": ("x", "y")}, {"var_keys": ("k", "l")}):
         with pytest.raises(DimensionError, match="must match the variable count"):
             LinearProgram("max", (1,), **wrong)
+    # Bounds are rows: crossed ones make an infeasible program, not an error.
+    crossed = LinearProgram("max", (1,), [Constraint(((0, 1),), ">=", 2),
+                                          Constraint(((0, 1),), "<=", 1)])
+    assert solve_lp(crossed).status == "infeasible"
 
 
-def _program(terms=((0, 1),), rel="<=", rhs=1, objective=(1,), lower=(0,), upper=(None,)):
-    return LinearProgram("max", objective, [Constraint(terms, rel, rhs, "r")], lower, upper)
+def _program(terms=((0, 1),), rel="<=", rhs=1, objective=(1,), lower=(), upper=()):
+    """A one-row program, then one bound row per entry of `lower` (x_j >=
+    lo, named 'lo') and of `upper` (x_j <= hi, named 'hi')."""
+    bounds = [Constraint(((j, 1),), ">=", lo, "lo") for j, lo in enumerate(lower)]
+    bounds += [Constraint(((j, 1),), "<=", hi, "hi") for j, hi in enumerate(upper)]
+    return LinearProgram("max", objective, [Constraint(terms, rel, rhs, "r"), *bounds])
 
 
 @pytest.mark.parametrize("build, message", [
@@ -664,14 +698,14 @@ def _program(terms=((0, 1),), rel="<=", rhs=1, objective=(1,), lower=(0,), upper
                                           "is not an int"),
     (lambda: _program(objective=(1.0,)), "objective entry 1.0 of column 0 is not an int"),
     (lambda: _program(objective=(True,)), "objective entry True of column 0 is not an int"),
-    (lambda: _program(lower=(F(0),)), "lower bound Fraction(0, 1) of column 0 is not an int"),
-    (lambda: _program(lower=(0.0,)), "lower bound 0.0 of column 0 is not an int"),
-    (lambda: _program(lower=(False,)), "lower bound False of column 0 is not an int"),
-    (lambda: _program(lower=(None,)), "lower bound None of column 0 is not an int"),
-    (lambda: _program(upper=(F(2),)), "upper bound Fraction(2, 1) of column 0 is not an int"),
-    (lambda: _program(upper=(2.0,)), "upper bound 2.0 of column 0 is not an int"),
-    (lambda: _program(upper=(True,)), "upper bound True of column 0 is not an int"),
-    (lambda: _program(terms=((1, 1), (0, 1)), objective=(1, 1), lower=(0, 0), upper=(None,) * 2),
+    (lambda: _program(lower=(F(0),)), "row 'lo': rhs Fraction(0, 1) is not an int"),
+    (lambda: _program(lower=(0.0,)), "row 'lo': rhs 0.0 is not an int"),
+    (lambda: _program(lower=(False,)), "row 'lo': rhs False is not an int"),
+    (lambda: _program(lower=(None,)), "row 'lo': rhs None is not an int"),
+    (lambda: _program(upper=(F(2),)), "row 'hi': rhs Fraction(2, 1) is not an int"),
+    (lambda: _program(upper=(2.0,)), "row 'hi': rhs 2.0 is not an int"),
+    (lambda: _program(upper=(True,)), "row 'hi': rhs True is not an int"),
+    (lambda: _program(terms=((1, 1), (0, 1)), objective=(1, 1)),
      "row 'r': column 0 follows column 1"),
     (lambda: _program(terms=((0, 1), (0, 2))), "row 'r': column 0 is repeated"),
     (lambda: _program(terms=((-1, 1),)), "row 'r': column -1 is negative"),
@@ -704,7 +738,7 @@ def _result_fields(res):
 def test_a_replaced_program_solves_the_same_over_shared_rows():
     rng = Random(24)
     for _ in range(300):
-        lp, _ = _random_mixed_lp(rng)
+        lp = _shifted(*_random_mixed_lp(rng)[0])
         copy = replace(lp)
         assert all(c is d for c, d in zip(copy.constraints, lp.constraints))
         first = _result_fields(solve_lp(lp))
@@ -781,7 +815,7 @@ def test_a_program_is_frozen_and_its_rows_are_a_tuple():
 def test_a_second_solve_runs_no_tableau(tableaux):
     rng = Random(24)
     for _ in range(50):
-        lp, _ = _random_mixed_lp(rng)
+        lp = _shifted(*_random_mixed_lp(rng)[0])
         first = solve_lp(lp)
         assert solve_lp(lp) is first
         assert _same(tableaux, [lp])
@@ -805,7 +839,8 @@ def test_a_replaced_program_and_every_node_solve_afresh(tableaux):
     assert (res.objective, res.branch_count) == (1, 3)
     # The root is the kept relaxation; each node below it is a program of its
     # own, x0's floor and then its ceil branch, solved from scratch.
-    assert [(node.lower[0], node.upper[0]) for node in tableaux[2:]] == [(0, 0), (1, 1)]
+    assert [(node.constraints[-1].terms, node.constraints[-1].rel, node.constraints[-1].rhs)
+            for node in tableaux[2:]] == [(((0, 1),), "<=", 0), (((0, 1),), ">=", 1)]
 
 
 def test_a_node_holds_its_parents_rows(tableaux, monkeypatch):
@@ -815,11 +850,13 @@ def test_a_node_holds_its_parents_rows(tableaux, monkeypatch):
     monkeypatch.setattr(Constraint, "__post_init__", lambda con: checked.append(con) or check(con))
     res = solve_ilp(lp)
     assert (res.objective, res.branch_count) == (1, 3)
-    # Each node holds the root's Constraint objects, so no row is made, or
-    # checked, again.
+    # Each node holds the root's Constraint objects and one bound row of its
+    # own, so no row is made, or checked, again: only the two bound rows.
     assert len(tableaux) == 3 and tableaux[0] is lp
-    assert all(map(operator.is_, node.constraints, lp.constraints) for node in tableaux)
-    assert checked == []
+    rows = len(lp.constraints)
+    assert [len(node.constraints) for node in tableaux] == [rows, rows + 1, rows + 1]
+    assert all(map(operator.is_, node.constraints[:rows], lp.constraints) for node in tableaux)
+    assert sorted(map(id, checked)) == sorted(id(node.constraints[-1]) for node in tableaux[1:])
 
 
 def test_a_transposed_pair_shares_one_solve(tableaux):
@@ -855,7 +892,8 @@ def test_a_partner_without_an_optimum_is_never_read(tableaux):
 
 
 @pytest.mark.parametrize("lp", [
-    _lp("max", [1, 1], [([1, 1], "<=", 3)], upper=(1, None)),
+    # A bound row of the other relation, as a branch-and-bound child has.
+    _lp("min", [1, 1], [([1, 1], ">=", 3)], upper=(1, None)),
     _lp("max", [1, 1], [([1, 1], "<=", 3)], lower=(0, 1)),
     _lp("max", [1, 1], [([1, 1], "<=", 3), ([1, 0], ">=", 1)]),
     _lp("min", [1, 1], [([1, 1], ">=", 3), ([1, 0], "<=", 1)]),

@@ -51,7 +51,6 @@ def test_p1_caps_each_packet_by_its_y_row(fig1):
     for j, pid in enumerate(("p1", "p2", "p3")):
         assert rows["y:" + pid].rhs == 1
         assert rows["y:" + pid].terms == ((j, 1),)
-    assert all(hi is None for hi in lp.upper)
 
 
 def test_p2_structure_fig1(fig1):

@@ -27,6 +27,7 @@ from indexcode.gf256 import gf_inv, gf_mul, gf_scale_bytes, mds_rows
 from indexcode.programs import build_P2, build_P5
 from indexcode.simulate import _eliminate, simulate
 
+from conftest import side_packets
 from generators import random_unicast_instance, random_uniprior_instance
 
 # The package exports the function `simulate` under the submodule's name.
@@ -307,6 +308,26 @@ def test_action_with_units_for_other_packets_is_a_schedule_error(fig1):
         _rejects(fig1, action, f"units for {len(units)} of its 2 packets")
 
 
+def test_action_of_an_unknown_kind_is_a_schedule_error(fig1):
+    # Refused before anything is sent.
+    for kind in ("broadcast", "Direct", None):
+        action = coding.CodingAction(kind, ("p1",), 1, units=((0, 0),))
+        _rejects(fig1, action, f"unknown kind {kind!r}")
+
+
+@pytest.mark.parametrize("d", [2, 3, -1, "x", 1.0, True, None], ids=repr)
+def test_clique_with_a_d_outside_its_range_is_a_schedule_error(fig1, d):
+    # A (2, d) clique sends k - d >= 1 Cauchy rows of ints 0 <= d < k.
+    action = coding.CodingAction("clique", ("p1", "p3"), 1, d=d, units=((0, 0), (0, 0)))
+    _rejects(fig1, action, f"d {d!r} is not an int with 0 <= d < k = 2")
+
+
+def test_direct_action_of_other_than_one_packet_is_a_schedule_error(fig1):
+    for packets in (("p1", "p2"), ("p1", "p2", "p3"), ()):
+        action = coding.CodingAction("direct", packets, 1, units=((0, 0),) * len(packets))
+        _rejects(fig1, action, f"a direct send of {len(packets)} packets")
+
+
 def test_decode_failure_names_the_first_demand_in_instance_order():
     # u1 demands a, b, c, d and e, and an empty schedule decodes none of
     # them: the failure names a under every hash seed.
@@ -338,7 +359,7 @@ def _full_system_outcome(inst, sched, size=4):
              for p in inst.packets for i in range(p.weight * sched.theta)}
     success, failure = {}, None
     for user in inst.users:
-        known = inst.side_packets(user)
+        known = side_packets(inst, user)
         rows = []
         for t in sched.transmissions:
             row, rhs = {}, 0
